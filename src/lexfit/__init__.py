@@ -60,9 +60,7 @@ from .losses import (
 )
 from .sampling import (
     MiniBatch,
-    SampledTriplet,
     classify_negative,
-    emit_pair_triplets,
     plan_epoch,
     quad_join,
     select_negatives,
@@ -93,8 +91,8 @@ __all__ = [
     "attract_repel_reg_loss", "contrastive_loss", "counterfit_preserve_loss",
     "distance_with_grads", "hypernym_triplet_loss", "preservation_loss",
     "quadruplet_hierarchy_loss", "triplet_attract_loss", "triplet_repel_loss",
-    "MiniBatch", "SampledTriplet", "classify_negative", "emit_pair_triplets",
-    "plan_epoch", "quad_join", "select_negatives", "select_positives",
+    "MiniBatch", "classify_negative", "plan_epoch", "quad_join", "select_negatives",
+    "select_positives",
     "PRESETS", "NonFiniteGradientError", "SpecializeConfig", "TrainLog",
     "adagrad_step", "counterfit", "retrofit", "specialize",
 ]

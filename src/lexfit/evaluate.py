@@ -224,12 +224,6 @@ def hyper_score(
     return c * ratio
 
 
-def _norm_direction_score(store: EmbeddingStore, r1: int, r2: int) -> float:
-    n1 = float(np.linalg.norm(store.current[r1]))
-    n2 = float(np.linalg.norm(store.current[r2]))
-    return (n1 - n2) / (n1 + n2)
-
-
 def bless_directionality(
     store: EmbeddingStore, dataset: RelationDataset, use_backoff: bool = True
 ) -> EvalReport:
@@ -264,26 +258,24 @@ def bless_directionality(
     )
 
 
-def _threshold_candidates(scores: np.ndarray) -> np.ndarray:
-    uniq = np.unique(scores)
-    mids = (uniq[:-1] + uniq[1:]) / 2.0 if len(uniq) > 1 else np.empty(0)
-    return np.concatenate(([-np.inf], mids, [np.inf]))
-
-
 def _fit_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     """Threshold maximizing accuracy of `score > t` as the positive rule.
 
     Candidates are midpoints between adjacent sorted scores plus +-inf
     sentinels; accuracy ties break toward the smaller threshold.
     """
-    best_t = -np.inf
-    best_acc = -1.0
-    for t in _threshold_candidates(scores):
-        acc = float(np.mean((scores > t) == labels))
-        if acc > best_acc:
-            best_acc = acc
-            best_t = t
-    return float(best_t)
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    positives = np.cumsum(labels[order])
+    # last position of each distinct score
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    uniq = ranked[ends]
+    # a threshold just above uniq[i] gets right every positive above it and
+    # every negative at or below it
+    correct = positives[-1] - positives[ends] + (ends + 1 - positives[ends])
+    best = int(np.argmax(np.concatenate(([positives[-1]], correct))))
+    candidates = np.concatenate(([-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]))
+    return float(candidates[best])
 
 
 def _finite_mean(values) -> float | None:
@@ -396,9 +388,10 @@ def bibless_classify(
         raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
     agn_arr = np.asarray(agnostic)
     dir_arr = np.asarray(direction)
-    taxo_arr = np.asarray([lab in ("hyper", "hypo") for lab in labels])
-    hypo_arr = np.asarray([lab == "hypo" for lab in labels])
-    labels_arr = np.asarray(labels)
+    codes = np.asarray([RELATION_LABELS.index(lab) for lab in labels])
+    hyper_code, hypo_code, other_code = range(len(RELATION_LABELS))
+    taxo_arr = codes != other_code
+    hypo_arr = codes == hypo_code
     sample_size = max(2, math.ceil(sample_fraction * n))
     sample_size = max(sample_size, len(set(labels)))
     rng = np.random.default_rng(seed)
@@ -414,9 +407,9 @@ def bibless_classify(
         mask = np.ones(n, dtype=bool)
         mask[sample] = False
         pred = np.where(
-            agn_arr > t1, np.where(dir_arr > t2, "hypo", "hyper"), "other"
+            agn_arr > t1, np.where(dir_arr > t2, hypo_code, hyper_code), other_code
         )
-        acc = float(np.mean(pred[mask] == labels_arr[mask]))
+        acc = float(np.mean(pred[mask] == codes[mask]))
         t1s.append(t1)
         t2s.append(t2)
         accuracies.append(acc)

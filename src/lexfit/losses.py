@@ -1,13 +1,17 @@
 """Hinge losses over cosine distance, with hand-derived sparse gradients.
 
-Every loss reads vectors from an :class:`~lexfit.embeddings.EmbeddingStore`
-by row index and returns a :class:`LossResult` whose gradients are keyed by
-row, so the optimizer can apply per-coordinate updates without densifying.
+Training evaluates a whole mini-batch at once with :class:`BatchLoss`: every
+hinge family is a set of index arrays into the batch's gathered rows, and the
+gradient comes back as one ``(rows, dim)`` block. The per-instance kernels
+below it read vectors from an :class:`~lexfit.embeddings.EmbeddingStore` by
+row and return a :class:`LossResult` with gradients keyed by row; they are
+the reference that the finite-difference oracle and the batch tests check.
 All hinges use subgradient 0 exactly at their boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,19 +69,136 @@ class LossResult:
         return self
 
 
+def _row_cosines(
+    a: np.ndarray, b: np.ndarray, norm_a: np.ndarray, norm_b: np.ndarray
+) -> np.ndarray:
+    return np.sum(a * b, axis=1) / (norm_a * norm_b)
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(matrix * matrix, axis=1))
+
+
+class BatchLoss:
+    """One mini-batch's loss and gradient over its gathered rows.
+
+    ``rows`` are distinct store rows, ascending; every term addresses them
+    by local index. Each hinge family is added as index arrays, and
+    :meth:`gradient` returns the ``(len(rows), dim)`` gradient block.
+    ``n_hinges``/``n_active`` count as in the per-instance kernels.
+    """
+
+    def __init__(self, store: EmbeddingStore, rows: np.ndarray) -> None:
+        self.rows = rows
+        self.current = store.current[rows]
+        self.original = store.original[rows]
+        self.norms = _row_norms(self.current)
+        self.loss = 0.0
+        self.n_hinges = 0
+        self.n_active = 0
+        # block[dst] += coef * vector[src]; src >= len(rows) is an original row
+        self._dst: list[np.ndarray] = []
+        self._src: list[np.ndarray] = []
+        self._coef: list[np.ndarray] = []
+
+    def _cosines(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        X = self.current
+        return _row_cosines(X[left], X[right], self.norms[left], self.norms[right])
+
+    def _distances(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return 1.0 - np.clip(self._cosines(left, right), -1.0, 1.0)
+
+    def _add(self, dst, src, coef) -> None:
+        if not len(dst[0]):
+            return
+        self._dst.extend(dst)
+        self._src.extend(src)
+        self._coef.extend(coef)
+
+    def _pull(self, left: np.ndarray, right: np.ndarray, weight: float) -> None:
+        """Gradient of weight * D(left, right) for each pair."""
+        c = self._cosines(left, right)
+        nl, nr = self.norms[left], self.norms[right]
+        cross = -weight / (nl * nr)
+        self._add((left, left, right, right), (left, right, right, left),
+                  (weight * c / (nl * nl), cross, weight * c / (nr * nr), cross))
+
+    def hinge(self, margin, *terms: tuple[float, np.ndarray, np.ndarray], count: int = 1) -> None:
+        """Add max(0, margin + sum of sign * D(left, right)) per hinge.
+
+        ``terms`` are ``(sign, left, right)`` with one entry per hinge in each
+        index array; ``margin`` is a scalar or one value per hinge. Each hinge
+        counts ``count`` times, in the loss and in the hinge counts.
+        """
+        h = margin
+        for sign, left, right in terms:
+            h = h + sign * self._distances(left, right)
+        active = h > 0
+        self.n_hinges += count * len(active)
+        self.n_active += count * int(np.count_nonzero(active))
+        self.loss += count * float(np.sum(h[active]))
+        for sign, left, right in terms:
+            self._pull(left[active], right[active], count * sign)
+
+    def preserve(self, local_rows: np.ndarray, weight: float) -> None:
+        """weight * D(current, original) for every occurrence of a row.
+
+        Unmoved rows sit at distance and gradient exactly zero and are left
+        out, which keeps them bit-identical under AdaGrad.
+        """
+        n = len(self.rows)
+        w = weight * np.bincount(local_rows, minlength=n)
+        moved = np.flatnonzero((w > 0) & np.any(self.current != self.original, axis=1))
+        u, o = self.current[moved], self.original[moved]
+        nu, no = self.norms[moved], _row_norms(o)
+        c = _row_cosines(u, o, nu, no)
+        w = w[moved]
+        self.loss += float(np.sum(w * (1.0 - np.clip(c, -1.0, 1.0))))
+        self._add((moved, moved), (moved, moved + n), (w * c / (nu * nu), -w / (nu * no)))
+
+    def norm_asymmetry(self, hyponym: np.ndarray, hypernym: np.ndarray, weight: float) -> None:
+        """Hinge on (|u| - |v|) / (|u| + |v|) per (hyponym, hypernym) pair."""
+        nu, nv = self.norms[hyponym], self.norms[hypernym]
+        score = (nu - nv) / (nu + nv)
+        active = score > 0
+        self.n_hinges += len(score)
+        self.n_active += int(np.count_nonzero(active))
+        self.loss += float(np.sum(weight * score[active]))
+        nu, nv = nu[active], nv[active]
+        denom = (nu + nv) ** 2
+        self._add((hyponym[active], hypernym[active]), (hyponym[active], hypernym[active]),
+                  (weight * (2.0 * nv / denom) / nu, weight * (-2.0 * nu / denom) / nv))
+
+    def gradient(self) -> np.ndarray:
+        """The ``(len(rows), dim)`` gradient of everything added so far."""
+        n = len(self.rows)
+        block = np.zeros_like(self.current)
+        if not self._dst:
+            return block
+        key = np.concatenate(self._dst) * (2 * n) + np.concatenate(self._src)
+        pairs, which = np.unique(key, return_inverse=True)
+        coef = np.bincount(which, weights=np.concatenate(self._coef))
+        dst, src = np.divmod(pairs, 2 * n)
+        terms = coef[:, None] * np.concatenate((self.current, self.original))[src]
+        starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+        block[dst[starts]] = np.add.reduceat(terms, starts, axis=0)
+        return block
+
+
 def distance_with_grads(u: np.ndarray, v: np.ndarray):
     """Cosine distance 1 - cos(u, v) and its gradients w.r.t. both arguments.
 
     d cos/du = v / (|u||v|) - cos * u / |u|^2, so each distance gradient is
     the negated cosine gradient; it is orthogonal to its own argument.
     """
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    uu = float(u @ u)
+    vv = float(v @ v)
+    if uu == 0.0 or vv == 0.0:
         raise ValueError("cosine distance of a zero vector is undefined")
-    c = float(np.dot(u, v) / (nu * nv))
-    gu = c * u / (nu * nu) - v / (nu * nv)
-    gv = c * v / (nv * nv) - u / (nu * nv)
+    inv = 1.0 / (math.sqrt(uu) * math.sqrt(vv))
+    c = float(u @ v) * inv
+    gu = (c / uu) * u - inv * v
+    gv = (c / vv) * v - inv * u
     d = 1.0 - min(1.0, max(-1.0, c))
     return d, gu, gv
 

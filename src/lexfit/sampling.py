@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +29,6 @@ class MiniBatch:
     epoch: int
     batch_index: int
     seed: int = 0
-
-
-@dataclass
-class SampledTriplet:
-    """An anchor/partner instance with its online-selected auxiliary rows."""
-
-    anchor: int
-    partner: int
-    aux_samples: list[int] = field(default_factory=list)
-    aux_kind: str = "negative_closest"
 
 
 def quad_join(constraints: ConstraintSet) -> list[tuple[int, int, int]]:
@@ -128,31 +118,116 @@ def plan_epoch(
     return plan
 
 
-def _candidate_pool(
-    anchor: int, batch: MiniBatch, constraints: ConstraintSet
-) -> list[int]:
-    """Rows from the batch's other instances, minus rows constrained to the anchor."""
-    excluded = constraints.partners(batch.relation, anchor)
-    pool: set[int] = set()
-    for item in batch.items:
-        if anchor in item:
-            continue
-        pool.update(item)
-    pool.discard(anchor)
-    pool -= excluded
-    return sorted(pool)
-
-
-def _anchor_distances(anchor: int, pool: list[int], store: EmbeddingStore) -> np.ndarray:
-    M = store.current
-    v = M[anchor]
-    cand = M[pool]
-    sims = (cand @ v) / (np.linalg.norm(cand, axis=1) * np.linalg.norm(v))
-    return 1.0 - np.clip(sims, -1.0, 1.0)
+def batch_rows(batch: MiniBatch, extra=()) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a batch's items (plus ``extra``), ascending, and
+    the items rewritten as local indices into them."""
+    items = np.asarray(batch.items, dtype=np.intp)
+    rows = np.unique(np.concatenate((items.ravel(), np.asarray(extra, dtype=np.intp))))
+    return rows, np.searchsorted(rows, items)
 
 
 def _aux_rng(batch: MiniBatch, anchor: int, role: int) -> np.random.Generator:
     return np.random.default_rng((batch.seed, batch.epoch, batch.batch_index, anchor, role))
+
+
+def mine_batch(
+    batch: MiniBatch,
+    constraints: ConstraintSet,
+    rows: np.ndarray,
+    local: np.ndarray,
+    vectors: np.ndarray,
+    anchors: np.ndarray,
+    mode: str = "negatives",
+    policy: str = "closest_plus_random",
+    k: int = 2,
+) -> np.ndarray:
+    """Pick up to k in-batch rows for every anchor from one Gram matrix.
+
+    ``rows``/``local`` come from :func:`batch_rows`, ``vectors`` holds the
+    current vectors of ``rows`` and ``anchors`` are local indices. An anchor's
+    candidates are the rows of the batch's instances that do not contain it,
+    minus the anchor and its ``constraints.partners``. ``negatives`` mode
+    applies ``policy`` (see :func:`select_negatives`); ``positives`` mode
+    takes the k farthest candidates. Distance ties go to the smaller row.
+    Returns an ``(len(anchors), k)`` array of local indices, padded with -1
+    where an anchor has fewer than k candidates.
+    """
+    anchors = np.asarray(anchors, dtype=np.intp)
+    n_rows, n_anchors = len(rows), len(anchors)
+    member = np.zeros((n_rows, len(local)))
+    member[local, np.arange(len(local))[:, None]] = 1.0
+    # instances holding the row minus those also holding the anchor
+    outside = member.sum(axis=1) - member[anchors] @ member.T
+    mask = outside > 0.5
+    mask[np.arange(n_anchors), anchors] = False
+    owner: list[int] = []
+    partner: list[int] = []
+    for i, anchor in enumerate(rows[anchors].tolist()):
+        found = constraints.partners(batch.relation, anchor)
+        owner += [i] * len(found)
+        partner += found
+    if partner:
+        partner_rows = np.asarray(partner, dtype=np.intp)
+        pos = np.minimum(np.searchsorted(rows, partner_rows), n_rows - 1)
+        hit = rows[pos] == partner_rows
+        mask[np.asarray(owner)[hit], pos[hit]] = False
+
+    norms = np.linalg.norm(vectors, axis=1)
+    sims = (vectors[anchors] @ vectors.T) / (norms * norms[anchors, None])
+    dist = 1.0 - np.clip(sims, -1.0, 1.0)
+    counts = mask.sum(axis=1)
+    picks = np.full((n_anchors, k), -1, dtype=np.intp)
+    if mode == "negatives" and policy == "closest_plus_random":
+        closest = np.argmin(np.where(mask, dist, np.inf), axis=1)
+        picks[:, 0] = np.where(counts > 0, closest, -1)
+        mask[np.arange(n_anchors), closest] = False
+        # each anchor's remaining candidates first, ascending
+        rest = np.argsort(~mask, axis=1, kind="stable")
+        for i, (anchor, n_rest) in enumerate(zip(rows[anchors].tolist(), (counts - 1).tolist())):
+            n_random = min(k - 1, n_rest)
+            if n_random > 0:
+                rng = _aux_rng(batch, anchor, role=0)
+                draws = rng.choice(n_rest, size=n_random, replace=False)
+                picks[i, 1 : 1 + n_random] = rest[i, draws]
+        return picks
+    key = -dist if mode == "positives" else dist
+    order = np.argsort(np.where(mask, key, np.inf), axis=1, kind="stable")[:, :k]
+    width = order.shape[1]
+    picks[:, :width] = np.where(np.arange(width) < counts[:, None], order, -1)
+    return picks
+
+
+def mine_instances(
+    batch: MiniBatch,
+    constraints: ConstraintSet,
+    rows: np.ndarray,
+    local: np.ndarray,
+    vectors: np.ndarray,
+    mode: str = "negatives",
+    policy: str = "closest_plus_random",
+    k: int = 2,
+    mirror: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mine rows for every instance of a batch, anchored at its first row.
+
+    With ``mirror`` each pair is also taken in its reverse order. Returns
+    ``(instances, which, mined)`` in local indices: the anchor-first
+    instances, and for each mined row the instance it belongs to. Instances
+    with an empty candidate pool get no rows. An anchor's picks depend only
+    on the anchor, so each distinct anchor is mined once.
+    """
+    instances = np.stack((local, local[:, ::-1]), axis=1).reshape(-1, 2) if mirror else local
+    distinct, which = np.unique(instances[:, 0], return_inverse=True)
+    picks = mine_batch(batch, constraints, rows, local, vectors, distinct, mode, policy, k)[which]
+    which, column = np.nonzero(picks >= 0)
+    return instances, which, picks[which, column]
+
+
+def _select(anchor, batch, constraints, store, mode, policy, k) -> list[int]:
+    rows, local = batch_rows(batch, extra=(anchor,))
+    at = np.searchsorted(rows, [anchor])
+    picks = mine_batch(batch, constraints, rows, local, store.current[rows], at, mode, policy, k)
+    return [int(rows[p]) for p in picks[0] if p >= 0]
 
 
 def select_negatives(
@@ -174,22 +249,7 @@ def select_negatives(
         raise ValueError(f"unknown policy {policy!r}, expected one of {NEGATIVE_POLICIES}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    pool = _candidate_pool(anchor, batch, constraints)
-    if not pool:
-        return []
-    dist = _anchor_distances(anchor, pool, store)
-    if policy == "closest_only":
-        order = np.argsort(dist, kind="stable")
-        return [pool[i] for i in order[: min(k, len(pool))]]
-    closest = pool[int(np.argmin(dist))]
-    picks = [closest]
-    rest = [r for r in pool if r != closest]
-    n_random = min(k - 1, len(rest))
-    if n_random > 0:
-        rng = _aux_rng(batch, anchor, role=0)
-        for i in rng.choice(len(rest), size=n_random, replace=False):
-            picks.append(rest[int(i)])
-    return picks
+    return _select(anchor, batch, constraints, store, "negatives", policy, k)
 
 
 def select_positives(
@@ -203,12 +263,7 @@ def select_positives(
     closest-negative selection), used as positives when repelling antonyms."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pool = _candidate_pool(anchor, batch, constraints)
-    if not pool:
-        return []
-    dist = _anchor_distances(anchor, pool, store)
-    order = np.argsort(-dist, kind="stable")
-    return [pool[i] for i in order[: min(k, len(pool))]]
+    return _select(anchor, batch, constraints, store, "positives", "closest_only", k)
 
 
 def classify_negative(
@@ -228,45 +283,3 @@ def classify_negative(
     if d_ac <= margin + d_ap:
         return "semi_hard"
     return "easy"
-
-
-def emit_pair_triplets(
-    batch: MiniBatch,
-    constraints: ConstraintSet,
-    store: EmbeddingStore,
-    policy: str = "closest_plus_random",
-    k: int = 2,
-    mirror: bool = True,
-    mode: str = "negatives",
-) -> list[SampledTriplet]:
-    """Expand a pair batch into sampled triplets, one record per aux kind.
-
-    Symmetric relations mirror each pair into both anchor orders. Instances
-    whose candidate pool is empty are skipped.
-    """
-    if mode not in ("negatives", "positives"):
-        raise ValueError(f"unknown mode {mode!r}")
-    triplets: list[SampledTriplet] = []
-    for a, b in batch.items:
-        anchor_orders = ((a, b), (b, a)) if mirror else ((a, b),)
-        for anchor, partner in anchor_orders:
-            if mode == "negatives":
-                rows = select_negatives(anchor, batch, constraints, store, policy, k)
-                if not rows:
-                    continue
-                if policy == "closest_plus_random":
-                    triplets.append(
-                        SampledTriplet(anchor, partner, [rows[0]], "negative_closest")
-                    )
-                    if len(rows) > 1:
-                        triplets.append(
-                            SampledTriplet(anchor, partner, rows[1:], "negative_random")
-                        )
-                else:
-                    triplets.append(SampledTriplet(anchor, partner, rows, "negative_closest"))
-            else:
-                rows = select_positives(anchor, batch, constraints, store, k)
-                if not rows:
-                    continue
-                triplets.append(SampledTriplet(anchor, partner, rows, "positive_farthest"))
-    return triplets

@@ -15,22 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import ConstraintSet
-from .embeddings import EmbeddingStore, nearest_neighbors
-from .losses import (
-    LossResult,
-    Margins,
-    asymmetric_norm_loss,
-    attract_repel_reg_loss,
-    contrastive_loss,
-    counterfit_preserve_loss,
-    distance_with_grads,
-    hypernym_triplet_loss,
-    preservation_loss,
-    quadruplet_hierarchy_loss,
-    triplet_attract_loss,
-    triplet_repel_loss,
-)
-from .sampling import MiniBatch, emit_pair_triplets, plan_epoch, quad_join, select_negatives
+from .embeddings import EmbeddingStore
+from .losses import BatchLoss, Margins
+from .sampling import MiniBatch, batch_rows, mine_instances, plan_epoch, quad_join
 
 PRESETS = (
     "retrofitting",
@@ -100,26 +87,31 @@ class TrainLog:
 def adagrad_step(
     matrix: np.ndarray,
     accumulators: np.ndarray,
-    grads: dict[int, np.ndarray],
+    rows: np.ndarray,
+    block: np.ndarray,
     learning_rate: float,
     epsilon: float,
 ) -> None:
-    """Apply one sparse AdaGrad update in place, ascending row order.
+    """Apply one sparse AdaGrad update in place to the distinct ``rows``.
 
-    Per touched coordinate: acc += g^2 then x -= lr * g / (sqrt(acc) + eps).
-    Coordinates with zero gradient are left bit-identical.
+    ``block[i]`` is the gradient of ``rows[i]``. Per touched coordinate:
+    acc += g^2 then x -= lr * g / (sqrt(acc) + eps). Coordinates with zero
+    gradient are left bit-identical. A non-finite gradient anywhere in the
+    block raises before anything is written.
     """
-    for row in sorted(grads):
-        g = grads[row]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient at row {row}")
-        nz = g != 0.0
-        if not np.any(nz):
-            continue
-        gn = g[nz]
-        acc_row = accumulators[row]
-        acc_row[nz] += gn * gn
-        matrix[row][nz] -= learning_rate * gn / (np.sqrt(acc_row[nz]) + epsilon)
+    finite = np.isfinite(block)
+    if not finite.all():
+        row = rows[np.flatnonzero(~finite.all(axis=1))[0]]
+        raise NonFiniteGradientError(f"non-finite gradient at row {row}")
+    nz = block != 0.0
+    acc = accumulators[rows]
+    np.add(acc, block * block, out=acc, where=nz)
+    step = np.zeros_like(acc)
+    np.divide(learning_rate * block, np.sqrt(acc) + epsilon, out=step, where=nz)
+    values = matrix[rows]
+    np.subtract(values, step, out=values, where=nz)
+    accumulators[rows] = acc
+    matrix[rows] = values
 
 
 def _check_required(preset: str, constraints: ConstraintSet) -> None:
@@ -212,24 +204,44 @@ def retrofit(
 
 # --- counter-fitting --------------------------------------------------------
 
+# bounds the (block rows x vocabulary) similarity scratch of the precompute
+_NEIGHBOR_BLOCK_CELLS = 1 << 18
+
+
 def _original_neighbor_sets(
-    store: EmbeddingStore, rows: list[int], k: int
-) -> dict[int, list[tuple[int, float]]]:
+    store: EmbeddingStore, rows: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k original-space neighbours of each row and their original distances.
+
+    Ranks like :func:`~lexfit.embeddings.nearest_neighbors` (descending
+    cosine, ties toward the smaller row), one bounded block of rows per
+    matmul.
+    """
+    O = store.original
     k = min(k, len(store) - 1)
-    return {
-        row: [(j, 1.0 - c) for j, c in nearest_neighbors(store, row, k, space="original")]
-        for row in rows
-    }
+    norms = np.linalg.norm(O, axis=1)
+    neighbors = np.empty((len(rows), k), dtype=np.intp)
+    distances = np.empty((len(rows), k))
+    step = max(1, _NEIGHBOR_BLOCK_CELLS // len(store))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        sims = (O[block] @ O.T) / (norms * norms[block, None])
+        np.clip(sims, -1.0, 1.0, out=sims)
+        sims[np.arange(len(block)), block] = -np.inf
+        top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        neighbors[start : start + step] = top
+        distances[start : start + step] = 1.0 - np.take_along_axis(sims, top, axis=1)
+    return neighbors, distances
 
 
 def _run_counterfit(
     store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
 ) -> TrainLog:
-    m = config.margins
-    constrained = sorted(
-        {r for pair in constraints.synonyms | constraints.antonyms for r in pair}
+    constrained = np.array(
+        sorted({r for pair in constraints.synonyms | constraints.antonyms for r in pair}),
+        dtype=np.intp,
     )
-    neighbor_sets = _original_neighbor_sets(store, constrained, config.neighbor_k)
+    neighbors = _original_neighbor_sets(store, constrained, config.neighbor_k)
     accumulators: dict[str, np.ndarray] = {}
     log = TrainLog()
     for epoch in range(config.epochs):
@@ -238,26 +250,38 @@ def _run_counterfit(
         )
         stats = _EpochStats()
         for batch in plan:
-            res = LossResult()
-            for a, b in batch.items:
-                if batch.relation == "syn":
-                    # pull synonyms until their distance is within m_syn
-                    d, g_a, g_b = distance_with_grads(store.current[a], store.current[b])
-                    res.n_hinges += 1
-                    if d - m.m_syn > 0:
-                        res.n_active += 1
-                        res.loss += d - m.m_syn
-                        res.add_grad(a, g_a)
-                        res.add_grad(b, g_b)
-                else:
-                    res.merge(contrastive_loss(a, b, 0, m.m_ant, store))
-            for row in sorted({r for item in batch.items for r in item}):
-                res.merge(counterfit_preserve_loss(row, neighbor_sets[row], store))
+            res = _counterfit_batch_loss(batch, store, constrained, neighbors, config.margins)
             _apply(store, accumulators, res, config, batch)
             stats.record(batch.relation, res)
         log.epochs.append(stats.summary())
         log.batches_processed += len(plan)
     return log
+
+
+def _counterfit_batch_loss(
+    batch: MiniBatch,
+    store: EmbeddingStore,
+    constrained: np.ndarray,
+    neighbors: tuple[np.ndarray, np.ndarray],
+    m: Margins,
+) -> BatchLoss:
+    """Synonym pull or antonym push over the batch's pairs, plus the
+    neighbour-preservation hinge of every row in the batch.
+
+    ``neighbors`` is the precompute for the ascending ``constrained`` rows.
+    """
+    near, near_dist = neighbors
+    at = np.searchsorted(constrained, np.unique(np.asarray(batch.items)))
+    rows, local = batch_rows(batch, extra=near[at].ravel())
+    res = BatchLoss(store, rows)
+    if batch.relation == "syn":
+        # pull synonyms until their distance is within m_syn
+        res.hinge(-m.m_syn, (1.0, local[:, 0], local[:, 1]))
+    else:
+        res.hinge(m.m_ant, (-1.0, local[:, 0], local[:, 1]))
+    own = np.searchsorted(rows, np.repeat(constrained[at], near.shape[1]))
+    res.hinge(-near_dist[at].ravel(), (1.0, own, np.searchsorted(rows, near[at].ravel())))
+    return res
 
 
 def counterfit(
@@ -309,7 +333,7 @@ class _EpochStats:
         self.active: dict[str, int] = defaultdict(int)
         self.order: list[str] = []
 
-    def record(self, relation: str, res: LossResult) -> None:
+    def record(self, relation: str, res: BatchLoss) -> None:
         if relation not in self.loss_sum:
             self.order.append(relation)
         self.loss_sum[relation] += res.loss
@@ -330,7 +354,7 @@ class _EpochStats:
 def _apply(
     store: EmbeddingStore,
     accumulators: dict[str, np.ndarray],
-    res: LossResult,
+    res: BatchLoss,
     config: SpecializeConfig,
     batch: MiniBatch,
 ) -> None:
@@ -340,13 +364,16 @@ def _apply(
     accumulators; sharing one accumulator would let the high-traffic cosine
     relations starve the norm-asymmetry updates.
     """
-    if not res.grads:
+    block = res.gradient()
+    if not block.any():
         return
     acc = accumulators.get(batch.relation)
     if acc is None:
         acc = accumulators.setdefault(batch.relation, np.zeros_like(store.current))
     try:
-        adagrad_step(store.current, acc, res.grads, config.learning_rate, config.adagrad_epsilon)
+        adagrad_step(
+            store.current, acc, res.rows, block, config.learning_rate, config.adagrad_epsilon
+        )
     except NonFiniteGradientError as exc:
         raise NonFiniteGradientError(
             f"{exc} (relation {batch.relation}, epoch {batch.epoch}, "
@@ -360,50 +387,43 @@ def _batch_loss(
     store: EmbeddingStore,
     config: SpecializeConfig,
     features: _MetricFeatures,
-) -> LossResult:
+) -> BatchLoss:
     m = config.margins
-    res = LossResult()
+    rows, local = batch_rows(batch)
+    res = BatchLoss(store, rows)
     relation = batch.relation
 
-    if relation in ("syn", "hyper"):
-        mirror = True if relation == "syn" else features.mirror_hyper
-        margin = m.m_syn if relation == "syn" else features.hyper_margin
-        loss_fn = triplet_attract_loss if relation == "syn" else hypernym_triplet_loss
-        for t in emit_pair_triplets(
-            batch, constraints, store, config.negative_policy, config.sample_k, mirror=mirror
-        ):
-            res.merge(loss_fn(t.anchor, t.partner, t.aux_samples, margin, store))
-            if features.reg == "triplet":
-                for aux in t.aux_samples:
-                    res.merge(attract_repel_reg_loss([t.anchor, t.partner, aux], store, m.m_reg))
-    elif relation == "ant":
-        for t in emit_pair_triplets(
-            batch, constraints, store, config.negative_policy, config.sample_k,
-            mirror=True, mode="positives",
-        ):
-            res.merge(triplet_repel_loss(t.anchor, t.partner, t.aux_samples, m.m_ant, store))
-            if features.reg == "triplet":
-                for aux in t.aux_samples:
-                    res.merge(attract_repel_reg_loss([t.anchor, t.partner, aux], store, m.m_reg))
+    if relation == "ad":
+        res.norm_asymmetry(local[:, 0], local[:, 1], m.ad_weight)
     elif relation == "quad":
-        for anchor, synonym, hypernym in batch.items:
-            negatives = select_negatives(
-                anchor, batch, constraints, store, config.negative_policy, config.sample_k
-            )
-            if not negatives:
-                continue
-            res.merge(
-                quadruplet_hierarchy_loss(
-                    anchor, synonym, hypernym, negatives, m.m_hie_syn, m.m_hie_hyp, store
-                )
-            )
-    elif relation == "ad":
-        for hyponym, hypernym in batch.items:
-            res.merge(asymmetric_norm_loss(hyponym, hypernym, m.ad_weight, store))
+        items, inst, neg = mine_instances(
+            batch, constraints, rows, local, res.current,
+            "negatives", config.negative_policy, config.sample_k,
+        )
+        a, s, h = items[np.unique(inst)].T
+        res.hinge(m.m_hie_syn, (1.0, a, s), (-1.0, a, h))
+        res.hinge(m.m_hie_syn, (1.0, a, s), (-1.0, s, h))
+        # D is symmetric in (anchor, synonym), so each negative hinge counts twice
+        a, s, h = items[inst].T
+        res.hinge(m.m_hie_hyp, (1.0, a, s), (-1.0, h, neg), count=2)
+    else:
+        items, inst, aux = mine_instances(
+            batch, constraints, rows, local, res.current,
+            "positives" if relation == "ant" else "negatives",
+            config.negative_policy, config.sample_k,
+            mirror=relation != "hyper" or features.mirror_hyper,
+        )
+        anchor, partner = items[inst].T
+        if relation == "ant":
+            res.hinge(m.m_ant, (1.0, anchor, aux), (-1.0, anchor, partner))
+        else:
+            margin = m.m_syn if relation == "syn" else features.hyper_margin
+            res.hinge(margin, (1.0, anchor, partner), (-1.0, anchor, aux))
+        if features.reg == "triplet":
+            res.preserve(np.concatenate((anchor, partner, aux)), m.m_reg)
 
     if features.reg == "batch":
-        rows = sorted({r for item in batch.items for r in item})
-        res.merge(preservation_loss(rows, store, m.gamma_reg))
+        res.preserve(np.arange(len(rows)), m.gamma_reg)
     return res
 
 

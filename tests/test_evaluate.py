@@ -18,7 +18,7 @@ from lexfit import (
     spearman,
     wbless_classify,
 )
-from lexfit.evaluate import DatasetFormatError
+from lexfit.evaluate import DatasetFormatError, _fit_threshold
 
 
 def norm_store(norms, names=None):
@@ -223,6 +223,28 @@ def separable_wbless(n_pairs=50):
         norms += [1.0, 2.0 if hyper else 0.5]
         rows.append((w1, w2, "hyper" if hyper else "other"))
     return norm_store(norms, names), relation_ds(rows)
+
+
+def brute_force_threshold(scores, labels):
+    uniq = np.unique(scores)
+    candidates = np.concatenate(([-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]))
+    best_t, best_acc = -np.inf, -1.0
+    for t in candidates:
+        acc = float(np.mean((scores > t) == labels))
+        if acc > best_acc:
+            best_t, best_acc = t, acc
+    return float(best_t)
+
+
+class TestFitThreshold:
+    def test_matches_brute_force_with_ties(self):
+        # few distinct scores, so most thresholds tie on accuracy
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            scores = rng.integers(-3, 4, size=n) / 2.0
+            labels = rng.random(n) < rng.uniform(0.0, 1.0)
+            assert _fit_threshold(scores, labels) == brute_force_threshold(scores, labels), trial
 
 
 class TestWbless:

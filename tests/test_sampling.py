@@ -6,13 +6,12 @@ from lexfit import (
     EmbeddingStore,
     classify_negative,
     distance,
-    emit_pair_triplets,
     plan_epoch,
     quad_join,
     select_negatives,
     select_positives,
 )
-from lexfit.sampling import MiniBatch
+from lexfit.sampling import MiniBatch, batch_rows, mine_instances
 from helpers import random_store, toy_hierarchy_fixture
 
 
@@ -151,11 +150,14 @@ class TestSelectNegatives:
     def test_never_violates_exclusion(self):
         store, cs = toy_hierarchy_fixture()
         for batch in plan_epoch(cs, 8, seed=1):
-            if batch.relation == "quad":
-                continue
-            for t in emit_pair_triplets(batch, cs, store):
-                forbidden = cs.partners(batch.relation, t.anchor) | {t.anchor, t.partner}
-                assert not (set(t.aux_samples) & forbidden)
+            rows, local = batch_rows(batch)
+            items, which, mined = mine_instances(
+                batch, cs, rows, local, store.current[rows], mirror=batch.relation != "quad"
+            )
+            for i, aux in zip(which, mined):
+                anchor = rows[items[i, 0]]
+                forbidden = cs.partners(batch.relation, anchor) | set(rows[items[i]])
+                assert rows[aux] not in forbidden
 
 
 class TestSelectPositives:
@@ -215,20 +217,14 @@ class TestClassifyNegative:
         assert classify_negative(0, 1, 1, 0.9, self.store) == "semi_hard"
 
 
-class TestEmitTriplets:
+class TestMineInstances:
     def test_symmetric_relations_mirror(self):
         store = random_store(2, 8, 5)
         pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
         cs = syn_constraints(pairs)
         batch = MiniBatch("syn", pairs, 0, 0, 0)
-        anchors = {(t.anchor, t.partner) for t in emit_pair_triplets(batch, cs, store)}
+        rows, local = batch_rows(batch)
+        items, which, _ = mine_instances(batch, cs, rows, local, store.current[rows], mirror=True)
+        anchors = {tuple(rows[items[i]]) for i in which}
         for a, b in pairs:
             assert (a, b) in anchors and (b, a) in anchors
-
-    def test_kind_labels(self):
-        store = random_store(2, 8, 5)
-        pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
-        cs = syn_constraints(pairs)
-        batch = MiniBatch("syn", pairs, 0, 0, 0)
-        kinds = {t.aux_kind for t in emit_pair_triplets(batch, cs, store, k=2)}
-        assert kinds == {"negative_closest", "negative_random"}

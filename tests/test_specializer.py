@@ -4,16 +4,31 @@ import pytest
 from lexfit import (
     ConstraintSet,
     EmbeddingStore,
+    LossResult,
     Margins,
     NonFiniteGradientError,
     SpecializeConfig,
     adagrad_step,
+    asymmetric_norm_loss,
+    attract_repel_reg_loss,
+    contrastive_loss,
     counterfit,
+    counterfit_preserve_loss,
     distance,
+    distance_with_grads,
+    nearest_neighbors,
+    plan_epoch,
+    preservation_loss,
     quad_join,
+    quadruplet_hierarchy_loss,
     retrofit,
+    select_negatives,
+    select_positives,
     specialize,
+    triplet_attract_loss,
+    triplet_repel_loss,
 )
+from lexfit import specializer
 from helpers import random_store, taxonomy_fixture, toy_hierarchy_fixture
 
 
@@ -22,16 +37,16 @@ class TestAdagradStep:
         matrix = np.arange(12.0).reshape(3, 4) + 1.0
         acc = np.zeros_like(matrix)
         before = matrix.copy()
-        adagrad_step(matrix, acc, {1: np.zeros(4)}, 0.5, 1e-8)
+        adagrad_step(matrix, acc, np.array([1]), np.zeros((1, 4)), 0.5, 1e-8)
         np.testing.assert_array_equal(matrix, before)
         np.testing.assert_array_equal(acc, np.zeros_like(matrix))
 
     def test_recurrence_single_coordinate(self):
         matrix = np.zeros((1, 1))
         acc = np.zeros((1, 1))
-        adagrad_step(matrix, acc, {0: np.array([1.0])}, 1.0, 0.0)
+        adagrad_step(matrix, acc, np.array([0]), np.array([[1.0]]), 1.0, 0.0)
         assert matrix[0, 0] == -1.0
-        adagrad_step(matrix, acc, {0: np.array([1.0])}, 1.0, 0.0)
+        adagrad_step(matrix, acc, np.array([0]), np.array([[1.0]]), 1.0, 0.0)
         assert abs(matrix[0, 0] - (-1.0 - 1.0 / np.sqrt(2.0))) < 1e-15
 
     def test_matches_dense_oracle(self):
@@ -44,11 +59,11 @@ class TestAdagradStep:
         lr, eps = 0.1, 1e-8
         for _ in range(25):
             rows = rng.choice(6, size=rng.integers(1, 4), replace=False)
-            grads = {int(r): rng.standard_normal(4) for r in rows}
-            adagrad_step(sparse_m, sparse_acc, grads, lr, eps)
+            block = rng.standard_normal((len(rows), 4))
+            block[rng.random(block.shape) < 0.25] = 0.0
+            adagrad_step(sparse_m, sparse_acc, rows, block, lr, eps)
             g_full = np.zeros_like(dense_m)
-            for r, g in grads.items():
-                g_full[r] = g
+            g_full[rows] = block
             dense_acc += g_full**2
             dense_m -= lr * g_full / (np.sqrt(dense_acc) + eps)
         np.testing.assert_array_equal(sparse_m, dense_m)
@@ -57,7 +72,20 @@ class TestAdagradStep:
     def test_non_finite_gradient_aborts(self):
         matrix = np.ones((2, 2))
         with pytest.raises(NonFiniteGradientError, match="row 1"):
-            adagrad_step(matrix, np.zeros_like(matrix), {1: np.array([1.0, np.nan])}, 0.1, 1e-8)
+            adagrad_step(
+                matrix, np.zeros_like(matrix), np.array([1]), np.array([[1.0, np.nan]]), 0.1, 1e-8
+            )
+
+    def test_non_finite_later_row_writes_nothing(self):
+        matrix = np.arange(12.0).reshape(4, 3) + 1.0
+        acc = np.full_like(matrix, 0.5)
+        before_matrix, before_acc = matrix.copy(), acc.copy()
+        block = np.ones((3, 3))
+        block[2, 1] = np.nan
+        with pytest.raises(NonFiniteGradientError, match="row 3"):
+            adagrad_step(matrix, acc, np.array([0, 1, 3]), block, 0.1, 1e-8)
+        np.testing.assert_array_equal(matrix, before_matrix)
+        np.testing.assert_array_equal(acc, before_acc)
 
 
 class TestRetrofit:
@@ -147,6 +175,142 @@ class TestCounterfit:
         config = SpecializeConfig(preset="counterfitting", epochs=3, batch_size=4, seed=0)
         counterfit(store, cs, config)
         np.testing.assert_array_equal(store.current, before)
+
+
+class TestNeighborPrecompute:
+    def test_matches_nearest_neighbors_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(specializer, "_NEIGHBOR_BLOCK_CELLS", 300)  # two rows per block
+        store = random_store(5, 150, 6)
+        rows = np.array([0, 3, 17, 50, 51, 149])
+        near, dist = specializer._original_neighbor_sets(store, rows, 7)
+        store.current[:] = 0.0  # the precompute reads the original space only
+        for i, row in enumerate(rows):
+            expected = nearest_neighbors(store, int(row), 7, space="original")
+            assert near[i].tolist() == [j for j, _ in expected]
+            np.testing.assert_allclose(dist[i], [1.0 - c for _, c in expected], rtol=0, atol=1e-12)
+
+    def test_ties_go_to_the_smaller_row(self):
+        vectors = [[0.0, 1.0], [1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [-1.0, 0.0], [3.0, 0.0]]
+        store = EmbeddingStore([f"w{i}" for i in range(6)], vectors)
+        rows = np.arange(6)
+        near, _ = specializer._original_neighbor_sets(store, rows, 5)
+        for row in rows:
+            expected = nearest_neighbors(store, int(row), 5, space="original")
+            assert near[row].tolist() == [j for j, _ in expected]
+
+
+def reference_batch_loss(batch, cs, store, config, features):
+    """The per-instance kernels summed over the rows the batched miner picks."""
+    m = config.margins
+    res = LossResult()
+    rel = batch.relation
+    if rel in ("syn", "hyper", "ant"):
+        mirror = rel != "hyper" or features.mirror_hyper
+        margin = m.m_syn if rel == "syn" else features.hyper_margin
+        for a, b in batch.items:
+            for anchor, partner in ((a, b), (b, a)) if mirror else ((a, b),):
+                if rel == "ant":
+                    aux = select_positives(anchor, batch, cs, store, config.sample_k)
+                    if aux:
+                        res.merge(triplet_repel_loss(anchor, partner, aux, m.m_ant, store))
+                else:
+                    aux = select_negatives(
+                        anchor, batch, cs, store, config.negative_policy, config.sample_k
+                    )
+                    if aux:
+                        res.merge(triplet_attract_loss(anchor, partner, aux, margin, store))
+                if features.reg == "triplet":
+                    for x in aux:
+                        res.merge(attract_repel_reg_loss([anchor, partner, x], store, m.m_reg))
+    elif rel == "quad":
+        for a, s, h in batch.items:
+            negs = select_negatives(a, batch, cs, store, config.negative_policy, config.sample_k)
+            if negs:
+                res.merge(
+                    quadruplet_hierarchy_loss(a, s, h, negs, m.m_hie_syn, m.m_hie_hyp, store)
+                )
+    else:
+        for lo, hi in batch.items:
+            res.merge(asymmetric_norm_loss(lo, hi, m.ad_weight, store))
+    if features.reg == "batch":
+        rows = sorted({r for item in batch.items for r in item})
+        res.merge(preservation_loss(rows, store, m.gamma_reg))
+    return res
+
+
+def reference_counterfit_loss(batch, store, constrained, neighbors, m):
+    res = LossResult()
+    for a, b in batch.items:
+        if batch.relation == "syn":
+            d, g_a, g_b = distance_with_grads(store.current[a], store.current[b])
+            res.n_hinges += 1
+            if d - m.m_syn > 0:
+                res.n_active += 1
+                res.loss += d - m.m_syn
+                res.add_grad(a, g_a)
+                res.add_grad(b, g_b)
+        else:
+            res.merge(contrastive_loss(a, b, 0, m.m_ant, store))
+    near, near_dist = neighbors
+    for row in sorted({r for item in batch.items for r in item}):
+        i = int(np.searchsorted(constrained, row))
+        pairs = list(zip(near[i].tolist(), near_dist[i].tolist()))
+        res.merge(counterfit_preserve_loss(row, pairs, store))
+    return res
+
+
+def assert_batch_matches(res, ref, n_rows, dim):
+    assert res.n_hinges == ref.n_hinges
+    assert res.n_active == ref.n_active
+    assert abs(res.loss - ref.loss) <= 1e-10 * max(1.0, abs(ref.loss))
+    got = np.zeros((n_rows, dim))
+    got[res.rows] = res.gradient()
+    want = np.zeros((n_rows, dim))
+    for row, g in ref.grads.items():
+        want[row] += g
+    scale = max(np.linalg.norm(want), 1e-300)
+    assert np.linalg.norm(got - want) <= 1e-10 * scale
+
+
+def moved_toy_store(seed, step):
+    store, cs = toy_hierarchy_fixture(seed=seed)
+    rng = np.random.default_rng(seed)
+    store.current[::step] += 0.3 * rng.standard_normal(store.current[::step].shape)
+    return store, cs
+
+
+class TestBatchLossMatchesReference:
+    @pytest.mark.parametrize(
+        "preset", ["attract_repel", "lear", "hierarchy_fitting", "hierarchy_fitting_ad_indir"]
+    )
+    @pytest.mark.parametrize("batch_size", [1, 5, 64])
+    def test_metric_presets(self, preset, batch_size):
+        # every other row moves, so both preservation paths (moved, unmoved) run
+        store, cs = moved_toy_store(seed=batch_size, step=2)
+        config = SpecializeConfig(preset=preset, batch_size=batch_size, seed=3)
+        features = specializer._metric_features(preset, config.margins)
+        cs.compute_closure()
+        plan = plan_epoch(
+            cs, batch_size, config.seed, relations=features.relations,
+            closed_hypernyms=features.closed_hyper, closed_ad=features.closed_ad,
+        )
+        assert {b.relation for b in plan} == set(features.relations)
+        for batch in plan:
+            res = specializer._batch_loss(batch, cs, store, config, features)
+            ref = reference_batch_loss(batch, cs, store, config, features)
+            assert_batch_matches(res, ref, len(store), store.dim)
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_counterfitting(self, batch_size):
+        # an unmoved pair sits exactly on its neighbour-preservation kink
+        store, cs = moved_toy_store(seed=7, step=1)
+        m = Margins(m_syn=0.2, m_ant=1.5)
+        constrained = np.array(sorted({r for p in cs.synonyms | cs.antonyms for r in p}))
+        neighbors = specializer._original_neighbor_sets(store, constrained, 5)
+        for batch in plan_epoch(cs, batch_size, 1, relations=("syn", "ant")):
+            res = specializer._counterfit_batch_loss(batch, store, constrained, neighbors, m)
+            ref = reference_counterfit_loss(batch, store, constrained, neighbors, m)
+            assert_batch_matches(res, ref, len(store), store.dim)
 
 
 class TestSpecializePresets:
