@@ -48,11 +48,9 @@ from .losses import (
     Margins,
     asymmetric_norm_loss,
     asymmetric_norm_score,
-    attract_repel_reg_loss,
     contrastive_loss,
     counterfit_preserve_loss,
     distance_with_grads,
-    hypernym_triplet_loss,
     preservation_loss,
     quadruplet_hierarchy_loss,
     triplet_attract_loss,
@@ -72,7 +70,6 @@ from .specializer import (
     SpecializeConfig,
     TrainLog,
     adagrad_step,
-    counterfit,
     retrofit,
     specialize,
 )
@@ -88,11 +85,10 @@ __all__ = [
     "hyper_score", "hyperlex_eval", "load_relation_dataset", "load_similarity_dataset",
     "spearman", "wbless_classify",
     "LossResult", "Margins", "asymmetric_norm_loss", "asymmetric_norm_score",
-    "attract_repel_reg_loss", "contrastive_loss", "counterfit_preserve_loss",
-    "distance_with_grads", "hypernym_triplet_loss", "preservation_loss",
+    "contrastive_loss", "counterfit_preserve_loss", "distance_with_grads", "preservation_loss",
     "quadruplet_hierarchy_loss", "triplet_attract_loss", "triplet_repel_loss",
     "MiniBatch", "classify_negative", "plan_epoch", "quad_join", "select_negatives",
     "select_positives",
     "PRESETS", "NonFiniteGradientError", "SpecializeConfig", "TrainLog",
-    "adagrad_step", "counterfit", "retrofit", "specialize",
+    "adagrad_step", "retrofit", "specialize",
 ]

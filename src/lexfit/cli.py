@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .constraints import ConstraintSet, constraint_stats, load_pairs
+from .constraints import PAIR_SETS, RELATIONS, ConstraintSet, constraint_stats, load_pairs
 from .embeddings import FORMATS, backoff_lookup, load_embeddings, nearest_neighbors, save_embeddings
 from .evaluate import (
     bibless_classify,
@@ -27,27 +27,26 @@ from .evaluate import (
     wbless_classify,
 )
 from .losses import Margins
-from .specializer import PRESETS, SpecializeConfig, specialize
+from .specializer import PRESETS, SpecializeConfig, missing_relations, specialize
 
-DEFAULT_SEED = 7
+DEFAULT_SEED = SpecializeConfig.seed
 
+
+# The manifest records every field with a plain default; a field without one
+# (the preset, which the method names, and the nested margins) is not recorded.
+_RECORDED = [
+    f for cls in (SpecializeConfig, Margins) for f in dataclasses.fields(cls)
+    if f.default is not dataclasses.MISSING
+]
+# every training option: each is a flag and a config-file key
+_OPTION_DEFAULTS = {f.name: f.default for f in _RECORDED if f.init}
 _MARGIN_FIELDS = [f.name for f in dataclasses.fields(Margins)]
 
 # config-file keys and how to coerce their values
 _CONFIG_CASTERS = {
     "method": str,
     "format": str,
-    "learning_rate": float,
-    "epochs": int,
-    "batch_size": int,
-    "seed": int,
-    "adagrad_epsilon": float,
-    "neighbor_k": int,
-    "retrofit_alpha": float,
-    "retrofit_iterations": int,
-    "negative_policy": str,
-    "sample_k": int,
-    **{name: float for name in _MARGIN_FIELDS},
+    **{name: type(default) for name, default in _OPTION_DEFAULTS.items()},
 }
 
 
@@ -121,18 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output embedding file")
     sp.add_argument("--config", help="key=value options file (overridden by flags)")
     sp.add_argument("--replay", help="manifest file to reproduce (other flags may override)")
-    sp.add_argument("--seed", type=int, help=f"training seed (default {DEFAULT_SEED})")
-    sp.add_argument("--learning-rate", type=float, dest="learning_rate")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", type=int, dest="batch_size")
-    sp.add_argument("--neighbor-k", type=int, dest="neighbor_k")
-    sp.add_argument("--retrofit-alpha", type=float, dest="retrofit_alpha")
-    sp.add_argument("--retrofit-iterations", type=int, dest="retrofit_iterations")
-    sp.add_argument("--sample-k", type=int, dest="sample_k")
-    sp.add_argument("--negative-policy", choices=("closest_plus_random", "closest_only"),
-                    dest="negative_policy")
-    for name in _MARGIN_FIELDS:
-        sp.add_argument(f"--{name.replace('_', '-')}", type=float, dest=name)
+    for name, default in _OPTION_DEFAULTS.items():
+        sp.add_argument(
+            f"--{name.replace('_', '-')}", type=type(default), dest=name,
+            help=f"default {default}",
+        )
     sp.set_defaults(func=cmd_specialize)
 
     ev = sub.add_parser("eval", help="evaluate embeddings on an intrinsic task")
@@ -157,16 +149,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_specialize_options(args) -> dict:
-    """Layer defaults, replayed manifest, config file, and flags, in that order."""
-    options: dict = {"seed": DEFAULT_SEED}
+    """Layer replayed manifest, config file, and flags, in that order.
+
+    An option none of them sets is left out and keeps its dataclass default.
+    """
+    options: dict = {}
     if args.replay:
         manifest = RunManifest.from_json(open(args.replay, encoding="utf-8").read())
         options.update(manifest.config)
         options["method"] = manifest.method
         options["format"] = manifest.format
-        options["seed"] = manifest.seed
         options.setdefault("out", manifest.output)
-        for relation in ("syn", "ant", "hyper"):
+        for relation in RELATIONS:
             options[relation] = [
                 path for path, meta in manifest.inputs.items()
                 if meta["role"] == relation
@@ -177,33 +171,23 @@ def _resolve_specialize_options(args) -> dict:
         options["embeddings"] = next(
             path for path, meta in manifest.inputs.items() if meta["role"] == "embeddings"
         )
+        # inputs still read from the manifest must be the files it recorded
+        options["digests"] = {
+            path: meta["sha256"] for path, meta in manifest.inputs.items()
+            if not getattr(args, meta["role"])
+        }
     if args.config:
         options.update(_read_config_file(args.config))
-    for key in (
-        "embeddings", "format", "method", "out", "seed", "learning_rate", "epochs",
-        "batch_size", "neighbor_k", "retrofit_alpha", "retrofit_iterations",
-        "sample_k", "negative_policy", *_MARGIN_FIELDS,
-    ):
+    for key in ("embeddings", "format", "method", "out", *_OPTION_DEFAULTS):
         value = getattr(args, key, None)
         if value is not None:
             options[key] = value
-    for relation in ("syn", "ant", "hyper"):
+    for relation in RELATIONS:
         if getattr(args, relation):
             options[relation] = list(getattr(args, relation))
         else:
             options.setdefault(relation, [])
     return options
-
-
-_PRESET_REQUIRED_FLAGS = {
-    "retrofitting": ("syn|hyper",),
-    "counterfitting": ("syn", "ant"),
-    "attract_repel": ("syn", "ant"),
-    "lear": ("syn", "ant", "hyper"),
-    "hierarchy_fitting": ("syn", "ant", "hyper"),
-    "hierarchy_fitting_ad_dir": ("syn", "ant", "hyper"),
-    "hierarchy_fitting_ad_indir": ("syn", "ant", "hyper"),
-}
 
 
 def _usage_error(message: str) -> int:
@@ -223,41 +207,32 @@ def cmd_specialize(args) -> int:
     method = options["method"].replace("-", "_")
     if method not in PRESETS:
         return _usage_error(f"unknown method {options['method']!r}")
-    if not (options["syn"] or options["ant"] or options["hyper"]):
+    given = [relation for relation in RELATIONS if options[relation]]
+    if not given:
         return _usage_error("at least one of --syn/--ant/--hyper is required")
-    for requirement in _PRESET_REQUIRED_FLAGS[method]:
-        alternatives = requirement.split("|")
-        if not any(options[rel] for rel in alternatives):
-            names = " or ".join(f"--{rel}" for rel in alternatives)
-            relation = {"syn": "synonyms", "ant": "antonyms", "hyper": "direct hypernyms"}[
-                alternatives[0]
-            ]
-            return _usage_error(f"method {options['method']} requires {relation} ({names})")
+    missing = missing_relations(method, given)
+    if missing:
+        names = " or ".join(f"--{rel}" for rel in missing[0])
+        relation = PAIR_SETS[missing[0][0]].replace("_", " ")
+        return _usage_error(f"method {options['method']} requires {relation} ({names})")
 
-    margins = Margins(**{name: options[name] for name in _MARGIN_FIELDS if name in options})
+    values = {key: options[key] for key in _OPTION_DEFAULTS if key in options}
     try:
-        config = SpecializeConfig(
-            preset=method,
-            margins=margins,
-            **{
-                key: options[key]
-                for key in (
-                    "learning_rate", "epochs", "batch_size", "seed", "neighbor_k",
-                    "retrofit_alpha", "retrofit_iterations", "negative_policy", "sample_k",
-                )
-                if key in options
-            },
-        )
+        margins = Margins(**{key: values.pop(key) for key in _MARGIN_FIELDS if key in values})
+        config = SpecializeConfig(method, margins, **values)
     except ValueError as exc:
         return _usage_error(str(exc))
 
     try:
+        for path, recorded in options.get("digests", {}).items():
+            if _sha256(path) != recorded:
+                raise ValueError(f"{path}: sha256 differs from the replayed manifest")
         store = load_embeddings(options["embeddings"], options["format"])
         constraints = ConstraintSet()
         inputs: dict[str, dict] = {
             options["embeddings"]: {"role": "embeddings", "sha256": _sha256(options["embeddings"])}
         }
-        for relation in ("syn", "ant", "hyper"):
+        for relation in RELATIONS:
             for order, path in enumerate(options[relation]):
                 load_pairs(constraints, path, relation, store)
                 inputs[path] = {"role": relation, "sha256": _sha256(path), "order": order}
@@ -276,10 +251,7 @@ def cmd_specialize(args) -> int:
         )
         with open(options["out"] + ".manifest", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(manifest.to_json())
-    except ValueError as exc:
-        print(f"lexfit: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"lexfit: error: {exc}", file=sys.stderr)
         return 1
 
@@ -294,11 +266,11 @@ def cmd_specialize(args) -> int:
 
 
 def _config_as_dict(config: SpecializeConfig) -> dict:
-    out = dataclasses.asdict(config)
-    margins = out.pop("margins")
-    out.pop("preset")
-    out.update(margins)
-    return out
+    """The value of every recorded field of ``config``, the margins flattened in."""
+    values = dataclasses.asdict(config)
+    for nested in [value for value in values.values() if isinstance(value, dict)]:
+        values.update(nested)
+    return {f.name: values[f.name] for f in _RECORDED}
 
 
 def cmd_eval(args) -> int:

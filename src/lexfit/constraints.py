@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embeddings import EmbeddingStore
 
 log = logging.getLogger(__name__)
 
-RELATIONS = ("syn", "ant", "hyper")
+# the ConstraintSet attribute that holds each pair-file relation
+PAIR_SETS = {"syn": "synonyms", "ant": "antonyms", "hyper": "direct_hypernyms"}
+RELATIONS = tuple(PAIR_SETS)
 
 
 class PairFileError(ValueError):
@@ -56,29 +58,21 @@ class ConstraintSet:
             self.dropped_self += 1
             return False, "self"
         self._partner_cache = None
-        if relation == "hyper":
-            pair = (row_a, row_b)
-            if pair in self.direct_hypernyms:
-                return False, None
-            self.direct_hypernyms.add(pair)
-            self.closure_computed = False
-            return True, None
-        pair = (row_a, row_b) if row_a < row_b else (row_b, row_a)
-        if relation == "syn":
-            if pair in self.antonyms:
-                self.dropped_conflict += 1
-                return False, "conflict"
-            if pair in self.synonyms:
-                return False, None
-            self.synonyms.add(pair)
-            return True, None
+        pairs = getattr(self, PAIR_SETS[relation])
+        # hypernym pairs keep their (hyponym, hypernym) order
+        pair = (row_a, row_b) if relation == "hyper" or row_a < row_b else (row_b, row_a)
+        if relation == "syn" and pair in self.antonyms:
+            self.dropped_conflict += 1
+            return False, "conflict"
         # antonymy wins over a previously ingested synonym claim
-        if pair in self.synonyms:
+        if relation == "ant" and pair in self.synonyms:
             self.synonyms.remove(pair)
             self.dropped_conflict += 1
-        if pair in self.antonyms:
+        if pair in pairs:
             return False, None
-        self.antonyms.add(pair)
+        pairs.add(pair)
+        if relation == "hyper":
+            self.closure_computed = False
         return True, None
 
     def partners(self, relation: str, row: int) -> set[int]:

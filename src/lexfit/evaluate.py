@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, backoff_lookup, cosine
+from .embeddings import EmbeddingStore, backoff_lookup
 
 RELATION_LABELS = ("hyper", "hypo", "other")
 
@@ -160,40 +160,46 @@ def _resolve_row(store: EmbeddingStore, word: str, use_backoff: bool) -> int | N
     return store.index.get(word)
 
 
-def _resolve_pairs(store, word_pairs, use_backoff):
-    """Map word pairs to row pairs; uncovered pairs map to None."""
-    resolved = []
-    for w1, w2 in word_pairs:
+def _pair_features(store: EmbeddingStore, word_pairs, use_backoff: bool):
+    """The covered word pairs, with the cosine and both norms of each.
+
+    Returns the indices into ``word_pairs`` of the pairs whose words both
+    resolve, then three arrays aligned with them: the cosine (clipped into
+    [-1, 1]), the first word's norm and the second word's norm.
+    """
+    covered, rows = [], []
+    for i, (w1, w2) in enumerate(word_pairs):
         r1 = _resolve_row(store, w1, use_backoff)
         r2 = _resolve_row(store, w2, use_backoff)
-        resolved.append(None if r1 is None or r2 is None else (r1, r2))
-    return resolved
+        if r1 is not None and r2 is not None:
+            covered.append(i)
+            rows.append((r1, r2))
+    rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
+    u, v = store.current[rows[:, 0]], store.current[rows[:, 1]]
+    n1 = np.sqrt(np.einsum("ij,ij->i", u, u))
+    n2 = np.sqrt(np.einsum("ij,ij->i", v, v))
+    cos = np.clip(np.einsum("ij,ij->i", u, v) / (n1 * n2), -1.0, 1.0)
+    return covered, cos, n1, n2
 
 
 def eval_similarity(
     store: EmbeddingStore, dataset: SimilarityDataset, use_backoff: bool = True
 ) -> EvalReport:
     """Spearman correlation between model cosine and human scores over covered pairs."""
-    rows = _resolve_pairs(store, [(w1, w2) for w1, w2, _ in dataset.pairs], use_backoff)
-    model, human = [], []
-    for resolved, (_, _, score) in zip(rows, dataset.pairs):
-        if resolved is None:
-            continue
-        r1, r2 = resolved
-        model.append(cosine(store.current[r1], store.current[r2]))
-        human.append(score)
+    covered, cos, _, _ = _pair_features(
+        store, [(w1, w2) for w1, w2, _ in dataset.pairs], use_backoff
+    )
     n = len(dataset.pairs)
-    excluded = n - len(model)
-    if len(model) < 2:
+    if len(covered) < 2:
         raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
-    rho = spearman(model, human)
+    rho = spearman(cos, [dataset.pairs[i][2] for i in covered])
     return EvalReport(
         dataset=dataset.name,
         metric="spearman_rho",
         value=rho,
-        coverage=len(model) / n,
+        coverage=len(covered) / n,
         n_pairs=n,
-        n_excluded=excluded,
+        n_excluded=n - len(covered),
     )
 
 
@@ -210,18 +216,14 @@ def hyper_score(
     numerator, so a shorter hyponym scores higher; pass
     ``hypernym_norm_in_numerator=False`` to flip the ratio.
     """
-    r_u = _resolve_row(store, u, use_backoff)
-    r_v = _resolve_row(store, v, use_backoff)
-    if r_u is None or r_v is None:
-        missing = u if r_u is None else v
+    covered, cos, n_u, n_v = _pair_features(store, [(u, v)], use_backoff)
+    if not covered:
+        missing = u if _resolve_row(store, u, use_backoff) is None else v
         raise KeyError(f"word {missing!r} is not covered by the vocabulary")
-    vec_u = store.current[r_u]
-    vec_v = store.current[r_v]
-    c = cosine(vec_u, vec_v)
-    ratio = float(np.linalg.norm(vec_v) / np.linalg.norm(vec_u))
+    ratio = float(n_v[0] / n_u[0])
     if not hypernym_norm_in_numerator:
         ratio = 1.0 / ratio
-    return c * ratio
+    return float(cos[0]) * ratio
 
 
 def bless_directionality(
@@ -235,23 +237,15 @@ def bless_directionality(
     entries = [e for e in dataset.entries if e.label == "hyper"]
     if not entries:
         raise ValueError(f"{dataset.name}: no hyper-labeled pairs")
-    rows = _resolve_pairs(store, [(e.word1, e.word2) for e in entries], use_backoff)
-    correct = 0
-    covered = 0
-    for resolved in rows:
-        if resolved is None:
-            continue
-        covered += 1
-        r1, r2 = resolved
-        if np.linalg.norm(store.current[r1]) < np.linalg.norm(store.current[r2]):
-            correct += 1
+    rows, _, n1, n2 = _pair_features(store, [(e.word1, e.word2) for e in entries], use_backoff)
+    covered = len(rows)
     n = len(entries)
     if covered == 0:
         raise ValueError(f"{dataset.name}: no covered pairs")
     return EvalReport(
         dataset=dataset.name,
         metric="direction_accuracy",
-        value=correct / covered,
+        value=int(np.count_nonzero(n1 < n2)) / covered,
         coverage=covered / n,
         n_pairs=n,
         n_excluded=n - covered,
@@ -308,23 +302,17 @@ def wbless_classify(
     entry of each class) and measures accuracy on the rest; the reported
     value is the mean accuracy across iterations.
     """
-    rows = _resolve_pairs(store, [(e.word1, e.word2) for e in dataset.entries], use_backoff)
-    scores, labels = [], []
-    for resolved, entry in zip(rows, dataset.entries):
-        if resolved is None:
-            continue
-        r1, r2 = resolved
-        c = cosine(store.current[r1], store.current[r2])
-        ratio = float(np.linalg.norm(store.current[r2]) / np.linalg.norm(store.current[r1]))
-        scores.append(c * ratio)
-        labels.append(entry.label == "hyper")
+    covered, cos, n1, n2 = _pair_features(
+        store, [(e.word1, e.word2) for e in dataset.entries], use_backoff
+    )
+    labels = [dataset.entries[i].label == "hyper" for i in covered]
     n_total = len(dataset.entries)
-    n = len(scores)
+    n = len(labels)
     if n < 2:
         raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
     if len(set(labels)) < 2:
         raise ValueError(f"{dataset.name}: needs both classes (hyper and non-hyper)")
-    scores_arr = np.asarray(scores)
+    scores_arr = cos * (n2 / n1)
     labels_arr = np.asarray(labels)
     sample_size = max(2, math.ceil(sample_fraction * n))
     rng = np.random.default_rng(seed)
@@ -370,24 +358,16 @@ def bibless_classify(
     signed norm-difference score. Both thresholds are re-fit per iteration on
     the same small sample and evaluated on the rest.
     """
-    rows = _resolve_pairs(store, [(e.word1, e.word2) for e in dataset.entries], use_backoff)
-    agnostic, direction, labels = [], [], []
-    for resolved, entry in zip(rows, dataset.entries):
-        if resolved is None:
-            continue
-        r1, r2 = resolved
-        c = cosine(store.current[r1], store.current[r2])
-        n1 = float(np.linalg.norm(store.current[r1]))
-        n2 = float(np.linalg.norm(store.current[r2]))
-        agnostic.append(max(c * n2 / n1, c * n1 / n2))
-        direction.append((n1 - n2) / (n1 + n2))
-        labels.append(entry.label)
+    covered, cos, n1, n2 = _pair_features(
+        store, [(e.word1, e.word2) for e in dataset.entries], use_backoff
+    )
+    labels = [dataset.entries[i].label for i in covered]
     n_total = len(dataset.entries)
     n = len(labels)
     if n < 2:
         raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
-    agn_arr = np.asarray(agnostic)
-    dir_arr = np.asarray(direction)
+    agn_arr = np.maximum(cos * n2 / n1, cos * n1 / n2)
+    dir_arr = (n1 - n2) / (n1 + n2)
     codes = np.asarray([RELATION_LABELS.index(lab) for lab in labels])
     hyper_code, hypo_code, other_code = range(len(RELATION_LABELS))
     taxo_arr = codes != other_code
@@ -435,24 +415,17 @@ def hyperlex_eval(
     store: EmbeddingStore, dataset: SimilarityDataset, use_backoff: bool = True
 ) -> EvalReport:
     """Spearman correlation between graded hypernymy scores and human ratings."""
-    rows = _resolve_pairs(store, [(w1, w2) for w1, w2, _ in dataset.pairs], use_backoff)
-    model, human = [], []
-    for resolved, (_, _, score) in zip(rows, dataset.pairs):
-        if resolved is None:
-            continue
-        r1, r2 = resolved
-        c = cosine(store.current[r1], store.current[r2])
-        ratio = float(np.linalg.norm(store.current[r2]) / np.linalg.norm(store.current[r1]))
-        model.append(c * ratio)
-        human.append(score)
+    covered, cos, n1, n2 = _pair_features(
+        store, [(w1, w2) for w1, w2, _ in dataset.pairs], use_backoff
+    )
     n = len(dataset.pairs)
-    if len(model) < 2:
+    if len(covered) < 2:
         raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
     return EvalReport(
         dataset=dataset.name,
         metric="spearman_rho",
-        value=spearman(model, human),
-        coverage=len(model) / n,
+        value=spearman(cos * (n2 / n1), [dataset.pairs[i][2] for i in covered]),
+        coverage=len(covered) / n,
         n_pairs=n,
-        n_excluded=n - len(model),
+        n_excluded=n - len(covered),
     )

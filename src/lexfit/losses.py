@@ -269,13 +269,6 @@ def triplet_repel_loss(
     return res
 
 
-def hypernym_triplet_loss(
-    anchor: int, hypernym: int, negatives: list[int], m_hyp: float, store: EmbeddingStore
-) -> LossResult:
-    """Attract a word to its direct hypernym with margin m_hyp against negatives."""
-    return triplet_attract_loss(anchor, hypernym, negatives, m_hyp, store)
-
-
 def quadruplet_hierarchy_loss(
     anchor: int,
     synonym: int,
@@ -331,12 +324,18 @@ def quadruplet_hierarchy_loss(
     return res
 
 
-def _pull_to_original(rows, store: EmbeddingStore, weight: float) -> LossResult:
+def preservation_loss(rows, store: EmbeddingStore, weight: float) -> LossResult:
+    """Distributional preservation: weight * sum of D(current, original) over rows.
+
+    Gradients touch only ``current``; at the original point they are exactly
+    zero, so unmoved vectors stay bit-identical. Rows count once per
+    occurrence: the per-batch form passes each row once with ``gamma_reg``,
+    the per-triplet form every triplet's rows with ``m_reg``.
+    """
     res = LossResult()
     M = store.current
     O = store.original
     for row in rows:
-        # at the original point both distance and gradient are exactly zero;
         # the fast path keeps unmoved rows bit-identical under AdaGrad
         if np.array_equal(M[row], O[row]):
             res.add_grad(row, np.zeros(store.dim))
@@ -345,20 +344,6 @@ def _pull_to_original(rows, store: EmbeddingStore, weight: float) -> LossResult:
         res.loss += weight * d
         res.add_grad(row, weight * g_cur)
     return res
-
-
-def preservation_loss(rows_in_batch, store: EmbeddingStore, gamma_reg: float) -> LossResult:
-    """Distributional preservation: gamma_reg * sum of D(current, original) over rows.
-
-    Gradients touch only ``current``; at the original point they are exactly
-    zero, so unmoved vectors stay bit-identical.
-    """
-    return _pull_to_original(rows_in_batch, store, gamma_reg)
-
-
-def attract_repel_reg_loss(triplet_rows, store: EmbeddingStore, m_reg: float) -> LossResult:
-    """Per-triplet regularization: m_reg * sum of original-vs-current distances."""
-    return _pull_to_original(triplet_rows, store, m_reg)
 
 
 def counterfit_preserve_loss(

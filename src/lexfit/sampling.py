@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet
+from .constraints import PAIR_SETS, ConstraintSet
 from .embeddings import EmbeddingStore, distance
 
 RELATION_CYCLE = ("syn", "ant", "hyper", "quad", "ad")
@@ -49,10 +49,8 @@ def quad_join(constraints: ConstraintSet) -> list[tuple[int, int, int]]:
 def _relation_instances(
     constraints: ConstraintSet, relation: str, closed_hypernyms: bool, closed_ad: bool
 ) -> list[tuple[int, ...]]:
-    if relation == "syn":
-        return sorted(constraints.synonyms)
-    if relation == "ant":
-        return sorted(constraints.antonyms)
+    if relation in ("syn", "ant"):
+        return sorted(getattr(constraints, PAIR_SETS[relation]))
     if relation in ("hyper", "ad"):
         closed = closed_hypernyms if relation == "hyper" else closed_ad
         source = constraints.indirect_hypernyms if closed else constraints.direct_hypernyms

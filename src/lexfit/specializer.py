@@ -10,24 +10,48 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintSet
+from .constraints import PAIR_SETS, ConstraintSet
 from .embeddings import EmbeddingStore
 from .losses import BatchLoss, Margins
-from .sampling import MiniBatch, batch_rows, mine_instances, plan_epoch, quad_join
-
-PRESETS = (
-    "retrofitting",
-    "counterfitting",
-    "attract_repel",
-    "lear",
-    "hierarchy_fitting",
-    "hierarchy_fitting_ad_dir",
-    "hierarchy_fitting_ad_indir",
+from .sampling import (
+    NEGATIVE_POLICIES,
+    MiniBatch,
+    batch_rows,
+    mine_instances,
+    plan_epoch,
+    quad_join,
 )
+
+
+@dataclass(frozen=True)
+class Preset:
+    """What one preset needs, what it trains, and how."""
+
+    # pair-file relations it needs; an entry of several is met by any one of them
+    required: tuple[tuple[str, ...], ...]
+    # runs the whole preset on a store whose constraints meet ``required``
+    train: Callable[[EmbeddingStore, ConstraintSet, SpecializeConfig], TrainLog]
+    streams: tuple[str, ...] = ()  # relations planned into each epoch
+    # preservation: "triplet" pulls each mined triplet's rows with m_reg,
+    # "batch" each batch's rows with gamma_reg
+    reg: str | None = None
+    hyper_margin: str = "m_hyp"  # the Margins field of the hypernym stream's margin
+    mirror_hyper: bool = False  # train hypernym pairs from both ends
+    closed_hyper: bool = False  # hypernym stream from the transitive closure
+    closed_ad: bool = False  # norm-asymmetry stream from the transitive closure
+
+
+def missing_relations(preset: str, present: Collection[str]) -> list[tuple[str, ...]]:
+    """The entries of the preset's ``required`` that no relation in ``present`` meets."""
+    return [
+        alternatives for alternatives in PRESET_TABLE[preset].required
+        if not any(relation in present for relation in alternatives)
+    ]
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -44,7 +68,8 @@ class SpecializeConfig:
     epochs: int = 20
     batch_size: int = 128
     seed: int = 7
-    adagrad_epsilon: float = 1e-8
+    # fixed, not an option; a field so that manifests record it
+    adagrad_epsilon: float = field(default=1e-8, init=False)
     neighbor_k: int = 10
     retrofit_alpha: float = 1.0
     retrofit_iterations: int = 10
@@ -66,6 +91,11 @@ class SpecializeConfig:
             raise ValueError("retrofit_iterations must be >= 1")
         if self.sample_k < 1:
             raise ValueError("sample_k must be >= 1")
+        if self.negative_policy not in NEGATIVE_POLICIES:
+            raise ValueError(
+                f"unknown negative_policy {self.negative_policy!r}, "
+                f"expected one of {NEGATIVE_POLICIES}"
+            )
 
 
 @dataclass
@@ -115,24 +145,12 @@ def adagrad_step(
 
 
 def _check_required(preset: str, constraints: ConstraintSet) -> None:
-    if preset == "retrofitting":
-        if not constraints.synonyms and not constraints.direct_hypernyms:
-            raise ValueError(
-                "preset 'retrofitting' requires nonempty synonyms or direct_hypernyms"
-            )
-        return
-    required = {
-        "counterfitting": ("synonyms", "antonyms"),
-        "attract_repel": ("synonyms", "antonyms"),
-        "lear": ("synonyms", "antonyms", "direct_hypernyms"),
-        "hierarchy_fitting": ("synonyms", "antonyms", "direct_hypernyms"),
-        "hierarchy_fitting_ad_dir": ("synonyms", "antonyms", "direct_hypernyms"),
-        "hierarchy_fitting_ad_indir": ("synonyms", "antonyms", "direct_hypernyms"),
-    }[preset]
-    for name in required:
-        if not getattr(constraints, name):
-            raise ValueError(f"preset {preset!r} requires nonempty {name}")
-    if preset.startswith("hierarchy_fitting") and not quad_join(constraints):
+    present = {rel for rel, name in PAIR_SETS.items() if getattr(constraints, name)}
+    missing = missing_relations(preset, present)
+    if missing:
+        names = " or ".join(PAIR_SETS[rel] for rel in missing[0])
+        raise ValueError(f"preset {preset!r} requires nonempty {names}")
+    if "quad" in PRESET_TABLE[preset].streams and not quad_join(constraints):
         raise ValueError(
             f"preset {preset!r} requires at least one quadruplet join "
             "(a synonym pair whose word has a direct hypernym)"
@@ -145,12 +163,7 @@ def specialize(
     """Run the configured preset and return the (in-place) specialized store."""
     _check_required(config.preset, constraints)
     start = time.perf_counter()
-    if config.preset == "retrofitting":
-        log = _run_retrofit(store, constraints, config.retrofit_alpha, config.retrofit_iterations)
-    elif config.preset == "counterfitting":
-        log = _run_counterfit(store, constraints, config)
-    else:
-        log = _run_metric(store, constraints, config)
+    log = PRESET_TABLE[config.preset].train(store, constraints, config)
     log.wall_time = time.perf_counter() - start
     return store, log
 
@@ -202,6 +215,12 @@ def retrofit(
     return store
 
 
+def _train_retrofit(
+    store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
+) -> TrainLog:
+    return _run_retrofit(store, constraints, config.retrofit_alpha, config.retrofit_iterations)
+
+
 # --- counter-fitting --------------------------------------------------------
 
 # bounds the (block rows x vocabulary) similarity scratch of the precompute
@@ -234,28 +253,20 @@ def _original_neighbor_sets(
     return neighbors, distances
 
 
-def _run_counterfit(
+def _train_counterfit(
     store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
 ) -> TrainLog:
+    """Precompute the original-space neighbours of every constrained row, once,
+    then train on the counter-fitting loss of each batch."""
     constrained = np.array(
         sorted({r for pair in constraints.synonyms | constraints.antonyms for r in pair}),
         dtype=np.intp,
     )
     neighbors = _original_neighbor_sets(store, constrained, config.neighbor_k)
-    accumulators: dict[str, np.ndarray] = {}
-    log = TrainLog()
-    for epoch in range(config.epochs):
-        plan = plan_epoch(
-            constraints, config.batch_size, config.seed, epoch=epoch, relations=("syn", "ant")
-        )
-        stats = _EpochStats()
-        for batch in plan:
-            res = _counterfit_batch_loss(batch, store, constrained, neighbors, config.margins)
-            _apply(store, accumulators, res, config, batch)
-            stats.record(batch.relation, res)
-        log.epochs.append(stats.summary())
-        log.batches_processed += len(plan)
-    return log
+    return _train(
+        store, constraints, config,
+        lambda batch: _counterfit_batch_loss(batch, store, constrained, neighbors, config.margins),
+    )
 
 
 def _counterfit_batch_loss(
@@ -284,46 +295,7 @@ def _counterfit_batch_loss(
     return res
 
 
-def counterfit(
-    store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
-) -> EmbeddingStore:
-    """Margined synonym pull / antonym push with original-space neighbor preservation.
-
-    Neighbor sets are the top ``config.neighbor_k`` original-space neighbors
-    of every constrained word, computed once before training.
-    """
-    _run_counterfit(store, constraints, config)
-    return store
-
-
-# --- triplet / quadruplet metric presets -------------------------------------
-
-@dataclass
-class _MetricFeatures:
-    relations: tuple[str, ...]
-    reg: str  # "triplet" or "batch"
-    hyper_margin: float
-    mirror_hyper: bool
-    closed_hyper: bool
-    closed_ad: bool
-
-
-def _metric_features(preset: str, margins: Margins) -> _MetricFeatures:
-    if preset == "attract_repel":
-        return _MetricFeatures(("syn", "ant"), "triplet", 0.0, False, False, False)
-    if preset == "lear":
-        return _MetricFeatures(
-            ("syn", "ant", "hyper", "ad"), "triplet", margins.m_syn, True, True, True
-        )
-    relations: tuple[str, ...] = ("syn", "ant", "hyper", "quad")
-    closed_ad = False
-    if preset == "hierarchy_fitting_ad_dir":
-        relations = relations + ("ad",)
-    elif preset == "hierarchy_fitting_ad_indir":
-        relations = relations + ("ad",)
-        closed_ad = True
-    return _MetricFeatures(relations, "batch", margins.m_hyp, False, False, closed_ad)
-
+# --- the training loop ------------------------------------------------------
 
 class _EpochStats:
     def __init__(self) -> None:
@@ -381,12 +353,56 @@ def _apply(
         ) from exc
 
 
+def _train(
+    store: EmbeddingStore,
+    constraints: ConstraintSet,
+    config: SpecializeConfig,
+    batch_loss: Callable[[MiniBatch], BatchLoss],
+) -> TrainLog:
+    """Plan each epoch from the preset's streams and apply ``batch_loss`` of every batch."""
+    preset = PRESET_TABLE[config.preset]
+    if (preset.closed_hyper or preset.closed_ad) and not constraints.closure_computed:
+        constraints.compute_closure()
+    accumulators: dict[str, np.ndarray] = {}
+    log = TrainLog()
+    for epoch in range(config.epochs):
+        plan = plan_epoch(
+            constraints,
+            config.batch_size,
+            config.seed,
+            epoch=epoch,
+            relations=preset.streams,
+            closed_hypernyms=preset.closed_hyper,
+            closed_ad=preset.closed_ad,
+        )
+        stats = _EpochStats()
+        for batch in plan:
+            res = batch_loss(batch)
+            _apply(store, accumulators, res, config, batch)
+            stats.record(batch.relation, res)
+        log.epochs.append(stats.summary())
+        log.batches_processed += len(plan)
+    return log
+
+
+# --- triplet / quadruplet metric presets -------------------------------------
+
+def _train_metric(
+    store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
+) -> TrainLog:
+    preset = PRESET_TABLE[config.preset]
+    return _train(
+        store, constraints, config,
+        lambda batch: _batch_loss(batch, constraints, store, config, preset),
+    )
+
+
 def _batch_loss(
     batch: MiniBatch,
     constraints: ConstraintSet,
     store: EmbeddingStore,
     config: SpecializeConfig,
-    features: _MetricFeatures,
+    preset: Preset,
 ) -> BatchLoss:
     m = config.margins
     rows, local = batch_rows(batch)
@@ -411,45 +427,42 @@ def _batch_loss(
             batch, constraints, rows, local, res.current,
             "positives" if relation == "ant" else "negatives",
             config.negative_policy, config.sample_k,
-            mirror=relation != "hyper" or features.mirror_hyper,
+            mirror=relation != "hyper" or preset.mirror_hyper,
         )
         anchor, partner = items[inst].T
         if relation == "ant":
             res.hinge(m.m_ant, (1.0, anchor, aux), (-1.0, anchor, partner))
         else:
-            margin = m.m_syn if relation == "syn" else features.hyper_margin
+            margin = m.m_syn if relation == "syn" else getattr(m, preset.hyper_margin)
             res.hinge(margin, (1.0, anchor, partner), (-1.0, anchor, aux))
-        if features.reg == "triplet":
+        if preset.reg == "triplet":
             res.preserve(np.concatenate((anchor, partner, aux)), m.m_reg)
 
-    if features.reg == "batch":
+    if preset.reg == "batch":
         res.preserve(np.arange(len(rows)), m.gamma_reg)
     return res
 
 
-def _run_metric(
-    store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
-) -> TrainLog:
-    features = _metric_features(config.preset, config.margins)
-    if (features.closed_hyper or features.closed_ad) and not constraints.closure_computed:
-        constraints.compute_closure()
-    accumulators: dict[str, np.ndarray] = {}
-    log = TrainLog()
-    for epoch in range(config.epochs):
-        plan = plan_epoch(
-            constraints,
-            config.batch_size,
-            config.seed,
-            epoch=epoch,
-            relations=features.relations,
-            closed_hypernyms=features.closed_hyper,
-            closed_ad=features.closed_ad,
-        )
-        stats = _EpochStats()
-        for batch in plan:
-            res = _batch_loss(batch, constraints, store, config, features)
-            _apply(store, accumulators, res, config, batch)
-            stats.record(batch.relation, res)
-        log.epochs.append(stats.summary())
-        log.batches_processed += len(plan)
-    return log
+# --- the preset table -------------------------------------------------------
+
+_SYN_ANT = (("syn",), ("ant",))
+_SYN_ANT_HYPER = _SYN_ANT + (("hyper",),)
+_HIERARCHY = ("syn", "ant", "hyper", "quad")
+
+PRESET_TABLE = {
+    "retrofitting": Preset((("syn", "hyper"),), _train_retrofit),
+    "counterfitting": Preset(_SYN_ANT, _train_counterfit, ("syn", "ant")),
+    "attract_repel": Preset(_SYN_ANT, _train_metric, ("syn", "ant"), reg="triplet"),
+    "lear": Preset(
+        _SYN_ANT_HYPER, _train_metric, ("syn", "ant", "hyper", "ad"), reg="triplet",
+        hyper_margin="m_syn", mirror_hyper=True, closed_hyper=True, closed_ad=True,
+    ),
+    "hierarchy_fitting": Preset(_SYN_ANT_HYPER, _train_metric, _HIERARCHY, reg="batch"),
+    "hierarchy_fitting_ad_dir": Preset(
+        _SYN_ANT_HYPER, _train_metric, _HIERARCHY + ("ad",), reg="batch"
+    ),
+    "hierarchy_fitting_ad_indir": Preset(
+        _SYN_ANT_HYPER, _train_metric, _HIERARCHY + ("ad",), reg="batch", closed_ad=True
+    ),
+}
+PRESETS = tuple(PRESET_TABLE)

@@ -11,11 +11,9 @@ import numpy as np
 from lexfit import (
     asymmetric_norm_loss,
     asymmetric_norm_score,
-    attract_repel_reg_loss,
     contrastive_loss,
     counterfit_preserve_loss,
     distance,
-    hypernym_triplet_loss,
     preservation_loss,
     quadruplet_hierarchy_loss,
     triplet_attract_loss,
@@ -62,14 +60,6 @@ def gen_triplet_repel(rng):
     return (lambda: triplet_repel_loss(0, 1, [2, 3], m, store)), store, [0, 1, 2, 3], slacks
 
 
-def gen_hypernym_triplet(rng):
-    store = _store(rng, 4, _dim(rng))
-    m = float(rng.uniform(0.1, 1.2))
-    d_ah = distance(store.current[0], store.current[1])
-    slacks = [m + d_ah - distance(store.current[0], store.current[n]) for n in (2, 3)]
-    return (lambda: hypernym_triplet_loss(0, 1, [2, 3], m, store)), store, [0, 1, 2, 3], slacks
-
-
 def gen_quadruplet(rng):
     store = _store(rng, 5, _dim(rng))
     m_hs = float(rng.uniform(0.001, 0.5))
@@ -113,22 +103,14 @@ def gen_asymmetric_norm(rng):
     return (lambda: asymmetric_norm_loss(0, 1, weight, store)), store, [0, 1], slacks
 
 
-def gen_attract_repel_reg(rng):
-    store = _store(rng, 3, _dim(rng), perturb_rows=(0, 1, 2))
-    m_reg = float(rng.uniform(0.01, 1.0))
-    return (lambda: attract_repel_reg_loss([0, 1, 2], store, m_reg)), store, [0, 1, 2], []
-
-
 GENERATORS = {
     "contrastive": gen_contrastive,
     "triplet_attract": gen_triplet_attract,
     "triplet_repel": gen_triplet_repel,
-    "hypernym_triplet": gen_hypernym_triplet,
     "quadruplet_hierarchy": gen_quadruplet,
     "preservation": gen_preservation,
     "counterfit_preserve": gen_counterfit_preserve,
     "asymmetric_norm": gen_asymmetric_norm,
-    "attract_repel_reg": gen_attract_repel_reg,
 }
 
 

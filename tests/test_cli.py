@@ -1,10 +1,25 @@
+import dataclasses
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
-from lexfit import EmbeddingStore, save_embeddings
+from lexfit import (
+    PRESETS,
+    ConstraintSet,
+    EmbeddingStore,
+    Margins,
+    SpecializeConfig,
+    load_embeddings,
+    load_pairs,
+    save_embeddings,
+    specialize,
+)
 from lexfit.cli import main
+from lexfit.constraints import PAIR_SETS
+from lexfit.sampling import NEGATIVE_POLICIES
 
 
 @pytest.fixture
@@ -30,7 +45,10 @@ def workspace(tmp_path):
     return tmp_path, emb, syn, ant, hyper
 
 
-def specialize_args(ws, out, extra=()):
+TRAINING = ("--epochs", "3", "--batch-size", "4", "--seed", "7")
+
+
+def specialize_args(ws, out, extra=(), training=TRAINING):
     _, emb, syn, ant, hyper = ws
     return [
         "specialize",
@@ -41,9 +59,7 @@ def specialize_args(ws, out, extra=()):
         "--ant", str(ant),
         "--hyper", str(hyper),
         "--out", str(out),
-        "--epochs", "3",
-        "--batch-size", "4",
-        "--seed", "7",
+        *training,
         *extra,
     ]
 
@@ -137,6 +153,146 @@ class TestSpecializeCommand:
             "--out", str(tmp_path / "rf.vec"),
         ])
         assert code == 0
+
+    def test_bad_negative_policy_is_usage_error(self, workspace, capsys):
+        tmp_path = workspace[0]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("negative_policy=closest_plus_randm\n")
+        args = specialize_args(workspace, tmp_path / "x.vec", extra=["--config", str(cfg)])
+        assert main(args) == 2
+        assert "negative_policy" in capsys.readouterr().err
+        assert not (tmp_path / "x.vec").exists()
+        args = specialize_args(workspace, tmp_path / "x.vec", extra=["--negative-policy", "zz"])
+        assert main(args) == 2
+
+    def test_negative_margin_is_usage_error(self, workspace, capsys):
+        args = specialize_args(workspace, workspace[0] / "x.vec", extra=["--m-syn", "-1"])
+        assert main(args) == 2
+        assert "m_syn" in capsys.readouterr().err
+
+    def test_replay_refuses_edited_input(self, workspace, capsys):
+        tmp_path, _, syn, _, _ = workspace
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        with open(syn, "a") as fh:
+            fh.write("c1 c2\n")
+        replay_out = tmp_path / "replayed.vec"
+        code = main([
+            "specialize", "--replay", str(tmp_path / "out.vec.manifest"),
+            "--out", str(replay_out),
+        ])
+        assert code == 1
+        assert str(syn) in capsys.readouterr().err
+        assert not replay_out.exists()
+        assert not (tmp_path / "replayed.vec.manifest").exists()
+
+    def test_replay_checks_digest_before_parsing(self, workspace, capsys):
+        tmp_path, _, syn, _, _ = workspace
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        with open(syn, "a") as fh:
+            fh.write("one two three\n")
+        code = main([
+            "specialize", "--replay", str(tmp_path / "out.vec.manifest"),
+            "--out", str(tmp_path / "replayed.vec"),
+        ])
+        assert code == 1
+        assert f"{syn}: sha256 differs from the replayed manifest" in capsys.readouterr().err
+
+    def test_replay_does_not_check_inputs_given_as_flags(self, workspace):
+        tmp_path, _, syn, _, _ = workspace
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        with open(syn, "a") as fh:
+            fh.write("c1 c2\n")
+        code = main([
+            "specialize", "--replay", str(tmp_path / "out.vec.manifest"),
+            "--syn", str(syn), "--out", str(tmp_path / "replayed.vec"),
+        ])
+        assert code == 0
+
+
+def _option_values():
+    """A valid non-default value for every SpecializeConfig and Margins option."""
+    fields = [
+        f for cls in (SpecializeConfig, Margins) for f in dataclasses.fields(cls)
+        if f.init and f.default is not dataclasses.MISSING
+    ]
+    assert {f.name for f in fields} >= {"epochs", "negative_policy", "m_syn", "ad_weight"}
+    values = {}
+    for f in fields:
+        if isinstance(f.default, str):
+            values[f.name] = next(p for p in NEGATIVE_POLICIES if p != f.default)
+        else:
+            values[f.name] = f.default + 1 if isinstance(f.default, int) else f.default * 2
+    return values
+
+
+# recorded in every manifest, but fixed: neither a flag nor a config key
+FIXED = {"adagrad_epsilon": SpecializeConfig.adagrad_epsilon}
+
+
+class TestOptionTable:
+    def test_every_option_is_a_flag(self, workspace):
+        tmp_path = workspace[0]
+        values = _option_values()
+        flags = [
+            item for name, value in values.items()
+            for item in (f"--{name.replace('_', '-')}", str(value))
+        ]
+        assert main(specialize_args(workspace, tmp_path / "f.vec", flags, training=())) == 0
+        manifest = json.loads((tmp_path / "f.vec.manifest").read_text())
+        assert manifest["config"] == {**values, **FIXED}
+
+    def test_every_option_is_a_config_key(self, workspace):
+        tmp_path = workspace[0]
+        values = _option_values()
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{name}={value}\n" for name, value in values.items()))
+        args = specialize_args(workspace, tmp_path / "c.vec", ["--config", str(cfg)], training=())
+        assert main(args) == 0
+        manifest = json.loads((tmp_path / "c.vec.manifest").read_text())
+        assert manifest["config"] == {**values, **FIXED}
+
+    def test_fixed_field_is_not_an_option(self, workspace, capsys):
+        tmp_path = workspace[0]
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text("adagrad_epsilon=1e-6\n")
+        args = specialize_args(workspace, tmp_path / "e.vec", ["--config", str(cfg)])
+        assert main(args) == 2
+        assert "unknown option 'adagrad_epsilon'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(specialize_args(workspace, tmp_path / "e.vec", ["--adagrad-epsilon", "1e-6"]))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_cli_and_specialize_require_the_same_relations(workspace, capsys, preset):
+    tmp_path, emb, *files = workspace
+    paths = dict(zip(("syn", "ant", "hyper"), files))
+    for k in range(4):
+        for given in itertools.combinations(paths, k):
+            argv = [
+                "specialize", "--embeddings", str(emb), "--format", "glove-text",
+                "--method", preset.replace("_", "-"), "--epochs", "1",
+                "--out", str(tmp_path / "x.vec"),
+            ]
+            for relation in given:
+                argv += [f"--{relation}", str(paths[relation])]
+            code = main(argv)
+            cli_error = capsys.readouterr().err
+
+            store = load_embeddings(str(emb), "glove-text")
+            cs = ConstraintSet()
+            for relation in given:
+                load_pairs(cs, str(paths[relation]), relation, store)
+            try:
+                specialize(store, cs, SpecializeConfig(preset=preset, epochs=1))
+                library_error = None
+            except ValueError as exc:
+                library_error = str(exc)
+                assert "requires nonempty" in library_error
+
+            assert (code == 2) == (library_error is not None), (given, cli_error)
+            if code == 2 and given:
+                named = set(re.findall(r"--(\w+)", cli_error))
+                assert named == {r for r, attr in PAIR_SETS.items() if attr in library_error}
 
 
 class TestEvalCommand:

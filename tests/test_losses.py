@@ -6,11 +6,9 @@ from lexfit import (
     Margins,
     asymmetric_norm_loss,
     asymmetric_norm_score,
-    attract_repel_reg_loss,
     contrastive_loss,
     counterfit_preserve_loss,
     distance,
-    hypernym_triplet_loss,
     preservation_loss,
     quadruplet_hierarchy_loss,
     triplet_attract_loss,
@@ -105,14 +103,14 @@ class TestTripletRepel:
 class TestHypernymTriplet:
     def test_inactive(self):
         store = angle_store(0, 40, 150)
-        res = hypernym_triplet_loss(0, 1, [2], 0.6, store)
+        res = triplet_attract_loss(0, 1, [2], 0.6, store)
         assert res.loss == 0.0
 
     def test_direct_substitution(self):
         store = angle_store(0, 70, 100)
         d_ah = distance(store.current[0], store.current[1])
         d_an = distance(store.current[0], store.current[2])
-        res = hypernym_triplet_loss(0, 1, [2], 0.6, store)
+        res = triplet_attract_loss(0, 1, [2], 0.6, store)
         assert abs(res.loss - (0.6 + d_ah - d_an)) < 1e-12
 
 
@@ -197,12 +195,12 @@ class TestAsymmetricNorm:
 class TestAttractRepelReg:
     def test_unchanged(self):
         store = random_store(8, 3, 4)
-        assert attract_repel_reg_loss([0, 1, 2], store, 1e-9).loss == 0.0
+        assert preservation_loss([0, 1, 2], store, 1e-9).loss == 0.0
 
     def test_orthogonal_rotation_scaled(self):
         store = EmbeddingStore(["a", "b", "c"], np.eye(3))
         store.current[0] = [0.0, 1.0, 0.0]
-        res = attract_repel_reg_loss([0, 1, 2], store, 1e-9)
+        res = preservation_loss([0, 1, 2], store, 1e-9)
         assert abs(res.loss - 1e-9) < 1e-21
 
 
@@ -216,7 +214,7 @@ def test_inactive_instances_have_zero_gradients(kernel):
     # hinge-only kernels: strictly inactive instances must carry no gradient rows
     rng = np.random.default_rng(77)
     hinge_only = {
-        "triplet_attract", "triplet_repel", "hypernym_triplet",
+        "triplet_attract", "triplet_repel",
         "quadruplet_hierarchy", "counterfit_preserve", "asymmetric_norm",
     }
     if kernel not in hinge_only:

@@ -10,9 +10,7 @@ from lexfit import (
     SpecializeConfig,
     adagrad_step,
     asymmetric_norm_loss,
-    attract_repel_reg_loss,
     contrastive_loss,
-    counterfit,
     counterfit_preserve_loss,
     distance,
     distance_with_grads,
@@ -158,7 +156,7 @@ class TestCounterfit:
             preset="counterfitting", epochs=15, batch_size=8, seed=1,
             margins=Margins(m_syn=0.2, m_ant=1.5),
         )
-        counterfit(store, cs, config)
+        specialize(store, cs, config)
         assert mean_d(cs.synonyms) < syn_before
         assert mean_d(cs.antonyms) > ant_before
 
@@ -173,7 +171,7 @@ class TestCounterfit:
         cs.add_pair("ant", 2, 3)
         before = store.current.copy()
         config = SpecializeConfig(preset="counterfitting", epochs=3, batch_size=4, seed=0)
-        counterfit(store, cs, config)
+        specialize(store, cs, config)
         np.testing.assert_array_equal(store.current, before)
 
 
@@ -199,14 +197,14 @@ class TestNeighborPrecompute:
             assert near[row].tolist() == [j for j, _ in expected]
 
 
-def reference_batch_loss(batch, cs, store, config, features):
+def reference_batch_loss(batch, cs, store, config, preset):
     """The per-instance kernels summed over the rows the batched miner picks."""
     m = config.margins
     res = LossResult()
     rel = batch.relation
     if rel in ("syn", "hyper", "ant"):
-        mirror = rel != "hyper" or features.mirror_hyper
-        margin = m.m_syn if rel == "syn" else features.hyper_margin
+        mirror = rel != "hyper" or preset.mirror_hyper
+        margin = m.m_syn if rel == "syn" else getattr(m, preset.hyper_margin)
         for a, b in batch.items:
             for anchor, partner in ((a, b), (b, a)) if mirror else ((a, b),):
                 if rel == "ant":
@@ -219,9 +217,9 @@ def reference_batch_loss(batch, cs, store, config, features):
                     )
                     if aux:
                         res.merge(triplet_attract_loss(anchor, partner, aux, margin, store))
-                if features.reg == "triplet":
+                if preset.reg == "triplet":
                     for x in aux:
-                        res.merge(attract_repel_reg_loss([anchor, partner, x], store, m.m_reg))
+                        res.merge(preservation_loss([anchor, partner, x], store, m.m_reg))
     elif rel == "quad":
         for a, s, h in batch.items:
             negs = select_negatives(a, batch, cs, store, config.negative_policy, config.sample_k)
@@ -232,7 +230,7 @@ def reference_batch_loss(batch, cs, store, config, features):
     else:
         for lo, hi in batch.items:
             res.merge(asymmetric_norm_loss(lo, hi, m.ad_weight, store))
-    if features.reg == "batch":
+    if preset.reg == "batch":
         rows = sorted({r for item in batch.items for r in item})
         res.merge(preservation_loss(rows, store, m.gamma_reg))
     return res
@@ -288,16 +286,16 @@ class TestBatchLossMatchesReference:
         # every other row moves, so both preservation paths (moved, unmoved) run
         store, cs = moved_toy_store(seed=batch_size, step=2)
         config = SpecializeConfig(preset=preset, batch_size=batch_size, seed=3)
-        features = specializer._metric_features(preset, config.margins)
+        spec = specializer.PRESET_TABLE[preset]
         cs.compute_closure()
         plan = plan_epoch(
-            cs, batch_size, config.seed, relations=features.relations,
-            closed_hypernyms=features.closed_hyper, closed_ad=features.closed_ad,
+            cs, batch_size, config.seed, relations=spec.streams,
+            closed_hypernyms=spec.closed_hyper, closed_ad=spec.closed_ad,
         )
-        assert {b.relation for b in plan} == set(features.relations)
+        assert {b.relation for b in plan} == set(spec.streams)
         for batch in plan:
-            res = specializer._batch_loss(batch, cs, store, config, features)
-            ref = reference_batch_loss(batch, cs, store, config, features)
+            res = specializer._batch_loss(batch, cs, store, config, spec)
+            ref = reference_batch_loss(batch, cs, store, config, spec)
             assert_batch_matches(res, ref, len(store), store.dim)
 
     @pytest.mark.parametrize("batch_size", [1, 4])
@@ -427,6 +425,10 @@ class TestConfigValidation:
     def test_bad_preset(self):
         with pytest.raises(ValueError):
             SpecializeConfig(preset="fancy_fitting")
+
+    def test_bad_negative_policy(self):
+        with pytest.raises(ValueError, match="negative_policy"):
+            SpecializeConfig(preset="lear", negative_policy="closest_plus_randm")
 
     def test_defaults(self):
         config = SpecializeConfig(preset="hierarchy_fitting")
