@@ -27,7 +27,13 @@ from .evaluate import (
     wbless_classify,
 )
 from .losses import Margins
-from .specializer import PRESETS, SpecializeConfig, missing_relations, specialize
+from .specializer import (
+    PRESETS,
+    NonFiniteGradientError,
+    SpecializeConfig,
+    missing_relations,
+    specialize,
+)
 
 DEFAULT_SEED = SpecializeConfig.seed
 
@@ -251,7 +257,7 @@ def cmd_specialize(args) -> int:
         )
         with open(options["out"] + ".manifest", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(manifest.to_json())
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NonFiniteGradientError) as exc:
         print(f"lexfit: error: {exc}", file=sys.stderr)
         return 1
 

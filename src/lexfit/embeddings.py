@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -93,47 +96,119 @@ def _parse_header(line: str, path: str) -> tuple[int, int]:
         raise EmbeddingFormatError(f"{path}:1: malformed header {line!r}") from exc
 
 
+# A token runs to the first ASCII space or tab; other Unicode whitespace,
+# such as U+00A0, may occur inside it.
+_TOKEN = re.compile(r"[ \t]*([^ \t\n]+)")
+
+
+def _content_lines(fh):
+    """(line number, line) of every line of ``fh`` that is not blank."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isspace():
+            yield lineno, line
+
+
+def _split_record(line: str) -> tuple[str, str]:
+    """The token of a record line and the text of its vector values."""
+    match = _TOKEN.match(line)
+    return match.group(1), line[match.end():]
+
+
 def load_embeddings(path: str, format: str) -> EmbeddingStore:
     """Read a text embedding file into an :class:`EmbeddingStore`.
 
     ``word2vec-text`` files carry a ``vocab_count dim`` header line;
     ``glove-text`` files start directly with records. Every record is
-    ``token v1 v2 ... vdim``. Duplicate tokens keep their first occurrence
-    (later ones are dropped and counted); zero vectors, non-finite values,
-    and dimension mismatches are rejected with the offending line number.
+    ``token v1 v2 ... vdim``; the token ends at the first ASCII space or tab.
+    Duplicate tokens keep their first occurrence (later ones are dropped and
+    counted); zero vectors, non-finite or non-numeric values, and dimension
+    mismatches are rejected with the line number of the first bad record.
+
+    The file is streamed once: the token is split off each line, and the
+    rest of every line goes to one bulk numeric parse.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown embedding format {format!r}, expected one of {FORMATS}")
 
-    vocab: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
+    tokens: list[str] = []
     dim: int | None = None
     declared_count: int | None = None
-    n_duplicates = 0
+
+    def values(lines):
+        for _, line in lines:
+            token, rest = _split_record(line)
+            if not rest or rest.isspace():
+                # the bulk parse would skip this record as a blank line
+                raise ValueError("record has no vector values")
+            tokens.append(token)
+            yield rest
 
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            if format == "word2vec-text" and declared_count is None and dim is None:
-                declared_count, dim = _parse_header(line, path)
+        lines = _content_lines(fh)
+        if format == "word2vec-text":
+            header = next(lines, None)
+            if header is not None:
+                declared_count, dim = _parse_header(header[1].rstrip("\r\n"), path)
                 if dim <= 0:
                     raise EmbeddingFormatError(f"{path}:1: non-positive dimension {dim}")
-                continue
-            parts = line.split()
-            token, values = parts[0], parts[1:]
+        records = values(lines)
+        try:
+            first = next(records, None)  # np.loadtxt warns on an input without rows
+            matrix = None if first is None else np.loadtxt(
+                itertools.chain([first], records), dtype=np.float64, ndmin=2, comments=None
+            )
+        except ValueError:
+            matrix = None
+    if (
+        matrix is None
+        or (dim is not None and matrix.shape[1] != dim)
+        or not np.isfinite(matrix).all()
+        or not matrix.any(axis=1).all()
+    ):
+        _raise_first_fault(path, format, dim)
+
+    first_rows: dict[str, int] = {}
+    for row, token in enumerate(tokens):
+        first_rows.setdefault(token, row)
+    n_duplicates = len(tokens) - len(first_rows)
+    if declared_count is not None and declared_count != len(tokens):
+        log.warning(
+            "%s: header declares %d vectors but file contains %d",
+            path, declared_count, len(tokens),
+        )
+    if n_duplicates:
+        log.warning("%s: dropped %d duplicate tokens (first occurrence kept)", path, n_duplicates)
+        matrix = matrix[list(first_rows.values())]
+
+    store = EmbeddingStore(list(first_rows), matrix)
+    store.n_duplicates_dropped = n_duplicates
+    return store
+
+
+def _raise_first_fault(path: str, format: str, dim: int | None) -> NoReturn:
+    """Raise the error for the first record, in file order, that cannot be loaded.
+
+    Runs only after the bulk parse of :func:`load_embeddings` failed or found
+    a bad row. It parses one record at a time with the same number parser.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = _content_lines(fh)
+        if format == "word2vec-text":
+            next(lines, None)
+        lineno = None
+        for lineno, line in lines:
+            token, rest = _split_record(line)
+            n_values = len(rest.split())
             if dim is None:
-                dim = len(values)
+                dim = n_values
                 if dim == 0:
                     raise EmbeddingFormatError(f"{path}:{lineno}: record has no vector values")
-            if len(values) != dim:
+            if n_values != dim:
                 raise EmbeddingFormatError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(values)}"
+                    f"{path}:{lineno}: expected {dim} values, got {n_values}"
                 )
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                vec = np.loadtxt([rest], dtype=np.float64, comments=None)
             except ValueError as exc:
                 raise EmbeddingFormatError(
                     f"{path}:{lineno}: non-numeric vector component"
@@ -142,26 +217,9 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
                 raise EmbeddingFormatError(f"{path}:{lineno}: non-finite vector component")
             if not np.any(vec):
                 raise EmbeddingFormatError(f"{path}:{lineno}: all-zero vector for {token!r}")
-            if token in seen:
-                n_duplicates += 1
-                continue
-            seen.add(token)
-            vocab.append(token)
-            rows.append(vec)
-
-    if not vocab:
+    if lineno is None:
         raise EmbeddingFormatError(f"{path}: no embedding records found")
-    if declared_count is not None and declared_count != len(vocab) + n_duplicates:
-        log.warning(
-            "%s: header declares %d vectors but file contains %d",
-            path, declared_count, len(vocab) + n_duplicates,
-        )
-    if n_duplicates:
-        log.warning("%s: dropped %d duplicate tokens (first occurrence kept)", path, n_duplicates)
-
-    store = EmbeddingStore(vocab, np.vstack(rows))
-    store.n_duplicates_dropped = n_duplicates
-    return store
+    raise EmbeddingFormatError(f"{path}: malformed vector data")
 
 
 def save_embeddings(store: EmbeddingStore, path: str, format: str) -> None:
@@ -174,11 +232,14 @@ def save_embeddings(store: EmbeddingStore, path: str, format: str) -> None:
         raise ValueError(f"unknown embedding format {format!r}, expected one of {FORMATS}")
     if len(store) == 0:
         raise ValueError("refusing to save an empty store")
+    row_format = " ".join(["%.9g"] * store.dim)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if format == "word2vec-text":
             fh.write(f"{len(store)} {store.dim}\n")
-        for token, vec in zip(store.vocab, store.current):
-            fh.write(token + " " + " ".join(f"{x:.9g}" for x in vec) + "\n")
+        fh.writelines(
+            f"{token} {row_format % tuple(vec.tolist())}\n"
+            for token, vec in zip(store.vocab, store.current)
+        )
 
 
 def cosine(u, v) -> float:
@@ -229,12 +290,17 @@ def nearest_neighbors(
         raise ValueError("k must be >= 1")
     if not 0 <= row < len(store):
         raise IndexError(f"row {row} out of range for store of size {len(store)}")
+    n_top = min(k, len(store) - 1)
+    if n_top == 0:
+        return []
     matrix = store.matrix(space)
-    v = matrix[row]
-    norms = np.linalg.norm(matrix, axis=1)
-    sims = (matrix @ v) / (norms * np.linalg.norm(v))
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    sims = (matrix @ matrix[row]) / (norms * norms[row])
     np.clip(sims, -1.0, 1.0, out=sims)
     sims[row] = -np.inf
-    order = np.argsort(-sims, kind="stable")
-    top = order[: min(k, len(store) - 1)]
+    kth = np.partition(sims, len(sims) - n_top)[len(sims) - n_top]
+    # every row tied with the k-th value competes, so ties at the cut still
+    # go to the smaller rows
+    candidates = np.flatnonzero(sims >= kth)
+    top = candidates[np.argsort(-sims[candidates], kind="stable")[:n_top]]
     return [(int(r), float(sims[r])) for r in top]

@@ -8,6 +8,7 @@ output matrix.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import defaultdict
 from collections.abc import Callable, Collection
@@ -79,14 +80,16 @@ class SpecializeConfig:
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.neighbor_k < 1:
             raise ValueError("neighbor_k must be >= 1")
+        if not 0 <= self.retrofit_alpha < math.inf:
+            raise ValueError(f"retrofit_alpha must be finite and >= 0, got {self.retrofit_alpha}")
         if self.retrofit_iterations < 1:
             raise ValueError("retrofit_iterations must be >= 1")
         if self.sample_k < 1:
@@ -170,13 +173,10 @@ def specialize(
 
 # --- retrofitting -----------------------------------------------------------
 
-def _run_retrofit(
-    store: EmbeddingStore,
-    constraints: ConstraintSet,
-    alpha: float,
-    iterations: int,
-    tol: float = 1e-6,
+def _train_retrofit(
+    store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
 ) -> TrainLog:
+    alpha = config.retrofit_alpha
     adjacency: dict[int, list[int]] = defaultdict(list)
     for a, b in sorted(constraints.synonyms | constraints.direct_hypernyms):
         adjacency[a].append(b)
@@ -186,7 +186,7 @@ def _run_retrofit(
     if not linked:
         return log
     frac_updated = len(linked) / len(store)
-    for _ in range(iterations):
+    for _ in range(config.retrofit_iterations):
         prev = store.current.copy()
         for row in linked:
             neighbor_mean = prev[adjacency[row]].mean(axis=0)
@@ -194,7 +194,7 @@ def _run_retrofit(
         max_change = float(np.max(np.abs(store.current[linked] - prev[linked])))
         log.epochs.append({"retrofit": (max_change, frac_updated)})
         log.batches_processed += 1
-        if max_change < tol:
+        if max_change < 1e-6:
             break
     return log
 
@@ -209,16 +209,14 @@ def retrofit(
 
     Runs Jacobi sweeps of ``f(a) = (alpha * orig(a) + mean of neighbor f) /
     (alpha + 1)`` until ``iterations`` rounds or max per-component change
-    below 1e-6. Words with no constraint edges are untouched.
+    below 1e-6. Words with no constraint edges are untouched. ``alpha`` and
+    ``iterations`` are checked as :class:`SpecializeConfig` checks them.
     """
-    _run_retrofit(store, constraints, alpha, iterations)
+    config = SpecializeConfig(
+        "retrofitting", retrofit_alpha=alpha, retrofit_iterations=iterations
+    )
+    _train_retrofit(store, constraints, config)
     return store
-
-
-def _train_retrofit(
-    store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
-) -> TrainLog:
-    return _run_retrofit(store, constraints, config.retrofit_alpha, config.retrofit_iterations)
 
 
 # --- counter-fitting --------------------------------------------------------

@@ -170,6 +170,33 @@ class TestSpecializeCommand:
         assert main(args) == 2
         assert "m_syn" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--retrofit-alpha", "-1"),
+        ("--retrofit-alpha", "nan"),
+        ("--learning-rate", "nan"),
+    ])
+    def test_non_finite_or_negative_rate_is_usage_error(self, workspace, capsys, flag, value):
+        _, emb, syn, _, _ = workspace
+        out = workspace[0] / "x.vec"
+        code = main([
+            "specialize", "--embeddings", str(emb), "--format", "glove-text",
+            "--method", "retrofitting", "--syn", str(syn), "--out", str(out), flag, value,
+        ])
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_gradient_is_runtime_error(self, workspace, capsys):
+        # the first update moves rows to ~1e308; the next gradients overflow
+        args = specialize_args(
+            workspace, workspace[0] / "x.vec", extra=["--learning-rate", "1e308"]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lexfit: error: non-finite gradient at row ")
+        assert "Traceback" not in err
+
     def test_replay_refuses_edited_input(self, workspace, capsys):
         tmp_path, _, syn, _, _ = workspace
         assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0

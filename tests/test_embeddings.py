@@ -1,3 +1,7 @@
+import logging
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,9 +49,52 @@ class TestLoad:
             load_embeddings(path, "glove-text")
 
     def test_empty_file(self, tmp_path):
-        path = write(tmp_path / "v.txt", "")
-        with pytest.raises(EmbeddingFormatError):
-            load_embeddings(path, "glove-text")
+        for text, format in [("", "glove-text"), ("\n  \n", "glove-text"),
+                             ("2 3\n\n", "word2vec-text")]:
+            path = write(tmp_path / "v.txt", text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EmbeddingFormatError, match="no embedding records found"):
+                    load_embeddings(path, format)
+
+    @pytest.mark.parametrize("text, format, message", [
+        # the bulk parse stops at line 3, but line 2 comes first in the file
+        ("a 1 2 3\nb 1 0 nan\nc 1 2\nd 1 x 3\n", "glove-text",
+         ":2: non-finite vector component"),
+        ("a 1 2 3\nb 0 0 0\nc 1 nan 3\n", "glove-text", ":2: all-zero vector for 'b'"),
+        ("a 1 2 3\nb 1 inf 3\nc 0 0 0\n", "glove-text", ":2: non-finite vector component"),
+        ("a 1 2 3\n\nb 1 2 x\nc 1 2\n", "glove-text", ":3: non-numeric vector component"),
+        ("a 1 2 3\nb 1 2\nc 1 2 x\n", "glove-text", ":2: expected 3 values, got 2"),
+        ("a 1 2\nb\nc 1 2\n", "glove-text", ":2: expected 2 values, got 0"),
+        ("a\nb 1 2\n", "glove-text", ":1: record has no vector values"),
+        ("2 3\na 1 2\nb 1 2\n", "word2vec-text", ":2: expected 3 values, got 2"),
+        ("2 2\na 1 2\nb 1 2 3\n", "word2vec-text", ":3: expected 2 values, got 3"),
+        # Python's float() reads "1_0", the file format does not
+        ("a 1_0 2\n", "glove-text", ":1: non-numeric vector component"),
+    ])
+    def test_first_fault_in_file_order(self, tmp_path, text, format, message):
+        path = write(tmp_path / "v.txt", text)
+        with pytest.raises(EmbeddingFormatError, match=f"^{re.escape(path + message)}$"):
+            load_embeddings(path, format)
+
+    def test_token_ends_at_ascii_space_or_tab(self, tmp_path):
+        path = write(tmp_path / "v.txt", "caf\u00a0e 1 2 3\nb\t4 5 6\n")
+        store = load_embeddings(path, "glove-text")
+        assert store.vocab == ["caf\u00a0e", "b"]
+        np.testing.assert_array_equal(store.current, [[1, 2, 3], [4, 5, 6]])
+
+    def test_blank_lines_crlf_and_tabs(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"2 3\r\n\r\n a\t1 2\t3\r\n  \t\r\nb 4\t 5 6 \r\n\n")
+        store = load_embeddings(str(path), "word2vec-text")
+        assert store.vocab == ["a", "b"]
+        np.testing.assert_array_equal(store.current, [[1, 2, 3], [4, 5, 6]])
+
+    def test_header_count_warning(self, tmp_path, caplog):
+        path = write(tmp_path / "v.txt", "3 2\na 1 2\nb 3 4\n")
+        with caplog.at_level(logging.WARNING, logger="lexfit.embeddings"):
+            load_embeddings(path, "word2vec-text")
+        assert "header declares 3 vectors but file contains 2" in caplog.text
 
     def test_non_finite(self, tmp_path):
         path = write(tmp_path / "v.txt", "a 1 nan 3\n")
@@ -59,9 +106,11 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError, match=":2"):
             load_embeddings(path, "glove-text")
 
-    def test_duplicates_keep_first(self, tmp_path):
+    def test_duplicates_keep_first(self, tmp_path, caplog):
         path = write(tmp_path / "v.txt", "a 1 2\na 9 9\nb 3 4\n")
-        store = load_embeddings(path, "glove-text")
+        with caplog.at_level(logging.WARNING, logger="lexfit.embeddings"):
+            store = load_embeddings(path, "glove-text")
+        assert "dropped 1 duplicate tokens (first occurrence kept)" in caplog.text
         assert store.vocab == ["a", "b"]
         assert store.n_duplicates_dropped == 1
         np.testing.assert_array_equal(store.current[0], [1.0, 2.0])
@@ -111,6 +160,25 @@ class TestSave:
         path = tmp_path / "out.txt"
         save_embeddings(store, str(path), "word2vec-text")
         assert path.read_text().splitlines()[0] == "3 4"
+
+    @pytest.mark.parametrize("format", ["glove-text", "word2vec-text"])
+    def test_bytes_match_per_component_formatting(self, tmp_path, format):
+        values = [
+            [-0.0, 5e-324, 1e300, -1e-300],
+            [2.5e-310, -1e-300, 1.5e-7, 123456789012.0],
+            [0.1, -2.0 / 3.0, 1e16, 3.0],
+        ]
+        store = EmbeddingStore(["x", "caf\u00e9", "z"], np.ones((3, 4)))
+        store.current[:] = values
+        path = tmp_path / "out.txt"
+        save_embeddings(store, str(path), format)
+        expected = "".join(
+            token + " " + " ".join(f"{x:.9g}" for x in row) + "\n"
+            for token, row in zip(store.vocab, values)
+        )
+        if format == "word2vec-text":
+            expected = "3 4\n" + expected
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_empty_store_unconstructible(self):
         with pytest.raises(ValueError):
@@ -204,6 +272,21 @@ class TestNearestNeighbors:
     def test_excludes_query(self):
         store = random_store(1, 6, 4)
         assert all(r != 2 for r, _ in nearest_neighbors(store, 2, 5))
+
+    def test_ties_straddling_the_kth_position_go_to_smaller_rows(self):
+        # rows 2, 3, 5 and 6 tie behind row 4; k=3 cuts through the tie
+        store = EmbeddingStore(
+            ["q", "far", "tie_a", "tie_b", "best", "tie_c", "tie_d"],
+            [[1.0, 0.0], [-1.0, 0.2], [1.0, 1.0], [1.0, 1.0],
+             [1.0, 0.1], [2.0, 2.0], [1.0, 1.0]],
+        )
+        assert [r for r, _ in nearest_neighbors(store, 0, 3)] == [4, 2, 3]
+        assert [r for r, _ in nearest_neighbors(store, 0, 5)] == [4, 2, 3, 5, 6]
+        assert [r for r, _ in nearest_neighbors(store, 6, 2)] == [2, 3]
+
+    def test_single_row_store_has_no_neighbors(self):
+        store = EmbeddingStore(["a"], [[1.0, 2.0]])
+        assert nearest_neighbors(store, 0, 3) == []
 
     def test_ties_break_by_ascending_row(self):
         # rows 3 and 1 are identical; the smaller row index must come first

@@ -126,6 +126,16 @@ class TestRetrofit:
             expected = (store.original[word] + store.current[neighbors].mean(axis=0)) / 2.0
             assert np.max(np.abs(store.current[word] - expected)) < 1e-5
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_alpha(self, alpha):
+        store = random_store(3, 4, 4)
+        cs = ConstraintSet()
+        cs.add_pair("syn", 0, 1)
+        before = store.current.copy()
+        with pytest.raises(ValueError, match="retrofit_alpha"):
+            retrofit(store, cs, alpha=alpha)
+        np.testing.assert_array_equal(store.current, before)
+
     def test_hypernym_edges_count(self):
         store = random_store(3, 4, 4)
         cs = ConstraintSet()
@@ -419,8 +429,14 @@ class TestSpecializePresets:
 
 class TestConfigValidation:
     def test_bad_learning_rate(self):
-        with pytest.raises(ValueError):
-            SpecializeConfig(preset="lear", learning_rate=0.0)
+        for rate in [0.0, -0.1, float("nan"), float("inf")]:
+            with pytest.raises(ValueError, match="learning_rate"):
+                SpecializeConfig(preset="lear", learning_rate=rate)
+
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_bad_retrofit_alpha(self, alpha):
+        with pytest.raises(ValueError, match="retrofit_alpha"):
+            SpecializeConfig(preset="retrofitting", retrofit_alpha=alpha)
 
     def test_bad_preset(self):
         with pytest.raises(ValueError):
