@@ -161,7 +161,8 @@ def _resolve_specialize_options(args) -> dict:
     """
     options: dict = {}
     if args.replay:
-        manifest = RunManifest.from_json(open(args.replay, encoding="utf-8").read())
+        with open(args.replay, encoding="utf-8") as fh:
+            manifest = RunManifest.from_json(fh.read())
         options.update(manifest.config)
         options["method"] = manifest.method
         options["format"] = manifest.format

@@ -57,7 +57,7 @@ class EmbeddingStore:
             raise ValueError("vocabulary contains duplicate tokens")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("vectors contain non-finite values")
-        if np.any(np.linalg.norm(matrix, axis=1) == 0.0):
+        if not matrix.any(axis=1).all():
             raise ValueError("all-zero vectors are not allowed")
         self.vocab: list[str] = vocab
         self.dim: int = int(matrix.shape[1])
@@ -278,6 +278,25 @@ def backoff_lookup(store: EmbeddingStore, token: str) -> LookupResult:
     return LookupResult(row=None, matched_token=None, truncation_depth=depth, covered=False)
 
 
+def top_k(sims: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k largest entries of each row of ``sims``.
+
+    Each row of the (rows x k) result is in descending order of similarity,
+    ties broken toward the smaller column, NaN last: the first k columns of
+    ``np.argsort(-sims, axis=1, kind="stable")``. Needs ``1 <= k <= sims.shape[1]``.
+    """
+    neg = -sims
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1]
+    # every entry tied with the k-th value competes, so ties at the cut
+    # still go to the smaller columns; written as "not beyond the cut" so
+    # that a NaN cut keeps every entry
+    rows, cols = np.nonzero(~(neg > kth[:, None]))
+    order = np.lexsort((cols, neg[rows, cols], rows))
+    # each row's candidates are contiguous in ``order``; keep the first k
+    starts = np.searchsorted(rows, np.arange(len(sims)))
+    return cols[order[starts[:, None] + np.arange(k)]]
+
+
 def nearest_neighbors(
     store: EmbeddingStore, row: int, k: int, space: str = "current"
 ) -> list[tuple[int, float]]:
@@ -298,9 +317,6 @@ def nearest_neighbors(
     sims = (matrix @ matrix[row]) / (norms * norms[row])
     np.clip(sims, -1.0, 1.0, out=sims)
     sims[row] = -np.inf
-    kth = np.partition(sims, len(sims) - n_top)[len(sims) - n_top]
-    # every row tied with the k-th value competes, so ties at the cut still
-    # go to the smaller rows
-    candidates = np.flatnonzero(sims >= kth)
-    top = candidates[np.argsort(-sims[candidates], kind="stable")[:n_top]]
+    top = top_k(sims[None, :], n_top)[0]
     return [(int(r), float(sims[r])) for r in top]
+

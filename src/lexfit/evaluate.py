@@ -252,24 +252,56 @@ def bless_directionality(
     )
 
 
-def _fit_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Threshold maximizing accuracy of `score > t` as the positive rule.
+def _fit_thresholds(
+    scores: np.ndarray, labels: np.ndarray, groups: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """Per group, the threshold maximizing accuracy of `score > t` as the positive rule.
 
-    Candidates are midpoints between adjacent sorted scores plus +-inf
-    sentinels; accuracy ties break toward the smaller threshold.
+    Entry i of ``scores`` and ``labels`` belongs to group ``groups[i]`` in
+    ``range(n_groups)``. A group's candidates are -inf, the midpoints
+    between its adjacent distinct scores, and +inf; accuracy ties break
+    toward the smaller threshold, so an empty group gets -inf.
     """
-    order = np.argsort(scores, kind="stable")
-    ranked = scores[order]
-    positives = np.cumsum(labels[order])
-    # last position of each distinct score
-    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
-    uniq = ranked[ends]
-    # a threshold just above uniq[i] gets right every positive above it and
-    # every negative at or below it
-    correct = positives[-1] - positives[ends] + (ends + 1 - positives[ends])
-    best = int(np.argmax(np.concatenate(([positives[-1]], correct))))
-    candidates = np.concatenate(([-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]))
-    return float(candidates[best])
+    order = np.lexsort((scores, groups))
+    ranked, group = scores[order], groups[order]
+    starts = np.searchsorted(group, np.arange(n_groups + 1))
+    positives = np.concatenate(([0], np.cumsum(labels[order])))  # before each entry
+    totals = positives[starts[1:]] - positives[starts[:-1]]
+    # last entry of each run of equal scores within a group
+    last = np.ones(len(ranked), dtype=bool)
+    last[:-1] = (ranked[1:] != ranked[:-1]) | (group[1:] != group[:-1])
+    ends = np.flatnonzero(last)
+    g = group[ends]
+    pos = positives[ends + 1] - positives[starts[g]]
+    # a threshold just above a run gets right every positive of its group
+    # above it and every negative at or below it
+    correct = totals[g] - pos + (ends + 1 - starts[g] - pos)
+    # that threshold is the midpoint to the group's next run, +inf after its last
+    above = np.full(len(ends), np.inf)
+    inner = ends + 1 < starts[g + 1]
+    above[inner] = (ranked[ends[inner]] + ranked[ends[inner] + 1]) / 2.0
+    # each group's candidates side by side: -inf first, then one per run
+    first = np.arange(n_groups) + np.searchsorted(g, np.arange(n_groups))
+    runs_at = np.arange(len(ends)) + g + 1
+    n_candidates = n_groups + len(ends)
+    candidates = np.empty(n_candidates)
+    candidates[first], candidates[runs_at] = -np.inf, above
+    n_correct = np.empty(n_candidates, dtype=np.int64)
+    n_correct[first], n_correct[runs_at] = totals, correct
+    most = np.maximum.reduceat(n_correct, first)
+    best = np.flatnonzero(n_correct == np.repeat(most, np.diff(first, append=n_candidates)))
+    return candidates[best[np.searchsorted(best, first)]]
+
+
+def _held_out_accuracies(hits: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Per iteration, the fraction of the pairs outside its sample predicted right.
+
+    ``hits[i, j]`` says whether iteration i predicts pair j right, and
+    ``samples[i]`` holds the distinct pairs of iteration i's sample.
+    """
+    inside = np.take_along_axis(hits, samples, axis=1)
+    n_held_out = hits.shape[1] - samples.shape[1]
+    return (np.count_nonzero(hits, axis=1) - np.count_nonzero(inside, axis=1)) / n_held_out
 
 
 def _finite_mean(values) -> float | None:
@@ -278,14 +310,31 @@ def _finite_mean(values) -> float | None:
 
 
 def _sample_with_all_labels(
-    rng: np.random.Generator, labels: list, n: int, sample_size: int, max_tries: int = 10000
+    rng: np.random.Generator,
+    codes: np.ndarray,
+    n_labels: int,
+    sample_size: int,
+    max_tries: int = 10000,
 ) -> np.ndarray:
-    present = set(labels)
+    """Distinct indices into ``codes``, drawn again until every code in
+    ``range(n_labels)`` occurs among them."""
     for _ in range(max_tries):
-        idx = rng.choice(n, size=sample_size, replace=False)
-        if {labels[i] for i in idx} == present:
+        idx = rng.choice(len(codes), size=sample_size, replace=False)
+        if np.bincount(codes[idx], minlength=n_labels).all():
             return idx
     raise RuntimeError("could not draw a sample containing every label")
+
+
+def _draw_samples(seed: int, labels: list, sample_size: int, iterations: int) -> np.ndarray:
+    """One sample per iteration (a row each) that holds every label of ``labels``,
+    drawn in order from one seeded stream."""
+    rng = np.random.default_rng(seed)
+    present, codes = np.unique(labels, return_inverse=True)
+    samples = [
+        _sample_with_all_labels(rng, codes, len(present), sample_size)
+        for _ in range(iterations)
+    ]
+    return np.array(samples, dtype=np.intp).reshape(iterations, sample_size)
 
 
 def wbless_classify(
@@ -315,17 +364,14 @@ def wbless_classify(
     scores_arr = cos * (n2 / n1)
     labels_arr = np.asarray(labels)
     sample_size = max(2, math.ceil(sample_fraction * n))
-    rng = np.random.default_rng(seed)
-    thresholds = []
-    accuracies = []
-    for _ in range(iterations):
-        sample = _sample_with_all_labels(rng, labels, n, sample_size)
-        t = _fit_threshold(scores_arr[sample], labels_arr[sample])
-        mask = np.ones(n, dtype=bool)
-        mask[sample] = False
-        acc = float(np.mean((scores_arr[mask] > t) == labels_arr[mask]))
-        thresholds.append(t)
-        accuracies.append(acc)
+    samples = _draw_samples(seed, labels, sample_size, iterations)
+    groups = np.repeat(np.arange(iterations), sample_size)
+    thresholds = _fit_thresholds(
+        scores_arr[samples].ravel(), labels_arr[samples].ravel(), groups, iterations
+    )
+    accuracies = _held_out_accuracies(
+        (scores_arr > thresholds[:, None]) == labels_arr, samples
+    )
     return EvalReport(
         dataset=dataset.name,
         metric="mean_accuracy",
@@ -334,8 +380,8 @@ def wbless_classify(
         n_pairs=n_total,
         n_excluded=n_total - n,
         diagnostics={
-            "thresholds": thresholds,
-            "iteration_accuracies": accuracies,
+            "thresholds": thresholds.tolist(),
+            "iteration_accuracies": accuracies.tolist(),
             "mean_threshold": _finite_mean(thresholds),
             "iterations": iterations,
             "sample_size": sample_size,
@@ -374,25 +420,22 @@ def bibless_classify(
     hypo_arr = codes == hypo_code
     sample_size = max(2, math.ceil(sample_fraction * n))
     sample_size = max(sample_size, len(set(labels)))
-    rng = np.random.default_rng(seed)
-    t1s, t2s, accuracies = [], [], []
-    for _ in range(iterations):
-        sample = _sample_with_all_labels(rng, labels, n, sample_size)
-        t1 = _fit_threshold(agn_arr[sample], taxo_arr[sample])
-        taxo_sample = sample[taxo_arr[sample]]
-        # direction rule: hypo iff the first word's norm dominates
-        t2 = _fit_threshold(dir_arr[taxo_sample], hypo_arr[taxo_sample]) if len(
-            taxo_sample
-        ) else 0.0
-        mask = np.ones(n, dtype=bool)
-        mask[sample] = False
-        pred = np.where(
-            agn_arr > t1, np.where(dir_arr > t2, hypo_code, hyper_code), other_code
-        )
-        acc = float(np.mean(pred[mask] == codes[mask]))
-        t1s.append(t1)
-        t2s.append(t2)
-        accuracies.append(acc)
+    samples = _draw_samples(seed, labels, sample_size, iterations)
+    flat = samples.ravel()
+    groups = np.repeat(np.arange(iterations), sample_size)
+    t1s = _fit_thresholds(agn_arr[flat], taxo_arr[flat], groups, iterations)
+    # direction rule: hypo iff the first word's norm dominates; fit on each
+    # sample's taxonomic pairs, and t2 = 0 for a sample without any
+    in_taxo = taxo_arr[flat]
+    taxo = flat[in_taxo]
+    t2s = _fit_thresholds(dir_arr[taxo], hypo_arr[taxo], groups[in_taxo], iterations)
+    t2s[~in_taxo.reshape(samples.shape).any(axis=1)] = 0.0
+    hits = np.where(
+        agn_arr > t1s[:, None],
+        np.where(dir_arr > t2s[:, None], hypo_arr, codes == hyper_code),
+        ~taxo_arr,
+    )
+    accuracies = _held_out_accuracies(hits, samples)
     return EvalReport(
         dataset=dataset.name,
         metric="mean_accuracy",
@@ -401,9 +444,9 @@ def bibless_classify(
         n_pairs=n_total,
         n_excluded=n_total - n,
         diagnostics={
-            "stage1_thresholds": t1s,
-            "stage2_thresholds": t2s,
-            "iteration_accuracies": accuracies,
+            "stage1_thresholds": t1s.tolist(),
+            "stage2_thresholds": t2s.tolist(),
+            "iteration_accuracies": accuracies.tolist(),
             "mean_threshold": _finite_mean(t1s),
             "iterations": iterations,
             "sample_size": sample_size,

@@ -35,8 +35,8 @@ class Margins:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if value < 0:
-                raise ValueError(f"margin {name} must be >= 0, got {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"margin {name} must be finite and >= 0, got {value}")
 
 
 @dataclass

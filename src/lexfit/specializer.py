@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import PAIR_SETS, ConstraintSet
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, top_k
 from .losses import BatchLoss, Margins
 from .sampling import (
     NEGATIVE_POLICIES,
@@ -230,9 +230,9 @@ def _original_neighbor_sets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k original-space neighbours of each row and their original distances.
 
-    Ranks like :func:`~lexfit.embeddings.nearest_neighbors` (descending
-    cosine, ties toward the smaller row), one bounded block of rows per
-    matmul.
+    Ranks with :func:`~lexfit.embeddings.top_k`, as
+    :func:`~lexfit.embeddings.nearest_neighbors` does (descending cosine,
+    ties toward the smaller row), one bounded block of rows per matmul.
     """
     O = store.original
     k = min(k, len(store) - 1)
@@ -245,7 +245,7 @@ def _original_neighbor_sets(
         sims = (O[block] @ O.T) / (norms * norms[block, None])
         np.clip(sims, -1.0, 1.0, out=sims)
         sims[np.arange(len(block)), block] = -np.inf
-        top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        top = top_k(sims, k)
         neighbors[start : start + step] = top
         distances[start : start + step] = 1.0 - np.take_along_axis(sims, top, axis=1)
     return neighbors, distances

@@ -170,6 +170,14 @@ class TestSpecializeCommand:
         assert main(args) == 2
         assert "m_syn" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_margin_is_usage_error(self, workspace, capsys, value):
+        out = workspace[0] / "x.vec"
+        args = specialize_args(workspace, out, extra=["--m-syn", value])
+        assert main(args) == 2
+        assert "margin m_syn must be finite and >= 0" in capsys.readouterr().err
+        assert list(workspace[0].glob("x.vec*")) == []
+
     @pytest.mark.parametrize("flag, value", [
         ("--retrofit-alpha", "-1"),
         ("--retrofit-alpha", "nan"),

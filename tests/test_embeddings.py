@@ -15,6 +15,7 @@ from lexfit import (
     nearest_neighbors,
     save_embeddings,
 )
+from lexfit.embeddings import top_k
 from helpers import random_store
 
 
@@ -106,6 +107,19 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError, match=":2"):
             load_embeddings(path, "glove-text")
 
+    def test_tiny_components_are_not_zero(self, tmp_path):
+        # the squares of 1e-200 underflow to 0, the components do not
+        path = write(tmp_path / "v.txt", "a 1e-200 1e-200\nb 1 2\n")
+        store = load_embeddings(path, "glove-text")
+        assert store.current[0].tolist() == [1e-200, 1e-200]
+
+    def test_huge_components_load_without_warnings(self, tmp_path):
+        path = write(tmp_path / "v.txt", "a 1e300 -1e300\nb 1 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = load_embeddings(path, "glove-text")
+        assert store.current[0].tolist() == [1e300, -1e300]
+
     def test_duplicates_keep_first(self, tmp_path, caplog):
         path = write(tmp_path / "v.txt", "a 1 2\na 9 9\nb 3 4\n")
         with caplog.at_level(logging.WARNING, logger="lexfit.embeddings"):
@@ -183,6 +197,11 @@ class TestSave:
     def test_empty_store_unconstructible(self):
         with pytest.raises(ValueError):
             EmbeddingStore([], np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("zero", [[0.0, 0.0], [-0.0, 0.0]])
+    def test_zero_row_unconstructible(self, zero):
+        with pytest.raises(ValueError, match="^all-zero vectors are not allowed$"):
+            EmbeddingStore(["a", "b"], [[1e-200, 1e-200], zero])
 
 
 class TestDistance:
@@ -296,3 +315,30 @@ class TestNearestNeighbors:
         )
         rows = [r for r, _ in nearest_neighbors(store, 0, 3)]
         assert rows.index(1) < rows.index(3)
+
+
+class TestTopK:
+    def test_matches_stable_argsort_with_ties(self):
+        # few distinct integer values, so most rows tie across the k-th position
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            n_rows, n = int(rng.integers(1, 6)), int(rng.integers(2, 13))
+            sims = rng.integers(-2, 3, size=(n_rows, n)).astype(np.float64)
+            sims[rng.random(sims.shape) < 0.1] = -np.inf
+            sims[rng.random(sims.shape) < 0.1] = np.nan  # from overflowing norms
+            for k in range(1, n + 1):
+                expected = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+                np.testing.assert_array_equal(top_k(sims, k), expected, err_msg=f"{trial} {k}")
+
+    def test_ties_straddling_the_kth_position_go_to_smaller_columns(self):
+        sims = np.array([
+            [3.0, 1.0, 3.0, 3.0, 0.0],
+            [0.0, 2.0, 2.0, 2.0, 2.0],
+            [1.0, 1.0, 1.0, 1.0, 5.0],
+        ])
+        np.testing.assert_array_equal(top_k(sims, 2), [[0, 2], [1, 2], [4, 0]])
+        np.testing.assert_array_equal(top_k(sims, 4), [[0, 2, 3, 1], [1, 2, 3, 4], [4, 0, 1, 2]])
+
+    def test_signed_zeros_tie(self):
+        sims = np.array([[-0.0, 0.0, -1.0, 0.0]])
+        np.testing.assert_array_equal(top_k(sims, 2), [[0, 1]])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,7 +20,13 @@ from lexfit import (
     spearman,
     wbless_classify,
 )
-from lexfit.evaluate import DatasetFormatError, _fit_threshold
+from lexfit.evaluate import (
+    RELATION_LABELS,
+    DatasetFormatError,
+    _finite_mean,
+    _fit_thresholds,
+    _pair_features,
+)
 
 
 def norm_store(norms, names=None):
@@ -230,7 +238,8 @@ def brute_force_threshold(scores, labels):
     candidates = np.concatenate(([-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]))
     best_t, best_acc = -np.inf, -1.0
     for t in candidates:
-        acc = float(np.mean((scores > t) == labels))
+        # every candidate ties on an empty group
+        acc = float(np.mean((scores > t) == labels)) if len(scores) else 0.0
         if acc > best_acc:
             best_t, best_acc = t, acc
     return float(best_t)
@@ -238,13 +247,137 @@ def brute_force_threshold(scores, labels):
 
 class TestFitThreshold:
     def test_matches_brute_force_with_ties(self):
-        # few distinct scores, so most thresholds tie on accuracy
+        # few distinct scores, so most thresholds tie on accuracy; each call
+        # fits many groups, their entries interleaved, among them empty,
+        # one-entry and single-class groups
         rng = np.random.default_rng(21)
-        for trial in range(300):
-            n = int(rng.integers(1, 40))
-            scores = rng.integers(-3, 4, size=n) / 2.0
-            labels = rng.random(n) < rng.uniform(0.0, 1.0)
-            assert _fit_threshold(scores, labels) == brute_force_threshold(scores, labels), trial
+        for trial in range(40):
+            n_groups = int(rng.integers(4, 40))
+            sizes = rng.integers(0, 40, size=n_groups)
+            sizes[:2] = [0, 1]
+            groups = rng.permutation(np.repeat(np.arange(n_groups), sizes))
+            scores = rng.integers(-3, 4, size=len(groups)) / 2.0
+            labels = rng.random(len(groups)) < rng.uniform(0.0, 1.0, size=n_groups)[groups]
+            labels[groups == 2] = True
+            labels[groups == 3] = False
+            fitted = _fit_thresholds(scores, labels, groups, n_groups)
+            assert fitted.shape == (n_groups,)
+            for g in range(n_groups):
+                mine = groups == g
+                assert fitted[g] == brute_force_threshold(scores[mine], labels[mine]), (trial, g)
+
+    def test_no_groups(self):
+        empty = np.empty(0)
+        assert _fit_thresholds(empty, empty.astype(bool), empty.astype(np.intp), 0).shape == (0,)
+
+
+def reference_sample(rng, labels, n, sample_size):
+    """A sample of distinct pairs holding every label, redrawn until it does."""
+    while True:
+        idx = rng.choice(n, size=sample_size, replace=False)
+        if {labels[i] for i in idx} == set(labels):
+            return idx
+
+
+def reference_wbless(store, dataset, seed, iterations, sample_fraction=0.02):
+    """wbless_classify as one threshold fit per iteration: (value, diagnostics)."""
+    covered, cos, n1, n2 = _pair_features(
+        store, [(e.word1, e.word2) for e in dataset.entries], True
+    )
+    labels = [dataset.entries[i].label == "hyper" for i in covered]
+    n = len(labels)
+    scores, truth = cos * (n2 / n1), np.asarray(labels)
+    sample_size = max(2, math.ceil(sample_fraction * n))
+    rng = np.random.default_rng(seed)
+    thresholds, accuracies = [], []
+    for _ in range(iterations):
+        sample = reference_sample(rng, labels, n, sample_size)
+        t = brute_force_threshold(scores[sample], truth[sample])
+        mask = np.ones(n, dtype=bool)
+        mask[sample] = False
+        thresholds.append(t)
+        accuracies.append(float(np.mean((scores[mask] > t) == truth[mask])))
+    return float(np.mean(accuracies)), {
+        "thresholds": thresholds,
+        "iteration_accuracies": accuracies,
+        "mean_threshold": _finite_mean(thresholds),
+        "iterations": iterations,
+        "sample_size": sample_size,
+    }
+
+
+def reference_bibless(store, dataset, seed, iterations, sample_fraction=0.02):
+    """bibless_classify as two threshold fits per iteration: (value, diagnostics)."""
+    covered, cos, n1, n2 = _pair_features(
+        store, [(e.word1, e.word2) for e in dataset.entries], True
+    )
+    labels = [dataset.entries[i].label for i in covered]
+    n = len(labels)
+    agn = np.maximum(cos * n2 / n1, cos * n1 / n2)
+    direction = (n1 - n2) / (n1 + n2)
+    codes = np.asarray([RELATION_LABELS.index(lab) for lab in labels])
+    taxo, hypo = codes != 2, codes == 1
+    sample_size = max(2, math.ceil(sample_fraction * n), len(set(labels)))
+    rng = np.random.default_rng(seed)
+    t1s, t2s, accuracies = [], [], []
+    for _ in range(iterations):
+        sample = reference_sample(rng, labels, n, sample_size)
+        t1 = brute_force_threshold(agn[sample], taxo[sample])
+        taxo_sample = sample[taxo[sample]]
+        t2 = brute_force_threshold(direction[taxo_sample], hypo[taxo_sample]) if len(
+            taxo_sample
+        ) else 0.0
+        mask = np.ones(n, dtype=bool)
+        mask[sample] = False
+        pred = np.where(agn > t1, np.where(direction > t2, 1, 0), 2)
+        t1s.append(t1)
+        t2s.append(t2)
+        accuracies.append(float(np.mean(pred[mask] == codes[mask])))
+    return float(np.mean(accuracies)), {
+        "stage1_thresholds": t1s,
+        "stage2_thresholds": t2s,
+        "iteration_accuracies": accuracies,
+        "mean_threshold": _finite_mean(t1s),
+        "iterations": iterations,
+        "sample_size": sample_size,
+    }
+
+
+def tie_heavy_relations(seed, n_pairs=150, labels=RELATION_LABELS):
+    """Collinear vectors with norms from {1, 2, 3}: few distinct scores, many ties."""
+    rng = np.random.default_rng(seed)
+    names, norms, rows = [], [], []
+    for i in range(n_pairs):
+        names += [f"a{i}", f"b{i}"]
+        norms += rng.integers(1, 4, size=2).tolist()
+        rows.append((f"a{i}", f"b{i}", labels[int(rng.integers(0, len(labels)))]))
+    return norm_store(norms, names), relation_ds(rows)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 13])
+@pytest.mark.parametrize("fraction", [0.02, 0.2])
+class TestBatchedFitMatchesPerIterationLoop:
+    def test_wbless(self, seed, fraction):
+        store, ds = tie_heavy_relations(seed)
+        report = wbless_classify(store, ds, seed=seed, iterations=120, sample_fraction=fraction)
+        assert (report.value, report.diagnostics) == reference_wbless(
+            store, ds, seed, 120, fraction
+        )
+
+    def test_bibless(self, seed, fraction):
+        store, ds = tie_heavy_relations(seed)
+        report = bibless_classify(store, ds, seed=seed, iterations=120, sample_fraction=fraction)
+        assert (report.value, report.diagnostics) == reference_bibless(
+            store, ds, seed, 120, fraction
+        )
+
+    def test_bibless_without_taxonomic_pairs(self, seed, fraction):
+        store, ds = tie_heavy_relations(seed, labels=("other",))
+        report = bibless_classify(store, ds, seed=seed, iterations=30, sample_fraction=fraction)
+        assert report.diagnostics["stage2_thresholds"] == [0.0] * 30
+        assert (report.value, report.diagnostics) == reference_bibless(
+            store, ds, seed, 30, fraction
+        )
 
 
 class TestWbless:

@@ -39,6 +39,11 @@ class TestMargins:
         with pytest.raises(ValueError):
             Margins(m_syn=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="margin m_ant must be finite and >= 0"):
+            Margins(m_ant=value)
+
 
 class TestContrastive:
     def test_identical_similar_pair(self):

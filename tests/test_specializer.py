@@ -206,6 +206,41 @@ class TestNeighborPrecompute:
             expected = nearest_neighbors(store, int(row), 5, space="original")
             assert near[row].tolist() == [j for j, _ in expected]
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 40])
+    def test_tied_ranks_match_stable_argsort_across_blocks(self, monkeypatch, block_rows):
+        # small integer vectors: exact dot products and many duplicate rows
+        rng = np.random.default_rng(block_rows)
+        vectors = rng.integers(-1, 3, size=(23, 2)).astype(np.float64)
+        vectors[~vectors.any(axis=1)] = [1.0, 1.0]
+        store = EmbeddingStore([f"w{i}" for i in range(23)], vectors)
+        monkeypatch.setattr(specializer, "_NEIGHBOR_BLOCK_CELLS", 23 * block_rows)
+        rows = np.array([0, 1, 2, 4, 7, 8, 9, 15, 21, 22])
+        norms = np.linalg.norm(vectors, axis=1)
+        sims = np.clip((vectors @ vectors.T) / np.outer(norms, norms), -1.0, 1.0)
+        np.fill_diagonal(sims, -np.inf)
+        for k in (1, 4, 9, 22):
+            near, dist = specializer._original_neighbor_sets(store, rows, k)
+            expected = np.argsort(-sims[rows], axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(near, expected)
+            np.testing.assert_array_equal(dist, 1.0 - np.take_along_axis(sims[rows], expected, 1))
+
+
+    def test_overflowing_norms_rank_nan_last(self):
+        # the squares of 1e200 overflow, so some cosines are inf / inf = NaN
+        vectors = np.array([[1e200, 1e200], [2e200, 1e200], [1e200, 3e200], [1.0, 2.0],
+                            [3.0, 1.0], [1.0, -1.0]])
+        store = EmbeddingStore([f"w{i}" for i in range(6)], vectors)
+        rows = np.arange(6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(vectors, axis=1)
+            sims = np.clip((vectors @ vectors.T) / np.outer(norms, norms), -1.0, 1.0)
+            np.fill_diagonal(sims, -np.inf)
+            for k in (1, 3, 5):
+                near, _ = specializer._original_neighbor_sets(store, rows, k)
+                np.testing.assert_array_equal(
+                    near, np.argsort(-sims, axis=1, kind="stable")[:, :k]
+                )
+
 
 def reference_batch_loss(batch, cs, store, config, preset):
     """The per-instance kernels summed over the rows the batched miner picks."""
