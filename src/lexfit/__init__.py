@@ -43,27 +43,8 @@ from .evaluate import (
     spearman,
     wbless_classify,
 )
-from .losses import (
-    LossResult,
-    Margins,
-    asymmetric_norm_loss,
-    asymmetric_norm_score,
-    contrastive_loss,
-    counterfit_preserve_loss,
-    distance_with_grads,
-    preservation_loss,
-    quadruplet_hierarchy_loss,
-    triplet_attract_loss,
-    triplet_repel_loss,
-)
-from .sampling import (
-    MiniBatch,
-    classify_negative,
-    plan_epoch,
-    quad_join,
-    select_negatives,
-    select_positives,
-)
+from .losses import Margins
+from .sampling import MiniBatch, plan_epoch, quad_join
 from .specializer import (
     PRESETS,
     NonFiniteGradientError,
@@ -84,11 +65,7 @@ __all__ = [
     "average_ranks", "bibless_classify", "bless_directionality", "eval_similarity",
     "hyper_score", "hyperlex_eval", "load_relation_dataset", "load_similarity_dataset",
     "spearman", "wbless_classify",
-    "LossResult", "Margins", "asymmetric_norm_loss", "asymmetric_norm_score",
-    "contrastive_loss", "counterfit_preserve_loss", "distance_with_grads", "preservation_loss",
-    "quadruplet_hierarchy_loss", "triplet_attract_loss", "triplet_repel_loss",
-    "MiniBatch", "classify_negative", "plan_epoch", "quad_join", "select_negatives",
-    "select_positives",
+    "Margins", "MiniBatch", "plan_epoch", "quad_join",
     "PRESETS", "NonFiniteGradientError", "SpecializeConfig", "TrainLog",
     "adagrad_step", "retrofit", "specialize",
 ]

@@ -325,6 +325,18 @@ def _sample_with_all_labels(
     raise RuntimeError("could not draw a sample containing every label")
 
 
+def _sample_size(name: str, n: int, sample_fraction: float, n_labels: int) -> int:
+    """Pairs per fitting sample: a ``sample_fraction`` share of the ``n``
+    covered pairs, at least 2 and at least one per label, leaving at least
+    one pair held out."""
+    size = max(2, n_labels, math.ceil(sample_fraction * n))
+    if n - size < 1:
+        raise ValueError(
+            f"{name}: a fitting sample of {size} of the {n} covered pairs holds out none"
+        )
+    return size
+
+
 def _draw_samples(seed: int, labels: list, sample_size: int, iterations: int) -> np.ndarray:
     """One sample per iteration (a row each) that holds every label of ``labels``,
     drawn in order from one seeded stream."""
@@ -363,7 +375,7 @@ def wbless_classify(
         raise ValueError(f"{dataset.name}: needs both classes (hyper and non-hyper)")
     scores_arr = cos * (n2 / n1)
     labels_arr = np.asarray(labels)
-    sample_size = max(2, math.ceil(sample_fraction * n))
+    sample_size = _sample_size(dataset.name, n, sample_fraction, 2)
     samples = _draw_samples(seed, labels, sample_size, iterations)
     groups = np.repeat(np.arange(iterations), sample_size)
     thresholds = _fit_thresholds(
@@ -418,8 +430,7 @@ def bibless_classify(
     hyper_code, hypo_code, other_code = range(len(RELATION_LABELS))
     taxo_arr = codes != other_code
     hypo_arr = codes == hypo_code
-    sample_size = max(2, math.ceil(sample_fraction * n))
-    sample_size = max(sample_size, len(set(labels)))
+    sample_size = _sample_size(dataset.name, n, sample_fraction, len(set(labels)))
     samples = _draw_samples(seed, labels, sample_size, iterations)
     flat = samples.ravel()
     groups = np.repeat(np.arange(iterations), sample_size)

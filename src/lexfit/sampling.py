@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import PAIR_SETS, ConstraintSet
-from .embeddings import EmbeddingStore, distance
 
 RELATION_CYCLE = ("syn", "ant", "hyper", "quad", "ad")
 
@@ -144,11 +143,15 @@ def mine_batch(
     ``rows``/``local`` come from :func:`batch_rows`, ``vectors`` holds the
     current vectors of ``rows`` and ``anchors`` are local indices. An anchor's
     candidates are the rows of the batch's instances that do not contain it,
-    minus the anchor and its ``constraints.partners``. ``negatives`` mode
-    applies ``policy`` (see :func:`select_negatives`); ``positives`` mode
-    takes the k farthest candidates. Distance ties go to the smaller row.
-    Returns an ``(len(anchors), k)`` array of local indices, padded with -1
-    where an anchor has fewer than k candidates.
+    minus the anchor and its ``constraints.partners``. In ``negatives`` mode,
+    ``closest_only`` takes the k closest candidates in the current space and
+    ``closest_plus_random`` the single closest plus k - 1 uniform draws from
+    the rest, keyed by (seed, epoch, batch, anchor). ``positives`` mode takes
+    the k farthest candidates, the mirror of ``closest_only``; training uses
+    them to repel antonyms. Distance ties go to the smaller row. Returns an
+    ``(len(anchors), k)`` array of local indices, padded with -1 where an
+    anchor has fewer than k candidates; an anchor with none is skipped by
+    its caller.
     """
     anchors = np.asarray(anchors, dtype=np.intp)
     n_rows, n_anchors = len(rows), len(anchors)
@@ -219,65 +222,3 @@ def mine_instances(
     picks = mine_batch(batch, constraints, rows, local, vectors, distinct, mode, policy, k)[which]
     which, column = np.nonzero(picks >= 0)
     return instances, which, picks[which, column]
-
-
-def _select(anchor, batch, constraints, store, mode, policy, k) -> list[int]:
-    rows, local = batch_rows(batch, extra=(anchor,))
-    at = np.searchsorted(rows, [anchor])
-    picks = mine_batch(batch, constraints, rows, local, store.current[rows], at, mode, policy, k)
-    return [int(rows[p]) for p in picks[0] if p >= 0]
-
-
-def select_negatives(
-    anchor: int,
-    batch: MiniBatch,
-    constraints: ConstraintSet,
-    store: EmbeddingStore,
-    policy: str = "closest_plus_random",
-    k: int = 2,
-) -> list[int]:
-    """Pick k negative rows from the remaining mini-batch for an anchor.
-
-    ``closest_only`` takes the k smallest current-space distances (ties by
-    row index). ``closest_plus_random`` takes the single closest row plus
-    k - 1 uniform draws from the rest. An empty candidate pool yields an
-    empty list, which callers treat as "skip this instance".
-    """
-    if policy not in NEGATIVE_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {NEGATIVE_POLICIES}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _select(anchor, batch, constraints, store, "negatives", policy, k)
-
-
-def select_positives(
-    anchor: int,
-    batch: MiniBatch,
-    constraints: ConstraintSet,
-    store: EmbeddingStore,
-    k: int = 2,
-) -> list[int]:
-    """Pick the k farthest in-batch rows from the anchor (mirror of the
-    closest-negative selection), used as positives when repelling antonyms."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _select(anchor, batch, constraints, store, "positives", "closest_only", k)
-
-
-def classify_negative(
-    anchor: int, positive: int, candidate: int, margin: float, store: EmbeddingStore
-) -> str:
-    """Classify a candidate negative as hard, semi_hard, or easy.
-
-    Hard: closer to the anchor than the positive. Easy: beyond the positive's
-    distance plus the margin. The boundaries belong to semi_hard so the three
-    classes partition the distance line.
-    """
-    M = store.current
-    d_ac = distance(M[anchor], M[candidate])
-    d_ap = distance(M[anchor], M[positive])
-    if d_ac < d_ap:
-        return "hard"
-    if d_ac <= margin + d_ap:
-        return "semi_hard"
-    return "easy"

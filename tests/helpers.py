@@ -1,4 +1,4 @@
-"""Shared fixtures and oracle utilities for the test suite."""
+"""Shared fixtures for the test suite."""
 
 from __future__ import annotations
 
@@ -11,35 +11,6 @@ def random_store(seed: int, n: int, dim: int) -> EmbeddingStore:
     rng = np.random.default_rng(seed)
     vocab = [f"w{i:03d}" for i in range(n)]
     return EmbeddingStore(vocab, rng.standard_normal((n, dim)))
-
-
-def fd_gradients(loss_fn, store, rows, h: float = 1e-5) -> dict[int, np.ndarray]:
-    """Central finite differences of loss_fn().loss w.r.t. the given rows of store.current."""
-    grads = {}
-    for row in rows:
-        g = np.zeros(store.dim)
-        for i in range(store.dim):
-            saved = store.current[row, i]
-            store.current[row, i] = saved + h
-            up = loss_fn().loss
-            store.current[row, i] = saved - h
-            down = loss_fn().loss
-            store.current[row, i] = saved
-            g[i] = (up - down) / (2.0 * h)
-        grads[row] = g
-    return grads
-
-
-def grad_rel_error(analytic: dict, numeric: dict, rows) -> float:
-    """Relative L2 error between two sparse gradients over a row set."""
-    dim = next(iter(numeric.values())).shape[0] if numeric else 1
-    zero = np.zeros(dim)
-    a = np.concatenate([analytic.get(r, zero) for r in rows]) if rows else zero
-    b = np.concatenate([numeric.get(r, zero) for r in rows]) if rows else zero
-    scale = max(np.linalg.norm(a), np.linalg.norm(b))
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a - b) / scale)
 
 
 def toy_hierarchy_fixture(seed: int = 0, noise: float = 0.4) -> tuple[EmbeddingStore, ConstraintSet]:

@@ -371,6 +371,20 @@ class TestEvalCommand:
         text = report_path.read_text()
         assert text.startswith("dataset\tmetric\tvalue")
 
+    @pytest.mark.parametrize("task", ["wbless", "bibless"])
+    def test_sample_holding_out_nothing_is_runtime_error(self, workspace, capsys, task):
+        tmp_path, emb, *_ = workspace
+        ds = tmp_path / "tiny.tsv"
+        ds.write_text("a1\thypa\thyper\nb1\tb2\tother\n")
+        report_path = tmp_path / "report.tsv"
+        code = main([
+            "eval", "--embeddings", str(emb), "--task", task,
+            "--dataset", str(ds), "--out", str(report_path),
+        ])
+        assert code == 1
+        assert "holds out none" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_unknown_task_exits_2(self, workspace):
         _, emb, *_ = workspace
         with pytest.raises(SystemExit) as exc:

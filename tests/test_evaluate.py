@@ -380,6 +380,20 @@ class TestBatchedFitMatchesPerIterationLoop:
         )
 
 
+@pytest.mark.parametrize("classify, labels", [
+    (wbless_classify, ("hyper", "other")),
+    (bibless_classify, ("hyper", "other")),
+    (bibless_classify, ("hyper", "hypo", "other")),
+])
+def test_sample_holding_out_nothing_errors(classify, labels):
+    # the fitting sample (at least 2 pairs and one per label) would be every covered pair
+    n = len(labels)
+    store = norm_store([1.0, 2.0] * n, [f"w{i}" for i in range(2 * n)])
+    ds = relation_ds([(f"w{2 * i}", f"w{2 * i + 1}", label) for i, label in enumerate(labels)])
+    with pytest.raises(ValueError, match="holds out none"):
+        classify(store, ds)
+
+
 class TestWbless:
     def test_perfectly_separable(self):
         store, ds = separable_wbless()

@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from lexfit import (
-    ConstraintSet,
-    EmbeddingStore,
-    classify_negative,
-    distance,
-    plan_epoch,
-    quad_join,
-    select_negatives,
-    select_positives,
-)
+from lexfit import ConstraintSet, EmbeddingStore, distance, plan_epoch, quad_join
 from lexfit.sampling import MiniBatch, batch_rows, mine_instances
 from helpers import random_store, toy_hierarchy_fixture
+from reference_losses import mine_one
 
 
 def syn_constraints(pairs):
@@ -97,20 +89,20 @@ class TestSelectNegatives:
         )
         cs = syn_constraints([(0, 1), (2, 3), (4, 5)])
         batch = self.batch([(0, 1), (2, 3), (4, 5)])
-        picks = select_negatives(0, batch, cs, store, policy="closest_only", k=1)
+        picks = mine_one(0, batch, cs, store, policy="closest_only", k=1)
         assert picks == [2]  # row 2 is parallel to the anchor, distance 0
 
     def test_pool_of_only_constrained_words_is_empty(self):
         store = random_store(0, 4, 5)
         cs = syn_constraints([(0, 1), (0, 2), (0, 3), (2, 3)])
         batch = self.batch([(0, 1), (2, 3)])
-        assert select_negatives(0, batch, cs, store) == []
+        assert mine_one(0, batch, cs, store) == []
 
     def test_single_instance_batch_empty(self):
         store = random_store(0, 2, 4)
         cs = syn_constraints([(0, 1)])
         batch = self.batch([(0, 1)])
-        assert select_negatives(0, batch, cs, store) == []
+        assert mine_one(0, batch, cs, store) == []
 
     def test_closest_matches_bruteforce(self):
         # oracle: exhaustive distance scan over the eligible pool
@@ -133,7 +125,7 @@ class TestSelectNegatives:
             expected = min(
                 pool, key=lambda r: (distance(store.current[anchor], store.current[r]), r)
             )
-            got = select_negatives(anchor, batch, cs, store, policy="closest_plus_random", k=2)
+            got = mine_one(anchor, batch, cs, store, policy="closest_plus_random", k=2)
             assert got[0] == expected
             assert len(got) == 2
             assert len(set(got)) == 2
@@ -143,8 +135,8 @@ class TestSelectNegatives:
         pairs = [(2 * i, 2 * i + 1) for i in range(8)]
         cs = syn_constraints(pairs)
         batch = self.batch(pairs, seed=11)
-        a = select_negatives(0, batch, cs, store, k=2)
-        b = select_negatives(0, batch, cs, store, k=2)
+        a = mine_one(0, batch, cs, store, k=2)
+        b = mine_one(0, batch, cs, store, k=2)
         assert a == b
 
     def test_never_violates_exclusion(self):
@@ -170,7 +162,7 @@ class TestSelectPositives:
         cs.add_pair("ant", 0, 1)
         cs.add_pair("ant", 2, 3)
         batch = MiniBatch("ant", [(0, 1), (2, 3)], 0, 0, 0)
-        picks = select_positives(0, batch, cs, store, k=1)
+        picks = mine_one(0, batch, cs, store, "positives", k=1)
         assert picks == [2]  # -anchor has distance 2, the maximum
 
     def test_farthest_matches_bruteforce(self):
@@ -189,32 +181,7 @@ class TestSelectPositives:
             expected = max(
                 pool, key=lambda r: (distance(store.current[anchor], store.current[r]), -r)
             )
-            assert select_positives(anchor, batch, cs, store, k=1) == [expected]
-
-
-class TestClassifyNegative:
-    def setup_method(self):
-        # anchor at 0 deg, positive at 60 deg (D = 0.5)
-        self.store = EmbeddingStore(
-            ["a", "p", "hard", "semi", "easy"],
-            [
-                [np.cos(np.deg2rad(d)), np.sin(np.deg2rad(d))]
-                for d in (0, 60, 25, 80, 170)
-            ],
-        )
-
-    def test_hard(self):
-        assert classify_negative(0, 1, 2, 0.9, self.store) == "hard"
-
-    def test_semi_hard(self):
-        assert classify_negative(0, 1, 3, 0.9, self.store) == "semi_hard"
-
-    def test_easy(self):
-        assert classify_negative(0, 1, 4, 0.9, self.store) == "easy"
-
-    def test_boundaries_are_semi_hard(self):
-        # candidate exactly at the positive's distance
-        assert classify_negative(0, 1, 1, 0.9, self.store) == "semi_hard"
+            assert mine_one(anchor, batch, cs, store, "positives", k=1) == [expected]
 
 
 class TestMineInstances:

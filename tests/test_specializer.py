@@ -4,30 +4,31 @@ import pytest
 from lexfit import (
     ConstraintSet,
     EmbeddingStore,
-    LossResult,
     Margins,
     NonFiniteGradientError,
     SpecializeConfig,
     adagrad_step,
-    asymmetric_norm_loss,
-    contrastive_loss,
-    counterfit_preserve_loss,
     distance,
-    distance_with_grads,
     nearest_neighbors,
     plan_epoch,
-    preservation_loss,
     quad_join,
-    quadruplet_hierarchy_loss,
     retrofit,
-    select_negatives,
-    select_positives,
     specialize,
-    triplet_attract_loss,
-    triplet_repel_loss,
 )
 from lexfit import specializer
 from helpers import random_store, taxonomy_fixture, toy_hierarchy_fixture
+from reference_losses import (
+    LossResult,
+    asymmetric_norm_loss,
+    contrastive_loss,
+    counterfit_preserve_loss,
+    distance_with_grads,
+    mine_one,
+    preservation_loss,
+    quadruplet_hierarchy_loss,
+    triplet_attract_loss,
+    triplet_repel_loss,
+)
 
 
 class TestAdagradStep:
@@ -253,12 +254,13 @@ def reference_batch_loss(batch, cs, store, config, preset):
         for a, b in batch.items:
             for anchor, partner in ((a, b), (b, a)) if mirror else ((a, b),):
                 if rel == "ant":
-                    aux = select_positives(anchor, batch, cs, store, config.sample_k)
+                    aux = mine_one(anchor, batch, cs, store, "positives", k=config.sample_k)
                     if aux:
                         res.merge(triplet_repel_loss(anchor, partner, aux, m.m_ant, store))
                 else:
-                    aux = select_negatives(
-                        anchor, batch, cs, store, config.negative_policy, config.sample_k
+                    aux = mine_one(
+                        anchor, batch, cs, store, "negatives", config.negative_policy,
+                        config.sample_k,
                     )
                     if aux:
                         res.merge(triplet_attract_loss(anchor, partner, aux, margin, store))
@@ -267,7 +269,9 @@ def reference_batch_loss(batch, cs, store, config, preset):
                         res.merge(preservation_loss([anchor, partner, x], store, m.m_reg))
     elif rel == "quad":
         for a, s, h in batch.items:
-            negs = select_negatives(a, batch, cs, store, config.negative_policy, config.sample_k)
+            negs = mine_one(
+                a, batch, cs, store, "negatives", config.negative_policy, config.sample_k
+            )
             if negs:
                 res.merge(
                     quadruplet_hierarchy_loss(a, s, h, negs, m.m_hie_syn, m.m_hie_hyp, store)
@@ -293,7 +297,7 @@ def reference_counterfit_loss(batch, store, constrained, neighbors, m):
                 res.add_grad(a, g_a)
                 res.add_grad(b, g_b)
         else:
-            res.merge(contrastive_loss(a, b, 0, m.m_ant, store))
+            res.merge(contrastive_loss(a, b, m.m_ant, store))
     near, near_dist = neighbors
     for row in sorted({r for item in batch.items for r in item}):
         i = int(np.searchsorted(constrained, row))
