@@ -76,13 +76,6 @@ class EmbeddingStore:
     def row_of(self, token: str) -> int:
         return self.index[token]
 
-    def matrix(self, space: str = "current") -> np.ndarray:
-        if space == "current":
-            return self.current
-        if space == "original":
-            return self.original
-        raise ValueError(f"unknown space {space!r} (expected 'current' or 'original')")
-
 
 def _parse_header(line: str, path: str) -> tuple[int, int]:
     parts = line.split()
@@ -244,14 +237,11 @@ def save_embeddings(store: EmbeddingStore, path: str, format: str) -> None:
 
 def cosine(u, v) -> float:
     """Cosine similarity of two nonzero vectors, clipped into [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    u, v = (np.asarray(x, dtype=np.float64).reshape(1, -1) for x in (u, v))
+    nu, nv = row_norms(u), row_norms(v)
+    if nu[0] == 0.0 or nv[0] == 0.0:
         raise ValueError("cosine of a zero vector is undefined")
-    c = float(np.dot(u, v) / (nu * nv))
-    return min(1.0, max(-1.0, c))
+    return float(row_cosines(u, v, nu, nv)[0])
 
 
 def distance(u, v) -> float:
@@ -278,6 +268,51 @@ def backoff_lookup(store: EmbeddingStore, token: str) -> LookupResult:
     return LookupResult(row=None, matched_token=None, truncation_depth=depth, covered=False)
 
 
+# --- cosine geometry --------------------------------------------------------
+# Every norm and cosine of the package is computed here. A row whose norm lies
+# outside [2^-480, 2^480] (its sum of squares outside [2^-960, 2^960]) is first
+# divided by the power of two that brings its largest component into [0.5, 1).
+# That division is exact, so norms and cosines are right for every finite row.
+_NORM_RANGE = (2.0 ** -480, 2.0 ** 480)
+
+# bounds the (block rows x vocabulary) similarity scratch of :func:`nearest_rows`
+_NEIGHBOR_BLOCK_CELLS = 1 << 18
+
+
+def _in_range(matrix: np.ndarray, norms: np.ndarray) -> tuple:
+    """``matrix`` and ``norms`` with the out-of-range rows rescaled, and each row's
+    exponent of two; the inputs, uncopied, and None when every row is in range."""
+    if not len(norms) or _NORM_RANGE[0] <= norms.min() and norms.max() <= _NORM_RANGE[1]:
+        return matrix, norms, None
+    out = ~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1]))
+    exponents = np.where(out, np.frexp(np.abs(matrix).max(axis=1))[1], 0)
+    matrix = np.ldexp(matrix, -exponents[:, None])
+    return matrix, np.where(out, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)), norms), exponents
+
+
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row."""
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    _, scaled, exponents = _in_range(matrix, norms)
+    return norms if exponents is None else np.ldexp(scaled, exponents)
+
+
+def row_cosines(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Cosine of each row pair ``(a[i], b[i])`` given row norms ``na``, ``nb``; in [-1, 1]."""
+    a, na, _ = _in_range(a, na)
+    b, nb, _ = _in_range(b, nb)
+    return np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
+
+
+def cosine_matrix(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Cosine of every row of ``a`` with every row of ``b``, given the row norms
+    ``na`` and ``nb``, clipped into [-1, 1]: a ``(len(a), len(b))`` matrix."""
+    a, na, _ = _in_range(a, na)
+    b, nb, _ = _in_range(b, nb)
+    sims = (a @ b.T) / (na[:, None] * nb)
+    return np.clip(sims, -1.0, 1.0, out=sims)
+
+
 def top_k(sims: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k largest entries of each row of ``sims``.
 
@@ -297,10 +332,29 @@ def top_k(sims: np.ndarray, k: int) -> np.ndarray:
     return cols[order[starts[:, None] + np.arange(k)]]
 
 
-def nearest_neighbors(
-    store: EmbeddingStore, row: int, k: int, space: str = "current"
-) -> list[tuple[int, float]]:
-    """Top-k rows by cosine to the query row, excluding the query itself.
+def nearest_rows(matrix: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``rows``, the ``min(k, len(matrix) - 1)`` other rows closest
+    by cosine, ranked by :func:`top_k`, and their cosines; formed one bounded
+    block of ``rows`` at a time. Needs ``len(matrix) >= 2``."""
+    k = min(k, len(matrix) - 1)
+    # rescaled once here, so the blocks below find every row in range
+    matrix, norms, _ = _in_range(matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)))
+    indices = np.empty((len(rows), k), dtype=np.intp)
+    cosines = np.empty((len(rows), k))
+    step = max(1, _NEIGHBOR_BLOCK_CELLS // len(matrix))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        at = np.arange(len(block))[:, None]
+        sims = cosine_matrix(matrix[block], matrix, norms[block], norms)
+        sims[at[:, 0], block] = -np.inf
+        top = top_k(sims, k)
+        indices[start : start + step] = top
+        cosines[start : start + step] = sims[at, top]
+    return indices, cosines
+
+
+def nearest_neighbors(store: EmbeddingStore, row: int, k: int) -> list[tuple[int, float]]:
+    """Top-k rows of ``store.current`` by cosine to the query row, excluding the query itself.
 
     Returns ``min(k, len(store) - 1)`` entries sorted by descending cosine;
     ties break toward the smaller row index.
@@ -309,14 +363,7 @@ def nearest_neighbors(
         raise ValueError("k must be >= 1")
     if not 0 <= row < len(store):
         raise IndexError(f"row {row} out of range for store of size {len(store)}")
-    n_top = min(k, len(store) - 1)
-    if n_top == 0:
+    if len(store) == 1:
         return []
-    matrix = store.matrix(space)
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    sims = (matrix @ matrix[row]) / (norms * norms[row])
-    np.clip(sims, -1.0, 1.0, out=sims)
-    sims[row] = -np.inf
-    top = top_k(sims[None, :], n_top)[0]
-    return [(int(r), float(sims[r])) for r in top]
-
+    indices, cosines = nearest_rows(store.current, np.array([row]), k)
+    return list(zip(indices[0].tolist(), cosines[0].tolist()))

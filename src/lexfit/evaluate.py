@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, backoff_lookup
+from .embeddings import EmbeddingStore, backoff_lookup, row_cosines, row_norms
 
 RELATION_LABELS = ("hyper", "hypo", "other")
 
@@ -154,10 +154,7 @@ def spearman(xs, ys) -> float:
 
 
 def _resolve_row(store: EmbeddingStore, word: str, use_backoff: bool) -> int | None:
-    if use_backoff:
-        hit = backoff_lookup(store, word)
-        return hit.row
-    return store.index.get(word)
+    return backoff_lookup(store, word).row if use_backoff else store.index.get(word)
 
 
 def _pair_features(store: EmbeddingStore, word_pairs, use_backoff: bool):
@@ -176,31 +173,35 @@ def _pair_features(store: EmbeddingStore, word_pairs, use_backoff: bool):
             rows.append((r1, r2))
     rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
     u, v = store.current[rows[:, 0]], store.current[rows[:, 1]]
-    n1 = np.sqrt(np.einsum("ij,ij->i", u, u))
-    n2 = np.sqrt(np.einsum("ij,ij->i", v, v))
-    cos = np.clip(np.einsum("ij,ij->i", u, v) / (n1 * n2), -1.0, 1.0)
-    return covered, cos, n1, n2
+    n1, n2 = row_norms(u), row_norms(v)
+    return covered, row_cosines(u, v, n1, n2), n1, n2
+
+
+def _rank_correlation(store: EmbeddingStore, dataset: SimilarityDataset, use_backoff: bool,
+                      score) -> EvalReport:
+    """Spearman correlation between ``score(cos, n1, n2)`` of each covered pair
+    and its human score."""
+    covered, cos, n1, n2 = _pair_features(
+        store, [(w1, w2) for w1, w2, _ in dataset.pairs], use_backoff
+    )
+    n = len(dataset.pairs)
+    if len(covered) < 2:
+        raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
+    return EvalReport(
+        dataset=dataset.name,
+        metric="spearman_rho",
+        value=spearman(score(cos, n1, n2), [dataset.pairs[i][2] for i in covered]),
+        coverage=len(covered) / n,
+        n_pairs=n,
+        n_excluded=n - len(covered),
+    )
 
 
 def eval_similarity(
     store: EmbeddingStore, dataset: SimilarityDataset, use_backoff: bool = True
 ) -> EvalReport:
     """Spearman correlation between model cosine and human scores over covered pairs."""
-    covered, cos, _, _ = _pair_features(
-        store, [(w1, w2) for w1, w2, _ in dataset.pairs], use_backoff
-    )
-    n = len(dataset.pairs)
-    if len(covered) < 2:
-        raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
-    rho = spearman(cos, [dataset.pairs[i][2] for i in covered])
-    return EvalReport(
-        dataset=dataset.name,
-        metric="spearman_rho",
-        value=rho,
-        coverage=len(covered) / n,
-        n_pairs=n,
-        n_excluded=n - len(covered),
-    )
+    return _rank_correlation(store, dataset, use_backoff, lambda cos, n1, n2: cos)
 
 
 def hyper_score(
@@ -469,17 +470,4 @@ def hyperlex_eval(
     store: EmbeddingStore, dataset: SimilarityDataset, use_backoff: bool = True
 ) -> EvalReport:
     """Spearman correlation between graded hypernymy scores and human ratings."""
-    covered, cos, n1, n2 = _pair_features(
-        store, [(w1, w2) for w1, w2, _ in dataset.pairs], use_backoff
-    )
-    n = len(dataset.pairs)
-    if len(covered) < 2:
-        raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
-    return EvalReport(
-        dataset=dataset.name,
-        metric="spearman_rho",
-        value=spearman(cos * (n2 / n1), [dataset.pairs[i][2] for i in covered]),
-        coverage=len(covered) / n,
-        n_pairs=n,
-        n_excluded=n - len(covered),
-    )
+    return _rank_correlation(store, dataset, use_backoff, lambda cos, n1, n2: cos * (n2 / n1))

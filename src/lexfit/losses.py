@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, row_cosines, row_norms
 
 
 @dataclass
@@ -29,23 +29,12 @@ class Margins:
     m_hie_hyp: float = 0.6
     m_reg: float = 1e-9
     gamma_reg: float = 0.001
-    m_contrastive: float = 0.9
     ad_weight: float = 1.0
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"margin {name} must be finite and >= 0, got {value}")
-
-
-def _row_cosines(
-    a: np.ndarray, b: np.ndarray, norm_a: np.ndarray, norm_b: np.ndarray
-) -> np.ndarray:
-    return np.sum(a * b, axis=1) / (norm_a * norm_b)
-
-
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(matrix * matrix, axis=1))
 
 
 class BatchLoss:
@@ -62,7 +51,7 @@ class BatchLoss:
         self.rows = rows
         self.current = store.current[rows]
         self.original = store.original[rows]
-        self.norms = _row_norms(self.current)
+        self.norms = row_norms(self.current)
         self.loss = 0.0
         self.n_hinges = 0
         self.n_active = 0
@@ -71,13 +60,6 @@ class BatchLoss:
         self._src: list[np.ndarray] = []
         self._coef: list[np.ndarray] = []
 
-    def _cosines(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        X = self.current
-        return _row_cosines(X[left], X[right], self.norms[left], self.norms[right])
-
-    def _distances(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return 1.0 - np.clip(self._cosines(left, right), -1.0, 1.0)
-
     def _add(self, dst, src, coef) -> None:
         if not len(dst[0]):
             return
@@ -85,9 +67,8 @@ class BatchLoss:
         self._src.extend(src)
         self._coef.extend(coef)
 
-    def _pull(self, left: np.ndarray, right: np.ndarray, weight: float) -> None:
-        """Gradient of weight * D(left, right) for each pair."""
-        c = self._cosines(left, right)
+    def _pull(self, left: np.ndarray, right: np.ndarray, c: np.ndarray, weight: float) -> None:
+        """Gradient of weight * D(left, right) for each pair, whose cosine is ``c``."""
         nl, nr = self.norms[left], self.norms[right]
         cross = -weight / (nl * nr)
         self._add((left, left, right, right), (left, right, right, left),
@@ -100,15 +81,17 @@ class BatchLoss:
         index array; ``margin`` is a scalar or one value per hinge. Each hinge
         counts ``count`` times, in the loss and in the hinge counts.
         """
+        X, norms = self.current, self.norms
+        cosines = [row_cosines(X[a], X[b], norms[a], norms[b]) for _, a, b in terms]
         h = margin
-        for sign, left, right in terms:
-            h = h + sign * self._distances(left, right)
+        for (sign, _, _), c in zip(terms, cosines):
+            h = h + sign * (1.0 - c)
         active = h > 0
         self.n_hinges += count * len(active)
         self.n_active += count * int(np.count_nonzero(active))
         self.loss += count * float(np.sum(h[active]))
-        for sign, left, right in terms:
-            self._pull(left[active], right[active], count * sign)
+        for (sign, left, right), c in zip(terms, cosines):
+            self._pull(left[active], right[active], c[active], count * sign)
 
     def preserve(self, local_rows: np.ndarray, weight: float) -> None:
         """weight * D(current, original) for every occurrence of a row.
@@ -120,10 +103,10 @@ class BatchLoss:
         w = weight * np.bincount(local_rows, minlength=n)
         moved = np.flatnonzero((w > 0) & np.any(self.current != self.original, axis=1))
         u, o = self.current[moved], self.original[moved]
-        nu, no = self.norms[moved], _row_norms(o)
-        c = _row_cosines(u, o, nu, no)
+        nu, no = self.norms[moved], row_norms(o)
+        c = row_cosines(u, o, nu, no)
         w = w[moved]
-        self.loss += float(np.sum(w * (1.0 - np.clip(c, -1.0, 1.0))))
+        self.loss += float(np.sum(w * (1.0 - c)))
         self._add((moved, moved), (moved, moved + n), (w * c / (nu * nu), -w / (nu * no)))
 
     def norm_asymmetry(self, hyponym: np.ndarray, hypernym: np.ndarray, weight: float) -> None:
@@ -143,13 +126,14 @@ class BatchLoss:
         """The ``(len(rows), dim)`` gradient of everything added so far."""
         n = len(self.rows)
         block = np.zeros_like(self.current)
-        if not self._dst:
-            return block
-        key = np.concatenate(self._dst) * (2 * n) + np.concatenate(self._src)
-        pairs, which = np.unique(key, return_inverse=True)
-        coef = np.bincount(which, weights=np.concatenate(self._coef))
-        dst, src = np.divmod(pairs, 2 * n)
-        terms = coef[:, None] * np.concatenate((self.current, self.original))[src]
-        starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-        block[dst[starts]] = np.add.reduceat(terms, starts, axis=0)
+        if self._dst:
+            key = np.concatenate(self._dst) * (2 * n) + np.concatenate(self._src)
+            pairs, which = np.unique(key, return_inverse=True)
+            coef = np.bincount(which, weights=np.concatenate(self._coef))
+            dst, src = np.divmod(pairs, 2 * n)
+            terms = coef[:, None] * np.concatenate((self.current, self.original))[src]
+            starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+            block[dst[starts]] = np.add.reduceat(terms, starts, axis=0)
+        # a row whose norm overflows float64 has no usable gradient
+        block[np.isinf(self.norms)] = np.nan
         return block

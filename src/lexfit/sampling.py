@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import PAIR_SETS, ConstraintSet
+from .embeddings import cosine_matrix, row_norms
 
 RELATION_CYCLE = ("syn", "ant", "hyper", "quad", "ad")
 
@@ -173,9 +174,8 @@ def mine_batch(
         hit = rows[pos] == partner_rows
         mask[np.asarray(owner)[hit], pos[hit]] = False
 
-    norms = np.linalg.norm(vectors, axis=1)
-    sims = (vectors[anchors] @ vectors.T) / (norms * norms[anchors, None])
-    dist = 1.0 - np.clip(sims, -1.0, 1.0)
+    norms = row_norms(vectors)
+    dist = 1.0 - cosine_matrix(vectors[anchors], vectors, norms[anchors], norms)
     counts = mask.sum(axis=1)
     picks = np.full((n_anchors, k), -1, dtype=np.intp)
     if mode == "negatives" and policy == "closest_plus_random":

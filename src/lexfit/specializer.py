@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import PAIR_SETS, ConstraintSet
-from .embeddings import EmbeddingStore, top_k
+from .embeddings import EmbeddingStore, nearest_rows
 from .losses import BatchLoss, Margins
 from .sampling import (
     NEGATIVE_POLICIES,
@@ -221,34 +221,13 @@ def retrofit(
 
 # --- counter-fitting --------------------------------------------------------
 
-# bounds the (block rows x vocabulary) similarity scratch of the precompute
-_NEIGHBOR_BLOCK_CELLS = 1 << 18
-
-
 def _original_neighbor_sets(
     store: EmbeddingStore, rows: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k original-space neighbours of each row and their original distances.
-
-    Ranks with :func:`~lexfit.embeddings.top_k`, as
-    :func:`~lexfit.embeddings.nearest_neighbors` does (descending cosine,
-    ties toward the smaller row), one bounded block of rows per matmul.
-    """
-    O = store.original
-    k = min(k, len(store) - 1)
-    norms = np.linalg.norm(O, axis=1)
-    neighbors = np.empty((len(rows), k), dtype=np.intp)
-    distances = np.empty((len(rows), k))
-    step = max(1, _NEIGHBOR_BLOCK_CELLS // len(store))
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step]
-        sims = (O[block] @ O.T) / (norms * norms[block, None])
-        np.clip(sims, -1.0, 1.0, out=sims)
-        sims[np.arange(len(block)), block] = -np.inf
-        top = top_k(sims, k)
-        neighbors[start : start + step] = top
-        distances[start : start + step] = 1.0 - np.take_along_axis(sims, top, axis=1)
-    return neighbors, distances
+    """Top-k original-space neighbours of each row and their original distances,
+    ranked by :func:`~lexfit.embeddings.nearest_rows`."""
+    neighbors, cosines = nearest_rows(store.original, rows, k)
+    return neighbors, 1.0 - cosines
 
 
 def _train_counterfit(

@@ -98,6 +98,32 @@ class TestSpecializeCommand:
         assert code == 0
         assert replay_out.read_bytes() == out.read_bytes()
 
+    def test_replay_ignores_the_retired_m_contrastive_key(self, workspace):
+        # manifests written before the dead option was deleted still carry it
+        tmp_path = workspace[0]
+        out = tmp_path / "out.vec"
+        assert main(specialize_args(workspace, out)) == 0
+        manifest_path = tmp_path / "out.vec.manifest"
+        manifest = json.loads(manifest_path.read_text())
+        assert "m_contrastive" not in manifest["config"]
+        manifest["config"]["m_contrastive"] = 0.1
+        manifest_path.write_text(json.dumps(manifest))
+        replay_out = tmp_path / "replayed.vec"
+        code = main(["specialize", "--replay", str(manifest_path), "--out", str(replay_out)])
+        assert code == 0
+        assert replay_out.read_bytes() == out.read_bytes()
+
+    def test_m_contrastive_is_not_an_option(self, workspace, capsys):
+        tmp_path = workspace[0]
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("m_contrastive=0.5\n")
+        args = specialize_args(workspace, tmp_path / "x.vec", ["--config", str(cfg)])
+        assert main(args) == 2
+        assert "unknown option 'm_contrastive'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(specialize_args(workspace, tmp_path / "x.vec", ["--m-contrastive", "0.5"]))
+        assert exc.value.code == 2
+
     def test_missing_hyper_is_usage_error(self, workspace, capsys):
         _, emb, syn, ant, _ = workspace
         code = main([
@@ -385,6 +411,23 @@ class TestEvalCommand:
         assert "holds out none" in capsys.readouterr().err
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("exponent", ["e200", "e-200"])
+    def test_extreme_rows_score_by_true_cosine_and_norm(self, tmp_path, capsys, exponent):
+        emb = write_extreme_vectors(tmp_path, exponent)
+        sim = tmp_path / "sim.tsv"
+        # human scores in the order of the true cosines 0.948683, 0.894427, 0.832050
+        sim.write_text("a\tc\t3.0\na\tb\t2.0\na\td\t1.0\n")
+        bless = tmp_path / "bless.tsv"
+        # |a| < |b| at either scale; |a| is 1e200 times |c| or 1e-200 times it
+        smaller = ("c", "a") if exponent == "e200" else ("a", "c")
+        bless.write_text(f"a\tb\thyper\n{smaller[0]}\t{smaller[1]}\thyper\n")
+        for task, dataset in (("sim", sim), ("bless", bless)):
+            report = tmp_path / f"{task}.tsv"
+            argv = ["eval", "--embeddings", str(emb), "--task", task,
+                    "--dataset", str(dataset), "--out", str(report)]
+            assert main(argv) == 0
+            assert report.read_text().splitlines()[1].split("\t")[2] == "1"
+
     def test_unknown_task_exits_2(self, workspace):
         _, emb, *_ = workspace
         with pytest.raises(SystemExit) as exc:
@@ -423,3 +466,19 @@ class TestNearestCommand:
         save_embeddings(store, str(emb), "glove-text")
         assert main(["nearest", "--embeddings", str(emb), "--word", "zz"]) == 1
         assert "not covered" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exponent", ["e200", "e-200"])
+    def test_extreme_rows_rank_by_true_cosine(self, tmp_path, capsys, exponent):
+        # squares of 1e200 overflow and squares of 1e-200 underflow
+        emb = write_extreme_vectors(tmp_path, exponent)
+        assert main(["nearest", "--embeddings", str(emb), "--word", "a", "--k", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "c\t0.948683", "b\t0.894427", "d\t0.832050",
+        ]
+
+
+def write_extreme_vectors(tmp_path, exponent):
+    """A glove file whose rows a and b are scaled by 10 to ``exponent``."""
+    emb = tmp_path / "extreme.vec"
+    emb.write_text(f"a 1{exponent} 1{exponent}\nb 3{exponent} 1{exponent}\nc 1 2\nd 5 1\n")
+    return emb

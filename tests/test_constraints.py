@@ -102,6 +102,19 @@ class TestLoadPairs:
         assert cs.antonyms == {(0, 5)}
 
 
+def walk_closure(direct, max_depth):
+    """Oracle: the pairs of distinct words joined by a walk of 1 to ``max_depth``
+    direct links (any length for None), by composing the link set with itself."""
+    closure: set = set()
+    walks = set(direct)  # the pairs joined by a walk of exactly `length` links
+    length = 1
+    while not walks <= closure and (max_depth is None or length <= max_depth):
+        closure |= walks
+        walks = {(a, c) for a, b in walks for b2, c in direct if b == b2}
+        length += 1
+    return {(a, b) for a, b in closure if a != b}
+
+
 class TestClosure:
     def test_two_link_chain(self):
         closure = hypernym_closure({(0, 1), (1, 2)})
@@ -136,6 +149,21 @@ class TestClosure:
             reach = nxt
         expected = {(i, j) for i in range(n) for j in range(n) if reach[i, j] and i != j}
         assert hypernym_closure(direct) == expected
+
+    @pytest.mark.parametrize("max_depth", [None, 1, 2, 3])
+    def test_matches_walk_oracle_on_random_graphs(self, max_depth):
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            n = int(rng.integers(2, 9))
+            direct = {
+                (int(a), int(b)) for a, b in rng.integers(0, n, size=(int(rng.integers(1, 15)), 2))
+                if a != b
+            }
+            if trial % 3 == 0:  # close a cycle through every node
+                direct |= {(i, (i + 1) % n) for i in range(n)}
+            assert hypernym_closure(direct, max_depth) == walk_closure(direct, max_depth), (
+                trial, sorted(direct)
+            )
 
     def test_monotone_and_idempotent(self):
         direct = {(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)}

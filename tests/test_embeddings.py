@@ -15,7 +15,8 @@ from lexfit import (
     nearest_neighbors,
     save_embeddings,
 )
-from lexfit.embeddings import top_k
+from lexfit import embeddings
+from lexfit.embeddings import cosine_matrix, row_cosines, row_norms, top_k
 from helpers import random_store
 
 
@@ -231,6 +232,46 @@ class TestDistance:
             assert 0.0 <= distance(u, v) <= 2.0
 
 
+class TestGeometry:
+    def test_in_range_rows_use_the_plain_formula_uncopied(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((2, 30, 7)) * 10.0 ** rng.uniform(-100, 100, (2, 30, 1))
+        na, nb = row_norms(a), row_norms(b)
+        np.testing.assert_array_equal(na, np.sqrt(np.einsum("ij,ij->i", a, a)))
+        plain = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
+        np.testing.assert_array_equal(row_cosines(a, b, na, nb), plain)
+        assert embeddings._in_range(a, na)[0] is a
+
+    @pytest.mark.parametrize("scale", [1e300, 1e200, 1e-200, 1e-300, 1e-310])
+    def test_extreme_rows_keep_true_norms_and_cosines(self, scale):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 10, 4))
+        na, nb = row_norms(a), row_norms(b)
+        expected = row_cosines(a, b, na, nb)
+        big_a, big_b = a * scale, b * scale
+        got_na, got_nb = row_norms(big_a), row_norms(big_b)
+        # 1e-310 is subnormal: its components keep only about 14 digits
+        rtol = 1e-13 if scale < 1e-300 else 1e-15
+        np.testing.assert_allclose(got_na, na * scale, rtol=rtol)
+        for left, right, n_left, n_right in ((big_a, big_b, got_na, got_nb),
+                                             (big_a, b, got_na, nb)):
+            np.testing.assert_allclose(
+                row_cosines(left, right, n_left, n_right), expected, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                cosine_matrix(left, right, n_left, n_right),
+                cosine_matrix(a, b, na, nb), rtol=0, atol=1e-12,
+            )
+        assert abs(cosine(big_a[0], big_b[0]) - expected[0]) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_cosine_of_extreme_rows(self, scale):
+        # plain sums of squares overflow at 1e200 and underflow to 0 at 1e-200
+        assert abs(cosine([scale, scale], [3 * scale, scale]) - 0.894427191) < 1e-9
+        assert abs(cosine([scale, scale], [1.0, 2.0]) - 0.9486832981) < 1e-9
+        assert distance([scale, 0.0], [2 * scale, 0.0]) == 0.0
+
+
 class TestBackoff:
     def test_exact_hit(self):
         store = EmbeddingStore(["running", "run"], np.eye(2))
@@ -315,6 +356,16 @@ class TestNearestNeighbors:
         )
         rows = [r for r, _ in nearest_neighbors(store, 0, 3)]
         assert rows.index(1) < rows.index(3)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_rows_rank_by_true_cosine(self, scale):
+        store = EmbeddingStore(
+            ["a", "b", "c", "d"], [[scale, scale], [3 * scale, scale], [1.0, 2.0], [5.0, 1.0]]
+        )
+        got = nearest_neighbors(store, 0, 3)
+        assert [r for r, _ in got] == [2, 1, 3]
+        np.testing.assert_allclose([c for _, c in got], [0.9486832981, 0.894427191, 0.8320502943])
+        assert [r for r, _ in nearest_neighbors(store, 2, 3)] == [0, 1, 3]
 
 
 class TestTopK:

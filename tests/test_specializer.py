@@ -9,13 +9,12 @@ from lexfit import (
     SpecializeConfig,
     adagrad_step,
     distance,
-    nearest_neighbors,
     plan_epoch,
     quad_join,
     retrofit,
     specialize,
 )
-from lexfit import specializer
+from lexfit import embeddings, specializer
 from helpers import random_store, taxonomy_fixture, toy_hierarchy_fixture
 from reference_losses import (
     LossResult,
@@ -186,26 +185,36 @@ class TestCounterfit:
         np.testing.assert_array_equal(store.current, before)
 
 
+def bruteforce_neighbors(vectors, rows, k):
+    """Oracle: every pair's cosine on its own, ranked by a stable descending sort."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    # dividing a row by its largest component keeps every product in range
+    unit = vectors / np.abs(vectors).max(axis=1, keepdims=True)
+    sims = np.array([
+        [float(u @ v) / np.sqrt(float(u @ u) * float(v @ v)) for v in unit] for u in unit
+    ])
+    np.fill_diagonal(sims, -np.inf)
+    near = np.argsort(-sims[rows], axis=1, kind="stable")[:, :k]
+    return near, 1.0 - np.take_along_axis(sims[rows], near, axis=1)
+
+
 class TestNeighborPrecompute:
-    def test_matches_nearest_neighbors_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(specializer, "_NEIGHBOR_BLOCK_CELLS", 300)  # two rows per block
+    def test_matches_bruteforce_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_CELLS", 300)  # two rows per block
         store = random_store(5, 150, 6)
         rows = np.array([0, 3, 17, 50, 51, 149])
         near, dist = specializer._original_neighbor_sets(store, rows, 7)
         store.current[:] = 0.0  # the precompute reads the original space only
-        for i, row in enumerate(rows):
-            expected = nearest_neighbors(store, int(row), 7, space="original")
-            assert near[i].tolist() == [j for j, _ in expected]
-            np.testing.assert_allclose(dist[i], [1.0 - c for _, c in expected], rtol=0, atol=1e-12)
+        expected_near, expected_dist = bruteforce_neighbors(store.original, rows, 7)
+        np.testing.assert_array_equal(near, expected_near)
+        np.testing.assert_allclose(dist, expected_dist, rtol=0, atol=1e-12)
 
     def test_ties_go_to_the_smaller_row(self):
         vectors = [[0.0, 1.0], [1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [-1.0, 0.0], [3.0, 0.0]]
         store = EmbeddingStore([f"w{i}" for i in range(6)], vectors)
         rows = np.arange(6)
         near, _ = specializer._original_neighbor_sets(store, rows, 5)
-        for row in rows:
-            expected = nearest_neighbors(store, int(row), 5, space="original")
-            assert near[row].tolist() == [j for j, _ in expected]
+        np.testing.assert_array_equal(near, bruteforce_neighbors(vectors, rows, 5)[0])
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 40])
     def test_tied_ranks_match_stable_argsort_across_blocks(self, monkeypatch, block_rows):
@@ -214,7 +223,7 @@ class TestNeighborPrecompute:
         vectors = rng.integers(-1, 3, size=(23, 2)).astype(np.float64)
         vectors[~vectors.any(axis=1)] = [1.0, 1.0]
         store = EmbeddingStore([f"w{i}" for i in range(23)], vectors)
-        monkeypatch.setattr(specializer, "_NEIGHBOR_BLOCK_CELLS", 23 * block_rows)
+        monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_CELLS", 23 * block_rows)
         rows = np.array([0, 1, 2, 4, 7, 8, 9, 15, 21, 22])
         norms = np.linalg.norm(vectors, axis=1)
         sims = np.clip((vectors @ vectors.T) / np.outer(norms, norms), -1.0, 1.0)
@@ -225,22 +234,19 @@ class TestNeighborPrecompute:
             np.testing.assert_array_equal(near, expected)
             np.testing.assert_array_equal(dist, 1.0 - np.take_along_axis(sims[rows], expected, 1))
 
-
-    def test_overflowing_norms_rank_nan_last(self):
-        # the squares of 1e200 overflow, so some cosines are inf / inf = NaN
-        vectors = np.array([[1e200, 1e200], [2e200, 1e200], [1e200, 3e200], [1.0, 2.0],
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_rows_rank_by_true_cosine(self, scale):
+        # squares of 1e200 overflow and squares of 1e-200 underflow
+        vectors = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 3.0], [1.0, 2.0],
                             [3.0, 1.0], [1.0, -1.0]])
+        vectors[:3] *= scale
         store = EmbeddingStore([f"w{i}" for i in range(6)], vectors)
         rows = np.arange(6)
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(vectors, axis=1)
-            sims = np.clip((vectors @ vectors.T) / np.outer(norms, norms), -1.0, 1.0)
-            np.fill_diagonal(sims, -np.inf)
-            for k in (1, 3, 5):
-                near, _ = specializer._original_neighbor_sets(store, rows, k)
-                np.testing.assert_array_equal(
-                    near, np.argsort(-sims, axis=1, kind="stable")[:, :k]
-                )
+        for k in (1, 3, 5):
+            near, dist = specializer._original_neighbor_sets(store, rows, k)
+            expected_near, expected_dist = bruteforce_neighbors(vectors, rows, k)
+            np.testing.assert_array_equal(near, expected_near)
+            np.testing.assert_allclose(dist, expected_dist, rtol=0, atol=1e-12)
 
 
 def reference_batch_loss(batch, cs, store, config, preset):
