@@ -65,7 +65,8 @@ class RunManifest:
     method: str
     format: str
     config: dict
-    inputs: dict[str, dict[str, str]]
+    # one {role, order, path, sha256} entry per input, so one path may serve two roles
+    inputs: list[dict]
     output: str
 
     def to_json(self) -> str:
@@ -73,7 +74,13 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        return cls(**json.loads(text))
+        fields = json.loads(text)
+        if isinstance(fields["inputs"], dict):
+            # older manifests key the inputs by path, one role per path
+            fields["inputs"] = [
+                {"path": path, "order": 0, **meta} for path, meta in fields["inputs"].items()
+            ]
+        return cls(**fields)
 
 
 def _sha256(path: str) -> str:
@@ -167,21 +174,15 @@ def _resolve_specialize_options(args) -> dict:
         options["method"] = manifest.method
         options["format"] = manifest.format
         options.setdefault("out", manifest.output)
+        entries = sorted(manifest.inputs, key=lambda entry: entry["order"])
         for relation in RELATIONS:
-            options[relation] = [
-                path for path, meta in manifest.inputs.items()
-                if meta["role"] == relation
-            ]
-            options[relation].sort(
-                key=lambda p: manifest.inputs[p].get("order", 0)
-            )
+            options[relation] = [entry["path"] for entry in entries if entry["role"] == relation]
         options["embeddings"] = next(
-            path for path, meta in manifest.inputs.items() if meta["role"] == "embeddings"
+            entry["path"] for entry in entries if entry["role"] == "embeddings"
         )
         # inputs still read from the manifest must be the files it recorded
         options["digests"] = {
-            path: meta["sha256"] for path, meta in manifest.inputs.items()
-            if not getattr(args, meta["role"])
+            entry["path"]: entry["sha256"] for entry in entries if not getattr(args, entry["role"])
         }
     if args.config:
         options.update(_read_config_file(args.config))
@@ -236,13 +237,14 @@ def cmd_specialize(args) -> int:
                 raise ValueError(f"{path}: sha256 differs from the replayed manifest")
         store = load_embeddings(options["embeddings"], options["format"])
         constraints = ConstraintSet()
-        inputs: dict[str, dict] = {
-            options["embeddings"]: {"role": "embeddings", "sha256": _sha256(options["embeddings"])}
-        }
+        inputs = [{"role": "embeddings", "order": 0, "path": options["embeddings"],
+                   "sha256": _sha256(options["embeddings"])}]
         for relation in RELATIONS:
             for order, path in enumerate(options[relation]):
                 load_pairs(constraints, path, relation, store)
-                inputs[path] = {"role": relation, "sha256": _sha256(path), "order": order}
+                inputs.append(
+                    {"role": relation, "order": order, "path": path, "sha256": _sha256(path)}
+                )
         _, log = specialize(store, constraints, config)
         save_embeddings(store, options["out"], options["format"])
         with open(options["out"] + ".log", "w", encoding="utf-8", newline="\n") as fh:

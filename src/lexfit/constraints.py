@@ -6,6 +6,8 @@ import logging
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from .embeddings import EmbeddingStore
 
 log = logging.getLogger(__name__)
@@ -48,7 +50,7 @@ class ConstraintSet:
         self.dropped_oov: int = 0
         self.dropped_self: int = 0
         self.dropped_conflict: int = 0
-        self._partner_cache: dict[str, dict[int, set[int]]] | None = None
+        self._partner_cache: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
 
     def add_pair(self, relation: str, row_a: int, row_b: int) -> tuple[bool, str | None]:
         """Insert one pair; returns (added, drop_reason)."""
@@ -75,37 +77,57 @@ class ConstraintSet:
             self.closure_computed = False
         return True, None
 
+    def _adjacency(self, relation: str) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)``: the rows linked to row r under a pair-file
+        relation (hypernymy: either direction, closure included) are
+        ``indices[indptr[r]:indptr[r + 1]]``, ascending."""
+        if self._partner_cache is None:
+            self._partner_cache = {}
+            for rel in RELATIONS:
+                pairs = getattr(self, PAIR_SETS[rel])
+                if rel == "hyper":
+                    pairs = pairs | self.indirect_hypernyms
+                ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+                src = np.concatenate((ends[:, 0], ends[:, 1]))
+                dst = np.concatenate((ends[:, 1], ends[:, 0]))
+                order = np.lexsort((dst, src))
+                n = int(src.max()) + 1 if len(src) else 0
+                self._partner_cache[rel] = (
+                    np.searchsorted(src[order], np.arange(n + 1)), dst[order]
+                )
+        return self._partner_cache[relation]
+
     def partners(self, relation: str, row: int) -> set[int]:
         """Rows constrained to ``row`` under a relation (hypernymy: either direction).
 
-        The ``quad`` relation unions synonym and direct-hypernym partners, since
+        The ``quad`` relation unions synonym and hypernym partners, since
         quadruplet instances draw on both.
         """
-        if self._partner_cache is None:
-            cache: dict[str, dict[int, set[int]]] = {
-                "syn": defaultdict(set),
-                "ant": defaultdict(set),
-                "hyper": defaultdict(set),
-            }
-            for a, b in self.synonyms:
-                cache["syn"][a].add(b)
-                cache["syn"][b].add(a)
-            for a, b in self.antonyms:
-                cache["ant"][a].add(b)
-                cache["ant"][b].add(a)
-            for a, b in self.direct_hypernyms | self.indirect_hypernyms:
-                cache["hyper"][a].add(b)
-                cache["hyper"][b].add(a)
-            self._partner_cache = cache
+        _, found = self.linked(relation, np.array([row], dtype=np.intp))
+        return set(found.tolist())
+
+    def linked(self, relation: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(i, partner)`` with ``partner`` in ``partners(relation, rows[i])``,
+        as two arrays, found without a Python loop over ``rows``."""
         if relation == "quad":
-            return self._partner_cache["syn"].get(row, set()) | self._partner_cache[
-                "hyper"
-            ].get(row, set())
-        if relation == "ad":
-            relation = "hyper"
-        if relation not in self._partner_cache:
+            relations = ("syn", "hyper")
+        elif relation == "ad":
+            relations = ("hyper",)
+        elif relation in RELATIONS:
+            relations = (relation,)
+        else:
             raise ValueError(f"unknown relation {relation!r}")
-        return self._partner_cache[relation].get(row, set())
+        owners, partners = [], []
+        for rel in relations:
+            indptr, indices = self._adjacency(rel)
+            n = len(indptr) - 1
+            start = indptr[np.minimum(rows, n)]
+            counts = indptr[np.minimum(rows + 1, n)] - start
+            # position within each row's run of partners
+            offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            owners.append(np.repeat(np.arange(len(rows)), counts))
+            partners.append(indices[np.repeat(start, counts) + offsets])
+        return np.concatenate(owners), np.concatenate(partners)
 
     def compute_closure(self, max_depth: int | None = None) -> set[tuple[int, int]]:
         """Fill ``indirect_hypernyms`` with the transitive closure of the direct pairs."""

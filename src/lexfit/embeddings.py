@@ -59,6 +59,8 @@ class EmbeddingStore:
             raise ValueError("vectors contain non-finite values")
         if not matrix.any(axis=1).all():
             raise ValueError("all-zero vectors are not allowed")
+        if np.isinf(row_norms(matrix)).any():
+            raise ValueError("vector norm overflows float64")
         self.vocab: list[str] = vocab
         self.dim: int = int(matrix.shape[1])
         self.current: np.ndarray = matrix
@@ -114,8 +116,9 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
     ``glove-text`` files start directly with records. Every record is
     ``token v1 v2 ... vdim``; the token ends at the first ASCII space or tab.
     Duplicate tokens keep their first occurrence (later ones are dropped and
-    counted); zero vectors, non-finite or non-numeric values, and dimension
-    mismatches are rejected with the line number of the first bad record.
+    counted); zero vectors, non-finite or non-numeric values, vectors whose
+    norm overflows float64, and dimension mismatches are rejected with the
+    line number of the first bad record.
 
     The file is streamed once: the token is split off each line, and the
     rest of every line goes to one bulk numeric parse.
@@ -157,6 +160,7 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
         or (dim is not None and matrix.shape[1] != dim)
         or not np.isfinite(matrix).all()
         or not matrix.any(axis=1).all()
+        or np.isinf(row_norms(matrix)).any()
     ):
         _raise_first_fault(path, format, dim)
 
@@ -210,6 +214,8 @@ def _raise_first_fault(path: str, format: str, dim: int | None) -> NoReturn:
                 raise EmbeddingFormatError(f"{path}:{lineno}: non-finite vector component")
             if not np.any(vec):
                 raise EmbeddingFormatError(f"{path}:{lineno}: all-zero vector for {token!r}")
+            if np.isinf(row_norms(vec.reshape(1, -1)))[0]:
+                raise EmbeddingFormatError(f"{path}:{lineno}: vector norm overflows float64")
     if lineno is None:
         raise EmbeddingFormatError(f"{path}: no embedding records found")
     raise EmbeddingFormatError(f"{path}: malformed vector data")
@@ -291,10 +297,13 @@ def _in_range(matrix: np.ndarray, norms: np.ndarray) -> tuple:
 
 
 def row_norms(matrix: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row."""
+    """The Euclidean norm of each row; inf where it exceeds the largest float64."""
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
     _, scaled, exponents = _in_range(matrix, norms)
-    return norms if exponents is None else np.ldexp(scaled, exponents)
+    if exponents is None:
+        return norms
+    with np.errstate(over="ignore"):
+        return np.ldexp(scaled, exponents)
 
 
 def row_cosines(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:

@@ -124,16 +124,17 @@ class BatchLoss:
 
     def gradient(self) -> np.ndarray:
         """The ``(len(rows), dim)`` gradient of everything added so far."""
-        n = len(self.rows)
-        block = np.zeros_like(self.current)
+        n, dim = self.current.shape
         if self._dst:
             key = np.concatenate(self._dst) * (2 * n) + np.concatenate(self._src)
             pairs, which = np.unique(key, return_inverse=True)
             coef = np.bincount(which, weights=np.concatenate(self._coef))
             dst, src = np.divmod(pairs, 2 * n)
             terms = coef[:, None] * np.concatenate((self.current, self.original))[src]
-            starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-            block[dst[starts]] = np.add.reduceat(terms, starts, axis=0)
+            cells = (dst[:, None] * dim + np.arange(dim)).ravel()
+            block = np.bincount(cells, weights=terms.ravel(), minlength=n * dim).reshape(n, dim)
+        else:
+            block = np.zeros_like(self.current)
         # a row whose norm overflows float64 has no usable gradient
         block[np.isinf(self.norms)] = np.nan
         return block

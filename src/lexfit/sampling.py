@@ -6,6 +6,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .constraints import PAIR_SETS, ConstraintSet
 from .embeddings import cosine_matrix, row_norms
@@ -90,7 +91,7 @@ def plan_epoch(
         items = _relation_instances(constraints, rel, closed_hypernyms, closed_ad)
         if not items:
             continue
-        rng = np.random.default_rng((seed, epoch, RELATION_CYCLE.index(rel)))
+        rng = default_rng((seed, epoch, RELATION_CYCLE.index(rel)))
         order = rng.permutation(len(items))
         shuffled = [items[i] for i in order]
         chunks[rel] = [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
@@ -124,8 +125,28 @@ def batch_rows(batch: MiniBatch, extra=()) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.searchsorted(rows, items)
 
 
-def _aux_rng(batch: MiniBatch, anchor: int, role: int) -> np.random.Generator:
-    return np.random.default_rng((batch.seed, batch.epoch, batch.batch_index, anchor, role))
+# splitmix64 (Steele et al., OOPSLA 2014): ``_splitmix64(seed, i)`` is the
+# i-th output of the generator seeded with ``seed``, so every draw key is a pure
+# function of its inputs and needs no generator state.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+# keeps the draw's entropy apart from plan_epoch's (seed, epoch, relation)
+_DRAW_TAG = 0x6D696E65
+
+
+def _splitmix64(seed: np.ndarray, i: np.ndarray) -> np.ndarray:
+    x = seed + (i.astype(np.uint64) + np.uint64(1)) * _GAMMA
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _draw_keys(batch: MiniBatch, anchor_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A uniform key in [0, 1) for every (anchor row, candidate row) cell,
+    keyed by (seed, epoch, batch index, anchor row, candidate row) alone."""
+    base = SeedSequence((batch.seed, batch.epoch, batch.batch_index, _DRAW_TAG))
+    streams = _splitmix64(base.generate_state(1, np.uint64), anchor_rows)
+    keys = _splitmix64(streams[:, None], rows)
+    return (keys >> np.uint64(11)) * 2.0 ** -53
 
 
 def mine_batch(
@@ -146,8 +167,11 @@ def mine_batch(
     candidates are the rows of the batch's instances that do not contain it,
     minus the anchor and its ``constraints.partners``. In ``negatives`` mode,
     ``closest_only`` takes the k closest candidates in the current space and
-    ``closest_plus_random`` the single closest plus k - 1 uniform draws from
-    the rest, keyed by (seed, epoch, batch, anchor). ``positives`` mode takes
+    ``closest_plus_random`` the single closest plus k - 1 uniform draws
+    without replacement from the rest. The draws take the candidates with the
+    smallest hashed keys, and a key depends only on (seed, epoch, batch,
+    anchor row, candidate row), so an anchor's picks do not depend on which
+    other anchors are mined with it. ``positives`` mode takes
     the k farthest candidates, the mirror of ``closest_only``; training uses
     them to repel antonyms. Distance ties go to the smaller row. Returns an
     ``(len(anchors), k)`` array of local indices, padded with -1 where an
@@ -162,17 +186,10 @@ def mine_batch(
     outside = member.sum(axis=1) - member[anchors] @ member.T
     mask = outside > 0.5
     mask[np.arange(n_anchors), anchors] = False
-    owner: list[int] = []
-    partner: list[int] = []
-    for i, anchor in enumerate(rows[anchors].tolist()):
-        found = constraints.partners(batch.relation, anchor)
-        owner += [i] * len(found)
-        partner += found
-    if partner:
-        partner_rows = np.asarray(partner, dtype=np.intp)
-        pos = np.minimum(np.searchsorted(rows, partner_rows), n_rows - 1)
-        hit = rows[pos] == partner_rows
-        mask[np.asarray(owner)[hit], pos[hit]] = False
+    owner, partner_rows = constraints.linked(batch.relation, rows[anchors])
+    pos = np.minimum(np.searchsorted(rows, partner_rows), n_rows - 1)
+    hit = rows[pos] == partner_rows
+    mask[owner[hit], pos[hit]] = False
 
     norms = row_norms(vectors)
     dist = 1.0 - cosine_matrix(vectors[anchors], vectors, norms[anchors], norms)
@@ -182,14 +199,15 @@ def mine_batch(
         closest = np.argmin(np.where(mask, dist, np.inf), axis=1)
         picks[:, 0] = np.where(counts > 0, closest, -1)
         mask[np.arange(n_anchors), closest] = False
-        # each anchor's remaining candidates first, ascending
-        rest = np.argsort(~mask, axis=1, kind="stable")
-        for i, (anchor, n_rest) in enumerate(zip(rows[anchors].tolist(), (counts - 1).tolist())):
-            n_random = min(k - 1, n_rest)
-            if n_random > 0:
-                rng = _aux_rng(batch, anchor, role=0)
-                draws = rng.choice(n_rest, size=n_random, replace=False)
-                picks[i, 1 : 1 + n_random] = rest[i, draws]
+        if k > 1:
+            # the k - 1 smallest keys are a uniform draw without replacement
+            keys = np.where(mask, _draw_keys(batch, rows[anchors], rows), np.inf)
+            width = min(k - 1, n_rows)
+            draws = np.argpartition(keys, width - 1, axis=1)[:, :width]
+            draws = np.take_along_axis(
+                draws, np.argsort(np.take_along_axis(keys, draws, axis=1), axis=1), axis=1
+            )
+            picks[:, 1 : 1 + width] = np.where(np.arange(width) < counts[:, None] - 1, draws, -1)
         return picks
     key = -dist if mode == "positives" else dist
     order = np.argsort(np.where(mask, key, np.inf), axis=1, kind="stable")[:, :k]

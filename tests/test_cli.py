@@ -75,7 +75,7 @@ class TestSpecializeCommand:
         manifest = json.loads((tmp_path / "out.vec.manifest").read_text())
         assert manifest["seed"] == 7
         assert manifest["method"] == "hierarchy_fitting"
-        assert any(meta["role"] == "syn" for meta in manifest["inputs"].values())
+        assert any(entry["role"] == "syn" for entry in manifest["inputs"])
 
     def test_byte_identical_reruns(self, workspace):
         tmp_path = workspace[0]
@@ -95,6 +95,48 @@ class TestSpecializeCommand:
             "--replay", str(tmp_path / "out.vec.manifest"),
             "--out", str(replay_out),
         ])
+        assert code == 0
+        assert replay_out.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("method, roles", [
+        ("retrofitting", ("--syn", "--hyper")),
+        ("hierarchy-fitting", ("--syn", "--hyper", "--ant")),
+    ])
+    def test_replay_keeps_every_role_of_a_shared_path(self, workspace, method, roles):
+        tmp_path, emb, syn, ant, _ = workspace
+        out = tmp_path / "out.vec"
+        argv = ["specialize", "--embeddings", str(emb), "--format", "glove-text",
+                "--method", method, "--out", str(out), *TRAINING]
+        for flag in roles:
+            argv += [flag, str(ant if flag == "--ant" else syn)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "out.vec.manifest").read_text())
+        assert sorted(e["role"] for e in manifest["inputs"] if e["path"] == str(syn)) == [
+            "hyper", "syn"
+        ]
+        replay_out = tmp_path / "replayed.vec"
+        code = main(["specialize", "--replay", str(tmp_path / "out.vec.manifest"),
+                     "--out", str(replay_out)])
+        assert code == 0
+        assert replay_out.read_bytes() == out.read_bytes()
+
+    def test_replay_reads_the_path_keyed_manifest(self, workspace):
+        # manifests written before inputs became a list key them by path
+        tmp_path = workspace[0]
+        out = tmp_path / "out.vec"
+        assert main(specialize_args(workspace, out)) == 0
+        manifest_path = tmp_path / "out.vec.manifest"
+        manifest = json.loads(manifest_path.read_text())
+        old = {}
+        for entry in manifest["inputs"]:
+            meta = {"role": entry["role"], "sha256": entry["sha256"]}
+            if entry["role"] != "embeddings":
+                meta["order"] = entry["order"]
+            old[entry["path"]] = meta
+        manifest["inputs"] = old
+        manifest_path.write_text(json.dumps(manifest))
+        replay_out = tmp_path / "replayed.vec"
+        code = main(["specialize", "--replay", str(manifest_path), "--out", str(replay_out)])
         assert code == 0
         assert replay_out.read_bytes() == out.read_bytes()
 
@@ -427,6 +469,16 @@ class TestEvalCommand:
                     "--dataset", str(dataset), "--out", str(report)]
             assert main(argv) == 0
             assert report.read_text().splitlines()[1].split("\t")[2] == "1"
+
+    @pytest.mark.parametrize("task", ["sim", "hyperlex", "bless"])
+    def test_overflowing_norm_is_runtime_error(self, tmp_path, capsys, task):
+        emb = tmp_path / "big.vec"
+        emb.write_text("b 1 2\na 1.5e308 1.5e308\nc 2 1\nd 1 1\n")
+        dataset = tmp_path / "d.tsv"
+        dataset.write_text("a\tb\t1.0\nc\td\t2.0\n" if task != "bless" else "a\tb\thyper\n")
+        code = main(["eval", "--embeddings", str(emb), "--task", task, "--dataset", str(dataset)])
+        assert code == 1
+        assert capsys.readouterr().err == f"lexfit: error: {emb}:2: vector norm overflows float64\n"
 
     def test_unknown_task_exits_2(self, workspace):
         _, emb, *_ = workspace

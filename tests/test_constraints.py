@@ -212,6 +212,25 @@ class TestPartners:
         assert cs.partners("hyper", 3) == {0}
         assert cs.partners("quad", 0) == {1, 3}
 
+    def test_linked_matches_the_pair_sets(self):
+        rng = np.random.default_rng(8)
+        cs = ConstraintSet()
+        for rel in ("syn", "ant", "hyper"):
+            for a, b in rng.integers(0, 30, size=(40, 2)).tolist():
+                cs.add_pair(rel, a, b)
+        cs.compute_closure()
+        hyper = cs.direct_hypernyms | cs.indirect_hypernyms
+        sets = {"syn": cs.synonyms, "ant": cs.antonyms, "hyper": hyper, "ad": hyper,
+                "quad": cs.synonyms | hyper}
+        rows = np.array([0, 5, 5, 29, 35, 3, 17])  # 35 is in no pair
+        for rel, pairs in sets.items():
+            owner, partner = cs.linked(rel, rows)
+            want = {(i, b if a == r else a) for i, r in enumerate(rows.tolist())
+                    for a, b in pairs if r in (a, b)}
+            assert set(zip(owner.tolist(), partner.tolist())) == want
+            for i, r in enumerate(rows.tolist()):
+                assert cs.partners(rel, r) == {p for j, p in want if j == i}
+
     def test_cache_invalidation(self):
         cs = ConstraintSet()
         cs.add_pair("syn", 0, 1)

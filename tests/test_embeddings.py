@@ -73,6 +73,10 @@ class TestLoad:
         ("2 2\na 1 2\nb 1 2 3\n", "word2vec-text", ":3: expected 2 values, got 3"),
         # Python's float() reads "1_0", the file format does not
         ("a 1_0 2\n", "glove-text", ":1: non-numeric vector component"),
+        # every component is finite, the norm is not
+        ("a 1 2\nb 1.5e308 1.5e308\n", "glove-text", ":2: vector norm overflows float64"),
+        ("a 1 2\nb 1.5e308 1.5e308\nc 1 x\n", "glove-text",
+         ":2: vector norm overflows float64"),
     ])
     def test_first_fault_in_file_order(self, tmp_path, text, format, message):
         path = write(tmp_path / "v.txt", text)
@@ -203,6 +207,12 @@ class TestSave:
     def test_zero_row_unconstructible(self, zero):
         with pytest.raises(ValueError, match="^all-zero vectors are not allowed$"):
             EmbeddingStore(["a", "b"], [[1e-200, 1e-200], zero])
+
+    def test_overflowing_norm_unconstructible(self):
+        with pytest.raises(ValueError, match="^vector norm overflows float64$"):
+            EmbeddingStore(["a", "b"], [[1.0, 2.0], [1.5e308, 1.5e308]])
+        # sqrt(2) * 1.2e308 is still below the largest float64
+        EmbeddingStore(["a", "b"], [[1.0, 2.0], [1.2e308, 1.2e308]])
 
 
 class TestDistance:

@@ -264,3 +264,41 @@ def test_inactive_instances_have_zero_gradients(kernel):
             assert res.loss == 0.0
             assert no_gradient(res)
     assert seen_inactive
+
+
+class TestGradientAssembly:
+    def loss_with_repeats(self, store, rows):
+        res = BatchLoss(store, rows)
+        # the same (dst, src) pairs recur within one family and across families
+        left, right, other = idx(0, 0, 1, 0, 2), idx(1, 1, 2, 1, 0), idx(2, 3, 3, 3, 1)
+        res.hinge(2.0, (1.0, left, right), (-1.0, left, other))
+        res.hinge(2.0, (1.0, left, right), (-1.0, right, other), count=2)
+        res.preserve(idx(0, 0, 1, 3, 3, 3), 0.5)
+        res.norm_asymmetry(idx(0, 1, 0), idx(2, 3, 2), 1.0)
+        return res
+
+    def naive_gradient(self, res):
+        stacked = np.concatenate((res.current, res.original))
+        block = np.zeros_like(res.current)
+        for dst, src, coef in zip(res._dst, res._src, res._coef):
+            np.add.at(block, dst, coef[:, None] * stacked[src])
+        return block
+
+    def test_matches_naive_accumulation(self):
+        store = random_store(31, 8, 5)
+        store.current[:] += 0.5 * np.random.default_rng(32).standard_normal((8, 5))
+        res = self.loss_with_repeats(store, np.arange(6))
+        assert res.n_active > 0
+        got, want = res.gradient(), self.naive_gradient(res)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # rows 4 and 5 are gathered but no term touches them
+        assert not got[4:].any()
+
+    def test_overflowing_norm_row_is_nan(self):
+        store = random_store(33, 6, 2)
+        store.current[5] = [1.5e308, 1.5e308]
+        res = self.loss_with_repeats(store, np.arange(6))
+        assert np.isinf(res.norms[5])
+        block = res.gradient()
+        assert np.isnan(block[5]).all()
+        assert np.isfinite(block[:5]).all()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lexfit import ConstraintSet, EmbeddingStore, distance, plan_epoch, quad_join
-from lexfit.sampling import MiniBatch, batch_rows, mine_instances
+from lexfit.sampling import MiniBatch, batch_rows, mine_batch, mine_instances
 from helpers import random_store, toy_hierarchy_fixture
 from reference_losses import mine_one
 
@@ -150,6 +150,53 @@ class TestSelectNegatives:
                 anchor = rows[items[i, 0]]
                 forbidden = cs.partners(batch.relation, anchor) | set(rows[items[i]])
                 assert rows[aux] not in forbidden
+
+    def test_random_draw_is_uniform(self):
+        # the closest candidate is fixed, so across batch indices the draw
+        # should spread evenly over the 17 other candidates of anchor 0
+        store = random_store(5, 20, 6)
+        pairs = [(2 * i, 2 * i + 1) for i in range(10)]
+        cs = syn_constraints(pairs)
+        n_draws = 3400
+        counts = {}
+        closest = set()
+        for b in range(n_draws):
+            batch = MiniBatch("syn", pairs, epoch=0, batch_index=b, seed=4)
+            first, drawn = mine_one(0, batch, cs, store, k=2)
+            closest.add(first)
+            counts[drawn] = counts.get(drawn, 0) + 1
+        assert len(closest) == 1 and len(counts) == 17
+        expected = n_draws / 17
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 39.25  # the 0.999 quantile of chi-square with 16 degrees of freedom
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_batched_picks_equal_single_anchor_picks(self, k):
+        store, cs = toy_hierarchy_fixture(seed=3)
+        for batch in plan_epoch(cs, 8, seed=6, relations=("syn", "hyper", "quad")):
+            rows, local = batch_rows(batch)
+            anchors = np.unique(local)
+            picks = mine_batch(batch, cs, rows, local, store.current[rows], anchors, k=k)
+            for anchor, row in zip(anchors, picks):
+                single = mine_one(int(rows[anchor]), batch, cs, store, k=k)
+                assert [int(rows[p]) for p in row if p >= 0] == single
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_picks_are_distinct_candidates(self, k):
+        store, cs = toy_hierarchy_fixture(seed=4)
+        for batch in plan_epoch(cs, 8, seed=2, relations=("syn", "hyper", "quad")):
+            rows, local = batch_rows(batch)
+            anchors = np.unique(local)
+            picks = mine_batch(batch, cs, rows, local, store.current[rows], anchors, k=k)
+            for anchor, row in zip(anchors, picks):
+                anchor_row = int(rows[anchor])
+                pool = {
+                    r for item in batch.items if anchor_row not in item for r in item
+                } - cs.partners(batch.relation, anchor_row)
+                picked = [int(rows[p]) for p in row if p >= 0]
+                assert len(picked) == len(set(picked)) == min(k, len(pool))
+                assert set(picked) <= pool
+                assert (row[: len(picked)] >= 0).all()
 
 
 class TestSelectPositives:

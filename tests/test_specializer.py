@@ -14,7 +14,7 @@ from lexfit import (
     retrofit,
     specialize,
 )
-from lexfit import embeddings, specializer
+from lexfit import embeddings, sampling, specializer
 from helpers import random_store, taxonomy_fixture, toy_hierarchy_fixture
 from reference_losses import (
     LossResult,
@@ -366,6 +366,34 @@ class TestBatchLossMatchesReference:
             assert_batch_matches(res, ref, len(store), store.dim)
 
 
+def test_mining_builds_one_generator_per_batch(monkeypatch):
+    # a random source per anchor would scale with the anchors, not the batches
+    store, cs = toy_hierarchy_fixture()
+    config = SpecializeConfig(
+        preset="hierarchy_fitting_ad_indir", epochs=1, batch_size=8, seed=3, sample_k=3
+    )
+    spec = specializer.PRESET_TABLE[config.preset]
+    cs.compute_closure()
+    plan = plan_epoch(cs, config.batch_size, config.seed, relations=spec.streams,
+                      closed_hypernyms=spec.closed_hyper, closed_ad=spec.closed_ad)
+    mined = sum(batch.relation != "ad" for batch in plan)
+    relations = len({batch.relation for batch in plan})
+    anchors = sum(len(batch.items) for batch in plan if batch.relation != "ad")
+    assert anchors > 2 * (mined + relations)
+    built = []
+
+    def counted(real):
+        def build(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+        return build
+
+    for name in ("SeedSequence", "default_rng"):
+        monkeypatch.setattr(sampling, name, counted(getattr(sampling, name)))
+    specialize(store, cs, config)
+    assert 0 < len(built) <= mined + relations
+
+
 class TestSpecializePresets:
     def test_empty_required_relation_names_it(self):
         store = random_store(0, 10, 4)
@@ -400,6 +428,18 @@ class TestSpecializePresets:
             specialize(store, cs, config)
             results.append(store.current.copy())
         np.testing.assert_array_equal(results[0], results[1])
+
+    def test_reproducible_with_two_random_negatives(self):
+        results = []
+        for sample_k in (3, 3, 2):
+            store, cs = toy_hierarchy_fixture(seed=5)
+            config = SpecializeConfig(
+                preset="hierarchy_fitting", epochs=3, batch_size=8, seed=9, sample_k=sample_k
+            )
+            specialize(store, cs, config)
+            results.append(store.current.copy())
+        np.testing.assert_array_equal(results[0], results[1])
+        assert not np.array_equal(results[0], results[2])
 
     def test_unconstrained_rows_bit_identical(self):
         store, cs = toy_hierarchy_fixture()
