@@ -283,6 +283,8 @@ def _config_as_dict(config: SpecializeConfig) -> dict:
 
 
 def cmd_eval(args) -> int:
+    if args.seed < 0:
+        return _usage_error("--seed must be >= 0")
     try:
         store = load_embeddings(args.embeddings, args.format)
         if args.task in ("sim", "hyperlex"):

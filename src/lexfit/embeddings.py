@@ -244,10 +244,9 @@ def save_embeddings(store: EmbeddingStore, path: str, format: str) -> None:
 def cosine(u, v) -> float:
     """Cosine similarity of two nonzero vectors, clipped into [-1, 1]."""
     u, v = (np.asarray(x, dtype=np.float64).reshape(1, -1) for x in (u, v))
-    nu, nv = row_norms(u), row_norms(v)
-    if nu[0] == 0.0 or nv[0] == 0.0:
+    if not (u.any() and v.any()):
         raise ValueError("cosine of a zero vector is undefined")
-    return float(row_cosines(u, v, nu, nv)[0])
+    return float(row_cosines(unit_rows(u)[0], unit_rows(v)[0])[0])
 
 
 def distance(u, v) -> float:
@@ -275,51 +274,47 @@ def backoff_lookup(store: EmbeddingStore, token: str) -> LookupResult:
 
 
 # --- cosine geometry --------------------------------------------------------
-# Every norm and cosine of the package is computed here. A row whose norm lies
-# outside [2^-480, 2^480] (its sum of squares outside [2^-960, 2^960]) is first
-# divided by the power of two that brings its largest component into [0.5, 1).
-# That division is exact, so norms and cosines are right for every finite row.
+# Every norm of the package is computed here, and every cosine is a dot of
+# unit rows. A row whose norm lies outside [2^-480, 2^480] (its sum of squares
+# outside [2^-960, 2^960]) is first divided by the power of two that brings its
+# largest component into [0.5, 1). That division is exact, so norms and unit
+# rows are right for every finite row.
 _NORM_RANGE = (2.0 ** -480, 2.0 ** 480)
 
 # bounds the (block rows x vocabulary) similarity scratch of :func:`nearest_rows`
 _NEIGHBOR_BLOCK_CELLS = 1 << 18
 
 
-def _in_range(matrix: np.ndarray, norms: np.ndarray) -> tuple:
-    """``matrix`` and ``norms`` with the out-of-range rows rescaled, and each row's
-    exponent of two; the inputs, uncopied, and None when every row is in range."""
+def _in_range(matrix: np.ndarray) -> tuple:
+    """``matrix`` with its out-of-range rows rescaled (the input, uncopied,
+    when every row is in range), the norms of those rows, and the true norms:
+    inf where they exceed the largest float64."""
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
     if not len(norms) or _NORM_RANGE[0] <= norms.min() and norms.max() <= _NORM_RANGE[1]:
-        return matrix, norms, None
+        return matrix, norms, norms
     out = ~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1]))
     exponents = np.where(out, np.frexp(np.abs(matrix).max(axis=1))[1], 0)
     matrix = np.ldexp(matrix, -exponents[:, None])
-    return matrix, np.where(out, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)), norms), exponents
+    scaled = np.where(out, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)), norms)
+    with np.errstate(over="ignore"):
+        return matrix, scaled, np.ldexp(scaled, exponents)
 
 
 def row_norms(matrix: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row; inf where it exceeds the largest float64."""
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    _, scaled, exponents = _in_range(matrix, norms)
-    if exponents is None:
-        return norms
-    with np.errstate(over="ignore"):
-        return np.ldexp(scaled, exponents)
+    return _in_range(matrix)[2]
 
 
-def row_cosines(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """Cosine of each row pair ``(a[i], b[i])`` given row norms ``na``, ``nb``; in [-1, 1]."""
-    a, na, _ = _in_range(a, na)
-    b, nb, _ = _in_range(b, nb)
-    return np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
+def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each nonzero row of ``matrix`` divided by its norm, and the norms as
+    :func:`row_norms` gives them. The one place rows are normalized."""
+    scaled, norms, true_norms = _in_range(matrix)
+    return scaled / norms[:, None], true_norms
 
 
-def cosine_matrix(a: np.ndarray, b: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """Cosine of every row of ``a`` with every row of ``b``, given the row norms
-    ``na`` and ``nb``, clipped into [-1, 1]: a ``(len(a), len(b))`` matrix."""
-    a, na, _ = _in_range(a, na)
-    b, nb, _ = _in_range(b, nb)
-    sims = (a @ b.T) / (na[:, None] * nb)
-    return np.clip(sims, -1.0, 1.0, out=sims)
+def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of each row pair ``(a[i], b[i])`` of unit rows; in [-1, 1]."""
+    return np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0)
 
 
 def top_k(sims: np.ndarray, k: int) -> np.ndarray:
@@ -346,15 +341,17 @@ def nearest_rows(matrix: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarr
     by cosine, ranked by :func:`top_k`, and their cosines; formed one bounded
     block of ``rows`` at a time. Needs ``len(matrix) >= 2``."""
     k = min(k, len(matrix) - 1)
-    # rescaled once here, so the blocks below find every row in range
-    matrix, norms, _ = _in_range(matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)))
+    # rescaled once; normalizing the whole matrix instead would cost a full
+    # pass per call, so each block's product is divided by the norms
+    matrix, norms, _ = _in_range(matrix)
     indices = np.empty((len(rows), k), dtype=np.intp)
     cosines = np.empty((len(rows), k))
     step = max(1, _NEIGHBOR_BLOCK_CELLS // len(matrix))
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         at = np.arange(len(block))[:, None]
-        sims = cosine_matrix(matrix[block], matrix, norms[block], norms)
+        sims = (matrix[block] @ matrix.T) / (norms[block, None] * norms)
+        np.clip(sims, -1.0, 1.0, out=sims)
         sims[at[:, 0], block] = -np.inf
         top = top_k(sims, k)
         indices[start : start + step] = top

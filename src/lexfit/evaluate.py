@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, backoff_lookup, row_cosines, row_norms
+from .embeddings import EmbeddingStore, backoff_lookup, row_cosines, unit_rows
 
 RELATION_LABELS = ("hyper", "hypo", "other")
 
@@ -121,18 +121,13 @@ def load_relation_dataset(path: str, name: str | None = None) -> RelationDataset
 
 def average_ranks(values) -> np.ndarray:
     """1-based ranks with ties assigned the mean of the positions they span."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(
+        np.asarray(values, dtype=np.float64),
+        return_inverse=True, return_counts=True, equal_nan=False,
+    )
+    ends = np.cumsum(counts)
+    # a group of tied values spans the 1-based positions ends - counts + 1 .. ends
+    return ((2 * ends - counts + 1) / 2.0)[group]
 
 
 def spearman(xs, ys) -> float:
@@ -172,9 +167,8 @@ def _pair_features(store: EmbeddingStore, word_pairs, use_backoff: bool):
             covered.append(i)
             rows.append((r1, r2))
     rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
-    u, v = store.current[rows[:, 0]], store.current[rows[:, 1]]
-    n1, n2 = row_norms(u), row_norms(v)
-    return covered, row_cosines(u, v, n1, n2), n1, n2
+    (u, n1), (v, n2) = (unit_rows(store.current[rows[:, i]]) for i in (0, 1))
+    return covered, row_cosines(u, v), n1, n2
 
 
 def _rank_correlation(store: EmbeddingStore, dataset: SimilarityDataset, use_backoff: bool,

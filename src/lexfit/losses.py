@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, row_cosines, row_norms
+from .embeddings import EmbeddingStore, row_cosines, unit_rows
 
 
 @dataclass
@@ -45,17 +45,23 @@ class BatchLoss:
     :meth:`gradient` returns the ``(len(rows), dim)`` gradient block.
     ``n_hinges`` counts the hinge terms added and ``n_active`` those that
     were strictly positive; preservation pulls count toward neither.
+
+    Rows are normalized once: every cosine is a dot of unit rows, and every
+    gradient term is a unit row times a coefficient over one norm, so no
+    product of norms is ever formed.
     """
 
     def __init__(self, store: EmbeddingStore, rows: np.ndarray) -> None:
         self.rows = rows
         self.current = store.current[rows]
         self.original = store.original[rows]
-        self.norms = row_norms(self.current)
+        self.unit, self.norms = unit_rows(self.current)
         self.loss = 0.0
         self.n_hinges = 0
         self.n_active = 0
-        # block[dst] += coef * vector[src]; src >= len(rows) is an original row
+        # block[dst] += coef * sources[src]: the unit rows, then the unit
+        # original rows that preserve() appends
+        self._sources = self.unit
         self._dst: list[np.ndarray] = []
         self._src: list[np.ndarray] = []
         self._coef: list[np.ndarray] = []
@@ -68,11 +74,11 @@ class BatchLoss:
         self._coef.extend(coef)
 
     def _pull(self, left: np.ndarray, right: np.ndarray, c: np.ndarray, weight: float) -> None:
-        """Gradient of weight * D(left, right) for each pair, whose cosine is ``c``."""
-        nl, nr = self.norms[left], self.norms[right]
-        cross = -weight / (nl * nr)
+        """Gradient of weight * D(left, right) for each pair, whose cosine is ``c``:
+        (c * unit[left] - unit[right]) * weight / |left|, and its mirror."""
+        wl, wr = weight / self.norms[left], weight / self.norms[right]
         self._add((left, left, right, right), (left, right, right, left),
-                  (weight * c / (nl * nl), cross, weight * c / (nr * nr), cross))
+                  (c * wl, -wl, c * wr, -wr))
 
     def hinge(self, margin, *terms: tuple[float, np.ndarray, np.ndarray], count: int = 1) -> None:
         """Add max(0, margin + sum of sign * D(left, right)) per hinge.
@@ -81,8 +87,7 @@ class BatchLoss:
         index array; ``margin`` is a scalar or one value per hinge. Each hinge
         counts ``count`` times, in the loss and in the hinge counts.
         """
-        X, norms = self.current, self.norms
-        cosines = [row_cosines(X[a], X[b], norms[a], norms[b]) for _, a, b in terms]
+        cosines = [row_cosines(self.unit[a], self.unit[b]) for _, a, b in terms]
         h = margin
         for (sign, _, _), c in zip(terms, cosines):
             h = h + sign * (1.0 - c)
@@ -99,15 +104,16 @@ class BatchLoss:
         Unmoved rows sit at distance and gradient exactly zero and are left
         out, which keeps them bit-identical under AdaGrad.
         """
-        n = len(self.rows)
-        w = weight * np.bincount(local_rows, minlength=n)
+        w = weight * np.bincount(local_rows, minlength=len(self.rows))
         moved = np.flatnonzero((w > 0) & np.any(self.current != self.original, axis=1))
-        u, o = self.current[moved], self.original[moved]
-        nu, no = self.norms[moved], row_norms(o)
-        c = row_cosines(u, o, nu, no)
+        origin = unit_rows(self.original[moved])[0]
+        at = len(self._sources) + np.arange(len(moved))
+        self._sources = np.concatenate((self._sources, origin))
+        c = row_cosines(self.unit[moved], origin)
         w = w[moved]
         self.loss += float(np.sum(w * (1.0 - c)))
-        self._add((moved, moved), (moved, moved + n), (w * c / (nu * nu), -w / (nu * no)))
+        w = w / self.norms[moved]
+        self._add((moved, moved), (moved, at), (w * c, -w))
 
     def norm_asymmetry(self, hyponym: np.ndarray, hypernym: np.ndarray, weight: float) -> None:
         """Hinge on (|u| - |v|) / (|u| + |v|) per (hyponym, hypernym) pair."""
@@ -118,23 +124,25 @@ class BatchLoss:
         self.n_active += int(np.count_nonzero(active))
         self.loss += float(np.sum(weight * score[active]))
         nu, nv = nu[active], nv[active]
-        denom = (nu + nv) ** 2
+        total = nu + nv
+        w = 2.0 * weight / total
         self._add((hyponym[active], hypernym[active]), (hyponym[active], hypernym[active]),
-                  (weight * (2.0 * nv / denom) / nu, weight * (-2.0 * nu / denom) / nv))
+                  (w * (nv / total), -w * (nu / total)))
 
     def gradient(self) -> np.ndarray:
         """The ``(len(rows), dim)`` gradient of everything added so far."""
-        n, dim = self.current.shape
+        n, dim = self.unit.shape
         if self._dst:
-            key = np.concatenate(self._dst) * (2 * n) + np.concatenate(self._src)
+            m = len(self._sources)
+            key = np.concatenate(self._dst) * m + np.concatenate(self._src)
             pairs, which = np.unique(key, return_inverse=True)
             coef = np.bincount(which, weights=np.concatenate(self._coef))
-            dst, src = np.divmod(pairs, 2 * n)
-            terms = coef[:, None] * np.concatenate((self.current, self.original))[src]
+            dst, src = np.divmod(pairs, m)
+            terms = coef[:, None] * self._sources[src]
             cells = (dst[:, None] * dim + np.arange(dim)).ravel()
             block = np.bincount(cells, weights=terms.ravel(), minlength=n * dim).reshape(n, dim)
         else:
-            block = np.zeros_like(self.current)
+            block = np.zeros_like(self.unit)
         # a row whose norm overflows float64 has no usable gradient
         block[np.isinf(self.norms)] = np.nan
         return block

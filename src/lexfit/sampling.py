@@ -9,7 +9,6 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .constraints import PAIR_SETS, ConstraintSet
-from .embeddings import cosine_matrix, row_norms
 
 RELATION_CYCLE = ("syn", "ant", "hyper", "quad", "ad")
 
@@ -154,7 +153,7 @@ def mine_batch(
     constraints: ConstraintSet,
     rows: np.ndarray,
     local: np.ndarray,
-    vectors: np.ndarray,
+    unit: np.ndarray,
     anchors: np.ndarray,
     mode: str = "negatives",
     policy: str = "closest_plus_random",
@@ -162,10 +161,12 @@ def mine_batch(
 ) -> np.ndarray:
     """Pick up to k in-batch rows for every anchor from one Gram matrix.
 
-    ``rows``/``local`` come from :func:`batch_rows`, ``vectors`` holds the
-    current vectors of ``rows`` and ``anchors`` are local indices. An anchor's
-    candidates are the rows of the batch's instances that do not contain it,
-    minus the anchor and its ``constraints.partners``. In ``negatives`` mode,
+    ``rows``/``local`` come from :func:`batch_rows`, ``unit`` holds the
+    current vectors of ``rows`` as unit rows (``BatchLoss.unit``, from
+    :func:`~lexfit.embeddings.unit_rows`), so their Gram matrix holds the
+    cosines, and ``anchors`` are local indices. An anchor's candidates are
+    the rows of the batch's instances that do not contain it, minus the
+    anchor and its ``constraints.partners``. In ``negatives`` mode,
     ``closest_only`` takes the k closest candidates in the current space and
     ``closest_plus_random`` the single closest plus k - 1 uniform draws
     without replacement from the rest. The draws take the candidates with the
@@ -191,8 +192,7 @@ def mine_batch(
     hit = rows[pos] == partner_rows
     mask[owner[hit], pos[hit]] = False
 
-    norms = row_norms(vectors)
-    dist = 1.0 - cosine_matrix(vectors[anchors], vectors, norms[anchors], norms)
+    dist = 1.0 - np.clip(unit[anchors] @ unit.T, -1.0, 1.0)
     counts = mask.sum(axis=1)
     picks = np.full((n_anchors, k), -1, dtype=np.intp)
     if mode == "negatives" and policy == "closest_plus_random":
@@ -221,7 +221,7 @@ def mine_instances(
     constraints: ConstraintSet,
     rows: np.ndarray,
     local: np.ndarray,
-    vectors: np.ndarray,
+    unit: np.ndarray,
     mode: str = "negatives",
     policy: str = "closest_plus_random",
     k: int = 2,
@@ -237,6 +237,6 @@ def mine_instances(
     """
     instances = np.stack((local, local[:, ::-1]), axis=1).reshape(-1, 2) if mirror else local
     distinct, which = np.unique(instances[:, 0], return_inverse=True)
-    picks = mine_batch(batch, constraints, rows, local, vectors, distinct, mode, policy, k)[which]
+    picks = mine_batch(batch, constraints, rows, local, unit, distinct, mode, policy, k)[which]
     which, column = np.nonzero(picks >= 0)
     return instances, which, picks[which, column]

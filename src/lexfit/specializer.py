@@ -86,6 +86,8 @@ class SpecializeConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.neighbor_k < 1:
             raise ValueError("neighbor_k must be >= 1")
         if not 0 <= self.retrofit_alpha < math.inf:
@@ -130,15 +132,16 @@ def adagrad_step(
     ``block[i]`` is the gradient of ``rows[i]``. Per touched coordinate:
     acc += g^2 then x -= lr * g / (sqrt(acc) + eps). Coordinates with zero
     gradient are left bit-identical. A non-finite gradient anywhere in the
-    block raises before anything is written.
+    block, or one whose square overflows, raises before anything is written.
     """
-    finite = np.isfinite(block)
-    if not finite.all():
-        row = rows[np.flatnonzero(~finite.all(axis=1))[0]]
-        raise NonFiniteGradientError(f"non-finite gradient at row {row}")
     nz = block != 0.0
     acc = accumulators[rows]
-    np.add(acc, block * block, out=acc, where=nz)
+    with np.errstate(over="ignore"):
+        np.add(acc, block * block, out=acc, where=nz)
+    finite = np.isfinite(acc).all(axis=1)
+    if not finite.all():
+        row = rows[np.flatnonzero(~finite)[0]]
+        raise NonFiniteGradientError(f"non-finite gradient at row {row}")
     step = np.zeros_like(acc)
     np.divide(learning_rate * block, np.sqrt(acc) + epsilon, out=step, where=nz)
     values = matrix[rows]
@@ -275,29 +278,24 @@ def _counterfit_batch_loss(
 # --- the training loop ------------------------------------------------------
 
 class _EpochStats:
+    """Running (loss, batches, hinges, active hinges) totals per relation, in
+    the order the relations first appear."""
+
     def __init__(self) -> None:
-        self.loss_sum: dict[str, float] = defaultdict(float)
-        self.batches: dict[str, int] = defaultdict(int)
-        self.hinges: dict[str, int] = defaultdict(int)
-        self.active: dict[str, int] = defaultdict(int)
-        self.order: list[str] = []
+        self.totals: dict[str, tuple[float, int, int, int]] = {}
 
     def record(self, relation: str, res: BatchLoss) -> None:
-        if relation not in self.loss_sum:
-            self.order.append(relation)
-        self.loss_sum[relation] += res.loss
-        self.batches[relation] += 1
-        self.hinges[relation] += res.n_hinges
-        self.active[relation] += res.n_active
+        loss, batches, hinges, active = self.totals.get(relation, (0.0, 0, 0, 0))
+        self.totals[relation] = (
+            loss + res.loss, batches + 1, hinges + res.n_hinges, active + res.n_active
+        )
 
     def summary(self) -> dict[str, tuple[float, float]]:
-        out = {}
-        for rel in self.order:
-            n = self.batches[rel]
-            mean_loss = self.loss_sum[rel] / n if n else 0.0
-            frac = self.active[rel] / self.hinges[rel] if self.hinges[rel] else 0.0
-            out[rel] = (mean_loss, frac)
-        return out
+        """Mean loss per batch and active-hinge fraction of each relation."""
+        return {
+            rel: (loss / batches, active / hinges if hinges else 0.0)
+            for rel, (loss, batches, hinges, active) in self.totals.items()
+        }
 
 
 def _apply(
@@ -390,7 +388,7 @@ def _batch_loss(
         res.norm_asymmetry(local[:, 0], local[:, 1], m.ad_weight)
     elif relation == "quad":
         items, inst, neg = mine_instances(
-            batch, constraints, rows, local, res.current,
+            batch, constraints, rows, local, res.unit,
             "negatives", config.negative_policy, config.sample_k,
         )
         a, s, h = items[np.unique(inst)].T
@@ -401,7 +399,7 @@ def _batch_loss(
         res.hinge(m.m_hie_hyp, (1.0, a, s), (-1.0, h, neg), count=2)
     else:
         items, inst, aux = mine_instances(
-            batch, constraints, rows, local, res.current,
+            batch, constraints, rows, local, res.unit,
             "positives" if relation == "ant" else "negatives",
             config.negative_policy, config.sample_k,
             mirror=relation != "hyper" or preset.mirror_hyper,

@@ -5,7 +5,7 @@ Each kernel evaluates one constraint instance on rows of an
 whose gradients are keyed by row. ``n_hinges`` counts hinge terms evaluated
 and ``n_active`` those that were strictly positive; plain distance pulls
 count toward neither. All hinges use subgradient 0 exactly at their boundary.
-Mining goes through :func:`lexfit.sampling.mine_batch` with one anchor.
+Mining goes through :func:`lexfit.sampling.mine_batch` with one anchor, on unit rows.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lexfit import EmbeddingStore
+from lexfit.embeddings import unit_rows
 from lexfit.sampling import batch_rows, mine_batch
 
 
@@ -49,7 +50,8 @@ def mine_one(anchor, batch, constraints, store, mode="negatives",
     """The store rows the in-batch miner picks for one anchor."""
     rows, local = batch_rows(batch, extra=(anchor,))
     at = np.searchsorted(rows, [anchor])
-    picks = mine_batch(batch, constraints, rows, local, store.current[rows], at, mode, policy, k)
+    unit = unit_rows(store.current[rows])[0]
+    picks = mine_batch(batch, constraints, rows, local, unit, at, mode, policy, k)
     return [int(rows[p]) for p in picks[0] if p >= 0]
 
 

@@ -10,6 +10,8 @@ DELETED = (
     "triplet_repel_loss", "quadruplet_hierarchy_loss", "preservation_loss",
     "counterfit_preserve_loss", "asymmetric_norm_score", "asymmetric_norm_loss",
     "select_negatives", "select_positives", "classify_negative",
+    # one normalization per matrix: cosines are dots of unit_rows
+    "cosine_matrix",
 )
 
 
@@ -19,7 +21,9 @@ def test_every_exported_name_resolves():
         assert getattr(lexfit, name) is not None
 
 
-@pytest.mark.parametrize("module", ["lexfit", "lexfit.losses", "lexfit.sampling"])
+@pytest.mark.parametrize(
+    "module", ["lexfit", "lexfit.embeddings", "lexfit.losses", "lexfit.sampling"]
+)
 def test_deleted_names_are_gone(module):
     mod = importlib.import_module(module)
     assert not [name for name in DELETED if hasattr(mod, name)]

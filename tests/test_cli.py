@@ -262,6 +262,20 @@ class TestSpecializeCommand:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["retrofitting", "counterfitting", "hierarchy-fitting"])
+    def test_negative_seed_is_usage_error(self, workspace, capsys, method):
+        tmp_path, emb, syn, ant, hyper = workspace
+        out = tmp_path / "x.vec"
+        # an embeddings path that does not exist: the seed is refused before any input is read
+        code = main([
+            "specialize", "--embeddings", str(tmp_path / "missing.vec"), "--format", "glove-text",
+            "--method", method, "--syn", str(syn), "--ant", str(ant), "--hyper", str(hyper),
+            "--out", str(out), "--seed", "-1",
+        ])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.glob("x.vec*")) == []
+
     def test_non_finite_gradient_is_runtime_error(self, workspace, capsys):
         # the first update moves rows to ~1e308; the next gradients overflow
         args = specialize_args(
@@ -479,6 +493,13 @@ class TestEvalCommand:
         code = main(["eval", "--embeddings", str(emb), "--task", task, "--dataset", str(dataset)])
         assert code == 1
         assert capsys.readouterr().err == f"lexfit: error: {emb}:2: vector norm overflows float64\n"
+
+    @pytest.mark.parametrize("task", ["sim", "wbless", "bibless"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, task):
+        code = main(["eval", "--embeddings", str(tmp_path / "missing.vec"), "--task", task,
+                     "--dataset", str(tmp_path / "missing.tsv"), "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "lexfit: error: --seed must be >= 0\n"
 
     def test_unknown_task_exits_2(self, workspace):
         _, emb, *_ = workspace

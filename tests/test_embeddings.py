@@ -16,7 +16,7 @@ from lexfit import (
     save_embeddings,
 )
 from lexfit import embeddings
-from lexfit.embeddings import cosine_matrix, row_cosines, row_norms, top_k
+from lexfit.embeddings import row_cosines, row_norms, top_k, unit_rows
 from helpers import random_store
 
 
@@ -245,34 +245,43 @@ class TestDistance:
 class TestGeometry:
     def test_in_range_rows_use_the_plain_formula_uncopied(self):
         rng = np.random.default_rng(4)
-        a, b = rng.standard_normal((2, 30, 7)) * 10.0 ** rng.uniform(-100, 100, (2, 30, 1))
-        na, nb = row_norms(a), row_norms(b)
-        np.testing.assert_array_equal(na, np.sqrt(np.einsum("ij,ij->i", a, a)))
-        plain = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
-        np.testing.assert_array_equal(row_cosines(a, b, na, nb), plain)
-        assert embeddings._in_range(a, na)[0] is a
+        a = rng.standard_normal((30, 7)) * 10.0 ** rng.uniform(-100, 100, (30, 1))
+        plain = np.sqrt(np.einsum("ij,ij->i", a, a))
+        np.testing.assert_array_equal(row_norms(a), plain)
+        unit, norms = unit_rows(a)
+        np.testing.assert_array_equal(norms, plain)
+        np.testing.assert_array_equal(unit, a / plain[:, None])
+        assert embeddings._in_range(a)[0] is a
 
     @pytest.mark.parametrize("scale", [1e300, 1e200, 1e-200, 1e-300, 1e-310])
     def test_extreme_rows_keep_true_norms_and_cosines(self, scale):
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((2, 10, 4))
-        na, nb = row_norms(a), row_norms(b)
-        expected = row_cosines(a, b, na, nb)
-        big_a, big_b = a * scale, b * scale
-        got_na, got_nb = row_norms(big_a), row_norms(big_b)
+        (ua, na), (ub, _) = unit_rows(a), unit_rows(b)
+        expected = row_cosines(ua, ub)
+        (big_ua, big_na), (big_ub, _) = unit_rows(a * scale), unit_rows(b * scale)
         # 1e-310 is subnormal: its components keep only about 14 digits
         rtol = 1e-13 if scale < 1e-300 else 1e-15
-        np.testing.assert_allclose(got_na, na * scale, rtol=rtol)
-        for left, right, n_left, n_right in ((big_a, big_b, got_na, got_nb),
-                                             (big_a, b, got_na, nb)):
-            np.testing.assert_allclose(
-                row_cosines(left, right, n_left, n_right), expected, rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                cosine_matrix(left, right, n_left, n_right),
-                cosine_matrix(a, b, na, nb), rtol=0, atol=1e-12,
-            )
-        assert abs(cosine(big_a[0], big_b[0]) - expected[0]) < 1e-12
+        np.testing.assert_allclose(big_na, na * scale, rtol=rtol)
+        np.testing.assert_array_equal(row_norms(a * scale), big_na)
+        np.testing.assert_allclose(big_ua, ua, rtol=0, atol=1e-12)
+        for left, right in ((big_ua, big_ub), (big_ua, ub)):
+            np.testing.assert_allclose(row_cosines(left, right), expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(left @ right.T, ua @ ub.T, rtol=0, atol=1e-12)
+        assert abs(cosine(a[0] * scale, b[0] * scale) - expected[0]) < 1e-12
+
+    def test_unit_row_of_an_overflowing_norm(self):
+        unit, norms = unit_rows(np.array([[1.5e308, 1.5e308], [3.0, 4.0]]))
+        np.testing.assert_array_equal(norms, [np.inf, 5.0])
+        np.testing.assert_allclose(unit, [[0.5 ** 0.5, 0.5 ** 0.5], [0.6, 0.8]], rtol=1e-15)
+
+    def test_power_of_two_scale_leaves_unit_rows_bit_identical(self):
+        a = np.random.default_rng(6).standard_normal((5, 9))
+        unit, norms = unit_rows(a)
+        for power in (600, -600):
+            scaled_unit, scaled_norms = unit_rows(np.ldexp(a, power))
+            np.testing.assert_array_equal(scaled_unit, unit)
+            np.testing.assert_array_equal(scaled_norms, np.ldexp(norms, power))
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_cosine_of_extreme_rows(self, scale):

@@ -77,6 +77,17 @@ class TestSpearman:
             average_ranks([10.0, 20.0, 20.0, 30.0]), [1.0, 2.5, 2.5, 4.0]
         )
 
+    def test_average_ranks_equal_scipy_on_tie_heavy_inputs(self):
+        rng = np.random.default_rng(12)
+        pool = np.array([-2.5, -0.0, 0.0, 1e-300, 1.0, 7.0, 1e300])  # -0.0 ties with 0.0
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            # a few distinct values each, so most entries are tied
+            values = rng.choice(pool[: int(rng.integers(1, len(pool) + 1))], size=n)
+            np.testing.assert_array_equal(
+                average_ranks(values), stats.rankdata(values, method="average")
+            )
+
 
 class TestLoaders:
     def test_similarity_tsv(self, tmp_path):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lexfit import EmbeddingStore, Margins, distance
+from lexfit.embeddings import unit_rows
 from lexfit.losses import BatchLoss
-from gradcheck import GENERATORS, check_kernel, draw_instance
+from gradcheck import BATCH_SIZES, GENERATORS, check_kernel, draw_instance
 from helpers import random_store
 
 
@@ -250,6 +253,30 @@ def test_gradients_match_finite_differences(kernel):
     assert check_kernel(kernel, instances=25, seed=101) < 1e-4
 
 
+@pytest.mark.parametrize("power", [600, -600])
+@pytest.mark.parametrize("kernel", sorted(set(GENERATORS) - {"asymmetric_norm"}))
+def test_gradient_is_scale_covariant(kernel, power):
+    # cosine distance is scale-free, so scaling row 0 by 2^power scales its
+    # gradient by exactly 2^-power and leaves every other row's alone
+    rng = np.random.default_rng(91)
+    touched = 0
+    for batch in BATCH_SIZES:
+        for _ in range(5):
+            case = draw_instance(kernel, rng, batch)
+            want = case.batch_loss().gradient()
+            store = case.store
+            original = store.original.copy()
+            original[0] = np.ldexp(original[0], power)
+            scaled = EmbeddingStore(store.vocab, original)
+            scaled.current[:] = store.current
+            scaled.current[0] = np.ldexp(store.current[0], power)
+            got = dataclasses.replace(case, store=scaled).batch_loss().gradient()
+            np.testing.assert_array_equal(got[0], np.ldexp(want[0], -power))
+            np.testing.assert_array_equal(got[1:], want[1:])
+            touched += bool(want[0].any())
+    assert touched
+
+
 @pytest.mark.parametrize("kernel", sorted(GENERATORS))
 def test_inactive_instances_have_zero_gradients(kernel):
     # hinge-only forms: strictly inactive instances must carry a zero gradient block
@@ -278,10 +305,17 @@ class TestGradientAssembly:
         return res
 
     def naive_gradient(self, res):
-        stacked = np.concatenate((res.current, res.original))
+        # every term scales a unit row: a current one, or an original one
+        # that preserve() appended after them
+        n = len(res.rows)
+        np.testing.assert_array_equal(res._sources[:n], unit_rows(res.current)[0])
         block = np.zeros_like(res.current)
         for dst, src, coef in zip(res._dst, res._src, res._coef):
-            np.add.at(block, dst, coef[:, None] * stacked[src])
+            original = src >= n
+            np.testing.assert_array_equal(
+                res._sources[src[original]], unit_rows(res.original[dst[original]])[0]
+            )
+            np.add.at(block, dst, coef[:, None] * res._sources[src])
         return block
 
     def test_matches_naive_accumulation(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lexfit import ConstraintSet, EmbeddingStore, distance, plan_epoch, quad_join
+from lexfit.embeddings import unit_rows
 from lexfit.sampling import MiniBatch, batch_rows, mine_batch, mine_instances
 from helpers import random_store, toy_hierarchy_fixture
 from reference_losses import mine_one
@@ -144,7 +145,8 @@ class TestSelectNegatives:
         for batch in plan_epoch(cs, 8, seed=1):
             rows, local = batch_rows(batch)
             items, which, mined = mine_instances(
-                batch, cs, rows, local, store.current[rows], mirror=batch.relation != "quad"
+                batch, cs, rows, local, unit_rows(store.current[rows])[0],
+                mirror=batch.relation != "quad",
             )
             for i, aux in zip(which, mined):
                 anchor = rows[items[i, 0]]
@@ -176,7 +178,8 @@ class TestSelectNegatives:
         for batch in plan_epoch(cs, 8, seed=6, relations=("syn", "hyper", "quad")):
             rows, local = batch_rows(batch)
             anchors = np.unique(local)
-            picks = mine_batch(batch, cs, rows, local, store.current[rows], anchors, k=k)
+            unit = unit_rows(store.current[rows])[0]
+            picks = mine_batch(batch, cs, rows, local, unit, anchors, k=k)
             for anchor, row in zip(anchors, picks):
                 single = mine_one(int(rows[anchor]), batch, cs, store, k=k)
                 assert [int(rows[p]) for p in row if p >= 0] == single
@@ -187,7 +190,8 @@ class TestSelectNegatives:
         for batch in plan_epoch(cs, 8, seed=2, relations=("syn", "hyper", "quad")):
             rows, local = batch_rows(batch)
             anchors = np.unique(local)
-            picks = mine_batch(batch, cs, rows, local, store.current[rows], anchors, k=k)
+            unit = unit_rows(store.current[rows])[0]
+            picks = mine_batch(batch, cs, rows, local, unit, anchors, k=k)
             for anchor, row in zip(anchors, picks):
                 anchor_row = int(rows[anchor])
                 pool = {
@@ -238,7 +242,8 @@ class TestMineInstances:
         cs = syn_constraints(pairs)
         batch = MiniBatch("syn", pairs, 0, 0, 0)
         rows, local = batch_rows(batch)
-        items, which, _ = mine_instances(batch, cs, rows, local, store.current[rows], mirror=True)
+        unit = unit_rows(store.current[rows])[0]
+        items, which, _ = mine_instances(batch, cs, rows, local, unit, mirror=True)
         anchors = {tuple(rows[items[i]]) for i in which}
         for a, b in pairs:
             assert (a, b) in anchors and (b, a) in anchors

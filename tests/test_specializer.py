@@ -1,7 +1,11 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from lexfit import (
+    PRESETS,
     ConstraintSet,
     EmbeddingStore,
     Margins,
@@ -82,6 +86,19 @@ class TestAdagradStep:
         block[2, 1] = np.nan
         with pytest.raises(NonFiniteGradientError, match="row 3"):
             adagrad_step(matrix, acc, np.array([0, 1, 3]), block, 0.1, 1e-8)
+        np.testing.assert_array_equal(matrix, before_matrix)
+        np.testing.assert_array_equal(acc, before_acc)
+
+    def test_overflowing_square_writes_nothing(self):
+        # a finite gradient whose square overflows, as a unit row over a ~1e-200 norm gives
+        matrix = np.ones((3, 2))
+        acc = np.full_like(matrix, 0.5)
+        before_matrix, before_acc = matrix.copy(), acc.copy()
+        block = np.array([[1.0, 2.0], [3e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteGradientError, match="row 2"):
+                adagrad_step(matrix, acc, np.array([0, 2]), block, 0.1, 1e-8)
         np.testing.assert_array_equal(matrix, before_matrix)
         np.testing.assert_array_equal(acc, before_acc)
 
@@ -394,6 +411,65 @@ def test_mining_builds_one_generator_per_batch(monkeypatch):
     assert 0 < len(built) <= mined + relations
 
 
+def extreme_row_world(scale):
+    """8 rows whose row 0 is scaled by ``scale``; row 0 is in every relation."""
+    vectors = np.random.default_rng(3).standard_normal((8, 4))
+    vectors[0] *= scale
+    store = EmbeddingStore([f"w{i}" for i in range(8)], vectors)
+    cs = ConstraintSet()
+    for relation, pairs in (("syn", ((0, 1), (2, 3))), ("ant", ((0, 4), (1, 5))),
+                            ("hyper", ((0, 6), (1, 6), (2, 7), (6, 7)))):
+        for a, b in pairs:
+            cs.add_pair(relation, a, b)
+    return store, cs
+
+
+class TestExtremeRows:
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_huge_row_trains_without_warnings(self, preset):
+        store, cs = extreme_row_world(1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            specialize(store, cs, SpecializeConfig(preset, epochs=3, batch_size=2))
+        assert np.isfinite(store.current).all()
+        assert (store.current[1] != store.original[1]).any()
+
+    @pytest.mark.parametrize("preset", [p for p in PRESETS if p != "retrofitting"])
+    def test_tiny_row_overflows_the_adagrad_square(self, preset):
+        store, cs = extreme_row_world(1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteGradientError, match=r"at row 0 \("):
+                specialize(store, cs, SpecializeConfig(preset, epochs=3, batch_size=2))
+
+    def test_retrofitting_trains_a_tiny_row(self):
+        store, cs = extreme_row_world(1e-200)
+        specialize(store, cs, SpecializeConfig("retrofitting"))
+        assert np.isfinite(store.current).all()
+        assert (store.current[0] != store.original[0]).any()
+
+
+class TestEpochStats:
+    def test_log_text_is_unchanged(self):
+        # two relations, interleaved, one batch without hinges; the expected
+        # text is what the per-field running totals wrote
+        batches = [
+            [("syn", 0.1, 4, 3), ("ant", 0.0, 0, 0), ("syn", 0.2, 6, 1),
+             ("ant", 1e-7, 2, 1), ("syn", 1.0 / 3.0, 5, 5)],
+            [("ant", 2.5, 0, 0), ("syn", 0.7, 3, 0)],
+        ]
+        log = specializer.TrainLog()
+        for epoch in batches:
+            stats = specializer._EpochStats()
+            for relation, loss, hinges, active in epoch:
+                res = SimpleNamespace(loss=loss, n_hinges=hinges, n_active=active)
+                stats.record(relation, res)
+            log.epochs.append(stats.summary())
+        assert log.to_tsv() == (
+            "1\tsyn\t0.211111\t0.6\n1\tant\t5e-08\t0.5\n2\tant\t2.5\t0\n2\tsyn\t0.7\t0\n"
+        )
+
+
 class TestSpecializePresets:
     def test_empty_required_relation_names_it(self):
         store = random_store(0, 10, 4)
@@ -513,6 +589,12 @@ class TestSpecializePresets:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("preset", ["retrofitting", "counterfitting", "lear"])
+    def test_negative_seed(self, preset):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SpecializeConfig(preset=preset, seed=-1)
+        assert SpecializeConfig(preset=preset, seed=0).seed == 0
+
     def test_bad_learning_rate(self):
         for rate in [0.0, -0.1, float("nan"), float("inf")]:
             with pytest.raises(ValueError, match="learning_rate"):
