@@ -67,9 +67,11 @@ def preservation_loss():
 
 print("\npreservation is zero until vectors move:")
 print(f"  at load time: loss {preservation_loss()}")
-store.current[1] = at_angle(90)
+with store.writing() as matrix:
+    matrix[1] = at_angle(90)
 print(f"  after rotating one row to orthogonal: loss {preservation_loss():.4f}")
-store.current[1] = at_angle(10)
+with store.writing() as matrix:
+    matrix[1] = at_angle(10)
 
 # hard: closer than the positive; easy: beyond the positive plus the margin;
 # the boundaries belong to semi-hard, so the three classes partition the line

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import logging
 import re
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -37,9 +39,11 @@ class LookupResult:
 class EmbeddingStore:
     """Vocabulary-indexed embedding matrix with a frozen copy of the load-time vectors.
 
-    ``current`` is the matrix that specialization mutates in place;
-    ``original`` keeps the pre-specialization vectors for preservation terms
-    and is never written after construction.
+    ``current`` is the matrix that specialization changes, and ``original``
+    keeps the pre-specialization vectors for preservation terms. Both are
+    read-only: :meth:`writing` is the one way to change ``current``. The
+    store keeps the row norms it computed at construction for cosine
+    queries, and a write drops them.
     """
 
     def __init__(self, vocab, vectors):
@@ -59,15 +63,58 @@ class EmbeddingStore:
             raise ValueError("vectors contain non-finite values")
         if not matrix.any(axis=1).all():
             raise ValueError("all-zero vectors are not allowed")
-        if np.isinf(row_norms(matrix)).any():
+        scaled, norms, true_norms = _in_range(matrix)
+        if np.isinf(true_norms).any():
             raise ValueError("vector norm overflows float64")
         self.vocab: list[str] = vocab
         self.dim: int = int(matrix.shape[1])
-        self.current: np.ndarray = matrix
+        self._matrix = matrix
+        self._matrix.setflags(write=False)
         self.original: np.ndarray = matrix.copy()
         self.original.setflags(write=False)
+        norms.setflags(write=False)
+        # current equals original here, so one rescale serves both; a
+        # rescaled copy is independent of the matrix it came from
+        self._original_geometry = (self.original if scaled is matrix else scaled, norms)
+        self._geometry: tuple[np.ndarray, np.ndarray] | None = (scaled, norms)
         self.index: dict[str, int] = {tok: i for i, tok in enumerate(vocab)}
         self.n_duplicates_dropped: int = 0
+
+    @property
+    def current(self) -> np.ndarray:
+        """The working matrix; read-only outside :meth:`writing`."""
+        return self._matrix
+
+    @contextmanager
+    def writing(self) -> Iterator[np.ndarray]:
+        """Yield ``current``, writable until the ``with`` block exits.
+
+        The cached row geometry is dropped on entry and on exit, also when
+        the block raises; queries inside the block recompute it each time.
+        Blocks do not nest: the inner exit makes ``current`` read-only.
+        """
+        self._geometry = None
+        self._matrix.setflags(write=True)
+        try:
+            yield self._matrix
+        finally:
+            self._matrix.setflags(write=False)
+            self._geometry = None
+
+    def geometry(self, original: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """``(matrix, norms)`` of ``current``, or of ``original``, for
+        :func:`nearest_rows`: the rows with out-of-range norms rescaled (the
+        matrix itself when there are none) and the norms of those rows.
+        Computed at construction, and again on the first read after a write.
+        """
+        if original:
+            return self._original_geometry
+        geometry = self._geometry
+        if geometry is None:
+            geometry = _in_range(self._matrix)[:2]
+            if not self._matrix.flags.writeable:
+                self._geometry = geometry
+        return geometry
 
     def __len__(self) -> int:
         return len(self.vocab)
@@ -281,8 +328,10 @@ def backoff_lookup(store: EmbeddingStore, token: str) -> LookupResult:
 # rows are right for every finite row.
 _NORM_RANGE = (2.0 ** -480, 2.0 ** 480)
 
-# bounds the (block rows x vocabulary) similarity scratch of :func:`nearest_rows`
+# bound the (block rows x vocabulary) similarity scratch of :func:`nearest_rows`;
+# the row floor keeps each block's product a matrix product at large vocabularies
 _NEIGHBOR_BLOCK_CELLS = 1 << 18
+_NEIGHBOR_BLOCK_ROWS = 64
 
 
 def _in_range(matrix: np.ndarray) -> tuple:
@@ -312,6 +361,19 @@ def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scaled / norms[:, None], true_norms
 
 
+def shared_scale(n1: np.ndarray, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both norms of each pair ``(n1[i], n2[i])`` divided by one power of two,
+    and its exponent.
+
+    A pair whose larger norm exceeds 2^480 is divided by the power of two
+    that brings that norm into [0.5, 1), as :func:`_in_range` rescales a row,
+    so sums of the two stay finite; other pairs keep their bits (exponent 0).
+    """
+    larger = np.maximum(n1, n2)
+    exponents = np.where(larger > _NORM_RANGE[1], np.frexp(larger)[1], 0)
+    return np.ldexp(n1, -exponents), np.ldexp(n2, -exponents), exponents
+
+
 def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine of each row pair ``(a[i], b[i])`` of unit rows; in [-1, 1]."""
     return np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0)
@@ -336,17 +398,20 @@ def top_k(sims: np.ndarray, k: int) -> np.ndarray:
     return cols[order[starts[:, None] + np.arange(k)]]
 
 
-def nearest_rows(matrix: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def nearest_rows(
+    geometry: tuple[np.ndarray, np.ndarray], rows: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
     """For each of ``rows``, the ``min(k, len(matrix) - 1)`` other rows closest
     by cosine, ranked by :func:`top_k`, and their cosines; formed one bounded
-    block of ``rows`` at a time. Needs ``len(matrix) >= 2``."""
+    block of ``rows`` at a time. ``geometry`` is ``(matrix, norms)`` as
+    :meth:`EmbeddingStore.geometry` gives it. Needs ``len(matrix) >= 2``."""
+    matrix, norms = geometry
     k = min(k, len(matrix) - 1)
-    # rescaled once; normalizing the whole matrix instead would cost a full
-    # pass per call, so each block's product is divided by the norms
-    matrix, norms, _ = _in_range(matrix)
     indices = np.empty((len(rows), k), dtype=np.intp)
     cosines = np.empty((len(rows), k))
-    step = max(1, _NEIGHBOR_BLOCK_CELLS // len(matrix))
+    # each block's product is divided by the norms cell by cell; unit rows
+    # would move cosines in the last bit, and the counter-fitting hinges with them
+    step = max(_NEIGHBOR_BLOCK_ROWS, _NEIGHBOR_BLOCK_CELLS // len(matrix))
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         at = np.arange(len(block))[:, None]
@@ -363,7 +428,8 @@ def nearest_neighbors(store: EmbeddingStore, row: int, k: int) -> list[tuple[int
     """Top-k rows of ``store.current`` by cosine to the query row, excluding the query itself.
 
     Returns ``min(k, len(store) - 1)`` entries sorted by descending cosine;
-    ties break toward the smaller row index.
+    ties break toward the smaller row index. Reads the row norms the store
+    keeps, so a query makes no pass over the matrix besides the product.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -371,5 +437,5 @@ def nearest_neighbors(store: EmbeddingStore, row: int, k: int) -> list[tuple[int
         raise IndexError(f"row {row} out of range for store of size {len(store)}")
     if len(store) == 1:
         return []
-    indices, cosines = nearest_rows(store.current, np.array([row]), k)
+    indices, cosines = nearest_rows(store.geometry(), np.array([row]), k)
     return list(zip(indices[0].tolist(), cosines[0].tolist()))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, backoff_lookup, row_cosines, unit_rows
+from .embeddings import EmbeddingStore, backoff_lookup, row_cosines, shared_scale, unit_rows
 
 RELATION_LABELS = ("hyper", "hypo", "other")
 
@@ -420,7 +420,8 @@ def bibless_classify(
     if n < 2:
         raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
     agn_arr = np.maximum(cos * n2 / n1, cos * n1 / n2)
-    dir_arr = (n1 - n2) / (n1 + n2)
+    s1, s2, _ = shared_scale(n1, n2)
+    dir_arr = (s1 - s2) / (s1 + s2)
     codes = np.asarray([RELATION_LABELS.index(lab) for lab in labels])
     hyper_code, hypo_code, other_code = range(len(RELATION_LABELS))
     taxo_arr = codes != other_code

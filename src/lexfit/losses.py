@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, row_cosines, unit_rows
+from .embeddings import EmbeddingStore, row_cosines, shared_scale, unit_rows
 
 
 @dataclass
@@ -116,16 +116,21 @@ class BatchLoss:
         self._add((moved, moved), (moved, at), (w * c, -w))
 
     def norm_asymmetry(self, hyponym: np.ndarray, hypernym: np.ndarray, weight: float) -> None:
-        """Hinge on (|u| - |v|) / (|u| + |v|) per (hyponym, hypernym) pair."""
-        nu, nv = self.norms[hyponym], self.norms[hypernym]
-        score = (nu - nv) / (nu + nv)
+        """Hinge on (|u| - |v|) / (|u| + |v|) per (hyponym, hypernym) pair.
+
+        The two norms of a pair are first divided by one power of two
+        (:func:`~lexfit.embeddings.shared_scale`), so their sum stays finite.
+        """
+        nu, nv, exponents = shared_scale(self.norms[hyponym], self.norms[hypernym])
+        total = nu + nv
+        score = (nu - nv) / total
         active = score > 0
         self.n_hinges += len(score)
         self.n_active += int(np.count_nonzero(active))
         self.loss += float(np.sum(weight * score[active]))
-        nu, nv = nu[active], nv[active]
-        total = nu + nv
-        w = 2.0 * weight / total
+        nu, nv, total = nu[active], nv[active], total[active]
+        # d score / d|u| is 2|v| / (|u| + |v|)^2: undo the shared scale once
+        w = np.ldexp(2.0 * weight / total, -exponents[active])
         self._add((hyponym[active], hypernym[active]), (hyponym[active], hypernym[active]),
                   (w * (nv / total), -w * (nu / total)))
 

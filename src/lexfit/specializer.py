@@ -1,7 +1,8 @@
 """Training presets that drive AdaGrad over planned constraint batches.
 
-``specialize`` mutates ``store.current`` in place (``store.original`` is
-never touched) and returns the store together with a :class:`TrainLog`.
+``specialize`` changes ``store.current`` in place, only through
+:meth:`~lexfit.embeddings.EmbeddingStore.writing` (``store.original`` is
+never touched), and returns the store together with a :class:`TrainLog`.
 Given identical inputs and seed, every preset produces a bit-identical
 output matrix.
 """
@@ -191,9 +192,10 @@ def _train_retrofit(
     frac_updated = len(linked) / len(store)
     for _ in range(config.retrofit_iterations):
         prev = store.current.copy()
-        for row in linked:
-            neighbor_mean = prev[adjacency[row]].mean(axis=0)
-            store.current[row] = (alpha * store.original[row] + neighbor_mean) / (alpha + 1.0)
+        with store.writing() as matrix:
+            for row in linked:
+                neighbor_mean = prev[adjacency[row]].mean(axis=0)
+                matrix[row] = (alpha * store.original[row] + neighbor_mean) / (alpha + 1.0)
         max_change = float(np.max(np.abs(store.current[linked] - prev[linked])))
         log.epochs.append({"retrofit": (max_change, frac_updated)})
         log.batches_processed += 1
@@ -229,7 +231,7 @@ def _original_neighbor_sets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k original-space neighbours of each row and their original distances,
     ranked by :func:`~lexfit.embeddings.nearest_rows`."""
-    neighbors, cosines = nearest_rows(store.original, rows, k)
+    neighbors, cosines = nearest_rows(store.geometry(original=True), rows, k)
     return neighbors, 1.0 - cosines
 
 
@@ -318,9 +320,10 @@ def _apply(
     if acc is None:
         acc = accumulators.setdefault(batch.relation, np.zeros_like(store.current))
     try:
-        adagrad_step(
-            store.current, acc, res.rows, block, config.learning_rate, config.adagrad_epsilon
-        )
+        with store.writing() as matrix:
+            adagrad_step(
+                matrix, acc, res.rows, block, config.learning_rate, config.adagrad_epsilon
+            )
     except NonFiniteGradientError as exc:
         raise NonFiniteGradientError(
             f"{exc} (relation {batch.relation}, epoch {batch.epoch}, "

@@ -80,8 +80,9 @@ def _instances(rng, batch: int, width: int):
 
 def _store(rng, n, perturb_rows=()):
     store = random_store(int(rng.integers(0, 2**31)), n, int(rng.integers(5, 51)))
-    for row in perturb_rows:
-        store.current[row] += 0.5 * rng.standard_normal(store.dim)
+    with store.writing() as matrix:
+        for row in perturb_rows:
+            matrix[row] += 0.5 * rng.standard_normal(store.dim)
     return store
 
 
@@ -143,7 +144,8 @@ def gen_counterfit_preserve(rng, batch):
 def gen_asymmetric_norm(rng, batch):
     size, (hyponym, hypernym) = _instances(rng, batch, 2)
     store = _store(rng, size)
-    store.current *= rng.uniform(0.5, 2.0, size=(size, 1))
+    with store.writing() as matrix:
+        matrix *= rng.uniform(0.5, 2.0, size=(size, 1))
     return Case(store, norms=[(hyponym, hypernym, float(rng.uniform(0.5, 2.0)))])
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -493,6 +494,28 @@ class TestEvalCommand:
         code = main(["eval", "--embeddings", str(emb), "--task", task, "--dataset", str(dataset)])
         assert code == 1
         assert capsys.readouterr().err == f"lexfit: error: {emb}:2: vector norm overflows float64\n"
+
+    def test_bibless_pair_whose_norms_overflow_when_summed(self, tmp_path):
+        # norm-separated taxonomic pairs, orthogonal others, and one hypo
+        # pair whose two norms, each representable, sum past the largest float64
+        shapes = {"hyper": ("1 0", "1.5 0"), "hypo": ("1.5 0", "1 0"), "other": ("1 0", "0 1")}
+        vectors = ["big_hypo 1e308 1e308\n", "big_hyper 9e307 1e308\n"]
+        pairs = ["big_hypo\tbig_hyper\thypo\n"]
+        for i in range(18):
+            kind = ("hyper", "hypo", "other")[i % 3]
+            vectors += [f"a{i} {shapes[kind][0]}\n", f"b{i} {shapes[kind][1]}\n"]
+            pairs.append(f"a{i}\tb{i}\t{kind}\n")
+        emb = tmp_path / "huge.vec"
+        emb.write_text("".join(vectors))
+        dataset = tmp_path / "bibless.tsv"
+        dataset.write_text("".join(pairs))
+        report = tmp_path / "report.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--embeddings", str(emb), "--task", "bibless",
+                         "--dataset", str(dataset), "--out", str(report)])
+        assert code == 0
+        assert report.read_text().splitlines()[1].split("\t")[2] == "1"
 
     @pytest.mark.parametrize("task", ["sim", "wbless", "bibless"])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, task):

@@ -188,7 +188,8 @@ class TestSave:
             [0.1, -2.0 / 3.0, 1e16, 3.0],
         ]
         store = EmbeddingStore(["x", "caf\u00e9", "z"], np.ones((3, 4)))
-        store.current[:] = values
+        with store.writing() as matrix:
+            matrix[:] = values
         path = tmp_path / "out.txt"
         save_embeddings(store, str(path), format)
         expected = "".join(
@@ -385,6 +386,91 @@ class TestNearestNeighbors:
         assert [r for r, _ in got] == [2, 1, 3]
         np.testing.assert_allclose([c for _, c in got], [0.9486832981, 0.894427191, 0.8320502943])
         assert [r for r, _ in nearest_neighbors(store, 2, 3)] == [0, 1, 3]
+
+
+def fresh_neighbors(store, k):
+    """Every row's neighbours on a new store built from ``store.current``."""
+    fresh = EmbeddingStore(store.vocab, store.current)
+    return [nearest_neighbors(fresh, row, k) for row in range(len(fresh))]
+
+
+class TestWriting:
+    def test_current_is_read_only(self):
+        store = random_store(2, 4, 3)
+        with pytest.raises(ValueError):
+            store.current[0] = [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            store.current[:] *= 2.0
+        with pytest.raises(AttributeError):
+            store.current = np.ones((4, 3))
+        with store.writing() as matrix:
+            matrix[0] = [1.0, 2.0, 3.0]
+        assert store.current[0].tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            matrix[1] = 0.0  # the yielded matrix is read-only again after the block
+
+    def test_queries_after_a_write_match_a_fresh_store(self):
+        store = random_store(8, 12, 5)
+        before = [nearest_neighbors(store, row, 4) for row in range(12)]  # warm the cache
+        with store.writing() as matrix:
+            matrix[[1, 4]] = matrix[[7, 2]] * 3.0
+            matrix[9] = 1e-200 * matrix[3]
+            # queries inside the block see every write made so far
+            inside = nearest_neighbors(store, 9, 4)
+            assert inside == fresh_neighbors(store, 4)[9]
+            matrix[9] = -matrix[5]
+            assert nearest_neighbors(store, 9, 4) == fresh_neighbors(store, 4)[9] != inside
+            matrix[0] *= -1.0
+        after = [nearest_neighbors(store, row, 4) for row in range(12)]
+        assert after == fresh_neighbors(store, 4)
+        assert after != before
+
+    def test_queries_after_a_block_that_raised_match_a_fresh_store(self):
+        store = random_store(9, 10, 4)
+        before = [nearest_neighbors(store, row, 3) for row in range(10)]
+        with pytest.raises(RuntimeError, match="^stop$"):
+            with store.writing() as matrix:
+                matrix[[2, 5]] = -matrix[[6, 1]]
+                raise RuntimeError("stop")
+        after = [nearest_neighbors(store, row, 3) for row in range(10)]
+        assert after == fresh_neighbors(store, 3)
+        assert after != before
+        with pytest.raises(ValueError):
+            store.current[0] = 0.0
+
+    def test_repeated_queries_on_extreme_rows_match_bruteforce(self):
+        vectors = [[1e200, 1e200], [3e-200, 1e-200], [1.0, 2.0], [5e200, 1e200],
+                   [-1e-200, 2e-200], [2.0, -1.0]]
+        store = EmbeddingStore([f"w{i}" for i in range(6)], vectors)
+        for row in range(6):
+            sims = [(other, cosine(vectors[row], vectors[other]))
+                    for other in range(6) if other != row]
+            sims.sort(key=lambda t: (-t[1], t[0]))
+            first = nearest_neighbors(store, row, 5)
+            assert [r for r, _ in first] == [r for r, _ in sims]
+            np.testing.assert_allclose([c for _, c in first], [c for _, c in sims],
+                                       rtol=0, atol=1e-12)
+            for _ in range(3):
+                assert nearest_neighbors(store, row, 5) == first
+
+    def test_queries_reuse_the_norms_of_construction(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return in_range(matrix)
+
+        in_range = embeddings._in_range
+        store = random_store(4, 30, 6)
+        monkeypatch.setattr(embeddings, "_in_range", counting)
+        for row in range(30):
+            nearest_neighbors(store, row, 5)
+        assert calls == []
+        with store.writing() as matrix:
+            matrix[3] *= 2.0
+        for row in range(30):
+            nearest_neighbors(store, row, 5)
+        assert calls == [30]  # once, on the first query after the write
 
 
 class TestTopK:

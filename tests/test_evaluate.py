@@ -220,7 +220,8 @@ class TestBless:
         store = EmbeddingStore([f"w{i}" for i in range(10)], rng.standard_normal((10, 4)))
         ds = relation_ds([(f"w{i}", f"w{i+1}", "hyper") for i in range(9)])
         before = bless_directionality(store, ds).value
-        store.current *= 17.3
+        with store.writing() as matrix:
+            matrix *= 17.3
         assert bless_directionality(store, ds).value == before
 
     def test_uncovered_excluded(self):

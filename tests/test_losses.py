@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -117,8 +118,9 @@ class TestTripletAttract:
         store = random_store(3, 4, 7)
         terms = (1.0, [0, 0], [1, 1]), (-1.0, [0, 0], [2, 3])
         before = hinge(store, 0.9, *terms).loss
-        store.current[0] *= 3.7
-        store.current[2] *= 0.21
+        with store.writing() as matrix:
+            matrix[0] *= 3.7
+            matrix[2] *= 0.21
         after = hinge(store, 0.9, *terms).loss
         assert abs(before - after) < 1e-9
 
@@ -186,7 +188,8 @@ class TestPreservation:
 
     def test_orthogonal_rotation(self):
         store = EmbeddingStore(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
-        store.current[0] = [0.0, 1.0]
+        with store.writing() as matrix:
+            matrix[0] = [0.0, 1.0]
         res = preserve(store, [0], 0.001)
         assert abs(res.loss - 0.001) < 1e-15
 
@@ -235,6 +238,22 @@ class TestAsymmetricNorm:
             assert backward.loss == max(0.0, -score)
             assert forward.n_active + backward.n_active == 1
 
+    def test_norms_summing_past_float64(self):
+        # |u| + |v| overflows, though each norm is representable
+        big = [[1e308, 1e308], [9e307, 1e308]]
+        store = EmbeddingStore(["hypo", "hyper"], big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = norm_asymmetry(store, 0, 1, 1.0)
+            block = res.gradient()
+        assert res.loss > 0.0 and res.n_active == 1
+        assert np.isfinite(block).all() and block[0].any()
+        # the score is scale-free, so the rows scaled by 2^-1024 give the same
+        # loss and a gradient larger by exactly 2^1024, up to subnormal rounding
+        small = norm_asymmetry(EmbeddingStore(["hypo", "hyper"], np.ldexp(big, -1024)), 0, 1, 1.0)
+        assert res.loss == small.loss
+        np.testing.assert_allclose(np.ldexp(block, 1024), small.gradient(), rtol=1e-10)
+
 
 class TestAttractRepelReg:
     def test_unchanged(self):
@@ -243,7 +262,8 @@ class TestAttractRepelReg:
 
     def test_orthogonal_rotation_scaled(self):
         store = EmbeddingStore(["a", "b", "c"], np.eye(3))
-        store.current[0] = [0.0, 1.0, 0.0]
+        with store.writing() as matrix:
+            matrix[0] = [0.0, 1.0, 0.0]
         res = preserve(store, [0, 1, 2], 1e-9)
         assert abs(res.loss - 1e-9) < 1e-21
 
@@ -268,8 +288,9 @@ def test_gradient_is_scale_covariant(kernel, power):
             original = store.original.copy()
             original[0] = np.ldexp(original[0], power)
             scaled = EmbeddingStore(store.vocab, original)
-            scaled.current[:] = store.current
-            scaled.current[0] = np.ldexp(store.current[0], power)
+            with scaled.writing() as matrix:
+                matrix[:] = store.current
+                matrix[0] = np.ldexp(store.current[0], power)
             got = dataclasses.replace(case, store=scaled).batch_loss().gradient()
             np.testing.assert_array_equal(got[0], np.ldexp(want[0], -power))
             np.testing.assert_array_equal(got[1:], want[1:])
@@ -320,7 +341,8 @@ class TestGradientAssembly:
 
     def test_matches_naive_accumulation(self):
         store = random_store(31, 8, 5)
-        store.current[:] += 0.5 * np.random.default_rng(32).standard_normal((8, 5))
+        with store.writing() as matrix:
+            matrix += 0.5 * np.random.default_rng(32).standard_normal((8, 5))
         res = self.loss_with_repeats(store, np.arange(6))
         assert res.n_active > 0
         got, want = res.gradient(), self.naive_gradient(res)
@@ -330,7 +352,8 @@ class TestGradientAssembly:
 
     def test_overflowing_norm_row_is_nan(self):
         store = random_store(33, 6, 2)
-        store.current[5] = [1.5e308, 1.5e308]
+        with store.writing() as matrix:
+            matrix[5] = [1.5e308, 1.5e308]
         res = self.loss_with_repeats(store, np.arange(6))
         assert np.isinf(res.norms[5])
         block = res.gradient()

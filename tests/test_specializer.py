@@ -218,10 +218,12 @@ def bruteforce_neighbors(vectors, rows, k):
 class TestNeighborPrecompute:
     def test_matches_bruteforce_across_blocks(self, monkeypatch):
         monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_CELLS", 300)  # two rows per block
+        monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_ROWS", 1)
         store = random_store(5, 150, 6)
         rows = np.array([0, 3, 17, 50, 51, 149])
         near, dist = specializer._original_neighbor_sets(store, rows, 7)
-        store.current[:] = 0.0  # the precompute reads the original space only
+        with store.writing() as matrix:
+            matrix[:] = 0.0  # the precompute reads the original space only
         expected_near, expected_dist = bruteforce_neighbors(store.original, rows, 7)
         np.testing.assert_array_equal(near, expected_near)
         np.testing.assert_allclose(dist, expected_dist, rtol=0, atol=1e-12)
@@ -241,6 +243,7 @@ class TestNeighborPrecompute:
         vectors[~vectors.any(axis=1)] = [1.0, 1.0]
         store = EmbeddingStore([f"w{i}" for i in range(23)], vectors)
         monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_CELLS", 23 * block_rows)
+        monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_ROWS", 1)
         rows = np.array([0, 1, 2, 4, 7, 8, 9, 15, 21, 22])
         norms = np.linalg.norm(vectors, axis=1)
         sims = np.clip((vectors @ vectors.T) / np.outer(norms, norms), -1.0, 1.0)
@@ -250,6 +253,27 @@ class TestNeighborPrecompute:
             expected = np.argsort(-sims[rows], axis=1, kind="stable")[:, :k]
             np.testing.assert_array_equal(near, expected)
             np.testing.assert_array_equal(dist, 1.0 - np.take_along_axis(sims[rows], expected, 1))
+
+    def test_blocks_hold_at_least_64_rows(self, monkeypatch):
+        # 2^18 cells over 5000 words alone would give blocks of 52 rows
+        sizes = []
+        top_k = embeddings.top_k
+
+        def recording(sims, k):
+            sizes.append(len(sims))
+            return top_k(sims, k)
+
+        store = random_store(12, 5000, 3)
+        rows = np.arange(0, 5000, 37)
+        monkeypatch.setattr(embeddings, "top_k", recording)
+        near, dist = specializer._original_neighbor_sets(store, rows, 4)
+        assert sizes == [64, 64, 8]
+        monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_CELLS", 5000)
+        monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_ROWS", 1)
+        one_row_near, one_row_dist = specializer._original_neighbor_sets(store, rows, 4)
+        assert len(sizes) == 3 + len(rows)
+        np.testing.assert_array_equal(near, one_row_near)
+        np.testing.assert_allclose(dist, one_row_dist, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_rows_rank_by_true_cosine(self, scale):
@@ -345,7 +369,8 @@ def assert_batch_matches(res, ref, n_rows, dim):
 def moved_toy_store(seed, step):
     store, cs = toy_hierarchy_fixture(seed=seed)
     rng = np.random.default_rng(seed)
-    store.current[::step] += 0.3 * rng.standard_normal(store.current[::step].shape)
+    with store.writing() as matrix:
+        matrix[::step] += 0.3 * rng.standard_normal(matrix[::step].shape)
     return store, cs
 
 
