@@ -28,6 +28,7 @@ from .evaluate import (
 )
 from .losses import Margins
 from .specializer import (
+    PRESET_TABLE,
     PRESETS,
     NonFiniteGradientError,
     SpecializeConfig,
@@ -37,12 +38,24 @@ from .specializer import (
 
 DEFAULT_SEED = SpecializeConfig.seed
 
+# task: (dataset loader, protocol, whether it takes --seed). The names are
+# looked up in this module at each call, so a wrapper set on one (as
+# perfbench/tracing.py sets them) sees the call.
+_EVAL_TASKS = {
+    "sim": ("load_similarity_dataset", "eval_similarity", False),
+    "bless": ("load_relation_dataset", "bless_directionality", False),
+    "wbless": ("load_relation_dataset", "wbless_classify", True),
+    "bibless": ("load_relation_dataset", "bibless_classify", True),
+    "hyperlex": ("load_similarity_dataset", "hyperlex_eval", False),
+}
 
-# The manifest records every field with a plain default; a field without one
-# (the preset, which the method names, and the nested margins) is not recorded.
+
+# The manifest records every field with a plain default but the nested
+# margins, whose own fields it records; the preset, which the method names,
+# has no default.
 _RECORDED = [
     f for cls in (SpecializeConfig, Margins) for f in dataclasses.fields(cls)
-    if f.default is not dataclasses.MISSING
+    if f.default is not dataclasses.MISSING and f.name != "margins"
 ]
 # every training option: each is a flag and a config-file key
 _OPTION_DEFAULTS = {f.name: f.default for f in _RECORDED if f.init}
@@ -134,18 +147,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", help="key=value options file (overridden by flags)")
     sp.add_argument("--replay", help="manifest file to reproduce (other flags may override)")
     for name, default in _OPTION_DEFAULTS.items():
+        # a margin default differs by method where a preset sets its own
+        own = [f"{preset.replace('_', '-')} {getattr(spec.margins, name)}"
+               for preset, spec in PRESET_TABLE.items()
+               if getattr(spec.margins, name, default) != default]
         sp.add_argument(
             f"--{name.replace('_', '-')}", type=type(default), dest=name,
-            help=f"default {default}",
+            help="; ".join([f"default {default}", *own]),
         )
     sp.set_defaults(func=cmd_specialize)
 
     ev = sub.add_parser("eval", help="evaluate embeddings on an intrinsic task")
     ev.add_argument("--embeddings", required=True)
     ev.add_argument("--format", choices=FORMATS, default="glove-text")
-    ev.add_argument(
-        "--task", required=True, choices=("sim", "bless", "wbless", "bibless", "hyperlex")
-    )
+    ev.add_argument("--task", required=True, choices=tuple(_EVAL_TASKS))
     ev.add_argument("--dataset", required=True, help="TSV dataset file")
     ev.add_argument("--backoff", action="store_true", help="resolve OOV words by end truncation")
     ev.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -226,7 +241,10 @@ def cmd_specialize(args) -> int:
 
     values = {key: options[key] for key in _OPTION_DEFAULTS if key in options}
     try:
-        margins = Margins(**{key: values.pop(key) for key in _MARGIN_FIELDS if key in values})
+        margins = dataclasses.replace(
+            PRESET_TABLE[method].margins,
+            **{key: values.pop(key) for key in _MARGIN_FIELDS if key in values},
+        )
         config = SpecializeConfig(method, margins, **values)
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -287,24 +305,10 @@ def cmd_eval(args) -> int:
         return _usage_error("--seed must be >= 0")
     try:
         store = load_embeddings(args.embeddings, args.format)
-        if args.task in ("sim", "hyperlex"):
-            dataset = load_similarity_dataset(args.dataset)
-            if args.task == "sim":
-                report = eval_similarity(store, dataset, use_backoff=args.backoff)
-            else:
-                report = hyperlex_eval(store, dataset, use_backoff=args.backoff)
-        else:
-            dataset = load_relation_dataset(args.dataset)
-            if args.task == "bless":
-                report = bless_directionality(store, dataset, use_backoff=args.backoff)
-            elif args.task == "wbless":
-                report = wbless_classify(
-                    store, dataset, seed=args.seed, use_backoff=args.backoff
-                )
-            else:
-                report = bibless_classify(
-                    store, dataset, seed=args.seed, use_backoff=args.backoff
-                )
+        loader, protocol, seeded = _EVAL_TASKS[args.task]
+        dataset = globals()[loader](args.dataset)
+        options = {"seed": args.seed} if seeded else {}
+        report = globals()[protocol](store, dataset, use_backoff=args.backoff, **options)
     except (ValueError, OSError, KeyError) as exc:
         print(f"lexfit: error: {exc}", file=sys.stderr)
         return 1

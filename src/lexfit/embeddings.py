@@ -409,8 +409,9 @@ def nearest_rows(
     k = min(k, len(matrix) - 1)
     indices = np.empty((len(rows), k), dtype=np.intp)
     cosines = np.empty((len(rows), k))
-    # each block's product is divided by the norms cell by cell; unit rows
-    # would move cosines in the last bit, and the counter-fitting hinges with them
+    # each block's product is divided by the norms cell by cell, so rows with
+    # exact products keep exact ties: a product of unit rows gives orthogonal
+    # integer rows cosines like -2.2e-17, which reorders rows tied at 0
     step = max(_NEIGHBOR_BLOCK_ROWS, _NEIGHBOR_BLOCK_CELLS // len(matrix))
     for start in range(0, len(rows), step):
         block = rows[start : start + step]

@@ -78,44 +78,40 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def load_similarity_dataset(path: str, name: str | None = None) -> SimilarityDataset:
-    """Read `word1<TAB>word2<TAB>score` lines; `#` lines are comments."""
-    pairs = []
+def _records(path: str):
+    """``(location, word1, word2, third field)`` of each ``word1<TAB>word2<TAB>field``
+    line of a dataset file; blank lines and ``#`` lines are skipped."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
+            where = f"{path}:{lineno}"
             if len(parts) != 3:
-                raise DatasetFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                score = float(parts[2])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: non-numeric score") from exc
-            pairs.append((parts[0].strip(), parts[1].strip(), score))
+                raise DatasetFormatError(f"{where}: expected 3 tab-separated fields")
+            yield where, parts[0].strip(), parts[1].strip(), parts[2]
+
+
+def load_similarity_dataset(path: str, name: str | None = None) -> SimilarityDataset:
+    """Read `word1<TAB>word2<TAB>score` lines; `#` lines are comments."""
+    pairs = []
+    for where, w1, w2, field in _records(path):
+        try:
+            pairs.append((w1, w2, float(field)))
+        except ValueError as exc:
+            raise DatasetFormatError(f"{where}: non-numeric score") from exc
     return SimilarityDataset(name=name or path, pairs=pairs)
 
 
 def load_relation_dataset(path: str, name: str | None = None) -> RelationDataset:
     """Read `word1<TAB>word2<TAB>label` lines with labels hyper|hypo|other."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DatasetFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            label = parts[2].strip()
-            if label not in RELATION_LABELS:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: label {label!r} not in {RELATION_LABELS}"
-                )
-            entries.append(
-                RelationEntry(parts[0].strip(), parts[1].strip(), label, label != "other")
-            )
+    for where, w1, w2, field in _records(path):
+        label = field.strip()
+        if label not in RELATION_LABELS:
+            raise DatasetFormatError(f"{where}: label {label!r} not in {RELATION_LABELS}")
+        entries.append(RelationEntry(w1, w2, label, label != "other"))
     return RelationDataset(name=name or path, entries=entries)
 
 
@@ -171,6 +167,26 @@ def _pair_features(store: EmbeddingStore, word_pairs, use_backoff: bool):
     return covered, row_cosines(u, v), n1, n2
 
 
+def _report(name: str, metric: str, value: float, n_covered: int, n_pairs: int,
+            diagnostics: dict | None = None) -> EvalReport:
+    """An :class:`EvalReport` of ``value`` over ``n_covered`` of the ``n_pairs`` pairs."""
+    return EvalReport(name, metric, value, n_covered / n_pairs, n_pairs, n_pairs - n_covered,
+                      diagnostics)
+
+
+def _graded_score(cos: np.ndarray, n_hyper: np.ndarray, n_hypo: np.ndarray) -> np.ndarray:
+    """``cos * (n_hyper / n_hypo)`` per pair: the cosine times the candidate
+    hypernym's norm over the hyponym's.
+
+    A ratio past the float64 range saturates the score to +-inf by the sign
+    of the cosine, and a zero cosine scores 0, so no score is NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = cos * (n_hyper / n_hypo)
+    # only 0 * inf is NaN here
+    return np.where(np.isnan(score), 0.0, score)
+
+
 def _rank_correlation(store: EmbeddingStore, dataset: SimilarityDataset, use_backoff: bool,
                       score) -> EvalReport:
     """Spearman correlation between ``score(cos, n1, n2)`` of each covered pair
@@ -178,17 +194,10 @@ def _rank_correlation(store: EmbeddingStore, dataset: SimilarityDataset, use_bac
     covered, cos, n1, n2 = _pair_features(
         store, [(w1, w2) for w1, w2, _ in dataset.pairs], use_backoff
     )
-    n = len(dataset.pairs)
     if len(covered) < 2:
         raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
-    return EvalReport(
-        dataset=dataset.name,
-        metric="spearman_rho",
-        value=spearman(score(cos, n1, n2), [dataset.pairs[i][2] for i in covered]),
-        coverage=len(covered) / n,
-        n_pairs=n,
-        n_excluded=n - len(covered),
-    )
+    rho = spearman(score(cos, n1, n2), [dataset.pairs[i][2] for i in covered])
+    return _report(dataset.name, "spearman_rho", rho, len(covered), len(dataset.pairs))
 
 
 def eval_similarity(
@@ -215,10 +224,9 @@ def hyper_score(
     if not covered:
         missing = u if _resolve_row(store, u, use_backoff) is None else v
         raise KeyError(f"word {missing!r} is not covered by the vocabulary")
-    ratio = float(n_v[0] / n_u[0])
     if not hypernym_norm_in_numerator:
-        ratio = 1.0 / ratio
-    return float(cos[0]) * ratio
+        n_u, n_v = n_v, n_u
+    return float(_graded_score(cos, n_v, n_u)[0])
 
 
 def bless_directionality(
@@ -232,19 +240,11 @@ def bless_directionality(
     entries = [e for e in dataset.entries if e.label == "hyper"]
     if not entries:
         raise ValueError(f"{dataset.name}: no hyper-labeled pairs")
-    rows, _, n1, n2 = _pair_features(store, [(e.word1, e.word2) for e in entries], use_backoff)
-    covered = len(rows)
-    n = len(entries)
-    if covered == 0:
+    covered, _, n1, n2 = _pair_features(store, [(e.word1, e.word2) for e in entries], use_backoff)
+    if not covered:
         raise ValueError(f"{dataset.name}: no covered pairs")
-    return EvalReport(
-        dataset=dataset.name,
-        metric="direction_accuracy",
-        value=int(np.count_nonzero(n1 < n2)) / covered,
-        coverage=covered / n,
-        n_pairs=n,
-        n_excluded=n - covered,
-    )
+    value = int(np.count_nonzero(n1 < n2)) / len(covered)
+    return _report(dataset.name, "direction_accuracy", value, len(covered), len(entries))
 
 
 def _fit_thresholds(
@@ -271,10 +271,14 @@ def _fit_thresholds(
     # a threshold just above a run gets right every positive of its group
     # above it and every negative at or below it
     correct = totals[g] - pos + (ends + 1 - starts[g] - pos)
-    # that threshold is the midpoint to the group's next run, +inf after its last
+    # that threshold is the midpoint to the group's next run (the run's own
+    # score where no float64 midpoint lies below the next), +inf after its last
     above = np.full(len(ends), np.inf)
     inner = ends + 1 < starts[g + 1]
-    above[inner] = (ranked[ends[inner]] + ranked[ends[inner] + 1]) / 2.0
+    low, high = ranked[ends[inner]], ranked[ends[inner] + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        middle = (low + high) / 2.0
+    above[inner] = np.where(middle < high, middle, low)
     # each group's candidates side by side: -inf first, then one per run
     first = np.arange(n_groups) + np.searchsorted(g, np.arange(n_groups))
     runs_at = np.arange(len(ends)) + g + 1
@@ -288,60 +292,74 @@ def _fit_thresholds(
     return candidates[best[np.searchsorted(best, first)]]
 
 
-def _held_out_accuracies(hits: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Per iteration, the fraction of the pairs outside its sample predicted right.
-
-    ``hits[i, j]`` says whether iteration i predicts pair j right, and
-    ``samples[i]`` holds the distinct pairs of iteration i's sample.
-    """
-    inside = np.take_along_axis(hits, samples, axis=1)
-    n_held_out = hits.shape[1] - samples.shape[1]
-    return (np.count_nonzero(hits, axis=1) - np.count_nonzero(inside, axis=1)) / n_held_out
-
-
 def _finite_mean(values) -> float | None:
     finite = [v for v in values if math.isfinite(v)]
     return float(np.mean(finite)) if finite else None
 
 
-def _sample_with_all_labels(
-    rng: np.random.Generator,
-    codes: np.ndarray,
-    n_labels: int,
-    sample_size: int,
-    max_tries: int = 10000,
-) -> np.ndarray:
-    """Distinct indices into ``codes``, drawn again until every code in
-    ``range(n_labels)`` occurs among them."""
-    for _ in range(max_tries):
-        idx = rng.choice(len(codes), size=sample_size, replace=False)
-        if np.bincount(codes[idx], minlength=n_labels).all():
-            return idx
-    raise RuntimeError("could not draw a sample containing every label")
+def _resampled_accuracy(
+    store: EmbeddingStore,
+    dataset: RelationDataset,
+    label,
+    rule,
+    seed: int,
+    use_backoff: bool,
+    iterations: int,
+    sample_fraction: float,
+    min_classes: int = 1,
+) -> EvalReport:
+    """Mean accuracy, over ``iterations``, of a threshold rule fit on a small
+    sample of the covered pairs and measured on the pairs outside it.
 
-
-def _sample_size(name: str, n: int, sample_fraction: float, n_labels: int) -> int:
-    """Pairs per fitting sample: a ``sample_fraction`` share of the ``n``
-    covered pairs, at least 2 and at least one per label, leaving at least
-    one pair held out."""
-    size = max(2, n_labels, math.ceil(sample_fraction * n))
+    Each covered entry gets the class ``label(entry)``; fewer than
+    ``min_classes`` classes is an error. A sample holds a ``sample_fraction``
+    share of the pairs, at least 2, at least one of each class and not all
+    of them; the samples are drawn in order from one stream seeded by ``seed``.
+    ``rule(classes, cos, n1, n2, samples, groups)`` fits every sample at once
+    (``groups[i]`` is the iteration of ``samples.ravel()[i]``) and returns
+    ``(hits, thresholds)``: ``hits[i, j]`` says whether iteration i predicts
+    pair j right, and ``thresholds`` maps diagnostics keys to the fitted
+    thresholds, stage 1 first.
+    """
+    covered, cos, n1, n2 = _pair_features(
+        store, [(e.word1, e.word2) for e in dataset.entries], use_backoff
+    )
+    classes = [label(dataset.entries[i]) for i in covered]
+    n = len(classes)
+    present, codes = np.unique(classes, return_inverse=True)
+    if n < 2:
+        raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
+    if len(present) < min_classes:
+        raise ValueError(f"{dataset.name}: needs both classes (hyper and non-hyper)")
+    size = max(2, len(present), math.ceil(sample_fraction * n))
     if n - size < 1:
         raise ValueError(
-            f"{name}: a fitting sample of {size} of the {n} covered pairs holds out none"
+            f"{dataset.name}: a fitting sample of {size} of the {n} covered pairs holds out none"
         )
-    return size
-
-
-def _draw_samples(seed: int, labels: list, sample_size: int, iterations: int) -> np.ndarray:
-    """One sample per iteration (a row each) that holds every label of ``labels``,
-    drawn in order from one seeded stream."""
     rng = np.random.default_rng(seed)
-    present, codes = np.unique(labels, return_inverse=True)
-    samples = [
-        _sample_with_all_labels(rng, codes, len(present), sample_size)
-        for _ in range(iterations)
-    ]
-    return np.array(samples, dtype=np.intp).reshape(iterations, sample_size)
+    samples = np.empty((iterations, size), dtype=np.intp)
+    for sample in samples:
+        for _ in range(10000):  # drawn again until every class occurs
+            sample[:] = rng.choice(n, size=size, replace=False)
+            if np.bincount(codes[sample], minlength=len(present)).all():
+                break
+        else:
+            raise RuntimeError("could not draw a sample containing every label")
+    groups = np.repeat(np.arange(iterations), size)
+    hits, thresholds = rule(np.asarray(classes), cos, n1, n2, samples, groups)
+    # per iteration, the pairs predicted right less those inside its sample
+    inside = np.take_along_axis(hits, samples, axis=1)
+    accuracies = (np.count_nonzero(hits, axis=1) - np.count_nonzero(inside, axis=1)) / (n - size)
+    return _report(
+        dataset.name, "mean_accuracy", float(np.mean(accuracies)), n, len(dataset.entries),
+        {
+            **{key: values.tolist() for key, values in thresholds.items()},
+            "iteration_accuracies": accuracies.tolist(),
+            "mean_threshold": _finite_mean(next(iter(thresholds.values()))),
+            "iterations": iterations,
+            "sample_size": size,
+        },
+    )
 
 
 def wbless_classify(
@@ -358,41 +376,16 @@ def wbless_classify(
     entry of each class) and measures accuracy on the rest; the reported
     value is the mean accuracy across iterations.
     """
-    covered, cos, n1, n2 = _pair_features(
-        store, [(e.word1, e.word2) for e in dataset.entries], use_backoff
-    )
-    labels = [dataset.entries[i].label == "hyper" for i in covered]
-    n_total = len(dataset.entries)
-    n = len(labels)
-    if n < 2:
-        raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
-    if len(set(labels)) < 2:
-        raise ValueError(f"{dataset.name}: needs both classes (hyper and non-hyper)")
-    scores_arr = cos * (n2 / n1)
-    labels_arr = np.asarray(labels)
-    sample_size = _sample_size(dataset.name, n, sample_fraction, 2)
-    samples = _draw_samples(seed, labels, sample_size, iterations)
-    groups = np.repeat(np.arange(iterations), sample_size)
-    thresholds = _fit_thresholds(
-        scores_arr[samples].ravel(), labels_arr[samples].ravel(), groups, iterations
-    )
-    accuracies = _held_out_accuracies(
-        (scores_arr > thresholds[:, None]) == labels_arr, samples
-    )
-    return EvalReport(
-        dataset=dataset.name,
-        metric="mean_accuracy",
-        value=float(np.mean(accuracies)),
-        coverage=n / n_total,
-        n_pairs=n_total,
-        n_excluded=n_total - n,
-        diagnostics={
-            "thresholds": thresholds.tolist(),
-            "iteration_accuracies": accuracies.tolist(),
-            "mean_threshold": _finite_mean(thresholds),
-            "iterations": iterations,
-            "sample_size": sample_size,
-        },
+    def rule(is_hyper, cos, n1, n2, samples, groups):
+        scores = _graded_score(cos, n2, n1)
+        thresholds = _fit_thresholds(
+            scores[samples].ravel(), is_hyper[samples].ravel(), groups, iterations
+        )
+        return (scores > thresholds[:, None]) == is_hyper, {"thresholds": thresholds}
+
+    return _resampled_accuracy(
+        store, dataset, lambda e: e.label == "hyper", rule,
+        seed, use_backoff, iterations, sample_fraction, min_classes=2,
     )
 
 
@@ -411,53 +404,28 @@ def bibless_classify(
     signed norm-difference score. Both thresholds are re-fit per iteration on
     the same small sample and evaluated on the rest.
     """
-    covered, cos, n1, n2 = _pair_features(
-        store, [(e.word1, e.word2) for e in dataset.entries], use_backoff
-    )
-    labels = [dataset.entries[i].label for i in covered]
-    n_total = len(dataset.entries)
-    n = len(labels)
-    if n < 2:
-        raise ValueError(f"{dataset.name}: fewer than 2 covered pairs")
-    agn_arr = np.maximum(cos * n2 / n1, cos * n1 / n2)
-    s1, s2, _ = shared_scale(n1, n2)
-    dir_arr = (s1 - s2) / (s1 + s2)
-    codes = np.asarray([RELATION_LABELS.index(lab) for lab in labels])
-    hyper_code, hypo_code, other_code = range(len(RELATION_LABELS))
-    taxo_arr = codes != other_code
-    hypo_arr = codes == hypo_code
-    sample_size = _sample_size(dataset.name, n, sample_fraction, len(set(labels)))
-    samples = _draw_samples(seed, labels, sample_size, iterations)
-    flat = samples.ravel()
-    groups = np.repeat(np.arange(iterations), sample_size)
-    t1s = _fit_thresholds(agn_arr[flat], taxo_arr[flat], groups, iterations)
-    # direction rule: hypo iff the first word's norm dominates; fit on each
-    # sample's taxonomic pairs, and t2 = 0 for a sample without any
-    in_taxo = taxo_arr[flat]
-    taxo = flat[in_taxo]
-    t2s = _fit_thresholds(dir_arr[taxo], hypo_arr[taxo], groups[in_taxo], iterations)
-    t2s[~in_taxo.reshape(samples.shape).any(axis=1)] = 0.0
-    hits = np.where(
-        agn_arr > t1s[:, None],
-        np.where(dir_arr > t2s[:, None], hypo_arr, codes == hyper_code),
-        ~taxo_arr,
-    )
-    accuracies = _held_out_accuracies(hits, samples)
-    return EvalReport(
-        dataset=dataset.name,
-        metric="mean_accuracy",
-        value=float(np.mean(accuracies)),
-        coverage=n / n_total,
-        n_pairs=n_total,
-        n_excluded=n_total - n,
-        diagnostics={
-            "stage1_thresholds": t1s.tolist(),
-            "stage2_thresholds": t2s.tolist(),
-            "iteration_accuracies": accuracies.tolist(),
-            "mean_threshold": _finite_mean(t1s),
-            "iterations": iterations,
-            "sample_size": sample_size,
-        },
+    def rule(labels, cos, n1, n2, samples, groups):
+        relatedness = np.maximum(_graded_score(cos, n2, n1), _graded_score(cos, n1, n2))
+        s1, s2, _ = shared_scale(n1, n2)
+        direction = (s1 - s2) / (s1 + s2)
+        taxonomic, hypo = labels != "other", labels == "hypo"
+        flat = samples.ravel()
+        t1s = _fit_thresholds(relatedness[flat], taxonomic[flat], groups, iterations)
+        # direction rule: hypo iff the first word's norm dominates; fit on each
+        # sample's taxonomic pairs, and t2 = 0 for a sample without any
+        in_taxo = taxonomic[flat]
+        taxo = flat[in_taxo]
+        t2s = _fit_thresholds(direction[taxo], hypo[taxo], groups[in_taxo], iterations)
+        t2s[~in_taxo.reshape(samples.shape).any(axis=1)] = 0.0
+        hits = np.where(
+            relatedness > t1s[:, None],
+            np.where(direction > t2s[:, None], hypo, labels == "hyper"),
+            ~taxonomic,
+        )
+        return hits, {"stage1_thresholds": t1s, "stage2_thresholds": t2s}
+
+    return _resampled_accuracy(
+        store, dataset, lambda e: e.label, rule, seed, use_backoff, iterations, sample_fraction
     )
 
 
@@ -465,4 +433,6 @@ def hyperlex_eval(
     store: EmbeddingStore, dataset: SimilarityDataset, use_backoff: bool = True
 ) -> EvalReport:
     """Spearman correlation between graded hypernymy scores and human ratings."""
-    return _rank_correlation(store, dataset, use_backoff, lambda cos, n1, n2: cos * (n2 / n1))
+    return _rank_correlation(
+        store, dataset, use_backoff, lambda cos, n1, n2: _graded_score(cos, n2, n1)
+    )

@@ -13,12 +13,12 @@ import math
 import time
 from collections import defaultdict
 from collections.abc import Callable, Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constraints import PAIR_SETS, ConstraintSet
-from .embeddings import EmbeddingStore, nearest_rows
+from .embeddings import EmbeddingStore, nearest_rows, row_cosines, unit_rows
 from .losses import BatchLoss, Margins
 from .sampling import (
     NEGATIVE_POLICIES,
@@ -46,6 +46,7 @@ class Preset:
     mirror_hyper: bool = False  # train hypernym pairs from both ends
     closed_hyper: bool = False  # hypernym stream from the transitive closure
     closed_ad: bool = False  # norm-asymmetry stream from the transitive closure
+    margins: Margins = field(default_factory=Margins)  # its margin defaults
 
 
 def missing_relations(preset: str, present: Collection[str]) -> list[tuple[str, ...]]:
@@ -65,7 +66,7 @@ class SpecializeConfig:
     """Hyperparameters for one specialization run."""
 
     preset: str
-    margins: Margins = field(default_factory=Margins)
+    margins: Margins | None = None  # None: the preset's own margins
     learning_rate: float = 0.03
     epochs: int = 20
     batch_size: int = 128
@@ -81,6 +82,8 @@ class SpecializeConfig:
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}, expected one of {PRESETS}")
+        if self.margins is None:
+            self.margins = replace(PRESET_TABLE[self.preset].margins)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
@@ -226,13 +229,11 @@ def retrofit(
 
 # --- counter-fitting --------------------------------------------------------
 
-def _original_neighbor_sets(
-    store: EmbeddingStore, rows: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k original-space neighbours of each row and their original distances,
-    ranked by :func:`~lexfit.embeddings.nearest_rows`."""
-    neighbors, cosines = nearest_rows(store.geometry(original=True), rows, k)
-    return neighbors, 1.0 - cosines
+def _original_neighbor_sets(store: EmbeddingStore, rows: np.ndarray, k: int) -> np.ndarray:
+    """The top-k original-space neighbours of each row, ranked by
+    :func:`~lexfit.embeddings.nearest_rows`; their distances are formed per
+    batch, by :func:`_counterfit_batch_loss`."""
+    return nearest_rows(store.geometry(original=True), rows, k)[0]
 
 
 def _train_counterfit(
@@ -255,25 +256,29 @@ def _counterfit_batch_loss(
     batch: MiniBatch,
     store: EmbeddingStore,
     constrained: np.ndarray,
-    neighbors: tuple[np.ndarray, np.ndarray],
+    neighbors: np.ndarray,
     m: Margins,
 ) -> BatchLoss:
     """Synonym pull or antonym push over the batch's pairs, plus the
-    neighbour-preservation hinge of every row in the batch.
+    neighbour-preservation hinge max(0, D_current - D_original) of every row
+    in the batch against each of its original-space neighbours.
 
     ``neighbors`` is the precompute for the ascending ``constrained`` rows.
+    Both distances of a preservation hinge are ``1 - row_cosines`` of unit
+    rows, so the hinge of a pair whose rows have not moved is exactly 0.
     """
-    near, near_dist = neighbors
     at = np.searchsorted(constrained, np.unique(np.asarray(batch.items)))
-    rows, local = batch_rows(batch, extra=near[at].ravel())
+    rows, local = batch_rows(batch, extra=neighbors[at].ravel())
     res = BatchLoss(store, rows)
     if batch.relation == "syn":
         # pull synonyms until their distance is within m_syn
         res.hinge(-m.m_syn, (1.0, local[:, 0], local[:, 1]))
     else:
         res.hinge(m.m_ant, (-1.0, local[:, 0], local[:, 1]))
-    own = np.searchsorted(rows, np.repeat(constrained[at], near.shape[1]))
-    res.hinge(-near_dist[at].ravel(), (1.0, own, np.searchsorted(rows, near[at].ravel())))
+    own = np.searchsorted(rows, np.repeat(constrained[at], neighbors.shape[1]))
+    near = np.searchsorted(rows, neighbors[at].ravel())
+    origin = unit_rows(res.original)[0]
+    res.hinge(row_cosines(origin[own], origin[near]) - 1.0, (1.0, own, near))
     return res
 
 
@@ -429,7 +434,10 @@ _HIERARCHY = ("syn", "ant", "hyper", "quad")
 
 PRESET_TABLE = {
     "retrofitting": Preset((("syn", "hyper"),), _train_retrofit),
-    "counterfitting": Preset(_SYN_ANT, _train_counterfit, ("syn", "ant")),
+    # synonym-attract gamma = 0 and antonym-repel delta = 1 (Mrksic et al., NAACL 2016)
+    "counterfitting": Preset(
+        _SYN_ANT, _train_counterfit, ("syn", "ant"), margins=Margins(m_syn=0.0, m_ant=1.0)
+    ),
     "attract_repel": Preset(_SYN_ANT, _train_metric, ("syn", "ant"), reg="triplet"),
     "lear": Preset(
         _SYN_ANT_HYPER, _train_metric, ("syn", "ant", "hyper", "ad"), reg="triplet",

@@ -13,10 +13,17 @@ from lexfit import (
     EmbeddingStore,
     Margins,
     SpecializeConfig,
+    bibless_classify,
+    bless_directionality,
+    eval_similarity,
+    hyperlex_eval,
     load_embeddings,
     load_pairs,
+    load_relation_dataset,
+    load_similarity_dataset,
     save_embeddings,
     specialize,
+    wbless_classify,
 )
 from lexfit.cli import main
 from lexfit.constraints import PAIR_SETS
@@ -288,6 +295,22 @@ class TestSpecializeCommand:
         assert err.startswith("lexfit: error: non-finite gradient at row ")
         assert "Traceback" not in err
 
+    def test_margin_flags_overlay_the_preset_margins(self, workspace, capsys):
+        tmp_path, emb, syn, ant, _ = workspace
+        argv = ["specialize", "--embeddings", str(emb), "--format", "glove-text",
+                "--method", "counterfitting", "--syn", str(syn), "--ant", str(ant),
+                "--epochs", "1"]
+        assert main([*argv, "--out", str(tmp_path / "d.vec")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "f.vec"), "--m-ant", "0.5"]) == 0
+        recorded = [json.loads((tmp_path / f"{name}.vec.manifest").read_text())["config"]
+                    for name in ("d", "f")]
+        assert [(c["m_syn"], c["m_ant"], c["m_hyp"]) for c in recorded] == [
+            (0.0, 1.0, Margins.m_hyp), (0.0, 0.5, Margins.m_hyp)
+        ]
+        with pytest.raises(SystemExit):
+            main(["specialize", "--help"])
+        assert "default 0.9; counterfitting 0.0" in capsys.readouterr().out
+
     def test_replay_refuses_edited_input(self, workspace, capsys):
         tmp_path, _, syn, _, _ = workspace
         assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
@@ -329,9 +352,10 @@ class TestSpecializeCommand:
 
 def _option_values():
     """A valid non-default value for every SpecializeConfig and Margins option."""
+    # the nested margins are set through their own fields
     fields = [
         f for cls in (SpecializeConfig, Margins) for f in dataclasses.fields(cls)
-        if f.init and f.default is not dataclasses.MISSING
+        if f.init and f.default is not dataclasses.MISSING and f.name != "margins"
     ]
     assert {f.name for f in fields} >= {"epochs", "negative_policy", "m_syn", "ad_weight"}
     values = {}
@@ -523,6 +547,59 @@ class TestEvalCommand:
                      "--dataset", str(tmp_path / "missing.tsv"), "--seed", "-1"])
         assert code == 2
         assert capsys.readouterr().err == "lexfit: error: --seed must be >= 0\n"
+
+    @pytest.mark.parametrize("task", ["sim", "hyperlex", "bless", "wbless", "bibless"])
+    def test_report_file_is_the_api_report(self, workspace, task):
+        tmp_path, emb, *_ = workspace
+        dataset = tmp_path / f"{task}.tsv"
+        if task in ("sim", "hyperlex"):
+            dataset.write_text("a1\ta2\t9.0\na1\tb1\t2.0\na2\tb2\t1.0\nc1\tzz\t4.0\n")
+            load = load_similarity_dataset
+        else:
+            dataset.write_text(
+                "a1\thypa\thyper\na2\thypa\thyper\nb1\thypb\thyper\nhypb\tb2\thypo\n"
+                "a1\tb1\tother\na2\tb2\tother\nc1\tc2\tother\nd1\tzz\tother\n"
+            )
+            load = load_relation_dataset
+        report = tmp_path / "report.tsv"
+        assert main(["eval", "--embeddings", str(emb), "--task", task, "--dataset",
+                     str(dataset), "--seed", "3", "--out", str(report)]) == 0
+        protocol, options = {
+            "sim": (eval_similarity, {}),
+            "hyperlex": (hyperlex_eval, {}),
+            "bless": (bless_directionality, {}),
+            "wbless": (wbless_classify, {"seed": 3}),
+            "bibless": (bibless_classify, {"seed": 3}),
+        }[task]
+        store = load_embeddings(str(emb), "glove-text")
+        expected = protocol(store, load(str(dataset)), use_backoff=False, **options)
+        assert report.read_text() == expected.to_tsv()
+
+    @pytest.mark.parametrize("task", ["hyperlex", "wbless", "bibless"])
+    def test_graded_score_saturates_where_the_norm_ratio_overflows(self, tmp_path, task):
+        # |a| / |b| and |a| / |g| are past the float64 range, and |b| / |a|
+        # below it; g points away from a
+        emb = tmp_path / "far.vec"
+        emb.write_text(
+            "a 1e200 1e200\nb 1e-200 2e-200\ng -1e-200 -2e-200\nc 1 2\nd 2 1\ne 1 1\nf 3 1\n"
+        )
+        dataset = tmp_path / f"{task}.tsv"
+        if task == "hyperlex":
+            # graded scores inf, 0.8, 2 and -inf: in the order of the ratings
+            dataset.write_text("b\ta\t5.0\nc\td\t1.0\ne\tf\t2.0\ng\ta\t0.5\n")
+        else:
+            dataset.write_text(
+                "b\ta\thyper\nc\td\tother\ne\tf\thyper\nd\tc\thypo\nf\te\tother\n"
+                "g\ta\tother\n"
+            )
+        report = tmp_path / "report.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--embeddings", str(emb), "--task", task,
+                         "--dataset", str(dataset), "--out", str(report)])
+        assert code == 0
+        if task == "hyperlex":
+            assert report.read_text().splitlines()[1].split("\t")[2] == "1"
 
     def test_unknown_task_exits_2(self, workspace):
         _, emb, *_ = workspace

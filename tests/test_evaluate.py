@@ -25,6 +25,7 @@ from lexfit.evaluate import (
     DatasetFormatError,
     _finite_mean,
     _fit_thresholds,
+    _graded_score,
     _pair_features,
 )
 
@@ -197,6 +198,38 @@ class TestHyperScore:
         with pytest.raises(KeyError):
             hyper_score(store, "zz", "v", use_backoff=False)
 
+    def test_overflowing_norm_ratio_saturates(self):
+        store = EmbeddingStore(["a", "b"], [[1e200, 1e200], [1e-200, 2e-200]])
+        assert hyper_score(store, "b", "a") == math.inf
+        assert hyper_score(store, "a", "b") == 0.0
+        assert hyper_score(store, "a", "b", hypernym_norm_in_numerator=False) == math.inf
+
+
+class TestGradedScore:
+    def test_the_product_wherever_the_ratio_is_finite(self):
+        rng = np.random.default_rng(4)
+        cos = rng.uniform(-1.0, 1.0, 2000)
+        cos[::50] = 0.0
+        n_hyper, n_hypo = 10.0 ** rng.uniform(-300.0, 300.0, (2, 2000))
+        with np.errstate(over="ignore"):
+            ratio = n_hyper / n_hypo
+        finite = np.isfinite(ratio)
+        assert 0 < np.count_nonzero(finite) < 2000
+        score = _graded_score(cos, n_hyper, n_hypo)
+        assert score[finite].tobytes() == (cos[finite] * ratio[finite]).tobytes()
+        over = ~finite & (cos != 0.0)
+        np.testing.assert_array_equal(score[over], np.copysign(np.inf, cos[over]))
+        np.testing.assert_array_equal(score[cos == 0.0], 0.0)
+        assert not np.isnan(score).any()
+
+    def test_saturated_and_zero_scores(self):
+        cos = np.array([0.5, -0.5, 0.0, -0.0, 0.5])
+        n_hyper = np.array([1e200, 1e200, 1e200, 1e200, 1e-200])
+        n_hypo = np.array([1e-200, 1e-200, 1e-200, 1e-200, 1e200])
+        np.testing.assert_array_equal(
+            _graded_score(cos, n_hyper, n_hypo), [np.inf, -np.inf, 0.0, 0.0, 0.0]
+        )
+
 
 def relation_ds(rows):
     return RelationDataset(
@@ -258,6 +291,17 @@ def brute_force_threshold(scores, labels):
 
 
 class TestFitThreshold:
+    @pytest.mark.parametrize("low, high", [
+        (1.0, np.inf),
+        (-np.inf, np.inf),
+        (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51),  # their midpoint rounds to the higher
+        (1e308, 1.7e308),  # their sum overflows
+    ])
+    def test_threshold_separates_two_scores(self, low, high):
+        scores, labels = np.array([low, high]), np.array([False, True])
+        t = _fit_thresholds(scores, labels, np.zeros(2, dtype=np.intp), 1)
+        np.testing.assert_array_equal(scores > t[0], labels)
+
     def test_matches_brute_force_with_ties(self):
         # few distinct scores, so most thresholds tie on accuracy; each call
         # fits many groups, their entries interleaved, among them empty,
@@ -325,7 +369,7 @@ def reference_bibless(store, dataset, seed, iterations, sample_fraction=0.02):
     )
     labels = [dataset.entries[i].label for i in covered]
     n = len(labels)
-    agn = np.maximum(cos * n2 / n1, cos * n1 / n2)
+    agn = np.maximum(cos * (n2 / n1), cos * (n1 / n2))
     direction = (n1 - n2) / (n1 + n2)
     codes = np.asarray([RELATION_LABELS.index(lab) for lab in labels])
     taxo, hypo = codes != 2, codes == 1

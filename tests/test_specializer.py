@@ -201,6 +201,30 @@ class TestCounterfit:
         specialize(store, cs, config)
         np.testing.assert_array_equal(store.current, before)
 
+    def test_default_margins_pull_synonyms_together(self):
+        store, cs = self.make_toy()
+        def mean_d(pairs):
+            return float(np.mean([distance(store.current[a], store.current[b]) for a, b in pairs]))
+        syn_before = mean_d(cs.synonyms)
+        config = SpecializeConfig(preset="counterfitting", epochs=15, batch_size=8, seed=1)
+        assert config.margins == specializer.PRESET_TABLE["counterfitting"].margins
+        specialize(store, cs, config)
+        assert mean_d(cs.synonyms) < syn_before
+
+    def test_unmoved_rows_with_inactive_constraints_give_zero(self):
+        # D <= 2 < m_syn and D >= 0 = m_ant: only the preservation hinges
+        # remain, and every row sits exactly at its original distances
+        store, cs = self.make_toy()
+        m = Margins(m_syn=2.0, m_ant=0.0)
+        constrained = np.array(sorted({r for p in cs.synonyms | cs.antonyms for r in p}))
+        neighbors = specializer._original_neighbor_sets(store, constrained, 10)
+        plan = plan_epoch(cs, 4, 1, relations=("syn", "ant"))
+        for batch in plan:
+            res = specializer._counterfit_batch_loss(batch, store, constrained, neighbors, m)
+            assert res.n_hinges > 0
+            assert (res.n_active, res.loss) == (0, 0.0)
+            assert not res.gradient().any()
+
 
 def bruteforce_neighbors(vectors, rows, k):
     """Oracle: every pair's cosine on its own, ranked by a stable descending sort."""
@@ -215,13 +239,22 @@ def bruteforce_neighbors(vectors, rows, k):
     return near, 1.0 - np.take_along_axis(sims[rows], near, axis=1)
 
 
+def original_neighbors(store, rows, k):
+    """The precompute's neighbours, and their original distances from the
+    cosines :func:`~lexfit.embeddings.nearest_rows` ranks them by."""
+    near = specializer._original_neighbor_sets(store, rows, k)
+    ranked, cosines = embeddings.nearest_rows(store.geometry(original=True), rows, k)
+    np.testing.assert_array_equal(near, ranked)
+    return near, 1.0 - cosines
+
+
 class TestNeighborPrecompute:
     def test_matches_bruteforce_across_blocks(self, monkeypatch):
         monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_CELLS", 300)  # two rows per block
         monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_ROWS", 1)
         store = random_store(5, 150, 6)
         rows = np.array([0, 3, 17, 50, 51, 149])
-        near, dist = specializer._original_neighbor_sets(store, rows, 7)
+        near, dist = original_neighbors(store, rows, 7)
         with store.writing() as matrix:
             matrix[:] = 0.0  # the precompute reads the original space only
         expected_near, expected_dist = bruteforce_neighbors(store.original, rows, 7)
@@ -232,7 +265,7 @@ class TestNeighborPrecompute:
         vectors = [[0.0, 1.0], [1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [-1.0, 0.0], [3.0, 0.0]]
         store = EmbeddingStore([f"w{i}" for i in range(6)], vectors)
         rows = np.arange(6)
-        near, _ = specializer._original_neighbor_sets(store, rows, 5)
+        near = specializer._original_neighbor_sets(store, rows, 5)
         np.testing.assert_array_equal(near, bruteforce_neighbors(vectors, rows, 5)[0])
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 40])
@@ -249,7 +282,7 @@ class TestNeighborPrecompute:
         sims = np.clip((vectors @ vectors.T) / np.outer(norms, norms), -1.0, 1.0)
         np.fill_diagonal(sims, -np.inf)
         for k in (1, 4, 9, 22):
-            near, dist = specializer._original_neighbor_sets(store, rows, k)
+            near, dist = original_neighbors(store, rows, k)
             expected = np.argsort(-sims[rows], axis=1, kind="stable")[:, :k]
             np.testing.assert_array_equal(near, expected)
             np.testing.assert_array_equal(dist, 1.0 - np.take_along_axis(sims[rows], expected, 1))
@@ -266,12 +299,15 @@ class TestNeighborPrecompute:
         store = random_store(12, 5000, 3)
         rows = np.arange(0, 5000, 37)
         monkeypatch.setattr(embeddings, "top_k", recording)
-        near, dist = specializer._original_neighbor_sets(store, rows, 4)
+        near = specializer._original_neighbor_sets(store, rows, 4)
         assert sizes == [64, 64, 8]
+        dist = original_neighbors(store, rows, 4)[1]
         monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_CELLS", 5000)
         monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_ROWS", 1)
-        one_row_near, one_row_dist = specializer._original_neighbor_sets(store, rows, 4)
-        assert len(sizes) == 3 + len(rows)
+        del sizes[:]
+        one_row_near = specializer._original_neighbor_sets(store, rows, 4)
+        assert len(sizes) == len(rows)
+        one_row_dist = original_neighbors(store, rows, 4)[1]
         np.testing.assert_array_equal(near, one_row_near)
         np.testing.assert_allclose(dist, one_row_dist, rtol=0, atol=1e-12)
 
@@ -284,7 +320,7 @@ class TestNeighborPrecompute:
         store = EmbeddingStore([f"w{i}" for i in range(6)], vectors)
         rows = np.arange(6)
         for k in (1, 3, 5):
-            near, dist = specializer._original_neighbor_sets(store, rows, k)
+            near, dist = original_neighbors(store, rows, k)
             expected_near, expected_dist = bruteforce_neighbors(vectors, rows, k)
             np.testing.assert_array_equal(near, expected_near)
             np.testing.assert_allclose(dist, expected_dist, rtol=0, atol=1e-12)
@@ -345,10 +381,10 @@ def reference_counterfit_loss(batch, store, constrained, neighbors, m):
                 res.add_grad(b, g_b)
         else:
             res.merge(contrastive_loss(a, b, m.m_ant, store))
-    near, near_dist = neighbors
+    original = store.original
     for row in sorted({r for item in batch.items for r in item}):
-        i = int(np.searchsorted(constrained, row))
-        pairs = list(zip(near[i].tolist(), near_dist[i].tolist()))
+        near = neighbors[int(np.searchsorted(constrained, row))].tolist()
+        pairs = [(j, distance_with_grads(original[row], original[j])[0]) for j in near]
         res.merge(counterfit_preserve_loss(row, pairs, store))
     return res
 
