@@ -258,9 +258,9 @@ def _fit_thresholds(
     toward the smaller threshold, so an empty group gets -inf.
     """
     order = np.lexsort((scores, groups))
-    ranked, group = scores[order], groups[order]
+    ranked, group, positive = scores[order], groups[order], labels[order]
     starts = np.searchsorted(group, np.arange(n_groups + 1))
-    positives = np.concatenate(([0], np.cumsum(labels[order])))  # before each entry
+    positives = np.concatenate(([0], np.cumsum(positive)))  # before each entry
     totals = positives[starts[1:]] - positives[starts[:-1]]
     # last entry of each run of equal scores within a group
     last = np.ones(len(ranked), dtype=bool)
@@ -285,8 +285,11 @@ def _fit_thresholds(
     n_candidates = n_groups + len(ends)
     candidates = np.empty(n_candidates)
     candidates[first], candidates[runs_at] = -np.inf, above
+    # `score > -inf` gets a -inf score's positive wrong and its negative right
+    floor = ranked == -np.inf
+    at_floor = np.bincount(group[floor], weights=1.0 - 2.0 * positive[floor], minlength=n_groups)
     n_correct = np.empty(n_candidates, dtype=np.int64)
-    n_correct[first], n_correct[runs_at] = totals, correct
+    n_correct[first], n_correct[runs_at] = totals + at_floor, correct
     most = np.maximum.reduceat(n_correct, first)
     best = np.flatnonzero(n_correct == np.repeat(most, np.diff(first, append=n_candidates)))
     return candidates[best[np.searchsorted(best, first)]]

@@ -40,9 +40,10 @@ class Margins:
 class BatchLoss:
     """One mini-batch's loss and gradient over its gathered rows.
 
-    ``rows`` are distinct store rows, ascending; every term addresses them
-    by local index. Each hinge family is added as index arrays, and
-    :meth:`gradient` returns the ``(len(rows), dim)`` gradient block.
+    ``rows`` are distinct rows of ``store`` (a store, or the working set that
+    training copies from one), ascending; every term addresses them by local
+    index. Each hinge family is added as index arrays, and :meth:`gradient`
+    returns the ``(len(rows), dim)`` gradient block.
     ``n_hinges`` counts the hinge terms added and ``n_active`` those that
     were strictly positive; preservation pulls count toward neither.
 

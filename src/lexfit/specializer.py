@@ -1,17 +1,17 @@
 """Training presets that drive AdaGrad over planned constraint batches.
 
-``specialize`` changes ``store.current`` in place, only through
-:meth:`~lexfit.embeddings.EmbeddingStore.writing` (``store.original`` is
-never touched), and returns the store together with a :class:`TrainLog`.
-Given identical inputs and seed, every preset produces a bit-identical
-output matrix.
+Each preset trains a :class:`WorkingSet`, a copy of the rows it can change,
+so losses and AdaGrad state grow with those rows, not with the vocabulary.
+``specialize`` writes it back in the one
+:meth:`~lexfit.embeddings.EmbeddingStore.writing` block, after the last
+epoch, so a run that raises leaves the store as it was. Given identical
+inputs and seed, every preset produces a bit-identical output matrix.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import defaultdict
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, replace
 
@@ -36,8 +36,8 @@ class Preset:
 
     # pair-file relations it needs; an entry of several is met by any one of them
     required: tuple[tuple[str, ...], ...]
-    # runs the whole preset on a store whose constraints meet ``required``
-    train: Callable[[EmbeddingStore, ConstraintSet, SpecializeConfig], TrainLog]
+    # trains the working set it gathers from a store whose constraints meet ``required``
+    train: Callable[[EmbeddingStore, ConstraintSet, SpecializeConfig], tuple[WorkingSet, TrainLog]]
     streams: tuple[str, ...] = ()  # relations planned into each epoch
     # preservation: "triplet" pulls each mined triplet's rows with m_reg,
     # "batch" each batch's rows with gamma_reg
@@ -58,7 +58,20 @@ def missing_relations(preset: str, present: Collection[str]) -> list[tuple[str, 
 
 
 class NonFiniteGradientError(RuntimeError):
-    """Raised when a gradient update would write non-finite values."""
+    """Raised when a gradient update would write non-finite values at ``row``."""
+
+    def __init__(self, row: int, context: str = "") -> None:
+        super().__init__(f"non-finite gradient at row {row}{context}")
+        self.row = row
+
+
+class WorkingSet:
+    """The distinct store ``rows`` a run can change as ascending ``ids`` (store row
+    ``r`` is ``searchsorted(ids, r)`` here), and copies of their vectors."""
+
+    def __init__(self, store: EmbeddingStore, rows: np.ndarray) -> None:
+        self.ids = np.unique(rows)
+        self.current, self.original = store.current[self.ids], store.original[self.ids]
 
 
 @dataclass
@@ -144,8 +157,7 @@ def adagrad_step(
         np.add(acc, block * block, out=acc, where=nz)
     finite = np.isfinite(acc).all(axis=1)
     if not finite.all():
-        row = rows[np.flatnonzero(~finite)[0]]
-        raise NonFiniteGradientError(f"non-finite gradient at row {row}")
+        raise NonFiniteGradientError(int(rows[np.flatnonzero(~finite)[0]]))
     step = np.zeros_like(acc)
     np.divide(learning_rate * block, np.sqrt(acc) + epsilon, out=step, where=nz)
     values = matrix[rows]
@@ -170,10 +182,12 @@ def _check_required(preset: str, constraints: ConstraintSet) -> None:
 def specialize(
     store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
 ) -> tuple[EmbeddingStore, TrainLog]:
-    """Run the configured preset and return the (in-place) specialized store."""
+    """Train the configured preset's working set, then write it into ``store.current``."""
     _check_required(config.preset, constraints)
     start = time.perf_counter()
-    log = PRESET_TABLE[config.preset].train(store, constraints, config)
+    ws, log = PRESET_TABLE[config.preset].train(store, constraints, config)
+    with store.writing() as matrix:
+        matrix[ws.ids] = ws.current
     log.wall_time = time.perf_counter() - start
     return store, log
 
@@ -182,29 +196,32 @@ def specialize(
 
 def _train_retrofit(
     store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
-) -> TrainLog:
+) -> tuple[WorkingSet, TrainLog]:
+    """Jacobi sweeps over the linked rows, one vectorized step each."""
     alpha = config.retrofit_alpha
-    adjacency: dict[int, list[int]] = defaultdict(list)
-    for a, b in sorted(constraints.synonyms | constraints.direct_hypernyms):
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    linked = sorted(adjacency)
+    pairs = np.array(sorted(constraints.synonyms | constraints.direct_hypernyms), dtype=np.intp)
+    ws = WorkingSet(store, pairs)
+    # neighbours in pair order, (a, b) linking a to b and then b to a; adding the
+    # j-th to the rows that have one, j = 1, 2, ..., sums as ``mean(axis=0)`` does
+    local = np.searchsorted(ws.ids, pairs)
+    neighbor = local[:, ::-1].ravel()[np.argsort(local.ravel(), kind="stable")]
+    degree = np.bincount(local.ravel())
+    first = np.cumsum(degree) - degree
+    later = [np.flatnonzero(degree > j) for j in range(1, degree.max())]
     log = TrainLog()
-    if not linked:
-        return log
-    frac_updated = len(linked) / len(store)
+    frac_updated = len(ws.ids) / len(store)
     for _ in range(config.retrofit_iterations):
-        prev = store.current.copy()
-        with store.writing() as matrix:
-            for row in linked:
-                neighbor_mean = prev[adjacency[row]].mean(axis=0)
-                matrix[row] = (alpha * store.original[row] + neighbor_mean) / (alpha + 1.0)
-        max_change = float(np.max(np.abs(store.current[linked] - prev[linked])))
+        prev = ws.current
+        total = prev[neighbor[first]]
+        for j, rows in enumerate(later, start=1):
+            total[rows] += prev[neighbor[first[rows] + j]]
+        ws.current = (alpha * ws.original + total / degree[:, None]) / (alpha + 1.0)
+        max_change = float(np.max(np.abs(ws.current - prev)))
         log.epochs.append({"retrofit": (max_change, frac_updated)})
         log.batches_processed += 1
         if max_change < 1e-6:
             break
-    return log
+    return ws, log
 
 
 def retrofit(
@@ -217,14 +234,13 @@ def retrofit(
 
     Runs Jacobi sweeps of ``f(a) = (alpha * orig(a) + mean of neighbor f) /
     (alpha + 1)`` until ``iterations`` rounds or max per-component change
-    below 1e-6. Words with no constraint edges are untouched. ``alpha`` and
-    ``iterations`` are checked as :class:`SpecializeConfig` checks them.
+    below 1e-6. Words with no constraint edges are untouched. It runs
+    :func:`specialize` with the ``retrofitting`` preset, and refuses alike.
     """
     config = SpecializeConfig(
         "retrofitting", retrofit_alpha=alpha, retrofit_iterations=iterations
     )
-    _train_retrofit(store, constraints, config)
-    return store
+    return specialize(store, constraints, config)[0]
 
 
 # --- counter-fitting --------------------------------------------------------
@@ -238,23 +254,21 @@ def _original_neighbor_sets(store: EmbeddingStore, rows: np.ndarray, k: int) -> 
 
 def _train_counterfit(
     store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
-) -> TrainLog:
+) -> tuple[WorkingSet, TrainLog]:
     """Precompute the original-space neighbours of every constrained row, once,
-    then train on the counter-fitting loss of each batch."""
-    constrained = np.array(
-        sorted({r for pair in constraints.synonyms | constraints.antonyms for r in pair}),
-        dtype=np.intp,
-    )
+    then train those rows and neighbours on the counter-fitting loss of each batch."""
+    constrained = np.unique(np.array(list(constraints.synonyms | constraints.antonyms)))
     neighbors = _original_neighbor_sets(store, constrained, config.neighbor_k)
-    return _train(
-        store, constraints, config,
-        lambda batch: _counterfit_batch_loss(batch, store, constrained, neighbors, config.margins),
+    ws = WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
+    return ws, _train(
+        ws, constraints, config,
+        lambda batch: _counterfit_batch_loss(batch, ws, constrained, neighbors, config.margins),
     )
 
 
 def _counterfit_batch_loss(
     batch: MiniBatch,
-    store: EmbeddingStore,
+    ws: WorkingSet,
     constrained: np.ndarray,
     neighbors: np.ndarray,
     m: Margins,
@@ -269,7 +283,7 @@ def _counterfit_batch_loss(
     """
     at = np.searchsorted(constrained, np.unique(np.asarray(batch.items)))
     rows, local = batch_rows(batch, extra=neighbors[at].ravel())
-    res = BatchLoss(store, rows)
+    res = BatchLoss(ws, np.searchsorted(ws.ids, rows))
     if batch.relation == "syn":
         # pull synonyms until their distance is within m_syn
         res.hinge(-m.m_syn, (1.0, local[:, 0], local[:, 1]))
@@ -306,13 +320,13 @@ class _EpochStats:
 
 
 def _apply(
-    store: EmbeddingStore,
+    ws: WorkingSet,
     accumulators: dict[str, np.ndarray],
     res: BatchLoss,
     config: SpecializeConfig,
     batch: MiniBatch,
 ) -> None:
-    """Apply one batch update with the relation's own AdaGrad state.
+    """Apply one batch update to ``ws`` with the relation's own AdaGrad state.
 
     Each constraint category optimizes its own loss with its own
     accumulators; sharing one accumulator would let the high-traffic cosine
@@ -323,21 +337,18 @@ def _apply(
         return
     acc = accumulators.get(batch.relation)
     if acc is None:
-        acc = accumulators.setdefault(batch.relation, np.zeros_like(store.current))
+        acc = accumulators.setdefault(batch.relation, np.zeros_like(ws.current))
     try:
-        with store.writing() as matrix:
-            adagrad_step(
-                matrix, acc, res.rows, block, config.learning_rate, config.adagrad_epsilon
-            )
+        adagrad_step(
+            ws.current, acc, res.rows, block, config.learning_rate, config.adagrad_epsilon
+        )
     except NonFiniteGradientError as exc:
-        raise NonFiniteGradientError(
-            f"{exc} (relation {batch.relation}, epoch {batch.epoch}, "
-            f"batch {batch.batch_index})"
-        ) from exc
+        raise NonFiniteGradientError(int(ws.ids[exc.row]), f" (relation {batch.relation}, "
+                                     f"epoch {batch.epoch}, batch {batch.batch_index})") from exc
 
 
 def _train(
-    store: EmbeddingStore,
+    ws: WorkingSet,
     constraints: ConstraintSet,
     config: SpecializeConfig,
     batch_loss: Callable[[MiniBatch], BatchLoss],
@@ -361,7 +372,7 @@ def _train(
         stats = _EpochStats()
         for batch in plan:
             res = batch_loss(batch)
-            _apply(store, accumulators, res, config, batch)
+            _apply(ws, accumulators, res, config, batch)
             stats.record(batch.relation, res)
         log.epochs.append(stats.summary())
         log.batches_processed += len(plan)
@@ -372,24 +383,28 @@ def _train(
 
 def _train_metric(
     store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
-) -> TrainLog:
+) -> tuple[WorkingSet, TrainLog]:
+    """Train the rows of the synonym, antonym and direct-hypernym pairs, which
+    hold every row of the closure and of the quadruplet join."""
     preset = PRESET_TABLE[config.preset]
-    return _train(
-        store, constraints, config,
-        lambda batch: _batch_loss(batch, constraints, store, config, preset),
+    pairs = constraints.synonyms | constraints.antonyms | constraints.direct_hypernyms
+    ws = WorkingSet(store, np.array(list(pairs)))
+    return ws, _train(
+        ws, constraints, config,
+        lambda batch: _batch_loss(batch, constraints, ws, config, preset),
     )
 
 
 def _batch_loss(
     batch: MiniBatch,
     constraints: ConstraintSet,
-    store: EmbeddingStore,
+    ws: WorkingSet,
     config: SpecializeConfig,
     preset: Preset,
 ) -> BatchLoss:
     m = config.margins
-    rows, local = batch_rows(batch)
-    res = BatchLoss(store, rows)
+    rows, local = batch_rows(batch)  # store rows, which mining keys its draws by
+    res = BatchLoss(ws, np.searchsorted(ws.ids, rows))
     relation = batch.relation
 
     if relation == "ad":

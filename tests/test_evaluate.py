@@ -280,7 +280,11 @@ def separable_wbless(n_pairs=50):
 
 def brute_force_threshold(scores, labels):
     uniq = np.unique(scores)
-    candidates = np.concatenate(([-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]))
+    # the midpoint of adjacent scores, or the lower where it does not lie below the higher
+    with np.errstate(over="ignore", invalid="ignore"):
+        middle = (uniq[:-1] + uniq[1:]) / 2.0
+    middle = np.where(middle < uniq[1:], middle, uniq[:-1])
+    candidates = np.concatenate(([-np.inf], middle, [np.inf]))
     best_t, best_acc = -np.inf, -1.0
     for t in candidates:
         # every candidate ties on an empty group
@@ -305,14 +309,17 @@ class TestFitThreshold:
     def test_matches_brute_force_with_ties(self):
         # few distinct scores, so most thresholds tie on accuracy; each call
         # fits many groups, their entries interleaved, among them empty,
-        # one-entry and single-class groups
+        # one-entry and single-class groups; the last 40 trials score the
+        # extremes -inf and +inf
         rng = np.random.default_rng(21)
-        for trial in range(40):
+        for trial in range(80):
             n_groups = int(rng.integers(4, 40))
             sizes = rng.integers(0, 40, size=n_groups)
             sizes[:2] = [0, 1]
             groups = rng.permutation(np.repeat(np.arange(n_groups), sizes))
             scores = rng.integers(-3, 4, size=len(groups)) / 2.0
+            if trial >= 40:
+                scores[np.abs(scores) == 1.5] *= np.inf
             labels = rng.random(len(groups)) < rng.uniform(0.0, 1.0, size=n_groups)[groups]
             labels[groups == 2] = True
             labels[groups == 3] = False
@@ -321,6 +328,12 @@ class TestFitThreshold:
             for g in range(n_groups):
                 mine = groups == g
                 assert fitted[g] == brute_force_threshold(scores[mine], labels[mine]), (trial, g)
+
+    def test_negative_infinity_is_not_above_itself(self):
+        # `score > -inf` calls a -inf score negative, so -inf gets 0 of 2 here
+        scores, labels = np.array([-np.inf, 1.0]), np.array([True, False])
+        t = _fit_thresholds(scores, labels, np.zeros(2, dtype=np.intp), 1)
+        assert np.count_nonzero((scores > t[0]) == labels) == 1
 
     def test_no_groups(self):
         empty = np.empty(0)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -161,6 +162,34 @@ class TestRetrofit:
         retrofit(store, cs, iterations=5)
         assert not np.array_equal(store.current[0], before)
 
+    def test_rejects_constraints_without_links(self):
+        # retrofit is specialize with the retrofitting preset, so it refuses alike
+        cs = ConstraintSet()
+        cs.add_pair("ant", 0, 1)
+        message = "requires nonempty synonyms or direct_hypernyms"
+        with pytest.raises(ValueError, match=message):
+            specialize(random_store(3, 4, 4), cs, SpecializeConfig("retrofitting"))
+        store = random_store(3, 4, 4)
+        with pytest.raises(ValueError, match=message):
+            retrofit(store, cs)
+        np.testing.assert_array_equal(store.current, store.original)
+
+    def test_matches_the_per_row_mean(self):
+        # oracle: each linked row's neighbour mean taken on its own, in pair order
+        store, cs = toy_hierarchy_fixture(seed=2)
+        pairs = sorted(cs.synonyms | cs.direct_hypernyms)
+        adjacency = {}
+        for a, b in pairs:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        expected = store.current.copy()
+        for _ in range(3):
+            prev = expected.copy()
+            for row, near in adjacency.items():
+                expected[row] = (0.5 * store.original[row] + prev[near].mean(axis=0)) / 1.5
+        retrofit(store, cs, alpha=0.5, iterations=3)
+        np.testing.assert_array_equal(store.current, expected)
+
 
 class TestCounterfit:
     def make_toy(self, seed=0):
@@ -218,9 +247,10 @@ class TestCounterfit:
         m = Margins(m_syn=2.0, m_ant=0.0)
         constrained = np.array(sorted({r for p in cs.synonyms | cs.antonyms for r in p}))
         neighbors = specializer._original_neighbor_sets(store, constrained, 10)
+        ws = specializer.WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
         plan = plan_epoch(cs, 4, 1, relations=("syn", "ant"))
         for batch in plan:
-            res = specializer._counterfit_batch_loss(batch, store, constrained, neighbors, m)
+            res = specializer._counterfit_batch_loss(batch, ws, constrained, neighbors, m)
             assert res.n_hinges > 0
             assert (res.n_active, res.loss) == (0, 0.0)
             assert not res.gradient().any()
@@ -389,12 +419,12 @@ def reference_counterfit_loss(batch, store, constrained, neighbors, m):
     return res
 
 
-def assert_batch_matches(res, ref, n_rows, dim):
+def assert_batch_matches(res, ref, ws, n_rows, dim):
     assert res.n_hinges == ref.n_hinges
     assert res.n_active == ref.n_active
     assert abs(res.loss - ref.loss) <= 1e-10 * max(1.0, abs(ref.loss))
     got = np.zeros((n_rows, dim))
-    got[res.rows] = res.gradient()
+    got[ws.ids[res.rows]] = res.gradient()
     want = np.zeros((n_rows, dim))
     for row, g in ref.grads.items():
         want[row] += g
@@ -426,10 +456,15 @@ class TestBatchLossMatchesReference:
             closed_hypernyms=spec.closed_hyper, closed_ad=spec.closed_ad,
         )
         assert {b.relation for b in plan} == set(spec.streams)
+        # the rows the metric presets train; the fixture leaves others out
+        ws = specializer.WorkingSet(
+            store, np.array(list(cs.synonyms | cs.antonyms | cs.direct_hypernyms))
+        )
+        assert len(ws.ids) < len(store)
         for batch in plan:
-            res = specializer._batch_loss(batch, cs, store, config, spec)
+            res = specializer._batch_loss(batch, cs, ws, config, spec)
             ref = reference_batch_loss(batch, cs, store, config, spec)
-            assert_batch_matches(res, ref, len(store), store.dim)
+            assert_batch_matches(res, ref, ws, len(store), store.dim)
 
     @pytest.mark.parametrize("batch_size", [1, 4])
     def test_counterfitting(self, batch_size):
@@ -438,10 +473,12 @@ class TestBatchLossMatchesReference:
         m = Margins(m_syn=0.2, m_ant=1.5)
         constrained = np.array(sorted({r for p in cs.synonyms | cs.antonyms for r in p}))
         neighbors = specializer._original_neighbor_sets(store, constrained, 5)
+        ws = specializer.WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
+        assert len(ws.ids) < len(store)
         for batch in plan_epoch(cs, batch_size, 1, relations=("syn", "ant")):
-            res = specializer._counterfit_batch_loss(batch, store, constrained, neighbors, m)
+            res = specializer._counterfit_batch_loss(batch, ws, constrained, neighbors, m)
             ref = reference_counterfit_loss(batch, store, constrained, neighbors, m)
-            assert_batch_matches(res, ref, len(store), store.dim)
+            assert_batch_matches(res, ref, ws, len(store), store.dim)
 
 
 def test_mining_builds_one_generator_per_batch(monkeypatch):
@@ -472,16 +509,17 @@ def test_mining_builds_one_generator_per_batch(monkeypatch):
     assert 0 < len(built) <= mined + relations
 
 
-def extreme_row_world(scale):
-    """8 rows whose row 0 is scaled by ``scale``; row 0 is in every relation."""
-    vectors = np.random.default_rng(3).standard_normal((8, 4))
-    vectors[0] *= scale
-    store = EmbeddingStore([f"w{i}" for i in range(8)], vectors)
+def extreme_row_world(scale, pad=0):
+    """8 constrained rows after ``pad`` unconstrained ones; the first
+    constrained row, row ``pad``, is scaled by ``scale`` and is in every relation."""
+    vectors = np.random.default_rng(3).standard_normal((pad + 8, 4))
+    vectors[pad] *= scale
+    store = EmbeddingStore([f"w{i}" for i in range(pad + 8)], vectors)
     cs = ConstraintSet()
     for relation, pairs in (("syn", ((0, 1), (2, 3))), ("ant", ((0, 4), (1, 5))),
                             ("hyper", ((0, 6), (1, 6), (2, 7), (6, 7)))):
         for a, b in pairs:
-            cs.add_pair(relation, a, b)
+            cs.add_pair(relation, pad + a, pad + b)
     return store, cs
 
 
@@ -503,11 +541,77 @@ class TestExtremeRows:
             with pytest.raises(NonFiniteGradientError, match=r"at row 0 \("):
                 specialize(store, cs, SpecializeConfig(preset, epochs=3, batch_size=2))
 
+    @pytest.mark.parametrize("preset", [p for p in PRESETS if p != "retrofitting"])
+    def test_error_names_the_store_row(self, preset):
+        # every row below the tiny row 5 is a filler, and not all of them join
+        # even the counter-fitting working set, so its index there is below 5
+        store, cs = extreme_row_world(1e-200, pad=5)
+        config = SpecializeConfig(preset, epochs=3, batch_size=2, neighbor_k=1)
+        constrained = np.arange(5, 13)
+        near = specializer._original_neighbor_sets(store, constrained, 1)
+        assert len(np.union1d(constrained, near)) < len(store)
+        with pytest.raises(NonFiniteGradientError, match=r"at row 5 \("):
+            specialize(store, cs, config)
+
     def test_retrofitting_trains_a_tiny_row(self):
         store, cs = extreme_row_world(1e-200)
         specialize(store, cs, SpecializeConfig("retrofitting"))
         assert np.isfinite(store.current).all()
         assert (store.current[0] != store.original[0]).any()
+
+
+class TestFailedRunLeavesStore:
+    def test_error_after_applied_batches_writes_nothing(self, monkeypatch):
+        # row 7 is tiny and only in the antonym pair, which trains after the
+        # synonym batches (one pair per batch); the store must not keep their updates
+        vectors = np.random.default_rng(4).standard_normal((8, 4))
+        vectors[7] = 1e-200 * (vectors[6] + 0.1)
+        store = EmbeddingStore([f"w{i}" for i in range(8)], vectors)
+        cs = ConstraintSet()
+        for a, b in ((0, 1), (2, 3), (4, 5)):
+            cs.add_pair("syn", a, b)
+        cs.add_pair("ant", 6, 7)
+        applied = []
+        step = specializer.adagrad_step
+
+        def counted(*args):
+            step(*args)
+            applied.append(args[2])
+
+        monkeypatch.setattr(specializer, "adagrad_step", counted)
+        current = store.current.copy()
+        geometry = [a.copy() for a in store.geometry()]
+        config = SpecializeConfig("counterfitting", epochs=1, batch_size=1, neighbor_k=3)
+        with pytest.raises(NonFiniteGradientError, match=r"at row 7 \("):
+            specialize(store, cs, config)
+        assert applied
+        np.testing.assert_array_equal(store.current, current)
+        for got, want in zip(store.geometry(), geometry):
+            np.testing.assert_array_equal(got, want)
+        assert not store.current.flags.writeable
+
+
+def test_training_memory_follows_the_working_set():
+    # 20k x 50 rows, about 100 of them constrained: one full-size matrix
+    # (8 MB) is more than the whole run may allocate
+    store = random_store(6, 20000, 50)
+    cs = ConstraintSet()
+    rows = np.arange(0, 20000, 200)
+    for i in range(0, 100, 4):
+        a, b, c, d = (int(r) for r in rows[i:i + 4])
+        cs.add_pair("syn", a, b)
+        cs.add_pair("hyper", a, c)
+        cs.add_pair("hyper", c, d)
+        cs.add_pair("ant", b, d)
+    config = SpecializeConfig("hierarchy_fitting_ad_indir", epochs=1, batch_size=16, seed=1)
+    tracemalloc.start()
+    try:
+        specialize(store, cs, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (store.current != store.original).any()
+    assert peak < store.current.nbytes
 
 
 class TestEpochStats:
