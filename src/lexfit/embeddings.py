@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import re
@@ -66,6 +67,10 @@ class EmbeddingStore:
         scaled, norms, true_norms = _in_range(matrix)
         if np.isinf(true_norms).any():
             raise ValueError("vector norm overflows float64")
+        self._own(vocab, matrix, scaled, norms)
+
+    def _own(self, vocab: list[str], matrix: np.ndarray, scaled, norms) -> None:
+        """Take the checked, unshared ``matrix`` and its ``_in_range`` geometry as is."""
         self.vocab: list[str] = vocab
         self.dim: int = int(matrix.shape[1])
         self._matrix = matrix
@@ -207,8 +212,10 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
         or (dim is not None and matrix.shape[1] != dim)
         or not np.isfinite(matrix).all()
         or not matrix.any(axis=1).all()
-        or np.isinf(row_norms(matrix)).any()
     ):
+        _raise_first_fault(path, format, dim)
+    geometry = _in_range(matrix)
+    if np.isinf(geometry[2]).any():
         _raise_first_fault(path, format, dim)
 
     first_rows: dict[str, int] = {}
@@ -223,8 +230,10 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
     if n_duplicates:
         log.warning("%s: dropped %d duplicate tokens (first occurrence kept)", path, n_duplicates)
         matrix = matrix[list(first_rows.values())]
+        geometry = _in_range(matrix)
 
-    store = EmbeddingStore(list(first_rows), matrix)
+    store = EmbeddingStore.__new__(EmbeddingStore)  # checked as the constructor does
+    store._own(list(first_rows), matrix, *geometry[:2])
     store.n_duplicates_dropped = n_duplicates
     return store
 
@@ -269,7 +278,8 @@ def _raise_first_fault(path: str, format: str, dim: int | None) -> NoReturn:
 
 
 def save_embeddings(store: EmbeddingStore, path: str, format: str) -> None:
-    """Write ``store.current`` as text with 9 significant digits per component.
+    """Write ``store.current`` as text, each component exactly as ``"%.9g"``
+    writes it, formatted in numpy one block of rows at a time (:func:`_format_block`).
 
     A save/load round trip reproduces the vocabulary exactly and every
     component within 1e-6.
@@ -278,14 +288,97 @@ def save_embeddings(store: EmbeddingStore, path: str, format: str) -> None:
         raise ValueError(f"unknown embedding format {format!r}, expected one of {FORMATS}")
     if len(store) == 0:
         raise ValueError("refusing to save an empty store")
-    row_format = " ".join(["%.9g"] * store.dim)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    step = max(1, _SAVE_BLOCK_CELLS // store.dim)
+    slots = np.empty((min(step, len(store)), store.dim, 3), dtype=_WORD)
+    with open(path, "wb") as fh:
         if format == "word2vec-text":
-            fh.write(f"{len(store)} {store.dim}\n")
-        fh.writelines(
-            f"{token} {row_format % tuple(vec.tolist())}\n"
-            for token, vec in zip(store.vocab, store.current)
-        )
+            fh.write(f"{len(store)} {store.dim}\n".encode())
+        for start in range(0, len(store), step):
+            block = store.current[start : start + step]
+            lines = _format_block(block, slots[: len(block)])
+            tokens = store.vocab[start : start + step]
+            fh.write(b"".join(b"%s %s\n" % (t.encode(), line) for t, line in zip(tokens, lines)))
+
+
+# --- text save ---------------------------------------------------------------
+# "%.9g" writes v in fixed notation when its 9-digit rounding has decimal
+# exponent X in [-4, 8]: the digits d0..d8 of round(|v| * 10^(8 - X)) less the
+# trailing zeros after the point, which follows d_X (for X < 0, "0." and -X - 1
+# zeros precede d0). Each value fills a slot of three little-endian words (p_i:
+# a point after d_i), NUL elsewhere, so the text is the slot without its NULs:
+#     [- 0 . 0 0 0 d0 p0]  [d1 p1 d2 p2 d3 p3 d4 p4]  [d5 p5 d6 p6 d7 p7 d8 sep]
+# "%.9g" itself fills the slots of values in exponent notation and of those
+# whose scaled product lands on a half-integer.
+_SAVE_BLOCK_CELLS = 1 << 14  # values per block, to bound the scratch
+_WORD = np.dtype("<u8")
+
+
+@functools.cache  # built by the first save, not at import
+def _save_tables() -> tuple:
+    """The read-only lookup tables of :func:`_format_block`, by X + 4 or by digits."""
+    exps = range(-4, 9)
+    scale = np.array([float(10 ** (8 - x)) for x in exps])  # exact
+    # 4 digits at every other byte, trailing zeros as NUL ("0" | NUL is "0")
+    powers = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    digits = (np.arange(10 ** 4, dtype=np.uint16)[:, None] // powers % powers[2]).astype(np.uint8)
+    kept = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
+    digits4 = np.zeros((10 ** 4, 8), dtype=np.uint8)
+    digits4[:, ::2] = (digits + np.uint8(48)) * kept
+    lead = (np.arange(11, dtype=_WORD) + np.uint64(48)) << np.uint64(48)
+    # by [negative, point, X + 4]: sign, "0.", zeros, point, stripped integer zeros
+    at = [6, *range(8, 24, 2)]  # byte of digit i
+    fixed = np.zeros((2, 2, 13, 24), dtype=np.uint8)
+    fixed[1, :, :, 0] = ord("-")
+    for x in exps:
+        if x < 0:
+            fixed[:, :, x + 4, 1 : 2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
+        else:
+            fixed[:, :, x + 4, at[1 : x + 1]] = ord("0")
+            if x < 8:  # at X = 8 no digit follows the point
+                fixed[:, 1, x + 4, at[x] + 1] = ord(".")
+    tables = scale, digits4.view(_WORD).ravel(), lead, fixed.view(_WORD).reshape(-1, 3)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _format_block(block: np.ndarray, slots: np.ndarray) -> list[bytes]:
+    """The text of each row of ``block``, ``" ".join("%.9g" % v for v in row)``,
+    and an empty last item; ``slots`` is ``(rows, dim, 3)`` word scratch."""
+    scales, digits4, leads, fixed = _save_tables()
+    values = block.ravel()
+    words = slots.reshape(-1, 3)
+    a = np.abs(values)
+    with np.errstate(divide="ignore"):  # log10(0) is -inf, clipped to X = -4
+        x = np.floor(np.log10(a))
+    xi = np.fmax(np.fmin(x, 8.0, out=x), -4.0, out=x).astype(np.intp) + 4  # X + 4
+    scale = scales.take(xi)
+    s = a * scale
+    mantissa = np.rint(s)
+    # s is |v| * 10^(8 - X) rounded once, and rounding is monotone: unless s is
+    # a half-integer (all below 2^30 are floats), rint rounds it as it would the
+    # exact product. An X one too high passes s >= 1e8 only where the exact
+    # product is within round-off below 1e8, where its rounding carries anyway
+    fast = (s >= 1e8) & (mantissa < 1e9)
+    np.subtract(s, mantissa, out=s, where=fast)  # not inf - inf
+    fast &= np.abs(s, out=s) < 0.5
+    digits = np.fmin(mantissa, 1e9, out=mantissa).astype(np.int64)  # defined for all
+    point = digits % scale.astype(np.int64) != 0  # digits after d_X are not all 0
+    lead = digits // 10 ** 8
+    digits -= lead * 10 ** 8
+    middle = digits // 10 ** 4
+    digits -= middle * 10 ** 4  # the last four: unless all 0, the middle four keep their zeros
+    words[:, 0] = leads.take(lead)
+    words[:, 1] = digits4.take(middle) | (digits != 0) * np.uint64(0x0030003000300030)
+    words[:, 2] = digits4.take(digits)
+    xi += 13 * (point + 2 * (values < 0))
+    words |= fixed.take(xi, axis=0)
+    slow = np.flatnonzero(~fast)
+    text = "".join(["%-23.9g" % v for v in values[slow].tolist()]).replace(" ", "\0")
+    words.view(np.uint8)[slow, :23] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 23)
+    slots[:, :, 2] |= np.uint64(ord(" ") << 56)
+    slots[:, -1, 2] ^= np.uint64((ord(" ") ^ ord("\n")) << 56)
+    return slots.tobytes().translate(None, b"\0").split(b"\n")
 
 
 def cosine(u, v) -> float:

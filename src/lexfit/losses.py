@@ -42,8 +42,9 @@ class BatchLoss:
 
     ``rows`` are distinct rows of ``store`` (a store, or the working set that
     training copies from one), ascending; every term addresses them by local
-    index. Each hinge family is added as index arrays, and :meth:`gradient`
-    returns the ``(len(rows), dim)`` gradient block.
+    index; ``original`` holds their original vectors (``store.original[rows]``
+    by default). Each hinge family is added as index arrays, and
+    :meth:`gradient` returns the ``(len(rows), dim)`` gradient block.
     ``n_hinges`` counts the hinge terms added and ``n_active`` those that
     were strictly positive; preservation pulls count toward neither.
 
@@ -52,10 +53,10 @@ class BatchLoss:
     product of norms is ever formed.
     """
 
-    def __init__(self, store: EmbeddingStore, rows: np.ndarray) -> None:
+    def __init__(self, store: EmbeddingStore, rows: np.ndarray, original=None) -> None:
         self.rows = rows
         self.current = store.current[rows]
-        self.original = store.original[rows]
+        self.original = store.original[rows] if original is None else original
         self.unit, self.norms = unit_rows(self.current)
         self.loss = 0.0
         self.n_hinges = 0

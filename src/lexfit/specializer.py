@@ -67,11 +67,12 @@ class NonFiniteGradientError(RuntimeError):
 
 class WorkingSet:
     """The distinct store ``rows`` a run can change as ascending ``ids`` (store row
-    ``r`` is ``searchsorted(ids, r)`` here), and copies of their vectors."""
+    ``r`` is ``searchsorted(ids, r)`` here), and a copy of their current vectors.
+    Their original vectors are read from ``store.original``, by store row."""
 
     def __init__(self, store: EmbeddingStore, rows: np.ndarray) -> None:
         self.ids = np.unique(rows)
-        self.current, self.original = store.current[self.ids], store.original[self.ids]
+        self.current, self.store = store.current[self.ids], store
 
 
 @dataclass
@@ -208,6 +209,7 @@ def _train_retrofit(
     degree = np.bincount(local.ravel())
     first = np.cumsum(degree) - degree
     later = [np.flatnonzero(degree > j) for j in range(1, degree.max())]
+    anchor = alpha * store.original[ws.ids]
     log = TrainLog()
     frac_updated = len(ws.ids) / len(store)
     for _ in range(config.retrofit_iterations):
@@ -215,8 +217,12 @@ def _train_retrofit(
         total = prev[neighbor[first]]
         for j, rows in enumerate(later, start=1):
             total[rows] += prev[neighbor[first[rows] + j]]
-        ws.current = (alpha * ws.original + total / degree[:, None]) / (alpha + 1.0)
-        max_change = float(np.max(np.abs(ws.current - prev)))
+        # (alpha * original + total / degree) / (alpha + 1), in place
+        total /= degree[:, None]
+        total += anchor
+        total /= alpha + 1.0
+        ws.current = total
+        max_change = float(np.max(np.abs(np.subtract(total, prev, out=prev), out=prev)))
         log.epochs.append({"retrofit": (max_change, frac_updated)})
         log.batches_processed += 1
         if max_change < 1e-6:
@@ -283,7 +289,7 @@ def _counterfit_batch_loss(
     """
     at = np.searchsorted(constrained, np.unique(np.asarray(batch.items)))
     rows, local = batch_rows(batch, extra=neighbors[at].ravel())
-    res = BatchLoss(ws, np.searchsorted(ws.ids, rows))
+    res = BatchLoss(ws, np.searchsorted(ws.ids, rows), ws.store.original[rows])
     if batch.relation == "syn":
         # pull synonyms until their distance is within m_syn
         res.hinge(-m.m_syn, (1.0, local[:, 0], local[:, 1]))
@@ -404,7 +410,7 @@ def _batch_loss(
 ) -> BatchLoss:
     m = config.margins
     rows, local = batch_rows(batch)  # store rows, which mining keys its draws by
-    res = BatchLoss(ws, np.searchsorted(ws.ids, rows))
+    res = BatchLoss(ws, np.searchsorted(ws.ids, rows), ws.store.original[rows])
     relation = batch.relation
 
     if relation == "ad":

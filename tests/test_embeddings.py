@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -140,6 +141,13 @@ class TestLoad:
         store = load_embeddings(str(path), "glove-text")
         assert store.vocab == ["a", "b"]
 
+    def test_store_takes_the_parsed_matrix_and_copies_it_once(self, tmp_path):
+        path = write(tmp_path / "v.txt", "a 1 2\nb 3 4\na 5 6\n")
+        store = load_embeddings(path, "glove-text")
+        assert not np.shares_memory(store.current, store.original)
+        assert not store.current.flags.writeable and not store.original.flags.writeable
+        np.testing.assert_array_equal(store.geometry()[1], [5.0 ** 0.5, 5.0])
+
     def test_index_round_trips(self, tmp_path):
         path = write(tmp_path / "v.txt", "a 1 2\nb 3 4\nc 5 6\n")
         store = load_embeddings(path, "glove-text")
@@ -182,23 +190,54 @@ class TestSave:
 
     @pytest.mark.parametrize("format", ["glove-text", "word2vec-text"])
     def test_bytes_match_per_component_formatting(self, tmp_path, format):
-        values = [
-            [-0.0, 5e-324, 1e300, -1e-300],
-            [2.5e-310, -1e-300, 1.5e-7, 123456789012.0],
-            [0.1, -2.0 / 3.0, 1e16, 3.0],
+        # rows at scales from 1e-6 to 1e10, each exponent boundary of fixed
+        # notation and its neighbouring floats, signed zeros, subnormals,
+        # 1e+-300, exact ties at the 10th significant digit and the decimal
+        # ties nearest to them, and more rows than one save block holds
+        dim = 40
+        rows = 2 * (embeddings._SAVE_BLOCK_CELLS // dim) + 3
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-6, 11, size=(rows, 1))
+        edges = np.array([9.99999999e-5, 1e-4, 0.99999999995, 1.0, 99999999.95, 999999999.5])
+        listed = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+            [0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1e-300, 1e300],
+            [123456789.5, 123456788.5, 100000000.5, 999999998.5, 1234567885.0, 1234567895.0],
+            [0.1234567885, 1.0000000005, 0.0012345678850, 12345.67885, 99999999.5, 0.5, 2.5],
+        ])
+        values[:2, : len(listed)] = [listed, -listed]
+        # the floats nearest to decimal ties: the product with 10^(8 - X) often
+        # rounds onto the tie, to either side of the exact value
+        tie_rows = [
+            [float(f"{k}5e{x - 9}") for k, x in zip(rng.integers(10 ** 8, 10 ** 9, dim), xs)]
+            for xs in rng.integers(-4, 9, size=(4, dim))
         ]
-        store = EmbeddingStore(["x", "caf\u00e9", "z"], np.ones((3, 4)))
+        values[2:6] = tie_rows
+        for column, decimals in enumerate(range(0, 9, 2)):  # short decimals
+            values[6:, column] = np.round(values[6:, column], decimals)
+        vocab = ["caf\u00e9", "\u65e5\u672c", "a\u00a0b"] + [f"w{i}" for i in range(3, rows)]
+        store = EmbeddingStore(vocab, np.ones((rows, dim)))
         with store.writing() as matrix:
             matrix[:] = values
         path = tmp_path / "out.txt"
         save_embeddings(store, str(path), format)
         expected = "".join(
             token + " " + " ".join(f"{x:.9g}" for x in row) + "\n"
-            for token, row in zip(store.vocab, values)
+            for token, row in zip(vocab, values.tolist())
         )
         if format == "word2vec-text":
-            expected = "3 4\n" + expected
+            expected = f"{rows} {dim}\n" + expected
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_peak_memory_is_one_block_of_scratch(self, tmp_path):
+        store = random_store(2, 20000, 50)  # an 8 MB matrix
+        tracemalloc.start()
+        try:
+            save_embeddings(store, str(tmp_path / "out.txt"), "glove-text")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_empty_store_unconstructible(self):
         with pytest.raises(ValueError):
@@ -408,6 +447,15 @@ class TestWriting:
         assert store.current[0].tolist() == [1.0, 2.0, 3.0]
         with pytest.raises(ValueError):
             matrix[1] = 0.0  # the yielded matrix is read-only again after the block
+
+    def test_constructor_copies_its_input(self):
+        vectors = np.array([[1.0, 2.0], [3.0, 4.0]])
+        store = EmbeddingStore(["a", "b"], vectors)
+        assert vectors.flags.writeable
+        assert not np.shares_memory(vectors, store.current)
+        assert not np.shares_memory(vectors, store.original)
+        vectors[0, 0] = 9.0
+        assert store.current[0, 0] == store.original[0, 0] == 1.0
 
     def test_queries_after_a_write_match_a_fresh_store(self):
         store = random_store(8, 12, 5)
