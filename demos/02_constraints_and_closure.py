@@ -37,7 +37,7 @@ print("\ndirect hypernym pairs (hyponym -> hypernym):")
 for lo, hi in sorted(constraints.direct_hypernyms):
     print(f"  {store.vocab[lo]} -> {store.vocab[hi]}")
 
-closure = constraints.compute_closure()
+closure = hypernym_closure(constraints.direct_hypernyms)
 print("\nafter transitive closure:")
 for lo, hi in sorted(closure - constraints.direct_hypernyms):
     print(f"  {store.vocab[lo]} -> {store.vocab[hi]}   (indirect)")

@@ -13,9 +13,10 @@ import dataclasses
 import hashlib
 import json
 import sys
+import typing
 
 from . import __version__
-from .constraints import PAIR_SETS, RELATIONS, ConstraintSet, constraint_stats, load_pairs
+from .constraints import PAIR_SETS, RELATIONS, ConstraintSet, load_pairs
 from .embeddings import FORMATS, backoff_lookup, load_embeddings, nearest_neighbors, save_embeddings
 from .evaluate import (
     bibless_classify,
@@ -86,14 +87,44 @@ class RunManifest:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        fields = json.loads(text)
-        if isinstance(fields["inputs"], dict):
-            # older manifests key the inputs by path, one role per path
-            fields["inputs"] = [
-                {"path": path, "order": 0, **meta} for path, meta in fields["inputs"].items()
-            ]
+    def from_json(cls, text: str, source: str = "manifest") -> "RunManifest":
+        """Read a manifest, also one whose inputs are keyed by path; a malformed
+        one raises ``ValueError`` naming ``source`` and the field at fault."""
+        try:
+            fields = json.loads(text)
+            if isinstance(fields, dict) and isinstance(fields.get("inputs"), dict):
+                # older manifests key the inputs by path, one role per path
+                fields["inputs"] = [{"path": path, "order": 0, **meta} if isinstance(meta, dict)
+                                    else meta for path, meta in fields["inputs"].items()]
+            hints = typing.get_type_hints(cls)
+            _check_fields(fields, {name: typing.get_origin(t) or t for name, t in hints.items()})
+            for i, entry in enumerate(fields["inputs"]):
+                _check_fields(entry, _INPUT_FIELDS, f"inputs[{i}]: ")
+                if entry["role"] not in ("embeddings", *RELATIONS):
+                    raise ValueError(f"inputs[{i}] has unknown role {entry['role']!r}")
+            if not any(entry["role"] == "embeddings" for entry in fields["inputs"]):
+                raise ValueError("inputs has no 'embeddings' entry")
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from exc
         return cls(**fields)
+
+
+# the keys of one manifest input and their types
+_INPUT_FIELDS = {"role": str, "order": int, "path": str, "sha256": str}
+
+
+def _check_fields(fields, kinds: dict, where: str = "") -> None:
+    """Refuse ``fields`` unless it is an object with exactly the keys of ``kinds``,
+    each holding a value of its type."""
+    if not isinstance(fields, dict):
+        raise ValueError(f"{where}expected a JSON object, got {type(fields).__name__}")
+    unknown = sorted(set(fields) - set(kinds))
+    if unknown:
+        raise ValueError(f"{where}field {unknown[0]!r} is unknown")
+    for name, kind in kinds.items():
+        if not isinstance(fields.get(name), kind):
+            problem = "missing" if name not in fields else f"not a {kind.__name__}"
+            raise ValueError(f"{where}field {name!r} is {problem}")
 
 
 def _sha256(path: str) -> str:
@@ -184,7 +215,7 @@ def _resolve_specialize_options(args) -> dict:
     options: dict = {}
     if args.replay:
         with open(args.replay, encoding="utf-8") as fh:
-            manifest = RunManifest.from_json(fh.read())
+            manifest = RunManifest.from_json(fh.read(), args.replay)
         options.update(manifest.config)
         options["method"] = manifest.method
         options["format"] = manifest.format
@@ -221,7 +252,7 @@ def _usage_error(message: str) -> int:
 def cmd_specialize(args) -> int:
     try:
         options = _resolve_specialize_options(args)
-    except (ValueError, OSError, KeyError, StopIteration) as exc:
+    except (ValueError, OSError) as exc:
         return _usage_error(str(exc))
 
     for key in ("embeddings", "format", "method", "out"):
@@ -282,11 +313,10 @@ def cmd_specialize(args) -> int:
         print(f"lexfit: error: {exc}", file=sys.stderr)
         return 1
 
-    stats = constraint_stats(constraints)
     print(
         f"specialized {len(store)} vectors with {method} "
-        f"(syn={stats['synonyms']}, ant={stats['antonyms']}, "
-        f"hyper={stats['direct_hypernyms']}) in {log.wall_time:.2f}s"
+        f"(syn={len(constraints.synonyms)}, ant={len(constraints.antonyms)}, "
+        f"hyper={len(constraints.direct_hypernyms)}) in {log.wall_time:.2f}s"
     )
     print(f"wrote {options['out']}, {options['out']}.log, {options['out']}.manifest")
     return 0

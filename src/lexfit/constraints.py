@@ -6,8 +6,6 @@ import logging
 from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
 from .embeddings import EmbeddingStore
 
 log = logging.getLogger(__name__)
@@ -39,18 +37,16 @@ class ConstraintSet:
     smaller row first. Hypernym pairs are ordered ``(hyponym, hypernym)``.
     A pair claimed as both synonym and antonym is kept as an antonym only:
     repelling a genuinely contrasting pair is safer than attracting it.
+    Training only reads the set (:func:`lexfit.specializer.run_view`).
     """
 
     def __init__(self) -> None:
         self.synonyms: set[tuple[int, int]] = set()
         self.antonyms: set[tuple[int, int]] = set()
         self.direct_hypernyms: set[tuple[int, int]] = set()
-        self.indirect_hypernyms: set[tuple[int, int]] = set()
-        self.closure_computed: bool = False
         self.dropped_oov: int = 0
         self.dropped_self: int = 0
         self.dropped_conflict: int = 0
-        self._partner_cache: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
 
     def add_pair(self, relation: str, row_a: int, row_b: int) -> tuple[bool, str | None]:
         """Insert one pair; returns (added, drop_reason)."""
@@ -59,7 +55,6 @@ class ConstraintSet:
         if row_a == row_b:
             self.dropped_self += 1
             return False, "self"
-        self._partner_cache = None
         pairs = getattr(self, PAIR_SETS[relation])
         # hypernym pairs keep their (hyponym, hypernym) order
         pair = (row_a, row_b) if relation == "hyper" or row_a < row_b else (row_b, row_a)
@@ -73,68 +68,7 @@ class ConstraintSet:
         if pair in pairs:
             return False, None
         pairs.add(pair)
-        if relation == "hyper":
-            self.closure_computed = False
         return True, None
-
-    def _adjacency(self, relation: str) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(indptr, indices)``: the rows linked to row r under a pair-file
-        relation (hypernymy: either direction, closure included) are
-        ``indices[indptr[r]:indptr[r + 1]]``, ascending."""
-        if self._partner_cache is None:
-            self._partner_cache = {}
-            for rel in RELATIONS:
-                pairs = getattr(self, PAIR_SETS[rel])
-                if rel == "hyper":
-                    pairs = pairs | self.indirect_hypernyms
-                ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
-                src = np.concatenate((ends[:, 0], ends[:, 1]))
-                dst = np.concatenate((ends[:, 1], ends[:, 0]))
-                order = np.lexsort((dst, src))
-                n = int(src.max()) + 1 if len(src) else 0
-                self._partner_cache[rel] = (
-                    np.searchsorted(src[order], np.arange(n + 1)), dst[order]
-                )
-        return self._partner_cache[relation]
-
-    def partners(self, relation: str, row: int) -> set[int]:
-        """Rows constrained to ``row`` under a relation (hypernymy: either direction).
-
-        The ``quad`` relation unions synonym and hypernym partners, since
-        quadruplet instances draw on both.
-        """
-        _, found = self.linked(relation, np.array([row], dtype=np.intp))
-        return set(found.tolist())
-
-    def linked(self, relation: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every ``(i, partner)`` with ``partner`` in ``partners(relation, rows[i])``,
-        as two arrays, found without a Python loop over ``rows``."""
-        if relation == "quad":
-            relations = ("syn", "hyper")
-        elif relation == "ad":
-            relations = ("hyper",)
-        elif relation in RELATIONS:
-            relations = (relation,)
-        else:
-            raise ValueError(f"unknown relation {relation!r}")
-        owners, partners = [], []
-        for rel in relations:
-            indptr, indices = self._adjacency(rel)
-            n = len(indptr) - 1
-            start = indptr[np.minimum(rows, n)]
-            counts = indptr[np.minimum(rows + 1, n)] - start
-            # position within each row's run of partners
-            offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-            owners.append(np.repeat(np.arange(len(rows)), counts))
-            partners.append(indices[np.repeat(start, counts) + offsets])
-        return np.concatenate(owners), np.concatenate(partners)
-
-    def compute_closure(self, max_depth: int | None = None) -> set[tuple[int, int]]:
-        """Fill ``indirect_hypernyms`` with the transitive closure of the direct pairs."""
-        self.indirect_hypernyms = hypernym_closure(self.direct_hypernyms, max_depth)
-        self.closure_computed = True
-        self._partner_cache = None
-        return self.indirect_hypernyms
 
 
 def load_pairs(
@@ -210,12 +144,13 @@ def hypernym_closure(
 
 
 def constraint_stats(constraints: ConstraintSet) -> dict[str, int]:
-    """Exact cardinalities per relation plus cumulative drop counts."""
+    """Exact cardinalities per relation plus cumulative drop counts;
+    ``indirect_hypernyms`` counts the transitive closure of the direct pairs."""
     return {
         "synonyms": len(constraints.synonyms),
         "antonyms": len(constraints.antonyms),
         "direct_hypernyms": len(constraints.direct_hypernyms),
-        "indirect_hypernyms": len(constraints.indirect_hypernyms),
+        "indirect_hypernyms": len(hypernym_closure(constraints.direct_hypernyms)),
         "dropped_oov": constraints.dropped_oov,
         "dropped_self": constraints.dropped_self,
         "dropped_conflict": constraints.dropped_conflict,

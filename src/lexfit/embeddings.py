@@ -60,6 +60,10 @@ class EmbeddingStore:
             raise ValueError("empty embedding store")
         if len(set(vocab)) != len(vocab):
             raise ValueError("vocabulary contains duplicate tokens")
+        bad = [token for token in vocab if not token or _UNSAVABLE.search(token)]
+        if bad:
+            raise ValueError(f"token {bad[0]!r} cannot be saved: a token must be nonempty, "
+                             "without ASCII space, tab, CR or LF")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("vectors contain non-finite values")
         if not matrix.any(axis=1).all():
@@ -144,8 +148,9 @@ def _parse_header(line: str, path: str) -> tuple[int, int]:
 
 
 # A token runs to the first ASCII space or tab; other Unicode whitespace,
-# such as U+00A0, may occur inside it.
+# such as U+00A0, may occur inside it, but no CR or LF, which end a record.
 _TOKEN = re.compile(r"[ \t]*([^ \t\n]+)")
+_UNSAVABLE = re.compile(r"[ \t\r\n]")
 
 
 def _content_lines(fh):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .constraints import PAIR_SETS, ConstraintSet
+from .constraints import ConstraintSet
 
 RELATION_CYCLE = ("syn", "ant", "hyper", "quad", "ad")
 
@@ -46,48 +47,26 @@ def quad_join(constraints: ConstraintSet) -> list[tuple[int, int, int]]:
     return seeds
 
 
-def _relation_instances(
-    constraints: ConstraintSet, relation: str, closed_hypernyms: bool, closed_ad: bool
-) -> list[tuple[int, ...]]:
-    if relation in ("syn", "ant"):
-        return sorted(getattr(constraints, PAIR_SETS[relation]))
-    if relation in ("hyper", "ad"):
-        closed = closed_hypernyms if relation == "hyper" else closed_ad
-        source = constraints.indirect_hypernyms if closed else constraints.direct_hypernyms
-        return sorted(source)
-    if relation == "quad":
-        return quad_join(constraints)
-    raise ValueError(f"unknown relation {relation!r}")
-
-
 def plan_epoch(
-    constraints: ConstraintSet,
-    batch_size: int,
-    seed: int,
-    epoch: int = 0,
-    relations: tuple[str, ...] = ("syn", "ant", "hyper", "quad"),
-    closed_hypernyms: bool = False,
-    closed_ad: bool = False,
+    streams: dict[str, list[tuple[int, ...]]], batch_size: int, seed: int, epoch: int = 0
 ) -> list[MiniBatch]:
-    """Shuffle each relation's instances and interleave their batches round-robin.
+    """Shuffle each stream's instances and interleave their batches round-robin.
 
-    The shuffle is keyed on (seed, epoch, relation), so a plan is a pure
-    function of its arguments. Relations with no instances are skipped; if
-    every requested relation is empty, that is an error. ``closed_hypernyms``
-    and ``closed_ad`` switch the hyper and norm-asymmetry streams between the
-    direct pairs and the transitive closure.
+    ``streams`` maps relations of :data:`RELATION_CYCLE` to their instances,
+    as a run derives them once (:func:`lexfit.specializer.run_view`). The
+    shuffle is keyed on (seed, epoch, relation), so a plan is a pure function
+    of its arguments. Streams with no instances are skipped; if every stream
+    is empty, that is an error.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    for rel in relations:
+    for rel in streams:
         if rel not in RELATION_CYCLE:
             raise ValueError(f"unknown relation {rel!r}")
 
     chunks: dict[str, list[list[tuple[int, ...]]]] = {}
     for rel in RELATION_CYCLE:
-        if rel not in relations:
-            continue
-        items = _relation_instances(constraints, rel, closed_hypernyms, closed_ad)
+        items = streams.get(rel)
         if not items:
             continue
         rng = default_rng((seed, epoch, RELATION_CYCLE.index(rel)))
@@ -98,22 +77,34 @@ def plan_epoch(
         raise ValueError("all constraint relations are empty")
 
     plan: list[MiniBatch] = []
-    round_idx = 0
-    while any(round_idx < len(batches) for batches in chunks.values()):
-        for rel in RELATION_CYCLE:
-            batches = chunks.get(rel)
-            if batches is not None and round_idx < len(batches):
-                plan.append(
-                    MiniBatch(
-                        relation=rel,
-                        items=batches[round_idx],
-                        epoch=epoch,
-                        batch_index=len(plan),
-                        seed=seed,
-                    )
-                )
-        round_idx += 1
+    for round_idx in range(max(map(len, chunks.values()))):
+        for rel, batches in chunks.items():  # in RELATION_CYCLE order
+            if round_idx < len(batches):
+                plan.append(MiniBatch(rel, batches[round_idx], epoch, len(plan), seed))
     return plan
+
+
+def partner_table(pairs: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of a pair set read in both directions: the
+    rows paired with row r are ``indices[indptr[r]:indptr[r + 1]]``, ascending."""
+    ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+    src = np.concatenate((ends[:, 0], ends[:, 1]))
+    dst = np.concatenate((ends[:, 1], ends[:, 0]))
+    order = np.lexsort((dst, src))
+    n = int(src.max()) + 1 if len(src) else 0
+    return np.searchsorted(src[order], np.arange(n + 1)), dst[order]
+
+
+def linked(table: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(i, partner)`` with ``partner`` paired with ``rows[i]`` in a
+    :func:`partner_table`, as two arrays, found without a Python loop over ``rows``."""
+    indptr, indices = table
+    n = len(indptr) - 1
+    start = indptr[np.minimum(rows, n)]
+    counts = indptr[np.minimum(rows + 1, n)] - start
+    # position within each row's run of partners
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(np.arange(len(rows)), counts), indices[np.repeat(start, counts) + offsets]
 
 
 def batch_rows(batch: MiniBatch, extra=()) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +141,7 @@ def _draw_keys(batch: MiniBatch, anchor_rows: np.ndarray, rows: np.ndarray) -> n
 
 def mine_batch(
     batch: MiniBatch,
-    constraints: ConstraintSet,
+    partners: tuple[np.ndarray, np.ndarray],
     rows: np.ndarray,
     local: np.ndarray,
     unit: np.ndarray,
@@ -166,7 +157,8 @@ def mine_batch(
     :func:`~lexfit.embeddings.unit_rows`), so their Gram matrix holds the
     cosines, and ``anchors`` are local indices. An anchor's candidates are
     the rows of the batch's instances that do not contain it, minus the
-    anchor and its ``constraints.partners``. In ``negatives`` mode,
+    anchor and its partners in ``partners``, the :func:`partner_table` of the
+    batch's relation. In ``negatives`` mode,
     ``closest_only`` takes the k closest candidates in the current space and
     ``closest_plus_random`` the single closest plus k - 1 uniform draws
     without replacement from the rest. The draws take the candidates with the
@@ -187,7 +179,7 @@ def mine_batch(
     outside = member.sum(axis=1) - member[anchors] @ member.T
     mask = outside > 0.5
     mask[np.arange(n_anchors), anchors] = False
-    owner, partner_rows = constraints.linked(batch.relation, rows[anchors])
+    owner, partner_rows = linked(partners, rows[anchors])
     pos = np.minimum(np.searchsorted(rows, partner_rows), n_rows - 1)
     hit = rows[pos] == partner_rows
     mask[owner[hit], pos[hit]] = False
@@ -218,7 +210,7 @@ def mine_batch(
 
 def mine_instances(
     batch: MiniBatch,
-    constraints: ConstraintSet,
+    partners: tuple[np.ndarray, np.ndarray],
     rows: np.ndarray,
     local: np.ndarray,
     unit: np.ndarray,
@@ -237,6 +229,6 @@ def mine_instances(
     """
     instances = np.stack((local, local[:, ::-1]), axis=1).reshape(-1, 2) if mirror else local
     distinct, which = np.unique(instances[:, 0], return_inverse=True)
-    picks = mine_batch(batch, constraints, rows, local, unit, distinct, mode, policy, k)[which]
+    picks = mine_batch(batch, partners, rows, local, unit, distinct, mode, policy, k)[which]
     which, column = np.nonzero(picks >= 0)
     return instances, which, picks[which, column]

@@ -4,8 +4,10 @@ Each preset trains a :class:`WorkingSet`, a copy of the rows it can change,
 so losses and AdaGrad state grow with those rows, not with the vocabulary.
 ``specialize`` writes it back in the one
 :meth:`~lexfit.embeddings.EmbeddingStore.writing` block, after the last
-epoch, so a run that raises leaves the store as it was. Given identical
-inputs and seed, every preset produces a bit-identical output matrix.
+epoch, so a run that raises leaves the store as it was. A run reads its
+constraints through one :class:`RunView`, derived at its start, and never
+writes them. Given identical inputs and seed, every preset produces a
+bit-identical output matrix, whatever ran before on the same constraints.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constraints import PAIR_SETS, ConstraintSet
+from .constraints import PAIR_SETS, ConstraintSet, hypernym_closure
 from .embeddings import EmbeddingStore, nearest_rows, row_cosines, unit_rows
 from .losses import BatchLoss, Margins
 from .sampling import (
@@ -25,6 +27,7 @@ from .sampling import (
     MiniBatch,
     batch_rows,
     mine_instances,
+    partner_table,
     plan_epoch,
     quad_join,
 )
@@ -37,7 +40,7 @@ class Preset:
     # pair-file relations it needs; an entry of several is met by any one of them
     required: tuple[tuple[str, ...], ...]
     # trains the working set it gathers from a store whose constraints meet ``required``
-    train: Callable[[EmbeddingStore, ConstraintSet, SpecializeConfig], tuple[WorkingSet, TrainLog]]
+    train: Callable[[EmbeddingStore, RunView, SpecializeConfig], tuple[WorkingSet, TrainLog]]
     streams: tuple[str, ...] = ()  # relations planned into each epoch
     # preservation: "triplet" pulls each mined triplet's rows with m_reg,
     # "batch" each batch's rows with gamma_reg
@@ -167,13 +170,45 @@ def adagrad_step(
     matrix[rows] = values
 
 
-def _check_required(preset: str, constraints: ConstraintSet) -> None:
-    present = {rel for rel, name in PAIR_SETS.items() if getattr(constraints, name)}
+@dataclass(frozen=True)
+class RunView:
+    """What one run reads of its ``constraints``, derived once by :func:`run_view`:
+    the instances of each planned stream, in planning order, and the
+    :func:`~lexfit.sampling.partner_table` of each stream the run mines."""
+
+    constraints: ConstraintSet
+    streams: dict[str, list[tuple[int, ...]]]
+    partners: dict[str, tuple[np.ndarray, np.ndarray]]
+
+
+def run_view(constraints: ConstraintSet, preset: str) -> RunView:
+    """The preset's view of ``constraints``, a function of the two alone.
+
+    Pair streams are sorted, and the quadruplet stream is :func:`quad_join`.
+    A preset that reads the hypernym closure (``closed_hyper`` or
+    ``closed_ad``) computes it here, and its mining then masks every closure
+    pair; any other preset masks the direct pairs.
+    """
+    spec = PRESET_TABLE[preset]
+    syn, ant, direct = constraints.synonyms, constraints.antonyms, constraints.direct_hypernyms
+    closed = hypernym_closure(direct) if spec.closed_hyper or spec.closed_ad else direct
+    pairs = {"syn": syn, "ant": ant, "hyper": closed if spec.closed_hyper else direct,
+             "ad": closed if spec.closed_ad else direct}
+    streams = {rel: quad_join(constraints) if rel == "quad" else sorted(pairs[rel])
+               for rel in spec.streams}
+    # the metric presets mine every stream but "ad"
+    masked = {"syn": syn, "ant": ant, "hyper": closed, "quad": syn | closed}
+    mined = [rel for rel in spec.streams if rel in masked] if spec.train is _train_metric else []
+    return RunView(constraints, streams, {rel: partner_table(masked[rel]) for rel in mined})
+
+
+def _check_required(preset: str, view: RunView) -> None:
+    present = {rel for rel, name in PAIR_SETS.items() if getattr(view.constraints, name)}
     missing = missing_relations(preset, present)
     if missing:
         names = " or ".join(PAIR_SETS[rel] for rel in missing[0])
         raise ValueError(f"preset {preset!r} requires nonempty {names}")
-    if "quad" in PRESET_TABLE[preset].streams and not quad_join(constraints):
+    if "quad" in view.streams and not view.streams["quad"]:
         raise ValueError(
             f"preset {preset!r} requires at least one quadruplet join "
             "(a synonym pair whose word has a direct hypernym)"
@@ -183,10 +218,13 @@ def _check_required(preset: str, constraints: ConstraintSet) -> None:
 def specialize(
     store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
 ) -> tuple[EmbeddingStore, TrainLog]:
-    """Train the configured preset's working set, then write it into ``store.current``."""
-    _check_required(config.preset, constraints)
+    """Train the configured preset's working set on its :func:`run_view` of
+    ``constraints``, then write it into ``store.current``. ``constraints`` is
+    only read, so a run does not depend on what ran on it before."""
     start = time.perf_counter()
-    ws, log = PRESET_TABLE[config.preset].train(store, constraints, config)
+    view = run_view(constraints, config.preset)
+    _check_required(config.preset, view)
+    ws, log = PRESET_TABLE[config.preset].train(store, view, config)
     with store.writing() as matrix:
         matrix[ws.ids] = ws.current
     log.wall_time = time.perf_counter() - start
@@ -196,10 +234,11 @@ def specialize(
 # --- retrofitting -----------------------------------------------------------
 
 def _train_retrofit(
-    store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
+    store: EmbeddingStore, view: RunView, config: SpecializeConfig
 ) -> tuple[WorkingSet, TrainLog]:
     """Jacobi sweeps over the linked rows, one vectorized step each."""
     alpha = config.retrofit_alpha
+    constraints = view.constraints
     pairs = np.array(sorted(constraints.synonyms | constraints.direct_hypernyms), dtype=np.intp)
     ws = WorkingSet(store, pairs)
     # neighbours in pair order, (a, b) linking a to b and then b to a; adding the
@@ -259,15 +298,15 @@ def _original_neighbor_sets(store: EmbeddingStore, rows: np.ndarray, k: int) -> 
 
 
 def _train_counterfit(
-    store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
+    store: EmbeddingStore, view: RunView, config: SpecializeConfig
 ) -> tuple[WorkingSet, TrainLog]:
     """Precompute the original-space neighbours of every constrained row, once,
     then train those rows and neighbours on the counter-fitting loss of each batch."""
-    constrained = np.unique(np.array(list(constraints.synonyms | constraints.antonyms)))
+    constrained = np.unique(np.array(view.streams["syn"] + view.streams["ant"]))
     neighbors = _original_neighbor_sets(store, constrained, config.neighbor_k)
     ws = WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
     return ws, _train(
-        ws, constraints, config,
+        ws, view, config,
         lambda batch: _counterfit_batch_loss(batch, ws, constrained, neighbors, config.margins),
     )
 
@@ -355,26 +394,15 @@ def _apply(
 
 def _train(
     ws: WorkingSet,
-    constraints: ConstraintSet,
+    view: RunView,
     config: SpecializeConfig,
     batch_loss: Callable[[MiniBatch], BatchLoss],
 ) -> TrainLog:
-    """Plan each epoch from the preset's streams and apply ``batch_loss`` of every batch."""
-    preset = PRESET_TABLE[config.preset]
-    if (preset.closed_hyper or preset.closed_ad) and not constraints.closure_computed:
-        constraints.compute_closure()
+    """Plan each epoch from the view's streams and apply ``batch_loss`` of every batch."""
     accumulators: dict[str, np.ndarray] = {}
     log = TrainLog()
     for epoch in range(config.epochs):
-        plan = plan_epoch(
-            constraints,
-            config.batch_size,
-            config.seed,
-            epoch=epoch,
-            relations=preset.streams,
-            closed_hypernyms=preset.closed_hyper,
-            closed_ad=preset.closed_ad,
-        )
+        plan = plan_epoch(view.streams, config.batch_size, config.seed, epoch)
         stats = _EpochStats()
         for batch in plan:
             res = batch_loss(batch)
@@ -388,22 +416,23 @@ def _train(
 # --- triplet / quadruplet metric presets -------------------------------------
 
 def _train_metric(
-    store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
+    store: EmbeddingStore, view: RunView, config: SpecializeConfig
 ) -> tuple[WorkingSet, TrainLog]:
     """Train the rows of the synonym, antonym and direct-hypernym pairs, which
     hold every row of the closure and of the quadruplet join."""
     preset = PRESET_TABLE[config.preset]
+    constraints = view.constraints
     pairs = constraints.synonyms | constraints.antonyms | constraints.direct_hypernyms
     ws = WorkingSet(store, np.array(list(pairs)))
     return ws, _train(
-        ws, constraints, config,
-        lambda batch: _batch_loss(batch, constraints, ws, config, preset),
+        ws, view, config,
+        lambda batch: _batch_loss(batch, view, ws, config, preset),
     )
 
 
 def _batch_loss(
     batch: MiniBatch,
-    constraints: ConstraintSet,
+    view: RunView,
     ws: WorkingSet,
     config: SpecializeConfig,
     preset: Preset,
@@ -417,7 +446,7 @@ def _batch_loss(
         res.norm_asymmetry(local[:, 0], local[:, 1], m.ad_weight)
     elif relation == "quad":
         items, inst, neg = mine_instances(
-            batch, constraints, rows, local, res.unit,
+            batch, view.partners[relation], rows, local, res.unit,
             "negatives", config.negative_policy, config.sample_k,
         )
         a, s, h = items[np.unique(inst)].T
@@ -428,7 +457,7 @@ def _batch_loss(
         res.hinge(m.m_hie_hyp, (1.0, a, s), (-1.0, h, neg), count=2)
     else:
         items, inst, aux = mine_instances(
-            batch, constraints, rows, local, res.unit,
+            batch, view.partners[relation], rows, local, res.unit,
             "positives" if relation == "ant" else "negatives",
             config.negative_policy, config.sample_k,
             mirror=relation != "hyper" or preset.mirror_hyper,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lexfit import ConstraintSet, EmbeddingStore
+from lexfit import ConstraintSet, EmbeddingStore, hypernym_closure
 
 
 def random_store(seed: int, n: int, dim: int) -> EmbeddingStore:
@@ -77,3 +77,16 @@ def taxonomy_fixture(seed: int = 0) -> tuple[EmbeddingStore, ConstraintSet, list
     for a, b in ((9, 15), (10, 16), (11, 17), (15, 21), (16, 22), (17, 23)):
         cs.add_pair("ant", a, b)
     return store, cs, direct
+
+
+def mined_pairs(cs: ConstraintSet, relation: str, closed: bool = False) -> set[tuple[int, int]]:
+    """Oracle: the pair set whose partners mining excludes for a relation; the
+    hypernym pairs are the closure's when ``closed``, and ``quad`` adds synonyms."""
+    hyper = hypernym_closure(cs.direct_hypernyms) if closed else cs.direct_hypernyms
+    return {"syn": cs.synonyms, "ant": cs.antonyms, "hyper": hyper,
+            "quad": cs.synonyms | hyper}[relation]
+
+
+def pair_partners(pairs, row: int) -> set[int]:
+    """Oracle: the rows paired with ``row`` in a set of pairs, in either direction."""
+    return {b if a == row else a for a, b in pairs if row in (a, b)}

@@ -45,13 +45,14 @@ class LossResult:
         return self
 
 
-def mine_one(anchor, batch, constraints, store, mode="negatives",
+def mine_one(anchor, batch, partners, store, mode="negatives",
              policy="closest_plus_random", k=2) -> list[int]:
-    """The store rows the in-batch miner picks for one anchor."""
+    """The store rows the in-batch miner picks for one anchor, given the batch
+    relation's :func:`lexfit.sampling.partner_table`."""
     rows, local = batch_rows(batch, extra=(anchor,))
     at = np.searchsorted(rows, [anchor])
     unit = unit_rows(store.current[rows])[0]
-    picks = mine_batch(batch, constraints, rows, local, unit, at, mode, policy, k)
+    picks = mine_batch(batch, partners, rows, local, unit, at, mode, policy, k)
     return [int(rows[p]) for p in picks[0] if p >= 0]
 
 

@@ -148,6 +148,27 @@ class TestSpecializeCommand:
         assert code == 0
         assert replay_out.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda m: {**m, "inputs": [e for e in m["inputs"] if e["role"] != "embeddings"]},
+         "inputs has no 'embeddings' entry"),
+        (lambda m: {**m, "inputs": [{k: v for k, v in e.items() if k != "order"}
+                                    for e in m["inputs"]]},
+         "inputs[0]: field 'order' is missing"),
+        (lambda m: [m], "expected a JSON object, got list"),
+        (lambda m: {k: v for k, v in m.items() if k != "method"}, "field 'method' is missing"),
+    ], ids=["no-embeddings", "no-order", "json-list", "no-method"])
+    def test_replay_refuses_a_malformed_manifest(self, workspace, capsys, edit, problem):
+        tmp_path = workspace[0]
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        manifest_path = tmp_path / "out.vec.manifest"
+        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+        capsys.readouterr()
+        replay_out = tmp_path / "replayed.vec"
+        code = main(["specialize", "--replay", str(manifest_path), "--out", str(replay_out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"lexfit: error: {manifest_path}: {problem}\n"
+        assert not replay_out.exists()
+
     def test_replay_ignores_the_retired_m_contrastive_key(self, workspace):
         # manifests written before the dead option was deleted still carry it
         tmp_path = workspace[0]

@@ -433,6 +433,22 @@ def fresh_neighbors(store, k):
     return [nearest_neighbors(fresh, row, k) for row in range(len(fresh))]
 
 
+class TestTokens:
+    @pytest.mark.parametrize("token", ["", "a b", "a\tb", "a\rb", "a\nb", " a", "a\n"])
+    def test_rejects_tokens_the_text_formats_cannot_hold(self, token):
+        with pytest.raises(ValueError, match="cannot be saved"):
+            EmbeddingStore(["ok", token], [[1.5, 2.5], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("format", ["glove-text", "word2vec-text"])
+    def test_no_break_space_round_trips(self, tmp_path, format):
+        store = EmbeddingStore(["a\u00a0b", "\u00a0"], [[1.5, 2.5], [3.0, 4.0]])
+        path = str(tmp_path / "v.txt")
+        save_embeddings(store, path, format)
+        again = load_embeddings(path, format)
+        assert again.vocab == store.vocab
+        np.testing.assert_array_equal(again.current, store.current)
+
+
 class TestWriting:
     def test_current_is_read_only(self):
         store = random_store(2, 4, 3)

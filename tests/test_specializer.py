@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from lexfit import (
     SpecializeConfig,
     adagrad_step,
     distance,
+    hypernym_closure,
     plan_epoch,
     quad_join,
     retrofit,
@@ -248,7 +250,7 @@ class TestCounterfit:
         constrained = np.array(sorted({r for p in cs.synonyms | cs.antonyms for r in p}))
         neighbors = specializer._original_neighbor_sets(store, constrained, 10)
         ws = specializer.WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
-        plan = plan_epoch(cs, 4, 1, relations=("syn", "ant"))
+        plan = plan_epoch(specializer.run_view(cs, "counterfitting").streams, 4, 1)
         for batch in plan:
             res = specializer._counterfit_batch_loss(batch, ws, constrained, neighbors, m)
             assert res.n_hinges > 0
@@ -356,23 +358,24 @@ class TestNeighborPrecompute:
             np.testing.assert_allclose(dist, expected_dist, rtol=0, atol=1e-12)
 
 
-def reference_batch_loss(batch, cs, store, config, preset):
+def reference_batch_loss(batch, view, store, config, preset):
     """The per-instance kernels summed over the rows the batched miner picks."""
     m = config.margins
     res = LossResult()
     rel = batch.relation
+    table = view.partners.get(rel)
     if rel in ("syn", "hyper", "ant"):
         mirror = rel != "hyper" or preset.mirror_hyper
         margin = m.m_syn if rel == "syn" else getattr(m, preset.hyper_margin)
         for a, b in batch.items:
             for anchor, partner in ((a, b), (b, a)) if mirror else ((a, b),):
                 if rel == "ant":
-                    aux = mine_one(anchor, batch, cs, store, "positives", k=config.sample_k)
+                    aux = mine_one(anchor, batch, table, store, "positives", k=config.sample_k)
                     if aux:
                         res.merge(triplet_repel_loss(anchor, partner, aux, m.m_ant, store))
                 else:
                     aux = mine_one(
-                        anchor, batch, cs, store, "negatives", config.negative_policy,
+                        anchor, batch, table, store, "negatives", config.negative_policy,
                         config.sample_k,
                     )
                     if aux:
@@ -383,7 +386,7 @@ def reference_batch_loss(batch, cs, store, config, preset):
     elif rel == "quad":
         for a, s, h in batch.items:
             negs = mine_one(
-                a, batch, cs, store, "negatives", config.negative_policy, config.sample_k
+                a, batch, table, store, "negatives", config.negative_policy, config.sample_k
             )
             if negs:
                 res.merge(
@@ -450,11 +453,8 @@ class TestBatchLossMatchesReference:
         store, cs = moved_toy_store(seed=batch_size, step=2)
         config = SpecializeConfig(preset=preset, batch_size=batch_size, seed=3)
         spec = specializer.PRESET_TABLE[preset]
-        cs.compute_closure()
-        plan = plan_epoch(
-            cs, batch_size, config.seed, relations=spec.streams,
-            closed_hypernyms=spec.closed_hyper, closed_ad=spec.closed_ad,
-        )
+        view = specializer.run_view(cs, preset)  # the streams and masks a run uses
+        plan = plan_epoch(view.streams, batch_size, config.seed)
         assert {b.relation for b in plan} == set(spec.streams)
         # the rows the metric presets train; the fixture leaves others out
         ws = specializer.WorkingSet(
@@ -462,8 +462,8 @@ class TestBatchLossMatchesReference:
         )
         assert len(ws.ids) < len(store)
         for batch in plan:
-            res = specializer._batch_loss(batch, cs, ws, config, spec)
-            ref = reference_batch_loss(batch, cs, store, config, spec)
+            res = specializer._batch_loss(batch, view, ws, config, spec)
+            ref = reference_batch_loss(batch, view, store, config, spec)
             assert_batch_matches(res, ref, ws, len(store), store.dim)
 
     @pytest.mark.parametrize("batch_size", [1, 4])
@@ -475,7 +475,7 @@ class TestBatchLossMatchesReference:
         neighbors = specializer._original_neighbor_sets(store, constrained, 5)
         ws = specializer.WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
         assert len(ws.ids) < len(store)
-        for batch in plan_epoch(cs, batch_size, 1, relations=("syn", "ant")):
+        for batch in plan_epoch(specializer.run_view(cs, "counterfitting").streams, batch_size, 1):
             res = specializer._counterfit_batch_loss(batch, ws, constrained, neighbors, m)
             ref = reference_counterfit_loss(batch, store, constrained, neighbors, m)
             assert_batch_matches(res, ref, ws, len(store), store.dim)
@@ -487,10 +487,8 @@ def test_mining_builds_one_generator_per_batch(monkeypatch):
     config = SpecializeConfig(
         preset="hierarchy_fitting_ad_indir", epochs=1, batch_size=8, seed=3, sample_k=3
     )
-    spec = specializer.PRESET_TABLE[config.preset]
-    cs.compute_closure()
-    plan = plan_epoch(cs, config.batch_size, config.seed, relations=spec.streams,
-                      closed_hypernyms=spec.closed_hyper, closed_ad=spec.closed_ad)
+    view = specializer.run_view(cs, config.preset)
+    plan = plan_epoch(view.streams, config.batch_size, config.seed)
     mined = sum(batch.relation != "ad" for batch in plan)
     relations = len({batch.relation for batch in plan})
     anchors = sum(len(batch.items) for batch in plan if batch.relation != "ad")
@@ -614,6 +612,53 @@ def test_training_memory_follows_the_working_set():
     assert peak < store.current.nbytes
 
 
+class TestRunView:
+    def test_partner_sets(self):
+        cs = ConstraintSet()
+        cs.add_pair("syn", 0, 1)
+        cs.add_pair("ant", 0, 2)
+        cs.add_pair("hyper", 0, 3)
+        cs.add_pair("hyper", 3, 4)
+
+        def partners(preset, relation, row):
+            table = specializer.run_view(cs, preset).partners[relation]
+            return set(sampling.linked(table, np.array([row]))[1].tolist())
+
+        # hierarchy_fitting reads no closure, so it masks the direct pairs only
+        assert partners("hierarchy_fitting", "syn", 0) == {1}
+        assert partners("hierarchy_fitting", "syn", 1) == {0}
+        assert partners("hierarchy_fitting", "ant", 0) == {2}
+        assert partners("hierarchy_fitting", "hyper", 3) == {0, 4}
+        assert partners("hierarchy_fitting", "hyper", 0) == {3}
+        assert partners("hierarchy_fitting", "quad", 0) == {1, 3}
+        assert partners("hierarchy_fitting_ad_indir", "hyper", 0) == {3, 4}
+        assert partners("hierarchy_fitting_ad_indir", "quad", 0) == {1, 3, 4}
+        assert partners("lear", "hyper", 4) == {0, 3}
+        assert set(specializer.run_view(cs, "lear").partners) == {"syn", "ant", "hyper"}
+        assert specializer.run_view(cs, "counterfitting").partners == {}
+        view = specializer.run_view(cs, "retrofitting")
+        assert view.streams == {} and view.partners == {}
+
+    @pytest.mark.parametrize("preset", ["hierarchy_fitting", "hierarchy_fitting_ad_dir"])
+    def test_runs_do_not_depend_on_earlier_runs(self, preset):
+        # a lear run reads the hypernym closure; a hierarchy-fitting run on the
+        # same set must still mask only the direct pairs, as on a fresh set
+        config = SpecializeConfig(preset, epochs=3, batch_size=8, seed=1)
+        fresh_store, fresh_cs, _ = taxonomy_fixture(seed=5)
+        specialize(fresh_store, fresh_cs, config)
+        store, cs, _ = taxonomy_fixture(seed=5)
+        specialize(taxonomy_fixture(seed=5)[0], cs, SpecializeConfig("lear", epochs=1))
+        specialize(store, cs, config)
+        np.testing.assert_array_equal(store.current, fresh_store.current)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_specialize_only_reads_the_constraints(self, preset):
+        store, cs, _ = taxonomy_fixture(seed=6)
+        before = copy.deepcopy(vars(cs))
+        specialize(store, cs, SpecializeConfig(preset, epochs=1, batch_size=8, seed=2))
+        assert vars(cs) == before
+
+
 class TestEpochStats:
     def test_log_text_is_unchanged(self):
         # two relations, interleaved, one batch without hinges; the expected
@@ -732,14 +777,26 @@ class TestSpecializePresets:
         ordered = sum(norms[lo] < norms[hi] for lo, hi in direct)
         assert ordered / len(direct) >= 0.95
 
-    def test_ad_indir_trains_on_closure(self):
+    def test_ad_indir_trains_on_closure(self, monkeypatch):
         store, cs, _ = taxonomy_fixture(seed=2)
         config = SpecializeConfig(
             preset="hierarchy_fitting_ad_indir", epochs=2, batch_size=8, seed=0
         )
+        closure = hypernym_closure(cs.direct_hypernyms)
+        assert len(closure) > len(cs.direct_hypernyms)
+        view = specializer.run_view(cs, config.preset)
+        assert view.streams["ad"] == sorted(closure)
+        assert view.streams["hyper"] == sorted(cs.direct_hypernyms)
+        trained = set()
+
+        def recorded(*args):
+            plan = plan_epoch(*args)
+            trained.update(item for b in plan if b.relation == "ad" for item in b.items)
+            return plan
+
+        monkeypatch.setattr(specializer, "plan_epoch", recorded)
         specialize(store, cs, config)
-        assert cs.closure_computed
-        assert len(cs.indirect_hypernyms) > len(cs.direct_hypernyms)
+        assert trained == closure
 
     def test_quad_join_required_for_hierarchy(self):
         store = random_store(0, 10, 4)
