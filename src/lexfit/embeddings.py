@@ -42,9 +42,9 @@ class EmbeddingStore:
 
     ``current`` is the matrix that specialization changes, and ``original``
     keeps the pre-specialization vectors for preservation terms. Both are
-    read-only: :meth:`writing` is the one way to change ``current``. The
-    store keeps the row norms it computed at construction for cosine
-    queries, and a write drops them.
+    read-only: :meth:`writing` is the one way to change ``current``. For
+    cosine queries the store keeps the row norms it computed at construction,
+    and the float32 unit rows that the first query builds; a write drops both.
     """
 
     def __init__(self, vocab, vectors):
@@ -86,6 +86,7 @@ class EmbeddingStore:
         # rescaled copy is independent of the matrix it came from
         self._original_geometry = (self.original if scaled is matrix else scaled, norms)
         self._geometry: tuple[np.ndarray, np.ndarray] | None = (scaled, norms)
+        self._unit32: np.ndarray | None = None  # built by the first query
         self.index: dict[str, int] = {tok: i for i, tok in enumerate(vocab)}
         self.n_duplicates_dropped: int = 0
 
@@ -102,28 +103,31 @@ class EmbeddingStore:
         the block raises; queries inside the block recompute it each time.
         Blocks do not nest: the inner exit makes ``current`` read-only.
         """
-        self._geometry = None
+        self._geometry = self._unit32 = None
         self._matrix.setflags(write=True)
         try:
             yield self._matrix
         finally:
             self._matrix.setflags(write=False)
-            self._geometry = None
+            self._geometry = self._unit32 = None
 
-    def geometry(self, original: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """``(matrix, norms)`` of ``current``, or of ``original``, for
+    def geometry(self, original: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(matrix, norms, unit32)`` of ``current``, or of ``original``, for
         :func:`nearest_rows`: the rows with out-of-range norms rescaled (the
-        matrix itself when there are none) and the norms of those rows.
-        Computed at construction, and again on the first read after a write.
+        matrix itself when there are none), the norms of those rows, and
+        their float32 unit rows. The matrix and norms are computed at
+        construction, and again on the first read after a write; the unit
+        rows of ``current`` on the first read, and those of ``original`` on
+        every read, which keeps none.
         """
         if original:
-            return self._original_geometry
-        geometry = self._geometry
-        if geometry is None:
-            geometry = _in_range(self._matrix)[:2]
-            if not self._matrix.flags.writeable:
-                self._geometry = geometry
-        return geometry
+            matrix, norms = self._original_geometry
+            return matrix, norms, _unit_rows32(matrix, norms)
+        matrix, norms = self._geometry or _in_range(self._matrix)[:2]
+        unit32 = _unit_rows32(matrix, norms) if self._unit32 is None else self._unit32
+        if not self._matrix.flags.writeable:
+            self._geometry, self._unit32 = (matrix, norms), unit32
+        return matrix, norms, unit32
 
     def __len__(self) -> int:
         return len(self.vocab)
@@ -426,10 +430,14 @@ def backoff_lookup(store: EmbeddingStore, token: str) -> LookupResult:
 # rows are right for every finite row.
 _NORM_RANGE = (2.0 ** -480, 2.0 ** 480)
 
-# bound the (block rows x vocabulary) similarity scratch of :func:`nearest_rows`;
-# the row floor keeps each block's product a matrix product at large vocabularies
+# bound the (block rows x vocabulary) screen scratch of :func:`nearest_rows`,
+# and the rows :func:`_cell_cosines` gathers; the row floor keeps each block's
+# screen a matrix product at large vocabularies
 _NEIGHBOR_BLOCK_CELLS = 1 << 18
 _NEIGHBOR_BLOCK_ROWS = 64
+# einsum reduces at most this many columns of a row in one pass; past it, how
+# it splits a row's sum depends on the other rows of the call
+_EINSUM_COLUMNS = 8192
 
 
 def _in_range(matrix: np.ndarray) -> tuple:
@@ -454,9 +462,76 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
 
 def unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each nonzero row of ``matrix`` divided by its norm, and the norms as
-    :func:`row_norms` gives them. The one place rows are normalized."""
+    :func:`row_norms` gives them. The one place rows are normalized, besides
+    the float32 screen rows of :func:`_unit_rows32`."""
     scaled, norms, true_norms = _in_range(matrix)
     return scaled / norms[:, None], true_norms
+
+
+def _unit_rows32(matrix: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The rows of the range-scaled ``matrix`` over their ``norms``, rounded to
+    float32, for the screen of :func:`nearest_rows`. Divided straight into
+    the float32 result, so no float64 matrix of that size is formed."""
+    return np.divide(matrix, norms[:, None], out=np.empty(matrix.shape, dtype=np.float32))
+
+
+def _screen_error(dim: int) -> float:
+    """A bound on |screen score - float64 cell| in :func:`nearest_rows` for
+    rows of ``dim`` columns.
+
+    With u = 2^-24, w = 2^-53 and gamma(m) = m u / (1 - m u), each bound
+    measured against the true cosine:
+    - a float64 cell (:func:`_cell_cosines`) is a dot of two range-scaled
+      rows, off by gamma_w(dim) of the product of their norms, over that
+      product, whose norms are each off by (dim / 2 + 1) w, with two more
+      roundings; clipping only moves it toward the true cosine. That is
+      (2 dim + 4) w, and (2 dim + 8) w also covers the w^2 terms and
+      underflow (the norms are at least 2^-480, so dim 2^-115 relative);
+    - a float32 unit row (:func:`_unit_rows32`) is the row over its norm,
+      rounded to float64 and then to float32: each component is off by
+      a = u + (dim / 2 + 2) w relative, or by 2^-126 absolute where float32
+      is subnormal, even flushed to zero;
+    - a screen score is the float32 dot of two such rows, summed in any
+      order, with or without fused multiply-adds: off by
+      gamma(dim) (1 + a)^2 + 2 a + a^2, which is at least u less than
+      gamma(dim + 3) for every dim below 2^23. Underflow adds at most 2^-126
+      per component, product and partial sum: 4 dim 2^-126.
+    The spare u, counted twice in the cut, covers the rounding of the cut in
+    float64. From 2^23 - 3 columns on, the largest float32 stands in for the
+    bound: every finite score passes the cut, so every column is scored in
+    float64, but the query's own -inf does not.
+    """
+    m = (dim + 3) * 2.0 ** -24
+    if m >= 0.5:
+        return float(np.finfo(np.float32).max)
+    return m / (1.0 - m) + (2 * dim + 8) * 2.0 ** -53 + 4 * dim * 2.0 ** -126
+
+
+def _cell_cosines(
+    matrix: np.ndarray, norms: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """The cosine of each row pair ``(a[i], b[i])`` of the range-scaled
+    ``matrix``: the einsum dot of the two rows over the product of their
+    ``norms``, clipped into [-1, 1].
+
+    Each cell is reduced on its own, in einsum passes of at most
+    ``_EINSUM_COLUMNS`` columns summed in order, so it does not depend on
+    the other pairs. Rows with exact products keep exact ties: dotting unit
+    rows instead gives orthogonal integer rows cosines like -2.2e-17, which
+    reorders rows tied at 0.
+    """
+    out = np.empty(len(a))
+    dim = matrix.shape[1]
+    step = max(1, _NEIGHBOR_BLOCK_CELLS // dim)
+    for start in range(0, len(a), step):
+        x, y = matrix[a[start : start + step]], matrix[b[start : start + step]]
+        dots = out[start : start + step]
+        np.einsum("ij,ij->i", x[:, :_EINSUM_COLUMNS], y[:, :_EINSUM_COLUMNS], out=dots)
+        for col in range(_EINSUM_COLUMNS, dim, _EINSUM_COLUMNS):
+            dots += np.einsum("ij,ij->i", x[:, col : col + _EINSUM_COLUMNS],
+                              y[:, col : col + _EINSUM_COLUMNS])
+    out /= norms[a] * norms[b]
+    return np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)  # np.clip, with less overhead
 
 
 def shared_scale(n1: np.ndarray, n2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -481,45 +556,50 @@ def top_k(sims: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k largest entries of each row of ``sims``.
 
     Each row of the (rows x k) result is in descending order of similarity,
-    ties broken toward the smaller column, NaN last: the first k columns of
-    ``np.argsort(-sims, axis=1, kind="stable")``. Needs ``1 <= k <= sims.shape[1]``.
+    ties broken toward the smaller column, NaN last. The rows are sorted
+    outright: :func:`nearest_rows` hands over only each row's candidates.
+    Needs ``1 <= k <= sims.shape[1]``.
     """
-    neg = -sims
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1]
-    # every entry tied with the k-th value competes, so ties at the cut
-    # still go to the smaller columns; written as "not beyond the cut" so
-    # that a NaN cut keeps every entry
-    rows, cols = np.nonzero(~(neg > kth[:, None]))
-    order = np.lexsort((cols, neg[rows, cols], rows))
-    # each row's candidates are contiguous in ``order``; keep the first k
-    starts = np.searchsorted(rows, np.arange(len(sims)))
-    return cols[order[starts[:, None] + np.arange(k)]]
+    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
 
 
 def nearest_rows(
-    geometry: tuple[np.ndarray, np.ndarray], rows: np.ndarray, k: int
+    geometry: tuple[np.ndarray, np.ndarray, np.ndarray], rows: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each of ``rows``, the ``min(k, len(matrix) - 1)`` other rows closest
-    by cosine, ranked by :func:`top_k`, and their cosines; formed one bounded
-    block of ``rows`` at a time. ``geometry`` is ``(matrix, norms)`` as
-    :meth:`EmbeddingStore.geometry` gives it. Needs ``len(matrix) >= 2``."""
-    matrix, norms = geometry
+    by cosine, ranked by :func:`top_k`, and their cosines. ``geometry`` is
+    ``(matrix, norms, unit32)`` as :meth:`EmbeddingStore.geometry` gives it.
+    Needs ``len(matrix) >= 2``.
+
+    One float32 product of unit rows screens every column, one bounded block
+    of ``rows`` at a time. The columns whose screen score lies within twice
+    :func:`_screen_error` of the row's k-th score hold the row's float64 top k,
+    and only they are scored in float64, by :func:`_cell_cosines`.
+    """
+    matrix, norms, unit32 = geometry
     k = min(k, len(matrix) - 1)
+    slack = 2.0 * _screen_error(matrix.shape[1])
     indices = np.empty((len(rows), k), dtype=np.intp)
     cosines = np.empty((len(rows), k))
-    # each block's product is divided by the norms cell by cell, so rows with
-    # exact products keep exact ties: a product of unit rows gives orthogonal
-    # integer rows cosines like -2.2e-17, which reorders rows tied at 0
     step = max(_NEIGHBOR_BLOCK_ROWS, _NEIGHBOR_BLOCK_CELLS // len(matrix))
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
-        at = np.arange(len(block))[:, None]
-        sims = (matrix[block] @ matrix.T) / (norms[block, None] * norms)
-        np.clip(sims, -1.0, 1.0, out=sims)
-        sims[at[:, 0], block] = -np.inf
-        top = top_k(sims, k)
-        indices[start : start + step] = top
-        cosines[start : start + step] = sims[at, top]
+        scores = unit32[block] @ unit32.T
+        scores[np.arange(len(block)), block] = -np.inf
+        # at least k other columns score kth or more, so their cells, and the
+        # float64 k-th cell, are at least kth - error; a cell that high scores
+        # at least kth - 2 * error. Compared in float64, so the cut is exact
+        cut = np.subtract(np.partition(scores, -k, axis=1)[:, -k, None], slack, dtype=np.float64)
+        at, cols = np.divmod(np.flatnonzero(scores >= cut), len(matrix))
+        cells = _cell_cosines(matrix, norms, block[at], cols)
+        # each row's candidates, in ascending columns, padded to one width
+        counts = np.bincount(at, minlength=len(block))
+        first = np.add.accumulate(counts) - counts
+        sims = np.full((len(block), counts.max()), -np.inf)
+        sims[at, np.arange(len(at)) - first[at]] = cells
+        picked = first[:, None] + top_k(sims, k)
+        indices[start : start + step] = cols[picked]
+        cosines[start : start + step] = cells[picked]
     return indices, cosines
 
 
@@ -527,8 +607,9 @@ def nearest_neighbors(store: EmbeddingStore, row: int, k: int) -> list[tuple[int
     """Top-k rows of ``store.current`` by cosine to the query row, excluding the query itself.
 
     Returns ``min(k, len(store) - 1)`` entries sorted by descending cosine;
-    ties break toward the smaller row index. Reads the row norms the store
-    keeps, so a query makes no pass over the matrix besides the product.
+    ties break toward the smaller row index. Reads the norms and float32
+    unit rows the store keeps, so a query's one pass over the matrix is the
+    float32 screen.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -293,7 +293,8 @@ def retrofit(
 def _original_neighbor_sets(store: EmbeddingStore, rows: np.ndarray, k: int) -> np.ndarray:
     """The top-k original-space neighbours of each row, ranked by
     :func:`~lexfit.embeddings.nearest_rows`; their distances are formed per
-    batch, by :func:`_counterfit_batch_loss`."""
+    batch, by :func:`_counterfit_batch_loss`. The original's float32 unit
+    rows are built for this call and released with it."""
     return nearest_rows(store.geometry(original=True), rows, k)[0]
 
 
@@ -418,12 +419,11 @@ def _train(
 def _train_metric(
     store: EmbeddingStore, view: RunView, config: SpecializeConfig
 ) -> tuple[WorkingSet, TrainLog]:
-    """Train the rows of the synonym, antonym and direct-hypernym pairs, which
-    hold every row of the closure and of the quadruplet join."""
+    """Train the rows of the instances of the view's streams, the only rows
+    its batches reach: in-batch mining draws from the batch's own rows."""
     preset = PRESET_TABLE[config.preset]
-    constraints = view.constraints
-    pairs = constraints.synonyms | constraints.antonyms | constraints.direct_hypernyms
-    ws = WorkingSet(store, np.array(list(pairs)))
+    rows = [np.array(items, dtype=np.intp).ravel() for items in view.streams.values()]
+    ws = WorkingSet(store, np.concatenate(rows))
     return ws, _train(
         ws, view, config,
         lambda batch: _batch_loss(batch, view, ws, config, preset),

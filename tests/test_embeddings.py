@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from lexfit import (
+    ConstraintSet,
     EmbeddingFormatError,
     EmbeddingStore,
+    SpecializeConfig,
     backoff_lookup,
     cosine,
     distance,
     load_embeddings,
     nearest_neighbors,
     save_embeddings,
+    specialize,
 )
 from lexfit import embeddings
 from lexfit.embeddings import row_cosines, row_norms, top_k, unit_rows
@@ -427,6 +430,96 @@ class TestNearestNeighbors:
         assert [r for r, _ in nearest_neighbors(store, 2, 3)] == [0, 1, 3]
 
 
+def exhaustive_neighbors(vectors, k):
+    """Oracle: every cell of the full float64 product, each the einsum dot of
+    two range-scaled rows over the product of their norms, clipped, ranked by
+    a stable descending sort with the query itself excluded."""
+    scaled, norms = embeddings._in_range(np.asarray(vectors, dtype=np.float64))[:2]
+    n = len(scaled)
+    a, b = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    sims = np.einsum("ij,ij->i", scaled[a], scaled[b]) / (norms[a] * norms[b])
+    sims = np.clip(sims, -1.0, 1.0).reshape(n, n)
+    np.fill_diagonal(sims, -np.inf)
+    near = np.argsort(-sims, axis=1, kind="stable")[:, : min(k, n - 1)]
+    return near, np.take_along_axis(sims, near, axis=1)
+
+
+class TestNearestRows:
+    """The float32 screen and float64 re-rank against the exhaustive oracle:
+    the same neighbours and bit-identical cosines."""
+
+    @staticmethod
+    def check(vectors, ks):
+        store = EmbeddingStore([f"w{i}" for i in range(len(vectors))], vectors)
+        rows = np.arange(len(vectors))
+        for k in ks:
+            near, cosines = embeddings.nearest_rows(store.geometry(), rows, k)
+            expected_near, expected_cosines = exhaustive_neighbors(vectors, k)
+            np.testing.assert_array_equal(near, expected_near, err_msg=f"k={k}")
+            np.testing.assert_array_equal(cosines, expected_cosines, err_msg=f"k={k}")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(2, 150)), int(rng.integers(1, 60))
+        self.check(rng.standard_normal((n, dim)), [1, 3, 10])
+
+    @pytest.mark.parametrize("spread", [1e-10, 1e-8])
+    def test_near_ties_below_float32_resolution(self, spread):
+        # copies of one direction, each moved by about ``spread`` of it: float32
+        # (resolution 6e-8) merges them, or orders them by its rounding; a
+        # screen without the slack of its error bound misses the right ones
+        rng = np.random.default_rng(11)
+        vectors = rng.standard_normal(16) + spread * rng.standard_normal((40, 16))
+        vectors[::5] = rng.standard_normal((8, 16))
+        self.check(vectors, [1, 5, 12, 39])
+
+    def test_integer_ties(self):
+        rng = np.random.default_rng(12)
+        vectors = rng.integers(-2, 3, size=(60, 4)).astype(np.float64)
+        vectors[~vectors.any(axis=1)] = 1.0
+        self.check(vectors, [1, 4, 10, 59])
+
+    def test_extreme_and_subnormal_rows(self):
+        rng = np.random.default_rng(13)
+        vectors = rng.standard_normal((48, 6))
+        vectors[:8] *= 1e200
+        vectors[8:16] *= 1e-200
+        vectors[16:24, 1:] *= 1e-41  # unit components subnormal in float32
+        vectors[24:32, 1:] *= 1e-312  # and in float64
+        vectors[32:40] *= 1e-310  # whole rows subnormal, rescaled
+        unit32 = EmbeddingStore([f"w{i}" for i in range(48)], vectors).geometry()[2]
+        assert (np.abs(unit32[16:24, 1:]) < np.finfo(np.float32).tiny).all()
+        self.check(vectors, [1, 7, 20, 47])
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_k_reaches_every_other_row(self, n):
+        self.check(np.random.default_rng(n).standard_normal((n, 3)), [n - 1, n, n + 5])
+
+    def test_block_rows_equal_one_row_calls(self):
+        # one block is a float32 matrix product, one row a matrix-vector
+        # product; their sums differ, the float64 cells do not
+        store = random_store(3, 200, 30)
+        rows = np.arange(200)
+        near, cosines = embeddings.nearest_rows(store.geometry(), rows, 10)
+        alone = [embeddings.nearest_rows(store.geometry(), rows[[r]], 10) for r in rows]
+        np.testing.assert_array_equal(near, np.vstack([n for n, _ in alone]))
+        np.testing.assert_array_equal(cosines, np.vstack([c for _, c in alone]))
+
+    def test_screen_keeps_few_candidates(self, monkeypatch):
+        cells = []
+        cell_cosines = embeddings._cell_cosines
+
+        def counting(matrix, norms, a, b):
+            cells.append(len(a))
+            return cell_cosines(matrix, norms, a, b)
+
+        monkeypatch.setattr(embeddings, "_cell_cosines", counting)
+        store = random_store(16, 3000, 50)
+        embeddings.nearest_rows(store.geometry(), np.arange(0, 3000, 10), 10)
+        assert 300 * 10 <= sum(cells) < 300 * 12
+
+
 def fresh_neighbors(store, k):
     """Every row's neighbours on a new store built from ``store.current``."""
     fresh = EmbeddingStore(store.vocab, store.current)
@@ -535,6 +628,46 @@ class TestWriting:
         for row in range(30):
             nearest_neighbors(store, row, 5)
         assert calls == [30]  # once, on the first query after the write
+
+    def test_float32_rows_are_built_once_per_state(self, monkeypatch, tmp_path):
+        builds, calls = [], []
+        build, in_range = embeddings._unit_rows32, embeddings._in_range
+        store = random_store(4, 30, 6)
+        with store.writing() as matrix:
+            matrix[7] *= 1e-200  # a rescaled row
+        expected = (store.current / row_norms(store.current)[:, None]).astype(np.float32)
+        monkeypatch.setattr(embeddings, "_unit_rows32",
+                            lambda matrix, norms: builds.append(len(matrix)) or build(matrix, norms))
+        monkeypatch.setattr(embeddings, "_in_range",
+                            lambda matrix: calls.append(len(matrix)) or in_range(matrix))
+        nearest_neighbors(store, 0, 5)
+        assert builds == [30] and calls == [30]  # the norms once, after the write
+        unit32 = store.geometry()[2]
+        for row in range(30):
+            nearest_neighbors(store, row, 5)
+        assert builds == [30] and calls == [30]
+        assert store.geometry()[2] is unit32 and unit32.dtype == np.float32
+        np.testing.assert_array_equal(unit32, expected)
+        with store.writing() as matrix:
+            matrix[3] *= 2.0
+        assert store._unit32 is None
+        for row in range(30):
+            nearest_neighbors(store, row, 5)
+        assert builds == [30, 30] and calls == [30, 30]
+        fresh = random_store(5, 30, 6)
+        del calls[:]
+        nearest_neighbors(fresh, 0, 5)
+        assert builds == [30, 30, 30] and calls == []  # built from the norms of construction
+        path = str(tmp_path / "v.txt")
+        save_embeddings(store, path, "glove-text")
+        loaded = load_embeddings(path, "glove-text")
+        assert loaded._unit32 is None and len(builds) == 3
+        # counter-fitting builds the original's float32 rows for its precompute, and keeps none
+        cs = ConstraintSet()
+        cs.add_pair("syn", 0, 1)
+        cs.add_pair("ant", 0, 2)
+        specialize(loaded, cs, SpecializeConfig("counterfitting", epochs=1, neighbor_k=3))
+        assert len(builds) == 4 and loaded._unit32 is None
 
 
 class TestTopK:

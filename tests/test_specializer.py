@@ -456,7 +456,7 @@ class TestBatchLossMatchesReference:
         view = specializer.run_view(cs, preset)  # the streams and masks a run uses
         plan = plan_epoch(view.streams, batch_size, config.seed)
         assert {b.relation for b in plan} == set(spec.streams)
-        # the rows the metric presets train; the fixture leaves others out
+        # every row a metric preset can train; the fixture leaves others out
         ws = specializer.WorkingSet(
             store, np.array(list(cs.synonyms | cs.antonyms | cs.direct_hypernyms))
         )
@@ -610,6 +610,23 @@ def test_training_memory_follows_the_working_set():
         tracemalloc.stop()
     assert (store.current != store.original).any()
     assert peak < store.current.nbytes
+
+
+@pytest.mark.parametrize("preset", [
+    name for name, spec in specializer.PRESET_TABLE.items()
+    if spec.train is specializer._train_metric
+])
+def test_metric_working_set_is_the_rows_of_the_streams(preset):
+    # rows 4, 5, 7 and 8 are only in hypernym pairs, which attract_repel does not train
+    store = random_store(3, 12, 4)
+    cs = ConstraintSet()
+    for relation, a, b in [("syn", 0, 1), ("syn", 3, 6), ("ant", 0, 2),
+                           ("hyper", 3, 4), ("hyper", 4, 5), ("hyper", 7, 8)]:
+        cs.add_pair(relation, a, b)
+    view = specializer.run_view(cs, preset)
+    ws, _ = specializer.PRESET_TABLE[preset].train(store, view, SpecializeConfig(preset, epochs=1))
+    expected = [0, 1, 2, 3, 6] if preset == "attract_repel" else list(range(9))
+    np.testing.assert_array_equal(ws.ids, expected)
 
 
 class TestRunView:
