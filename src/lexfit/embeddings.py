@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import operator
 import re
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -508,27 +509,31 @@ def _screen_error(dim: int) -> float:
 
 
 def _cell_cosines(
-    matrix: np.ndarray, norms: np.ndarray, a: np.ndarray, b: np.ndarray
+    matrix: np.ndarray, norms: np.ndarray, a: np.ndarray | int, b: np.ndarray
 ) -> np.ndarray:
     """The cosine of each row pair ``(a[i], b[i])`` of the range-scaled
-    ``matrix``: the einsum dot of the two rows over the product of their
-    ``norms``, clipped into [-1, 1].
+    ``matrix``, or of ``(a, b[i])`` when ``a`` is one row: the einsum dot of
+    the two rows over the product of their ``norms``, clipped into [-1, 1].
 
     Each cell is reduced on its own, in einsum passes of at most
     ``_EINSUM_COLUMNS`` columns summed in order, so it does not depend on
-    the other pairs. Rows with exact products keep exact ties: dotting unit
-    rows instead gives orthogonal integer rows cosines like -2.2e-17, which
-    reorders rows tied at 0.
+    the other pairs; one row ``a`` is read in place rather than gathered, and
+    its products are the same. Rows with exact products keep exact ties:
+    dotting unit rows instead gives orthogonal integer rows cosines like
+    -2.2e-17, which reorders rows tied at 0.
     """
-    out = np.empty(len(a))
+    out = np.empty(len(b))
     dim = matrix.shape[1]
+    one = np.ndim(a) == 0
+    spec = "j,ij->i" if one else "ij,ij->i"
     step = max(1, _NEIGHBOR_BLOCK_CELLS // dim)
-    for start in range(0, len(a), step):
-        x, y = matrix[a[start : start + step]], matrix[b[start : start + step]]
+    for start in range(0, len(b), step):
+        x = matrix[a] if one else matrix[a[start : start + step]]
+        y = matrix[b[start : start + step]]
         dots = out[start : start + step]
-        np.einsum("ij,ij->i", x[:, :_EINSUM_COLUMNS], y[:, :_EINSUM_COLUMNS], out=dots)
+        np.einsum(spec, x[..., :_EINSUM_COLUMNS], y[:, :_EINSUM_COLUMNS], out=dots)
         for col in range(_EINSUM_COLUMNS, dim, _EINSUM_COLUMNS):
-            dots += np.einsum("ij,ij->i", x[:, col : col + _EINSUM_COLUMNS],
+            dots += np.einsum(spec, x[..., col : col + _EINSUM_COLUMNS],
                               y[:, col : col + _EINSUM_COLUMNS])
     out /= norms[a] * norms[b]
     return np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)  # np.clip, with less overhead
@@ -574,7 +579,9 @@ def nearest_rows(
     One float32 product of unit rows screens every column, one bounded block
     of ``rows`` at a time. The columns whose screen score lies within twice
     :func:`_screen_error` of the row's k-th score hold the row's float64 top k,
-    and only they are scored in float64, by :func:`_cell_cosines`.
+    and only they are scored in float64, by :func:`_cell_cosines`. Candidates
+    are padded to one width for :func:`top_k`, cheaper over a block than a
+    sort per row; :func:`nearest_neighbors` ranks a single row unpadded.
     """
     matrix, norms, unit32 = geometry
     k = min(k, len(matrix) - 1)
@@ -607,15 +614,27 @@ def nearest_neighbors(store: EmbeddingStore, row: int, k: int) -> list[tuple[int
     """Top-k rows of ``store.current`` by cosine to the query row, excluding the query itself.
 
     Returns ``min(k, len(store) - 1)`` entries sorted by descending cosine;
-    ties break toward the smaller row index. Reads the norms and float32
-    unit rows the store keeps, so a query's one pass over the matrix is the
-    float32 screen.
+    ties break toward the smaller row index; ``row`` and ``k`` are integers,
+    not bools. The neighbours and cosines of :func:`nearest_rows`, from its
+    screen bound and cells, but with one-row calls: a float32 matrix-vector
+    product of the unit rows the store keeps, and one sort of the candidates.
     """
+    if isinstance(row, bool) or isinstance(k, bool):
+        raise TypeError("row and k must be integers, not bools")
+    row, k = operator.index(row), operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0 <= row < len(store):
         raise IndexError(f"row {row} out of range for store of size {len(store)}")
     if len(store) == 1:
         return []
-    indices, cosines = nearest_rows(store.geometry(), np.array([row]), k)
-    return list(zip(indices[0].tolist(), cosines[0].tolist()))
+    matrix, norms, unit32 = store.geometry()
+    k = min(k, len(matrix) - 1)
+    scores = unit32 @ unit32[row]
+    scores[row] = -np.inf
+    cut = np.subtract(np.partition(scores, -k)[-k], 2.0 * _screen_error(matrix.shape[1]),
+                      dtype=np.float64)
+    cols = np.flatnonzero(scores >= cut)
+    cells = _cell_cosines(matrix, norms, row, cols)
+    picked = np.lexsort((cols, -cells))[:k]
+    return list(zip(cols[picked].tolist(), cells[picked].tolist()))

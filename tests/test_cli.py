@@ -639,6 +639,20 @@ class TestNearestCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "w2\t1.000000"
 
+    def test_k_beyond_the_vocabulary_prints_every_other_word(self, tmp_path, capsys):
+        store = EmbeddingStore(["w1", "w2", "w3"], [[1.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+        emb = tmp_path / "v.vec"
+        save_embeddings(store, str(emb), "glove-text")
+        assert main(["nearest", "--embeddings", str(emb), "--word", "w1", "--k", "99"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["w2\t0.894427", "w3\t0.000000"]
+
+    def test_tie_at_the_kth_place_prints_the_smaller_row(self, tmp_path, capsys):
+        # b and d tie for second place, and only one of them is printed
+        emb = tmp_path / "v.vec"
+        emb.write_text("q 1 0\nd 1 1\nbest 1 0.1\nb 2 2\nfar -1 0\n")
+        assert main(["nearest", "--embeddings", str(emb), "--word", "q", "--k", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["best\t0.995037", "d\t0.707107"]
+
     def test_backoff_reported(self, tmp_path, capsys):
         store = EmbeddingStore(["run", "walk"], [[1.0, 0.1], [0.0, 1.0]])
         emb = tmp_path / "v.vec"

@@ -391,6 +391,20 @@ class TestNearestNeighbors:
         with pytest.raises(IndexError):
             nearest_neighbors(store, 5, 1)
 
+    @pytest.mark.parametrize("row, k", [
+        (True, 1), (np.True_, 1), (1.0, 1), (np.float64(1.0), 1),
+        (0, True), (0, np.True_), (0, 2.5), (0, 2.0),
+    ])
+    def test_bool_or_non_integral_row_or_k_is_type_error(self, row, k):
+        # True would index row 1, or add an axis to a row read; 2.5 would cut
+        # to 2 neighbours
+        with pytest.raises(TypeError):
+            nearest_neighbors(random_store(0, 4, 3), row, k)
+
+    def test_integer_types_are_accepted(self):
+        store = random_store(0, 5, 3)
+        assert nearest_neighbors(store, np.int64(2), np.int32(3)) == nearest_neighbors(store, 2, 3)
+
     def test_excludes_query(self):
         store = random_store(1, 6, 4)
         assert all(r != 2 for r, _ in nearest_neighbors(store, 2, 5))
@@ -450,6 +464,7 @@ class TestNearestRows:
 
     @staticmethod
     def check(vectors, ks):
+        """Blocked and one-row queries of every row against the oracle."""
         store = EmbeddingStore([f"w{i}" for i in range(len(vectors))], vectors)
         rows = np.arange(len(vectors))
         for k in ks:
@@ -457,6 +472,11 @@ class TestNearestRows:
             expected_near, expected_cosines = exhaustive_neighbors(vectors, k)
             np.testing.assert_array_equal(near, expected_near, err_msg=f"k={k}")
             np.testing.assert_array_equal(cosines, expected_cosines, err_msg=f"k={k}")
+            alone = [nearest_neighbors(store, row, k) for row in rows]
+            np.testing.assert_array_equal(
+                [[r for r, _ in hits] for hits in alone], expected_near, err_msg=f"k={k}")
+            np.testing.assert_array_equal(
+                [[c for _, c in hits] for hits in alone], expected_cosines, err_msg=f"k={k}")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_rows(self, seed):
@@ -505,19 +525,48 @@ class TestNearestRows:
         alone = [embeddings.nearest_rows(store.geometry(), rows[[r]], 10) for r in rows]
         np.testing.assert_array_equal(near, np.vstack([n for n, _ in alone]))
         np.testing.assert_array_equal(cosines, np.vstack([c for _, c in alone]))
+        queries = [nearest_neighbors(store, r, 10) for r in range(200)]
+        np.testing.assert_array_equal(near, [[r for r, _ in hits] for hits in queries])
+        np.testing.assert_array_equal(cosines, [[c for _, c in hits] for hits in queries])
 
-    def test_screen_keeps_few_candidates(self, monkeypatch):
+    @staticmethod
+    def count_cells(monkeypatch):
+        """The number of float64 cells of each later :func:`_cell_cosines` call."""
         cells = []
         cell_cosines = embeddings._cell_cosines
 
         def counting(matrix, norms, a, b):
-            cells.append(len(a))
+            cells.append(len(b))
             return cell_cosines(matrix, norms, a, b)
 
         monkeypatch.setattr(embeddings, "_cell_cosines", counting)
+        return cells
+
+    def test_screen_keeps_few_candidates(self, monkeypatch):
+        cells = self.count_cells(monkeypatch)
         store = random_store(16, 3000, 50)
         embeddings.nearest_rows(store.geometry(), np.arange(0, 3000, 10), 10)
         assert 300 * 10 <= sum(cells) < 300 * 12
+
+    def test_one_row_screen_keeps_few_candidates(self, monkeypatch):
+        cells = self.count_cells(monkeypatch)
+        store = random_store(16, 3000, 50)
+        for row in range(0, 3000, 10):
+            nearest_neighbors(store, row, 10)
+        assert len(cells) == 300 and 300 * 10 <= sum(cells) < 300 * 12
+
+    def test_one_row_query_allocates_vocabulary_sized_scratch(self):
+        store = random_store(16, 3000, 50)
+        nearest_neighbors(store, 0, 10)  # builds the float32 rows
+        tracemalloc.start()
+        try:
+            for row in range(1, 3000, 300):
+                nearest_neighbors(store, row, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 rows alone are 600 kB, the matrix 1.2 MB
+        assert peak < 4 * 3000 * 8
 
 
 def fresh_neighbors(store, k):
