@@ -18,8 +18,9 @@ def at_angle(deg, norm=1.0):
 def rows(*local):
     return np.array(local, dtype=np.intp)
 
-def batch(store):
-    return BatchLoss(store, np.arange(len(store)))
+def batch(store, original=None):
+    # every row; preservation anchors to ``original``, by default the rows as they are
+    return BatchLoss(store, np.arange(len(store)), store.current if original is None else original)
 
 # anchor at 0 deg; synonym, hypernym, and negatives fan out from it
 words = ["anchor", "synonym", "hypernym", "neg_near", "neg_mid", "neg_far"]
@@ -60,8 +61,10 @@ for hypo, hyper, norms in ((0, 1, "3.0, 1.0"), (1, 0, "1.0, 3.0")):
     res.norm_asymmetry(rows(hypo), rows(hyper), 1.0)
     print(f"  norms ({norms}): loss {res.loss:.3f}")
 
+at_load = store.current.copy()
+
 def preservation_loss():
-    res = batch(store)
+    res = batch(store, at_load)
     res.preserve(rows(0, 1), 0.001)
     return res.loss
 

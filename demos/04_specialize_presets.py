@@ -28,23 +28,24 @@ def build_world(seed=0):
     store = EmbeddingStore([f"w{i:02d}" for i in range(40)], vectors)
     return store, cs
 
-def audit(store, cs):
+def audit(store, cs, start):
     cur = store.current
     syn = np.mean([distance(cur[a], cur[b]) for a, b in cs.synonyms])
     ant = np.mean([distance(cur[a], cur[b]) for a, b in cs.antonyms])
     hyp = np.mean([distance(cur[a], cur[b]) for a, b in cs.direct_hypernyms])
-    moved = np.mean(np.linalg.norm(cur - store.original, axis=1))
+    moved = np.mean(np.linalg.norm(cur - start, axis=1))
     return syn, ant, hyp, moved
 
 store0, cs0 = build_world()
-s, a, h, _ = audit(store0, cs0)
+s, a, h, _ = audit(store0, cs0, store0.current)
 print(f"{'start':22s} mean D: syn {s:.3f}  ant {a:.3f}  hyper {h:.3f}")
 
 for preset in ("retrofitting", "counterfitting", "attract_repel", "lear", "hierarchy_fitting"):
     store, cs = build_world()
+    start = store.current.copy()  # the run writes the store it is given
     config = SpecializeConfig(preset=preset, epochs=20, batch_size=8, seed=7)
     _, log = specialize(store, cs, config)
-    s, a, h, moved = audit(store, cs)
+    s, a, h, moved = audit(store, cs, start)
     print(f"{preset:22s} mean D: syn {s:.3f}  ant {a:.3f}  hyper {h:.3f}  "
           f"(mean vector shift {moved:.3f}, {log.batches_processed} batches)")
 

@@ -39,13 +39,13 @@ class LookupResult:
 
 
 class EmbeddingStore:
-    """Vocabulary-indexed embedding matrix with a frozen copy of the load-time vectors.
+    """Vocabulary-indexed embedding matrix.
 
-    ``current`` is the matrix that specialization changes, and ``original``
-    keeps the pre-specialization vectors for preservation terms. Both are
-    read-only: :meth:`writing` is the one way to change ``current``. For
-    cosine queries the store keeps the row norms it computed at construction,
-    and the float32 unit rows that the first query builds; a write drops both.
+    ``current`` is the one matrix, read-only: :meth:`writing` is the one way
+    to change it. A specialization run anchors to the store it is given, so
+    the vectors a run starts from are ``current`` until its write. For cosine
+    queries the store keeps the row norms it computed at construction, and
+    the float32 unit rows that the first query builds; a write drops both.
     """
 
     def __init__(self, vocab, vectors):
@@ -80,12 +80,7 @@ class EmbeddingStore:
         self.dim: int = int(matrix.shape[1])
         self._matrix = matrix
         self._matrix.setflags(write=False)
-        self.original: np.ndarray = matrix.copy()
-        self.original.setflags(write=False)
         norms.setflags(write=False)
-        # current equals original here, so one rescale serves both; a
-        # rescaled copy is independent of the matrix it came from
-        self._original_geometry = (self.original if scaled is matrix else scaled, norms)
         self._geometry: tuple[np.ndarray, np.ndarray] | None = (scaled, norms)
         self._unit32: np.ndarray | None = None  # built by the first query
         self.index: dict[str, int] = {tok: i for i, tok in enumerate(vocab)}
@@ -112,18 +107,13 @@ class EmbeddingStore:
             self._matrix.setflags(write=False)
             self._geometry = self._unit32 = None
 
-    def geometry(self, original: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(matrix, norms, unit32)`` of ``current``, or of ``original``, for
-        :func:`nearest_rows`: the rows with out-of-range norms rescaled (the
-        matrix itself when there are none), the norms of those rows, and
-        their float32 unit rows. The matrix and norms are computed at
-        construction, and again on the first read after a write; the unit
-        rows of ``current`` on the first read, and those of ``original`` on
-        every read, which keeps none.
+    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(matrix, norms, unit32)`` of ``current`` for :func:`nearest_rows`:
+        the rows with out-of-range norms rescaled (the matrix itself when
+        there are none), the norms of those rows, and their float32 unit
+        rows. The matrix and norms are computed at construction, and again on
+        the first read after a write; the unit rows on the first read.
         """
-        if original:
-            matrix, norms = self._original_geometry
-            return matrix, norms, _unit_rows32(matrix, norms)
         matrix, norms = self._geometry or _in_range(self._matrix)[:2]
         unit32 = _unit_rows32(matrix, norms) if self._unit32 is None else self._unit32
         if not self._matrix.flags.writeable:

@@ -211,21 +211,17 @@ def hyper_score(
     store: EmbeddingStore,
     u: str,
     v: str,
-    hypernym_norm_in_numerator: bool = True,
     use_backoff: bool = True,
 ) -> float:
     """Graded hypernymy score for "u is-a v": cosine times a norm ratio.
 
-    With the default orientation the candidate hypernym's norm is the
-    numerator, so a shorter hyponym scores higher; pass
-    ``hypernym_norm_in_numerator=False`` to flip the ratio.
+    The candidate hypernym's norm is the numerator, so a shorter hyponym
+    scores higher; ``hyper_score(store, v, u)`` is the flipped ratio.
     """
     covered, cos, n_u, n_v = _pair_features(store, [(u, v)], use_backoff)
     if not covered:
         missing = u if _resolve_row(store, u, use_backoff) is None else v
         raise KeyError(f"word {missing!r} is not covered by the vocabulary")
-    if not hypernym_norm_in_numerator:
-        n_u, n_v = n_v, n_u
     return float(_graded_score(cos, n_v, n_u)[0])
 
 

@@ -42,8 +42,8 @@ class BatchLoss:
 
     ``rows`` are distinct rows of ``store`` (a store, or the working set that
     training copies from one), ascending; every term addresses them by local
-    index; ``original`` holds their original vectors (``store.original[rows]``
-    by default). Each hinge family is added as index arrays, and
+    index; ``original`` holds their vectors in the space the run started from,
+    which preservation terms anchor to. Each hinge family is added as index arrays, and
     :meth:`gradient` returns the ``(len(rows), dim)`` gradient block.
     ``n_hinges`` counts the hinge terms added and ``n_active`` those that
     were strictly positive; preservation pulls count toward neither.
@@ -53,10 +53,10 @@ class BatchLoss:
     product of norms is ever formed.
     """
 
-    def __init__(self, store: EmbeddingStore, rows: np.ndarray, original=None) -> None:
+    def __init__(self, store: EmbeddingStore, rows: np.ndarray, original: np.ndarray) -> None:
         self.rows = rows
         self.current = store.current[rows]
-        self.original = store.original[rows] if original is None else original
+        self.original = original
         self.unit, self.norms = unit_rows(self.current)
         self.loss = 0.0
         self.n_hinges = 0

@@ -4,10 +4,11 @@ Each preset trains a :class:`WorkingSet`, a copy of the rows it can change,
 so losses and AdaGrad state grow with those rows, not with the vocabulary.
 ``specialize`` writes it back in the one
 :meth:`~lexfit.embeddings.EmbeddingStore.writing` block, after the last
-epoch, so a run that raises leaves the store as it was. A run reads its
+epoch, so a run that raises leaves the store as it was; until then
+``store.current`` holds the vectors the run anchors to. A run reads its
 constraints through one :class:`RunView`, derived at its start, and never
 writes them. Given identical inputs and seed, every preset produces a
-bit-identical output matrix, whatever ran before on the same constraints.
+bit-identical output matrix, whatever ran before on the same store or constraints.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class NonFiniteGradientError(RuntimeError):
 class WorkingSet:
     """The distinct store ``rows`` a run can change as ascending ``ids`` (store row
     ``r`` is ``searchsorted(ids, r)`` here), and a copy of their current vectors.
-    Their original vectors are read from ``store.original``, by store row."""
+    Their starting vectors are read from ``store.current``, by store row:
+    the run writes the store only after training."""
 
     def __init__(self, store: EmbeddingStore, rows: np.ndarray) -> None:
         self.ids = np.unique(rows)
@@ -219,8 +221,9 @@ def specialize(
     store: EmbeddingStore, constraints: ConstraintSet, config: SpecializeConfig
 ) -> tuple[EmbeddingStore, TrainLog]:
     """Train the configured preset's working set on its :func:`run_view` of
-    ``constraints``, then write it into ``store.current``. ``constraints`` is
-    only read, so a run does not depend on what ran on it before."""
+    ``constraints``, then write it into ``store.current``. The run anchors
+    to the vectors ``store`` holds when it starts, and ``constraints`` is
+    only read, so a run depends only on its inputs and seed."""
     start = time.perf_counter()
     view = run_view(constraints, config.preset)
     _check_required(config.preset, view)
@@ -248,7 +251,7 @@ def _train_retrofit(
     degree = np.bincount(local.ravel())
     first = np.cumsum(degree) - degree
     later = [np.flatnonzero(degree > j) for j in range(1, degree.max())]
-    anchor = alpha * store.original[ws.ids]
+    anchor = alpha * store.current[ws.ids]
     log = TrainLog()
     frac_updated = len(ws.ids) / len(store)
     for _ in range(config.retrofit_iterations):
@@ -291,11 +294,12 @@ def retrofit(
 # --- counter-fitting --------------------------------------------------------
 
 def _original_neighbor_sets(store: EmbeddingStore, rows: np.ndarray, k: int) -> np.ndarray:
-    """The top-k original-space neighbours of each row, ranked by
+    """The top-k neighbours of each row in the space the run starts from,
+    ``store.current`` before the run's write, ranked by
     :func:`~lexfit.embeddings.nearest_rows`; their distances are formed per
-    batch, by :func:`_counterfit_batch_loss`. The original's float32 unit
-    rows are built for this call and released with it."""
-    return nearest_rows(store.geometry(original=True), rows, k)[0]
+    batch, by :func:`_counterfit_batch_loss`. The float32 unit rows it
+    screens are the store's cached ones, which the run's write drops."""
+    return nearest_rows(store.geometry(), rows, k)[0]
 
 
 def _train_counterfit(
@@ -329,7 +333,7 @@ def _counterfit_batch_loss(
     """
     at = np.searchsorted(constrained, np.unique(np.asarray(batch.items)))
     rows, local = batch_rows(batch, extra=neighbors[at].ravel())
-    res = BatchLoss(ws, np.searchsorted(ws.ids, rows), ws.store.original[rows])
+    res = BatchLoss(ws, np.searchsorted(ws.ids, rows), ws.store.current[rows])
     if batch.relation == "syn":
         # pull synonyms until their distance is within m_syn
         res.hinge(-m.m_syn, (1.0, local[:, 0], local[:, 1]))
@@ -439,7 +443,7 @@ def _batch_loss(
 ) -> BatchLoss:
     m = config.margins
     rows, local = batch_rows(batch)  # store rows, which mining keys its draws by
-    res = BatchLoss(ws, np.searchsorted(ws.ids, rows), ws.store.original[rows])
+    res = BatchLoss(ws, np.searchsorted(ws.ids, rows), ws.store.current[rows])
     relation = batch.relation
 
     if relation == "ad":

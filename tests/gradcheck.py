@@ -1,7 +1,8 @@
 """Finite-difference gradient oracle for ``BatchLoss``: one case generator per hinge form.
 
-A case is a random store plus the calls training makes on a ``BatchLoss``
-over all of its rows, for ``batch`` instances of one form that share rows
+A case is a random store, the vectors it held before its rows were
+perturbed (the space preservation terms anchor to), plus the calls training
+makes on a ``BatchLoss`` over all of its rows, for ``batch`` instances of one form that share rows
 (so the gradient's scatter-add is exercised too). The analytic side is
 ``BatchLoss.gradient()``. The numeric side takes central differences of
 :func:`formula`, a loss-only expression of the same terms, evaluated on every
@@ -28,13 +29,14 @@ BATCH_SIZES = (1, 4)
 @dataclass
 class Case:
     store: EmbeddingStore
+    original: np.ndarray  # the store's vectors before _store perturbed them
     # (margin, terms, count) as BatchLoss.hinge takes them
     hinges: list = field(default_factory=list)
     preserve: list = field(default_factory=list)  # (local rows, weight)
     norms: list = field(default_factory=list)  # (hyponyms, hypernyms, weight)
 
     def batch_loss(self) -> BatchLoss:
-        res = BatchLoss(self.store, np.arange(len(self.store)))
+        res = BatchLoss(self.store, np.arange(len(self.store)), self.original)
         for margin, terms, count in self.hinges:
             res.hinge(margin, *terms, count=count)
         for rows, weight in self.preserve:
@@ -59,7 +61,7 @@ def formula(case: Case, X: np.ndarray):
         loss = loss + count * np.maximum(h, 0.0).sum(axis=-1)
         args.append((h, count))
     for rows, weight in case.preserve:
-        loss = loss + weight * _distance(X[..., rows, :], case.store.original[rows]).sum(axis=-1)
+        loss = loss + weight * _distance(X[..., rows, :], case.original[rows]).sum(axis=-1)
     for hyponym, hypernym, weight in case.norms:
         nu = np.linalg.norm(X[..., hyponym, :], axis=-1)
         nv = np.linalg.norm(X[..., hypernym, :], axis=-1)
@@ -79,11 +81,13 @@ def _instances(rng, batch: int, width: int):
 
 
 def _store(rng, n, perturb_rows=()):
+    """A random store with ``perturb_rows`` moved, and its vectors before the move."""
     store = random_store(int(rng.integers(0, 2**31)), n, int(rng.integers(5, 51)))
+    original = store.current.copy()
     with store.writing() as matrix:
         for row in perturb_rows:
             matrix[row] += 0.5 * rng.standard_normal(store.dim)
-    return store
+    return store, original
 
 
 def gen_contrastive(rng, batch):
@@ -92,8 +96,8 @@ def gen_contrastive(rng, batch):
     store = _store(rng, size)
     m = float(rng.uniform(0.2, 1.5))
     if rng.integers(2):
-        return Case(store, hinges=[(-m, [(1.0, a, b)], 1)])
-    return Case(store, hinges=[(m, [(-1.0, a, b)], 1)])
+        return Case(*store, hinges=[(-m, [(1.0, a, b)], 1)])
+    return Case(*store, hinges=[(m, [(-1.0, a, b)], 1)])
 
 
 def gen_triplet_attract(rng, batch):
@@ -101,7 +105,7 @@ def gen_triplet_attract(rng, batch):
     anchor, positive, negative = np.r_[a, a], np.r_[p, p], np.r_[n1, n2]
     m = float(rng.uniform(0.1, 1.2))
     terms = [(1.0, anchor, positive), (-1.0, anchor, negative)]
-    return Case(_store(rng, size), hinges=[(m, terms, 1)])
+    return Case(*_store(rng, size), hinges=[(m, terms, 1)])
 
 
 def gen_triplet_repel(rng, batch):
@@ -109,7 +113,7 @@ def gen_triplet_repel(rng, batch):
     anchor, antonym, positive = np.r_[a, a], np.r_[ant, ant], np.r_[p1, p2]
     m = float(rng.uniform(0.1, 1.2))
     terms = [(1.0, anchor, positive), (-1.0, anchor, antonym)]
-    return Case(_store(rng, size), hinges=[(m, terms, 1)])
+    return Case(*_store(rng, size), hinges=[(m, terms, 1)])
 
 
 def gen_quadruplet(rng, batch):
@@ -121,7 +125,7 @@ def gen_quadruplet(rng, batch):
         (m_hs, [(1.0, a, s), (-1.0, s, h)], 1),
         (m_hh, [(1.0, np.r_[a, a], np.r_[s, s]), (-1.0, np.r_[h, h], np.r_[n1, n2])], 2),
     ]
-    return Case(_store(rng, size), hinges=hinges)
+    return Case(*_store(rng, size), hinges=hinges)
 
 
 def gen_preservation(rng, batch):
@@ -129,24 +133,24 @@ def gen_preservation(rng, batch):
     size, triplets = _instances(rng, batch, 3)
     store = _store(rng, size, perturb_rows=range(size))
     rows = np.arange(size) if rng.integers(2) else triplets.ravel()
-    return Case(store, preserve=[(rows, float(rng.uniform(0.001, 1.0)))])
+    return Case(*store, preserve=[(rows, float(rng.uniform(0.001, 1.0)))])
 
 
 def gen_counterfit_preserve(rng, batch):
     # neighbour preservation: one margin -D_original per (row, neighbour) hinge
     size, (a, j1, j2) = _instances(rng, batch, 3)
-    store = _store(rng, size, perturb_rows=np.unique(a))
+    store, original = _store(rng, size, perturb_rows=np.unique(a))
     own, near = np.r_[a, a], np.r_[j1, j2]
-    d_orig = _distance(store.original[own], store.original[near])
-    return Case(store, hinges=[(-d_orig, [(1.0, own, near)], 1)])
+    d_orig = _distance(original[own], original[near])
+    return Case(store, original, hinges=[(-d_orig, [(1.0, own, near)], 1)])
 
 
 def gen_asymmetric_norm(rng, batch):
     size, (hyponym, hypernym) = _instances(rng, batch, 2)
-    store = _store(rng, size)
+    store, original = _store(rng, size)
     with store.writing() as matrix:
         matrix *= rng.uniform(0.5, 2.0, size=(size, 1))
-    return Case(store, norms=[(hyponym, hypernym, float(rng.uniform(0.5, 2.0)))])
+    return Case(store, original, norms=[(hyponym, hypernym, float(rng.uniform(0.5, 2.0)))])
 
 
 GENERATORS = {

@@ -179,14 +179,17 @@ def quadruplet_hierarchy_loss(
     return res
 
 
-def preservation_loss(rows, store: EmbeddingStore, weight: float) -> LossResult:
-    """Distributional preservation: weight * sum of D(current, original) over rows.
+def preservation_loss(
+    rows, store: EmbeddingStore, original: np.ndarray, weight: float
+) -> LossResult:
+    """Distributional preservation: weight * sum of D(current, original) over
+    rows, ``original`` being the store's vectors before the run moved them.
 
     Rows count once per occurrence; an unmoved row contributes exactly zero.
     """
     res = LossResult()
     M = store.current
-    O = store.original
+    O = original
     for row in rows:
         if np.array_equal(M[row], O[row]):
             res.add_grad(row, np.zeros(store.dim))

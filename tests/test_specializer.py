@@ -118,7 +118,7 @@ class TestRetrofit:
     def test_two_node_closed_form(self):
         # analytic fixed point of the two mutually linked words
         store = random_store(1, 2, 6)
-        o_a, o_b = store.original[0].copy(), store.original[1].copy()
+        o_a, o_b = store.current[0].copy(), store.current[1].copy()
         cs = ConstraintSet()
         cs.add_pair("syn", 0, 1)
         retrofit(store, cs, alpha=1.0, iterations=200)
@@ -137,13 +137,14 @@ class TestRetrofit:
                 edges.add((min(a, b), max(a, b)))
         for a, b in edges:
             cs.add_pair("syn", int(a), int(b))
+        original = store.current.copy()
         retrofit(store, cs, alpha=1.0, iterations=300)
         adjacency = {}
         for a, b in cs.synonyms:
             adjacency.setdefault(a, []).append(b)
             adjacency.setdefault(b, []).append(a)
         for word, neighbors in adjacency.items():
-            expected = (store.original[word] + store.current[neighbors].mean(axis=0)) / 2.0
+            expected = (original[word] + store.current[neighbors].mean(axis=0)) / 2.0
             assert np.max(np.abs(store.current[word] - expected)) < 1e-5
 
     @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
@@ -172,9 +173,10 @@ class TestRetrofit:
         with pytest.raises(ValueError, match=message):
             specialize(random_store(3, 4, 4), cs, SpecializeConfig("retrofitting"))
         store = random_store(3, 4, 4)
+        before = store.current.copy()
         with pytest.raises(ValueError, match=message):
             retrofit(store, cs)
-        np.testing.assert_array_equal(store.current, store.original)
+        np.testing.assert_array_equal(store.current, before)
 
     def test_matches_the_per_row_mean(self):
         # oracle: each linked row's neighbour mean taken on its own, in pair order
@@ -188,7 +190,7 @@ class TestRetrofit:
         for _ in range(3):
             prev = expected.copy()
             for row, near in adjacency.items():
-                expected[row] = (0.5 * store.original[row] + prev[near].mean(axis=0)) / 1.5
+                expected[row] = (0.5 * store.current[row] + prev[near].mean(axis=0)) / 1.5
         retrofit(store, cs, alpha=0.5, iterations=3)
         np.testing.assert_array_equal(store.current, expected)
 
@@ -275,7 +277,7 @@ def original_neighbors(store, rows, k):
     """The precompute's neighbours, and their original distances from the
     cosines :func:`~lexfit.embeddings.nearest_rows` ranks them by."""
     near = specializer._original_neighbor_sets(store, rows, k)
-    ranked, cosines = embeddings.nearest_rows(store.geometry(original=True), rows, k)
+    ranked, cosines = embeddings.nearest_rows(store.geometry(), rows, k)
     np.testing.assert_array_equal(near, ranked)
     return near, 1.0 - cosines
 
@@ -287,9 +289,7 @@ class TestNeighborPrecompute:
         store = random_store(5, 150, 6)
         rows = np.array([0, 3, 17, 50, 51, 149])
         near, dist = original_neighbors(store, rows, 7)
-        with store.writing() as matrix:
-            matrix[:] = 0.0  # the precompute reads the original space only
-        expected_near, expected_dist = bruteforce_neighbors(store.original, rows, 7)
+        expected_near, expected_dist = bruteforce_neighbors(store.current, rows, 7)
         np.testing.assert_array_equal(near, expected_near)
         np.testing.assert_allclose(dist, expected_dist, rtol=0, atol=1e-12)
 
@@ -358,8 +358,9 @@ class TestNeighborPrecompute:
             np.testing.assert_allclose(dist, expected_dist, rtol=0, atol=1e-12)
 
 
-def reference_batch_loss(batch, view, store, config, preset):
-    """The per-instance kernels summed over the rows the batched miner picks."""
+def reference_batch_loss(batch, view, store, original, config, preset):
+    """The per-instance kernels summed over the rows the batched miner picks,
+    preserving each row's ``original`` vector."""
     m = config.margins
     res = LossResult()
     rel = batch.relation
@@ -382,7 +383,7 @@ def reference_batch_loss(batch, view, store, config, preset):
                         res.merge(triplet_attract_loss(anchor, partner, aux, margin, store))
                 if preset.reg == "triplet":
                     for x in aux:
-                        res.merge(preservation_loss([anchor, partner, x], store, m.m_reg))
+                        res.merge(preservation_loss([anchor, partner, x], store, original, m.m_reg))
     elif rel == "quad":
         for a, s, h in batch.items:
             negs = mine_one(
@@ -397,11 +398,11 @@ def reference_batch_loss(batch, view, store, config, preset):
             res.merge(asymmetric_norm_loss(lo, hi, m.ad_weight, store))
     if preset.reg == "batch":
         rows = sorted({r for item in batch.items for r in item})
-        res.merge(preservation_loss(rows, store, m.gamma_reg))
+        res.merge(preservation_loss(rows, store, original, m.gamma_reg))
     return res
 
 
-def reference_counterfit_loss(batch, store, constrained, neighbors, m):
+def reference_counterfit_loss(batch, store, original, constrained, neighbors, m):
     res = LossResult()
     for a, b in batch.items:
         if batch.relation == "syn":
@@ -414,7 +415,6 @@ def reference_counterfit_loss(batch, store, constrained, neighbors, m):
                 res.add_grad(b, g_b)
         else:
             res.merge(contrastive_loss(a, b, m.m_ant, store))
-    original = store.original
     for row in sorted({r for item in batch.items for r in item}):
         near = neighbors[int(np.searchsorted(constrained, row))].tolist()
         pairs = [(j, distance_with_grads(original[row], original[j])[0]) for j in near]
@@ -436,11 +436,22 @@ def assert_batch_matches(res, ref, ws, n_rows, dim):
 
 
 def moved_toy_store(seed, step):
-    store, cs = toy_hierarchy_fixture(seed=seed)
+    """The toy fixture's store, which a run starts from, a store of its
+    vectors with every ``step``-th row moved, as training moves them, and
+    the fixture's constraints."""
+    start, cs = toy_hierarchy_fixture(seed=seed)
     rng = np.random.default_rng(seed)
-    with store.writing() as matrix:
-        matrix[::step] += 0.3 * rng.standard_normal(matrix[::step].shape)
-    return store, cs
+    moved = start.current.copy()
+    moved[::step] += 0.3 * rng.standard_normal(moved[::step].shape)
+    return start, EmbeddingStore(start.vocab, moved), cs
+
+
+def moved_working_set(start, moved, rows):
+    """The working set of a run from ``start`` over ``rows``, trained to
+    where ``moved`` holds them."""
+    ws = specializer.WorkingSet(start, rows)
+    ws.current = moved.current[ws.ids]
+    return ws
 
 
 class TestBatchLossMatchesReference:
@@ -450,34 +461,36 @@ class TestBatchLossMatchesReference:
     @pytest.mark.parametrize("batch_size", [1, 5, 64])
     def test_metric_presets(self, preset, batch_size):
         # every other row moves, so both preservation paths (moved, unmoved) run
-        store, cs = moved_toy_store(seed=batch_size, step=2)
+        start, store, cs = moved_toy_store(seed=batch_size, step=2)
         config = SpecializeConfig(preset=preset, batch_size=batch_size, seed=3)
         spec = specializer.PRESET_TABLE[preset]
         view = specializer.run_view(cs, preset)  # the streams and masks a run uses
         plan = plan_epoch(view.streams, batch_size, config.seed)
         assert {b.relation for b in plan} == set(spec.streams)
         # every row a metric preset can train; the fixture leaves others out
-        ws = specializer.WorkingSet(
-            store, np.array(list(cs.synonyms | cs.antonyms | cs.direct_hypernyms))
+        ws = moved_working_set(
+            start, store, np.array(list(cs.synonyms | cs.antonyms | cs.direct_hypernyms))
         )
         assert len(ws.ids) < len(store)
         for batch in plan:
             res = specializer._batch_loss(batch, view, ws, config, spec)
-            ref = reference_batch_loss(batch, view, store, config, spec)
+            ref = reference_batch_loss(batch, view, store, start.current, config, spec)
             assert_batch_matches(res, ref, ws, len(store), store.dim)
 
     @pytest.mark.parametrize("batch_size", [1, 4])
     def test_counterfitting(self, batch_size):
         # an unmoved pair sits exactly on its neighbour-preservation kink
-        store, cs = moved_toy_store(seed=7, step=1)
+        start, store, cs = moved_toy_store(seed=7, step=1)
         m = Margins(m_syn=0.2, m_ant=1.5)
         constrained = np.array(sorted({r for p in cs.synonyms | cs.antonyms for r in p}))
-        neighbors = specializer._original_neighbor_sets(store, constrained, 5)
-        ws = specializer.WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
+        neighbors = specializer._original_neighbor_sets(start, constrained, 5)
+        ws = moved_working_set(start, store, np.concatenate((constrained, neighbors.ravel())))
         assert len(ws.ids) < len(store)
         for batch in plan_epoch(specializer.run_view(cs, "counterfitting").streams, batch_size, 1):
             res = specializer._counterfit_batch_loss(batch, ws, constrained, neighbors, m)
-            ref = reference_counterfit_loss(batch, store, constrained, neighbors, m)
+            ref = reference_counterfit_loss(
+                batch, store, start.current, constrained, neighbors, m
+            )
             assert_batch_matches(res, ref, ws, len(store), store.dim)
 
 
@@ -525,11 +538,12 @@ class TestExtremeRows:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_huge_row_trains_without_warnings(self, preset):
         store, cs = extreme_row_world(1e200)
+        before = store.current.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             specialize(store, cs, SpecializeConfig(preset, epochs=3, batch_size=2))
         assert np.isfinite(store.current).all()
-        assert (store.current[1] != store.original[1]).any()
+        assert (store.current[1] != before[1]).any()
 
     @pytest.mark.parametrize("preset", [p for p in PRESETS if p != "retrofitting"])
     def test_tiny_row_overflows_the_adagrad_square(self, preset):
@@ -553,9 +567,10 @@ class TestExtremeRows:
 
     def test_retrofitting_trains_a_tiny_row(self):
         store, cs = extreme_row_world(1e-200)
+        before = store.current.copy()
         specialize(store, cs, SpecializeConfig("retrofitting"))
         assert np.isfinite(store.current).all()
-        assert (store.current[0] != store.original[0]).any()
+        assert (store.current[0] != before[0]).any()
 
 
 class TestFailedRunLeavesStore:
@@ -602,13 +617,14 @@ def test_training_memory_follows_the_working_set():
         cs.add_pair("hyper", c, d)
         cs.add_pair("ant", b, d)
     config = SpecializeConfig("hierarchy_fitting_ad_indir", epochs=1, batch_size=16, seed=1)
+    before = store.current.copy()
     tracemalloc.start()
     try:
         specialize(store, cs, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (store.current != store.original).any()
+    assert (store.current != before).any()
     assert peak < store.current.nbytes
 
 
@@ -715,13 +731,22 @@ class TestSpecializePresets:
         with pytest.raises(ValueError, match="direct_hypernyms"):
             specialize(store, cs, config)
 
-    def test_original_never_mutated(self):
+    @pytest.mark.parametrize("first, second", [
+        ("lear", "hierarchy_fitting_ad_indir"),
+        ("attract_repel", "counterfitting"),
+        ("counterfitting", "retrofitting"),
+        ("retrofitting", "attract_repel"),
+    ])
+    def test_a_second_run_depends_only_on_the_store_it_is_given(self, first, second):
+        # a run anchors to the vectors it starts from, not to those the store
+        # was built with, so it is the run on a fresh store of those vectors
         store, cs = toy_hierarchy_fixture()
-        snapshot = store.original.copy()
-        config = SpecializeConfig(preset="hierarchy_fitting", epochs=2, batch_size=8, seed=0)
+        specialize(store, cs, SpecializeConfig(first, epochs=2, batch_size=8, seed=0))
+        fresh = EmbeddingStore(store.vocab, store.current)
+        config = SpecializeConfig(second, epochs=2, batch_size=8, seed=1)
         specialize(store, cs, config)
-        np.testing.assert_array_equal(store.original, snapshot)
-        assert not store.original.flags.writeable
+        specialize(fresh, cs, config)
+        np.testing.assert_array_equal(store.current, fresh.current)
 
     def test_reproducible_bit_identical(self):
         results = []
