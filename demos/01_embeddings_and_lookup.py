@@ -31,13 +31,13 @@ print(f"D(cat, car)    = {distance(store.current[0], store.current[4]):.3f}")
 print(f"D is scale-free: D(cat, 3*cat) = {distance(store.current[0], 3 * store.current[0]):.1e}")
 
 print("\nnearest neighbors of 'cat':")
-for row, sim in nearest_neighbors(store, store.row_of("cat"), k=3):
+for row, sim in nearest_neighbors(store, store.index["cat"], k=3):
     print(f"  {store.vocab[row]:8s} cosine {sim:+.3f}")
 
 print("\nOOV back-off strips final letters until a vocabulary hit:")
 for query in ("cats", "felines", "zzz"):
     hit = backoff_lookup(store, query)
-    if hit.covered:
+    if hit.row is not None:
         print(f"  {query!r} -> {hit.matched_token!r} (letters removed: {hit.truncation_depth})")
     else:
         print(f"  {query!r} -> uncovered")

@@ -28,8 +28,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(" ", load_pairs(constraints, str(syn), "syn", store))
     print("loading antonyms ('unknownword' is out of vocabulary):")
     print(" ", load_pairs(constraints, str(ant), "ant", store))
-    print("  -> antonymy wins the conflicting claim; synonyms now:",
-          sorted(constraints.synonyms))
+    print("  -> antonymy wins the conflicting claim, and this report counts the dropped"
+          " synonym; synonyms now:", sorted(constraints.synonyms))
     print("loading direct hypernyms:")
     print(" ", load_pairs(constraints, str(hyper), "hyper", store))
 
@@ -41,9 +41,5 @@ closure = hypernym_closure(constraints.direct_hypernyms)
 print("\nafter transitive closure:")
 for lo, hi in sorted(closure - constraints.direct_hypernyms):
     print(f"  {store.vocab[lo]} -> {store.vocab[hi]}   (indirect)")
-
-print("\ndepth-limited closure keeps only short chains:")
-limited = hypernym_closure(constraints.direct_hypernyms, max_depth=2)
-print(f"  unbounded {len(closure)} pairs vs depth<=2 {len(limited)} pairs")
 
 print("\nstats:", constraint_stats(constraints))

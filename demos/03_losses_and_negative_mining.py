@@ -27,7 +27,7 @@ words = ["anchor", "synonym", "hypernym", "neg_near", "neg_mid", "neg_far"]
 store = EmbeddingStore(
     words, [at_angle(0), at_angle(10), at_angle(35), at_angle(20), at_angle(70), at_angle(160)]
 )
-D = lambda a, b: distance(store.current[store.row_of(a)], store.current[store.row_of(b)])
+D = lambda a, b: distance(store.current[store.index[a]], store.current[store.index[b]])
 
 print("distances from the anchor:")
 for w in words[1:]:
@@ -51,7 +51,7 @@ print(f"  loss {res.loss:.3f}, active hinges {res.n_active}/{res.n_hinges}")
 print("\ncounter-fitting push on a dissimilar pair (margin 0.9): active only inside the margin")
 for neg in ("neg_near", "neg_far"):
     res = batch(store)
-    res.hinge(0.9, (-1.0, rows(0), rows(store.row_of(neg))))
+    res.hinge(0.9, (-1.0, rows(0), rows(store.index[neg])))
     print(f"  vs {neg:8s}: loss {res.loss:.3f}")
 
 print("\nnorm-asymmetry hinge: fires only while the hyponym is the longer vector")

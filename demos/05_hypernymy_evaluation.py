@@ -43,17 +43,17 @@ store = EmbeddingStore(names, [seed_vecs[w] for w in names])
 cs = ConstraintSet()
 direct = [(child, parent) for child, parent in parents.items()]
 for child, parent in direct:
-    cs.add_pair("hyper", store.row_of(child), store.row_of(parent))
+    cs.add_pair("hyper", store.index[child], store.index[parent])
 for m in range(6):
-    cs.add_pair("syn", store.row_of(f"leaf{m}_0"), store.row_of(f"leaf{m}_1"))
+    cs.add_pair("syn", store.index[f"leaf{m}_0"], store.index[f"leaf{m}_1"])
 for m in range(3):
-    cs.add_pair("ant", store.row_of(f"leaf{m}_0"), store.row_of(f"leaf{m + 3}_0"))
+    cs.add_pair("ant", store.index[f"leaf{m}_0"], store.index[f"leaf{m + 3}_0"])
 
 config = SpecializeConfig(preset="hierarchy_fitting_ad_dir", epochs=100, batch_size=8, seed=4)
 specialize(store, cs, config)
 
 bless_like = RelationDataset(
-    "toy-direction", [RelationEntry(c, p, "hyper", True) for c, p in direct]
+    "toy-direction", [RelationEntry(c, p, "hyper") for c, p in direct]
 )
 report = bless_directionality(store, bless_like)
 print(report.format_table())
@@ -63,11 +63,11 @@ for c, p in direct[:3]:
     print(f"  score({c} -> {p}) = {hyper_score(store, c, p):.3f}   "
           f"score({p} -> {c}) = {hyper_score(store, p, c):.3f}")
 
-detection_rows = [RelationEntry(c, p, "hyper", True) for c, p in direct]
+detection_rows = [RelationEntry(c, p, "hyper") for c, p in direct]
 detection_rows += [
-    RelationEntry(f"leaf{m}_0", f"leaf{(m + 2) % 6}_2", "other", False) for m in range(6)
+    RelationEntry(f"leaf{m}_0", f"leaf{(m + 2) % 6}_2", "other") for m in range(6)
 ]
-detection_rows += [RelationEntry(p, c, "other", False) for c, p in direct[:18:3]]
+detection_rows += [RelationEntry(p, c, "other") for c, p in direct[:18:3]]
 wbless_like = RelationDataset("toy-detection", detection_rows)
 print("\n" + wbless_classify(store, wbless_like, seed=7, iterations=200).format_table())
 

@@ -51,7 +51,6 @@ from .specializer import (
     SpecializeConfig,
     TrainLog,
     adagrad_step,
-    retrofit,
     specialize,
 )
 
@@ -67,5 +66,5 @@ __all__ = [
     "spearman", "wbless_classify",
     "Margins", "MiniBatch", "plan_epoch", "quad_join",
     "PRESETS", "NonFiniteGradientError", "SpecializeConfig", "TrainLog",
-    "adagrad_step", "retrofit", "specialize",
+    "adagrad_step", "specialize",
 ]

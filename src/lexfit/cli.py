@@ -37,8 +37,6 @@ from .specializer import (
     specialize,
 )
 
-DEFAULT_SEED = SpecializeConfig.seed
-
 # task: (dataset loader, protocol, whether it takes --seed). The names are
 # looked up in this module at each call, so a wrapper set on one (as
 # perfbench/tracing.py sets them) sees the call.
@@ -194,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--task", required=True, choices=tuple(_EVAL_TASKS))
     ev.add_argument("--dataset", required=True, help="TSV dataset file")
     ev.add_argument("--backoff", action="store_true", help="resolve OOV words by end truncation")
-    ev.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ev.add_argument("--seed", type=int, default=SpecializeConfig.seed)
     ev.add_argument("--out", help="write the report as TSV to this path")
     ev.set_defaults(func=cmd_eval)
 
@@ -360,7 +358,7 @@ def cmd_nearest(args) -> int:
         print(f"lexfit: error: {exc}", file=sys.stderr)
         return 1
     hit = backoff_lookup(store, args.word)
-    if not hit.covered:
+    if hit.row is None:
         print(f"lexfit: error: {args.word!r} is not covered, even after back-off",
               file=sys.stderr)
         return 1

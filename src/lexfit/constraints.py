@@ -21,7 +21,9 @@ class PairFileError(ValueError):
 
 @dataclass
 class PairLoadReport:
-    """What a single pair-file ingestion added and dropped."""
+    """What a single pair-file ingestion added and dropped. ``dropped_conflict``
+    counts both sides of the antonym-wins rule: a synonym file's pairs already
+    held as antonyms, and the synonyms an antonym file displaces."""
 
     relation: str
     added: int = 0
@@ -83,6 +85,8 @@ def load_pairs(
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {RELATIONS}")
     report = PairLoadReport(relation=relation)
+    drops = ("dropped_oov", "dropped_self", "dropped_conflict")
+    before = [getattr(constraints, name) for name in drops]
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -94,16 +98,12 @@ def load_pairs(
             row_a = store.index.get(parts[0])
             row_b = store.index.get(parts[1])
             if row_a is None or row_b is None:
-                report.dropped_oov += 1
                 constraints.dropped_oov += 1
                 continue
-            added, reason = constraints.add_pair(relation, row_a, row_b)
-            if added:
-                report.added += 1
-            elif reason == "self":
-                report.dropped_self += 1
-            elif reason == "conflict":
-                report.dropped_conflict += 1
+            report.added += constraints.add_pair(relation, row_a, row_b)[0]
+    # the set keeps the one ledger; the report is this file's share of it
+    for name, count in zip(drops, before):
+        setattr(report, name, getattr(constraints, name) - count)
     if report.dropped_oov or report.dropped_self or report.dropped_conflict:
         log.info(
             "%s: kept %d %s pairs (dropped: %d oov, %d self, %d conflict)",
@@ -113,16 +113,12 @@ def load_pairs(
     return report
 
 
-def hypernym_closure(
-    direct: set[tuple[int, int]], max_depth: int | None = None
-) -> set[tuple[int, int]]:
-    """Transitive closure of ordered hypernym pairs, up to ``max_depth`` hops.
+def hypernym_closure(direct: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Transitive closure of ordered hypernym pairs.
 
     Cycles terminate via a visited set; self-pairs are never emitted. The
-    result always contains the direct pairs (depth 1).
+    result always contains the direct pairs.
     """
-    if max_depth is not None and max_depth < 1:
-        raise ValueError("max_depth must be >= 1 or None for unbounded")
     successors: dict[int, set[int]] = defaultdict(set)
     for lo, hi in direct:
         successors[lo].add(hi)
@@ -130,15 +126,13 @@ def hypernym_closure(
     for src in successors:
         reached: set[int] = set()
         frontier = {src}
-        depth = 0
-        while frontier and (max_depth is None or depth < max_depth):
+        while frontier:
             nxt: set[int] = set()
             for node in frontier:
                 nxt |= successors.get(node, set())
             nxt -= reached
             reached |= nxt
             frontier = nxt
-            depth += 1
         closure.update((src, dst) for dst in reached if dst != src)
     return closure
 

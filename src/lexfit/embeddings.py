@@ -28,14 +28,12 @@ class LookupResult:
     """Outcome of a vocabulary lookup, possibly after end-truncation back-off.
 
     ``truncation_depth`` counts the letters removed from the query before a
-    match was found (0 means an exact hit). ``covered`` is true iff ``row``
-    is present.
+    match was found (0 means an exact hit); ``row`` is None when none was.
     """
 
     row: int | None
     matched_token: str | None
     truncation_depth: int
-    covered: bool
 
 
 class EmbeddingStore:
@@ -108,7 +106,7 @@ class EmbeddingStore:
             self._geometry = self._unit32 = None
 
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(matrix, norms, unit32)`` of ``current`` for :func:`nearest_rows`:
+        """``(matrix, norms, unit32)`` of ``current`` for :func:`nearest_neighbors`:
         the rows with out-of-range norms rescaled (the matrix itself when
         there are none), the norms of those rows, and their float32 unit
         rows. The matrix and norms are computed at construction, and again on
@@ -125,9 +123,6 @@ class EmbeddingStore:
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
-
-    def row_of(self, token: str) -> int:
-        return self.index[token]
 
 
 def _parse_header(line: str, path: str) -> tuple[int, int]:
@@ -398,7 +393,7 @@ def backoff_lookup(store: EmbeddingStore, token: str) -> LookupResult:
     """Resolve a token, deleting its final character until a vocabulary hit.
 
     Uncovered queries (the string empties without a match) return
-    ``covered=False`` rather than raising.
+    ``row=None`` rather than raising.
     """
     if not token:
         raise ValueError("empty query token")
@@ -407,10 +402,10 @@ def backoff_lookup(store: EmbeddingStore, token: str) -> LookupResult:
     while query:
         row = store.index.get(query)
         if row is not None:
-            return LookupResult(row=row, matched_token=query, truncation_depth=depth, covered=True)
+            return LookupResult(row=row, matched_token=query, truncation_depth=depth)
         query = query[:-1]
         depth += 1
-    return LookupResult(row=None, matched_token=None, truncation_depth=depth, covered=False)
+    return LookupResult(row=None, matched_token=None, truncation_depth=depth)
 
 
 # --- cosine geometry --------------------------------------------------------
@@ -558,13 +553,11 @@ def top_k(sims: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-sims, axis=1, kind="stable")[:, :k]
 
 
-def nearest_rows(
-    geometry: tuple[np.ndarray, np.ndarray, np.ndarray], rows: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each of ``rows``, the ``min(k, len(matrix) - 1)`` other rows closest
-    by cosine, ranked by :func:`top_k`, and their cosines. ``geometry`` is
-    ``(matrix, norms, unit32)`` as :meth:`EmbeddingStore.geometry` gives it.
-    Needs ``len(matrix) >= 2``.
+def nearest_rows(matrix: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``rows``, the ``min(k, len(matrix) - 1)`` other rows of
+    ``matrix`` closest by cosine, ranked by :func:`top_k`, and their cosines.
+    The range-scaled rows, their norms and their float32 unit rows are
+    derived here and dropped on return. Needs ``len(matrix) >= 2``.
 
     One float32 product of unit rows screens every column, one bounded block
     of ``rows`` at a time. The columns whose screen score lies within twice
@@ -573,7 +566,8 @@ def nearest_rows(
     are padded to one width for :func:`top_k`, cheaper over a block than a
     sort per row; :func:`nearest_neighbors` ranks a single row unpadded.
     """
-    matrix, norms, unit32 = geometry
+    matrix, norms = _in_range(matrix)[:2]
+    unit32 = _unit_rows32(matrix, norms)
     k = min(k, len(matrix) - 1)
     slack = 2.0 * _screen_error(matrix.shape[1])
     indices = np.empty((len(rows), k), dtype=np.intp)

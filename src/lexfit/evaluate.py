@@ -35,7 +35,6 @@ class RelationEntry:
     word1: str
     word2: str
     label: str
-    direction_known: bool
 
 
 @dataclass
@@ -111,7 +110,7 @@ def load_relation_dataset(path: str, name: str | None = None) -> RelationDataset
         label = field.strip()
         if label not in RELATION_LABELS:
             raise DatasetFormatError(f"{where}: label {label!r} not in {RELATION_LABELS}")
-        entries.append(RelationEntry(w1, w2, label, label != "other"))
+        entries.append(RelationEntry(w1, w2, label))
     return RelationDataset(name=name or path, entries=entries)
 
 

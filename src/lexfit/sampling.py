@@ -146,9 +146,9 @@ def mine_batch(
     local: np.ndarray,
     unit: np.ndarray,
     anchors: np.ndarray,
-    mode: str = "negatives",
-    policy: str = "closest_plus_random",
-    k: int = 2,
+    mode: str,
+    policy: str,
+    k: int,
 ) -> np.ndarray:
     """Pick up to k in-batch rows for every anchor from one Gram matrix.
 
@@ -214,9 +214,9 @@ def mine_instances(
     rows: np.ndarray,
     local: np.ndarray,
     unit: np.ndarray,
-    mode: str = "negatives",
-    policy: str = "closest_plus_random",
-    k: int = 2,
+    mode: str,
+    policy: str,
+    k: int,
     mirror: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mine rows for every instance of a batch, anchored at its first row.

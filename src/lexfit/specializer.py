@@ -239,7 +239,10 @@ def specialize(
 def _train_retrofit(
     store: EmbeddingStore, view: RunView, config: SpecializeConfig
 ) -> tuple[WorkingSet, TrainLog]:
-    """Jacobi sweeps over the linked rows, one vectorized step each."""
+    """Retrofitting (Faruqui et al., NAACL 2015): Jacobi sweeps of ``f(a) = (alpha *
+    orig(a) + mean of neighbor f) / (alpha + 1)`` over the synonym + direct hypernym
+    graph, one vectorized step each, until a max per-component change below 1e-6
+    or ``retrofit_iterations`` rounds; rows without constraint edges are untouched."""
     alpha = config.retrofit_alpha
     constraints = view.constraints
     pairs = np.array(sorted(constraints.synonyms | constraints.direct_hypernyms), dtype=np.intp)
@@ -272,25 +275,6 @@ def _train_retrofit(
     return ws, log
 
 
-def retrofit(
-    store: EmbeddingStore,
-    constraints: ConstraintSet,
-    alpha: float = 1.0,
-    iterations: int = 10,
-) -> EmbeddingStore:
-    """Closed-form positive-pair averaging over the synonym + direct hypernym graph.
-
-    Runs Jacobi sweeps of ``f(a) = (alpha * orig(a) + mean of neighbor f) /
-    (alpha + 1)`` until ``iterations`` rounds or max per-component change
-    below 1e-6. Words with no constraint edges are untouched. It runs
-    :func:`specialize` with the ``retrofitting`` preset, and refuses alike.
-    """
-    config = SpecializeConfig(
-        "retrofitting", retrofit_alpha=alpha, retrofit_iterations=iterations
-    )
-    return specialize(store, constraints, config)[0]
-
-
 # --- counter-fitting --------------------------------------------------------
 
 def _original_neighbor_sets(store: EmbeddingStore, rows: np.ndarray, k: int) -> np.ndarray:
@@ -298,8 +282,8 @@ def _original_neighbor_sets(store: EmbeddingStore, rows: np.ndarray, k: int) -> 
     ``store.current`` before the run's write, ranked by
     :func:`~lexfit.embeddings.nearest_rows`; their distances are formed per
     batch, by :func:`_counterfit_batch_loss`. The float32 unit rows it
-    screens are the store's cached ones, which the run's write drops."""
-    return nearest_rows(store.geometry(), rows, k)[0]
+    screens are its own, dropped before training starts."""
+    return nearest_rows(store.current, rows, k)[0]
 
 
 def _train_counterfit(

@@ -19,7 +19,6 @@ from lexfit import (
     SpecializeConfig,
     distance,
     quad_join,
-    retrofit,
     spearman,
     specialize,
     wbless_classify,
@@ -60,7 +59,9 @@ def test_criterion_2_retrofit_closed_form():
     o_a, o_b = store.current[0].copy(), store.current[1].copy()
     cs = ConstraintSet()
     cs.add_pair("syn", 0, 1)
-    retrofit(store, cs, alpha=1.0, iterations=200)
+    specialize(
+        store, cs, SpecializeConfig("retrofitting", retrofit_alpha=1.0, retrofit_iterations=200)
+    )
     assert np.max(np.abs(store.current[0] - (2 * o_a + o_b) / 3)) < 1e-6
     assert np.max(np.abs(store.current[1] - (2 * o_b + o_a) / 3)) < 1e-6
 
@@ -76,7 +77,9 @@ def test_criterion_2_retrofit_closed_form():
         for a, b in edges:
             cs.add_pair("syn", a, b)
         original = store.current.copy()  # the run anchors to the vectors it is given
-        retrofit(store, cs, alpha=1.0, iterations=500)
+        specialize(
+            store, cs, SpecializeConfig("retrofitting", retrofit_alpha=1.0, retrofit_iterations=500)
+        )
         adjacency = {}
         for a, b in cs.synonyms:
             adjacency.setdefault(a, []).append(b)
@@ -170,7 +173,7 @@ def _norm_pair_dataset(scores_and_labels):
         w1, w2 = f"a{i}", f"b{i}"
         names += [w1, w2]
         vectors += [[1.0, 0.0], [float(score), 0.0]]
-        entries.append(RelationEntry(w1, w2, label, label != "other"))
+        entries.append(RelationEntry(w1, w2, label))
     store = EmbeddingStore(names, vectors)
     return store, RelationDataset("synthetic", entries)
 

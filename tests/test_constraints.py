@@ -93,6 +93,34 @@ class TestLoadPairs:
         assert cs.antonyms == {(0, 1)}
         assert cs.dropped_conflict == 1
 
+    def test_displaced_synonym_is_reported(self, tmp_path, store, caplog):
+        cs = ConstraintSet()
+        load_pairs(cs, write_pairs(tmp_path, "good nice\n", "s.txt"), "syn", store)
+        path = write_pairs(tmp_path, "good nice\n", "a.txt")
+        with caplog.at_level("INFO", logger="lexfit.constraints"):
+            report = load_pairs(cs, path, "ant", store)
+        assert (report.added, report.dropped_conflict) == (1, 1)
+        assert constraint_stats(cs)["dropped_conflict"] == 1
+        assert f"{path}: kept 1 ant pairs (dropped: 0 oov, 0 self, 1 conflict)" in caplog.text
+
+    def test_summed_reports_equal_the_set_drops(self, tmp_path, store):
+        # random files of in- and out-of-vocabulary, self, repeated and
+        # conflicting pairs, loaded in turn under every relation
+        rng = np.random.default_rng(3)
+        words = store.vocab + ["oov"]
+        for trial in range(20):
+            cs = ConstraintSet()
+            drops = np.zeros(3, dtype=int)
+            for i in range(6):
+                pairs = rng.choice(words, size=(int(rng.integers(1, 8)), 2))
+                text = "".join(f"{a} {b}\n" for a, b in pairs)
+                relation = str(rng.choice(["syn", "ant", "hyper"]))
+                report = load_pairs(cs, write_pairs(tmp_path, text), relation, store)
+                drops += [report.dropped_oov, report.dropped_self, report.dropped_conflict]
+            stats = constraint_stats(cs)
+            assert list(drops) == [stats["dropped_oov"], stats["dropped_self"],
+                                   stats["dropped_conflict"]], trial
+
     def test_synonym_claim_after_antonym_dropped(self, tmp_path, store):
         cs = ConstraintSet()
         load_pairs(cs, write_pairs(tmp_path, "good bad\n", "a.txt"), "ant", store)
@@ -102,16 +130,14 @@ class TestLoadPairs:
         assert cs.antonyms == {(0, 5)}
 
 
-def walk_closure(direct, max_depth):
-    """Oracle: the pairs of distinct words joined by a walk of 1 to ``max_depth``
-    direct links (any length for None), by composing the link set with itself."""
+def walk_closure(direct):
+    """Oracle: the pairs of distinct words joined by a walk of direct links,
+    by composing the link set with itself."""
     closure: set = set()
-    walks = set(direct)  # the pairs joined by a walk of exactly `length` links
-    length = 1
-    while not walks <= closure and (max_depth is None or length <= max_depth):
+    walks = set(direct)  # the pairs joined by a walk of exactly n links, n = 1, 2, ...
+    while not walks <= closure:
         closure |= walks
         walks = {(a, c) for a, b in walks for b2, c in direct if b == b2}
-        length += 1
     return {(a, b) for a, b in closure if a != b}
 
 
@@ -123,11 +149,6 @@ class TestClosure:
     def test_cycle_terminates(self):
         closure = hypernym_closure({(0, 1), (1, 0)})
         assert closure == {(0, 1), (1, 0)}
-
-    def test_depth_limit(self):
-        direct = {(0, 1), (1, 2), (2, 3)}
-        assert hypernym_closure(direct, max_depth=1) == direct
-        assert hypernym_closure(direct, max_depth=2) == direct | {(0, 2), (1, 3)}
 
     def test_matches_reachability_oracle(self):
         # oracle: boolean adjacency matrix, closed by repeated squaring
@@ -150,8 +171,7 @@ class TestClosure:
         expected = {(i, j) for i in range(n) for j in range(n) if reach[i, j] and i != j}
         assert hypernym_closure(direct) == expected
 
-    @pytest.mark.parametrize("max_depth", [None, 1, 2, 3])
-    def test_matches_walk_oracle_on_random_graphs(self, max_depth):
+    def test_matches_walk_oracle_on_random_graphs(self):
         rng = np.random.default_rng(17)
         for trial in range(60):
             n = int(rng.integers(2, 9))
@@ -161,7 +181,7 @@ class TestClosure:
             }
             if trial % 3 == 0:  # close a cycle through every node
                 direct |= {(i, (i + 1) % n) for i in range(n)}
-            assert hypernym_closure(direct, max_depth) == walk_closure(direct, max_depth), (
+            assert hypernym_closure(direct) == walk_closure(direct), (
                 trial, sorted(direct)
             )
 

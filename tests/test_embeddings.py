@@ -351,8 +351,7 @@ class TestBackoff:
     def test_exact_hit(self):
         store = EmbeddingStore(["running", "run"], np.eye(2))
         hit = backoff_lookup(store, "running")
-        assert (hit.row, hit.matched_token, hit.truncation_depth, hit.covered) == (
-            0, "running", 0, True)
+        assert (hit.row, hit.matched_token, hit.truncation_depth) == (0, "running", 0)
 
     def test_truncation(self):
         store = EmbeddingStore(["run"], [[1.0, 0.0]])
@@ -362,7 +361,7 @@ class TestBackoff:
     def test_uncovered(self):
         store = EmbeddingStore(["run"], [[1.0, 0.0]])
         hit = backoff_lookup(store, "qqq")
-        assert hit.covered is False and hit.row is None
+        assert hit.row is None
 
     def test_terminates_within_token_length(self):
         store = EmbeddingStore(["zz"], [[1.0]])
@@ -481,7 +480,7 @@ class TestNearestRows:
         store = EmbeddingStore([f"w{i}" for i in range(len(vectors))], vectors)
         rows = np.arange(len(vectors))
         for k in ks:
-            near, cosines = embeddings.nearest_rows(store.geometry(), rows, k)
+            near, cosines = embeddings.nearest_rows(store.current, rows, k)
             expected_near, expected_cosines = exhaustive_neighbors(vectors, k)
             np.testing.assert_array_equal(near, expected_near, err_msg=f"k={k}")
             np.testing.assert_array_equal(cosines, expected_cosines, err_msg=f"k={k}")
@@ -534,8 +533,8 @@ class TestNearestRows:
         # product; their sums differ, the float64 cells do not
         store = random_store(3, 200, 30)
         rows = np.arange(200)
-        near, cosines = embeddings.nearest_rows(store.geometry(), rows, 10)
-        alone = [embeddings.nearest_rows(store.geometry(), rows[[r]], 10) for r in rows]
+        near, cosines = embeddings.nearest_rows(store.current, rows, 10)
+        alone = [embeddings.nearest_rows(store.current, rows[[r]], 10) for r in rows]
         np.testing.assert_array_equal(near, np.vstack([n for n, _ in alone]))
         np.testing.assert_array_equal(cosines, np.vstack([c for _, c in alone]))
         queries = [nearest_neighbors(store, r, 10) for r in range(200)]
@@ -558,7 +557,7 @@ class TestNearestRows:
     def test_screen_keeps_few_candidates(self, monkeypatch):
         cells = self.count_cells(monkeypatch)
         store = random_store(16, 3000, 50)
-        embeddings.nearest_rows(store.geometry(), np.arange(0, 3000, 10), 10)
+        embeddings.nearest_rows(store.current, np.arange(0, 3000, 10), 10)
         assert 300 * 10 <= sum(cells) < 300 * 12
 
     def test_one_row_screen_keeps_few_candidates(self, monkeypatch):
@@ -723,7 +722,7 @@ class TestWriting:
         save_embeddings(store, path, "glove-text")
         loaded = load_embeddings(path, "glove-text")
         assert loaded._unit32 is None and len(builds) == 3
-        # counter-fitting's precompute builds the store's float32 rows, and its write drops them
+        # counter-fitting's precompute builds its own float32 rows and leaves none on the store
         cs = ConstraintSet()
         cs.add_pair("syn", 0, 1)
         cs.add_pair("ant", 0, 2)

@@ -102,7 +102,6 @@ class TestLoaders:
         path.write_text("cat\tanimal\thyper\nanimal\tcat\thypo\ncat\tdog\tother\n")
         ds = load_relation_dataset(str(path))
         assert [e.label for e in ds.entries] == ["hyper", "hypo", "other"]
-        assert [e.direction_known for e in ds.entries] == [True, True, False]
 
     def test_bad_label(self, tmp_path):
         path = tmp_path / "d.tsv"
@@ -231,9 +230,7 @@ class TestGradedScore:
 
 
 def relation_ds(rows):
-    return RelationDataset(
-        "toy", [RelationEntry(w1, w2, label, label != "other") for w1, w2, label in rows]
-    )
+    return RelationDataset("toy", [RelationEntry(w1, w2, label) for w1, w2, label in rows])
 
 
 class TestBless:

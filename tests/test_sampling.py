@@ -168,7 +168,8 @@ class TestSelectNegatives:
                 rows, local = batch_rows(batch)
                 items, which, mined = mine_instances(
                     batch, view.partners[batch.relation], rows, local,
-                    unit_rows(store.current[rows])[0], mirror=batch.relation != "quad",
+                    unit_rows(store.current[rows])[0], "negatives", "closest_plus_random", 2,
+                    mirror=batch.relation != "quad",
                 )
                 pairs = mined_pairs(cs, batch.relation, closed)
                 for i, aux in zip(which, mined):
@@ -205,7 +206,8 @@ class TestSelectNegatives:
             anchors = np.unique(local)
             unit = unit_rows(store.current[rows])[0]
             table = view.partners[batch.relation]
-            picks = mine_batch(batch, table, rows, local, unit, anchors, k=k)
+            picks = mine_batch(batch, table, rows, local, unit, anchors,
+                               "negatives", "closest_plus_random", k)
             for anchor, row in zip(anchors, picks):
                 single = mine_one(int(rows[anchor]), batch, table, store, k=k)
                 assert [int(rows[p]) for p in row if p >= 0] == single
@@ -221,7 +223,7 @@ class TestSelectNegatives:
             anchors = np.unique(local)
             unit = unit_rows(store.current[rows])[0]
             picks = mine_batch(batch, view.partners[batch.relation], rows, local, unit,
-                               anchors, k=k)
+                               anchors, "negatives", "closest_plus_random", k)
             for anchor, row in zip(anchors, picks):
                 anchor_row = int(rows[anchor])
                 pool = {
@@ -275,7 +277,8 @@ class TestMineInstances:
         rows, local = batch_rows(batch)
         unit = unit_rows(store.current[rows])[0]
         items, which, _ = mine_instances(
-            batch, partner_table(cs.synonyms), rows, local, unit, mirror=True
+            batch, partner_table(cs.synonyms), rows, local, unit,
+            "negatives", "closest_plus_random", 2, mirror=True,
         )
         anchors = {tuple(rows[items[i]]) for i in which}
         for a, b in pairs:

@@ -18,7 +18,6 @@ from lexfit import (
     hypernym_closure,
     plan_epoch,
     quad_join,
-    retrofit,
     specialize,
 )
 from lexfit import embeddings, sampling, specializer
@@ -112,7 +111,9 @@ class TestRetrofit:
         cs = ConstraintSet()
         cs.add_pair("syn", 0, 1)
         before_row2 = store.current[2].copy()
-        retrofit(store, cs, alpha=1.0, iterations=50)
+        specialize(
+            store, cs, SpecializeConfig("retrofitting", retrofit_alpha=1.0, retrofit_iterations=50)
+        )
         np.testing.assert_array_equal(store.current[2], before_row2)
 
     def test_two_node_closed_form(self):
@@ -121,7 +122,9 @@ class TestRetrofit:
         o_a, o_b = store.current[0].copy(), store.current[1].copy()
         cs = ConstraintSet()
         cs.add_pair("syn", 0, 1)
-        retrofit(store, cs, alpha=1.0, iterations=200)
+        specialize(
+            store, cs, SpecializeConfig("retrofitting", retrofit_alpha=1.0, retrofit_iterations=200)
+        )
         np.testing.assert_allclose(store.current[0], (2 * o_a + o_b) / 3, atol=1e-6)
         np.testing.assert_allclose(store.current[1], (2 * o_b + o_a) / 3, atol=1e-6)
 
@@ -138,7 +141,9 @@ class TestRetrofit:
         for a, b in edges:
             cs.add_pair("syn", int(a), int(b))
         original = store.current.copy()
-        retrofit(store, cs, alpha=1.0, iterations=300)
+        specialize(
+            store, cs, SpecializeConfig("retrofitting", retrofit_alpha=1.0, retrofit_iterations=300)
+        )
         adjacency = {}
         for a, b in cs.synonyms:
             adjacency.setdefault(a, []).append(b)
@@ -154,7 +159,7 @@ class TestRetrofit:
         cs.add_pair("syn", 0, 1)
         before = store.current.copy()
         with pytest.raises(ValueError, match="retrofit_alpha"):
-            retrofit(store, cs, alpha=alpha)
+            specialize(store, cs, SpecializeConfig("retrofitting", retrofit_alpha=alpha))
         np.testing.assert_array_equal(store.current, before)
 
     def test_hypernym_edges_count(self):
@@ -162,11 +167,11 @@ class TestRetrofit:
         cs = ConstraintSet()
         cs.add_pair("hyper", 0, 1)
         before = store.current[0].copy()
-        retrofit(store, cs, iterations=5)
+        specialize(store, cs, SpecializeConfig("retrofitting", retrofit_iterations=5))
         assert not np.array_equal(store.current[0], before)
 
     def test_rejects_constraints_without_links(self):
-        # retrofit is specialize with the retrofitting preset, so it refuses alike
+        # the retrofitting preset refuses a set without links, and leaves the store as it was
         cs = ConstraintSet()
         cs.add_pair("ant", 0, 1)
         message = "requires nonempty synonyms or direct_hypernyms"
@@ -175,7 +180,7 @@ class TestRetrofit:
         store = random_store(3, 4, 4)
         before = store.current.copy()
         with pytest.raises(ValueError, match=message):
-            retrofit(store, cs)
+            specialize(store, cs, SpecializeConfig("retrofitting"))
         np.testing.assert_array_equal(store.current, before)
 
     def test_matches_the_per_row_mean(self):
@@ -191,7 +196,9 @@ class TestRetrofit:
             prev = expected.copy()
             for row, near in adjacency.items():
                 expected[row] = (0.5 * store.current[row] + prev[near].mean(axis=0)) / 1.5
-        retrofit(store, cs, alpha=0.5, iterations=3)
+        specialize(
+            store, cs, SpecializeConfig("retrofitting", retrofit_alpha=0.5, retrofit_iterations=3)
+        )
         np.testing.assert_array_equal(store.current, expected)
 
 
@@ -277,7 +284,7 @@ def original_neighbors(store, rows, k):
     """The precompute's neighbours, and their original distances from the
     cosines :func:`~lexfit.embeddings.nearest_rows` ranks them by."""
     near = specializer._original_neighbor_sets(store, rows, k)
-    ranked, cosines = embeddings.nearest_rows(store.geometry(), rows, k)
+    ranked, cosines = embeddings.nearest_rows(store.current, rows, k)
     np.testing.assert_array_equal(near, ranked)
     return near, 1.0 - cosines
 
@@ -299,6 +306,13 @@ class TestNeighborPrecompute:
         rows = np.arange(6)
         near = specializer._original_neighbor_sets(store, rows, 5)
         np.testing.assert_array_equal(near, bruteforce_neighbors(vectors, rows, 5)[0])
+
+    def test_keeps_no_float32_rows(self):
+        # the screen's float32 unit rows are the precompute's own, so they
+        # are not held on the store through training
+        store = random_store(6, 40, 5)
+        specializer._original_neighbor_sets(store, np.arange(0, 40, 3), 4)
+        assert store._unit32 is None
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 40])
     def test_tied_ranks_match_stable_argsort_across_blocks(self, monkeypatch, block_rows):
