@@ -56,6 +56,7 @@ _RECORDED = [
     f for cls in (SpecializeConfig, Margins) for f in dataclasses.fields(cls)
     if f.default is not dataclasses.MISSING and f.name != "margins"
 ]
+_RECORDED_TYPES = {f.name: type(f.default) for f in _RECORDED}
 # every training option: each is a flag and a config-file key
 _OPTION_DEFAULTS = {f.name: f.default for f in _RECORDED if f.init}
 _MARGIN_FIELDS = [f.name for f in dataclasses.fields(Margins)]
@@ -96,6 +97,9 @@ class RunManifest:
                                     else meta for path, meta in fields["inputs"].items()]
             hints = typing.get_type_hints(cls)
             _check_fields(fields, {name: typing.get_origin(t) or t for name, t in hints.items()})
+            for name, kind in _RECORDED_TYPES.items():  # other config keys are ignored
+                if name in fields["config"] and not _is_a(fields["config"][name], kind):
+                    raise ValueError(f"field 'config.{name}' is not of type {kind.__name__}")
             for i, entry in enumerate(fields["inputs"]):
                 _check_fields(entry, _INPUT_FIELDS, f"inputs[{i}]: ")
                 if entry["role"] not in ("embeddings", *RELATIONS):
@@ -120,9 +124,15 @@ def _check_fields(fields, kinds: dict, where: str = "") -> None:
     if unknown:
         raise ValueError(f"{where}field {unknown[0]!r} is unknown")
     for name, kind in kinds.items():
-        if not isinstance(fields.get(name), kind):
-            problem = "missing" if name not in fields else f"not a {kind.__name__}"
+        if not _is_a(fields.get(name), kind):
+            problem = "missing" if name not in fields else f"not of type {kind.__name__}"
             raise ValueError(f"{where}field {name!r} is {problem}")
+
+
+def _is_a(value, kind: type) -> bool:
+    """Whether a JSON ``value`` is of ``kind``; a bool never is, an int is also a float."""
+    kinds = (kind, int) if kind is float else kind
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _sha256(path: str) -> str:

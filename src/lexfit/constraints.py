@@ -50,27 +50,27 @@ class ConstraintSet:
         self.dropped_self: int = 0
         self.dropped_conflict: int = 0
 
-    def add_pair(self, relation: str, row_a: int, row_b: int) -> tuple[bool, str | None]:
-        """Insert one pair; returns (added, drop_reason)."""
+    def add_pair(self, relation: str, row_a: int, row_b: int) -> bool:
+        """Insert one pair; returns whether it was added. The drop counters say why not."""
         if relation not in RELATIONS:
             raise ValueError(f"unknown relation {relation!r}, expected one of {RELATIONS}")
         if row_a == row_b:
             self.dropped_self += 1
-            return False, "self"
+            return False
         pairs = getattr(self, PAIR_SETS[relation])
         # hypernym pairs keep their (hyponym, hypernym) order
         pair = (row_a, row_b) if relation == "hyper" or row_a < row_b else (row_b, row_a)
         if relation == "syn" and pair in self.antonyms:
             self.dropped_conflict += 1
-            return False, "conflict"
+            return False
         # antonymy wins over a previously ingested synonym claim
         if relation == "ant" and pair in self.synonyms:
             self.synonyms.remove(pair)
             self.dropped_conflict += 1
         if pair in pairs:
-            return False, None
+            return False
         pairs.add(pair)
-        return True, None
+        return True
 
 
 def load_pairs(
@@ -100,7 +100,7 @@ def load_pairs(
             if row_a is None or row_b is None:
                 constraints.dropped_oov += 1
                 continue
-            report.added += constraints.add_pair(relation, row_a, row_b)[0]
+            report.added += constraints.add_pair(relation, row_a, row_b)
     # the set keeps the one ledger; the report is this file's share of it
     for name, count in zip(drops, before):
         setattr(report, name, getattr(constraints, name) - count)

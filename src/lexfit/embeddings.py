@@ -493,32 +493,26 @@ def _screen_error(dim: int) -> float:
     return m / (1.0 - m) + (2 * dim + 8) * 2.0 ** -53 + 4 * dim * 2.0 ** -126
 
 
-def _cell_cosines(
-    matrix: np.ndarray, norms: np.ndarray, a: np.ndarray | int, b: np.ndarray
-) -> np.ndarray:
-    """The cosine of each row pair ``(a[i], b[i])`` of the range-scaled
-    ``matrix``, or of ``(a, b[i])`` when ``a`` is one row: the einsum dot of
-    the two rows over the product of their ``norms``, clipped into [-1, 1].
+def _cell_cosines(matrix: np.ndarray, norms: np.ndarray, a: int, b: np.ndarray) -> np.ndarray:
+    """The cosine of row ``a`` of the range-scaled ``matrix`` with each of its
+    rows ``b``: the einsum dot of the two rows over the product of their
+    ``norms``, clipped into [-1, 1].
 
-    Each cell is reduced on its own, in einsum passes of at most
-    ``_EINSUM_COLUMNS`` columns summed in order, so it does not depend on
-    the other pairs; one row ``a`` is read in place rather than gathered, and
-    its products are the same. Rows with exact products keep exact ties:
-    dotting unit rows instead gives orthogonal integer rows cosines like
-    -2.2e-17, which reorders rows tied at 0.
+    Row ``a`` is read in place. Each cell is reduced on its own, in einsum
+    passes of at most ``_EINSUM_COLUMNS`` columns summed in order, so it does
+    not depend on the other rows of ``b``. Rows with exact products keep
+    exact ties: dotting unit rows instead gives orthogonal integer rows
+    cosines like -2.2e-17, which reorders rows tied at 0.
     """
     out = np.empty(len(b))
-    dim = matrix.shape[1]
-    one = np.ndim(a) == 0
-    spec = "j,ij->i" if one else "ij,ij->i"
+    x, dim = matrix[a], matrix.shape[1]
     step = max(1, _NEIGHBOR_BLOCK_CELLS // dim)
     for start in range(0, len(b), step):
-        x = matrix[a] if one else matrix[a[start : start + step]]
         y = matrix[b[start : start + step]]
         dots = out[start : start + step]
-        np.einsum(spec, x[..., :_EINSUM_COLUMNS], y[:, :_EINSUM_COLUMNS], out=dots)
+        np.einsum("j,ij->i", x[:_EINSUM_COLUMNS], y[:, :_EINSUM_COLUMNS], out=dots)
         for col in range(_EINSUM_COLUMNS, dim, _EINSUM_COLUMNS):
-            dots += np.einsum(spec, x[..., col : col + _EINSUM_COLUMNS],
+            dots += np.einsum("j,ij->i", x[col : col + _EINSUM_COLUMNS],
                               y[:, col : col + _EINSUM_COLUMNS])
     out /= norms[a] * norms[b]
     return np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)  # np.clip, with less overhead
@@ -542,55 +536,45 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0)
 
 
-def top_k(sims: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k largest entries of each row of ``sims``.
+def _rank(matrix: np.ndarray, norms: np.ndarray, row: int, scores: np.ndarray,
+          k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` other rows of the range-scaled ``matrix`` closest to ``row``
+    by float64 cosine, descending, ties toward the smaller row, and their
+    cosines. ``scores``, the float32 screen of ``row`` against every row, is
+    overwritten at ``row``.
 
-    Each row of the (rows x k) result is in descending order of similarity,
-    ties broken toward the smaller column, NaN last. The rows are sorted
-    outright: :func:`nearest_rows` hands over only each row's candidates.
-    Needs ``1 <= k <= sims.shape[1]``.
+    At least k other columns score kth or more, so their cells, and the
+    float64 k-th cell, are at least kth - :func:`_screen_error`; a cell that
+    high scores at least kth - 2 * error. Only the columns at or above that
+    cut, compared in float64 so it is exact, are scored, by :func:`_cell_cosines`.
     """
-    return np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    scores[row] = -np.inf
+    cut = np.subtract(np.partition(scores, -k)[-k], 2.0 * _screen_error(matrix.shape[1]),
+                      dtype=np.float64)
+    cols = np.flatnonzero(scores >= cut)
+    cells = _cell_cosines(matrix, norms, row, cols)
+    picked = np.lexsort((cols, -cells))[:k]
+    return cols[picked], cells[picked]
 
 
 def nearest_rows(matrix: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """For each of ``rows``, the ``min(k, len(matrix) - 1)`` other rows of
-    ``matrix`` closest by cosine, ranked by :func:`top_k`, and their cosines.
+    ``matrix`` closest by cosine, ranked by :func:`_rank`, and their cosines.
     The range-scaled rows, their norms and their float32 unit rows are
     derived here and dropped on return. Needs ``len(matrix) >= 2``.
 
     One float32 product of unit rows screens every column, one bounded block
-    of ``rows`` at a time. The columns whose screen score lies within twice
-    :func:`_screen_error` of the row's k-th score hold the row's float64 top k,
-    and only they are scored in float64, by :func:`_cell_cosines`. Candidates
-    are padded to one width for :func:`top_k`, cheaper over a block than a
-    sort per row; :func:`nearest_neighbors` ranks a single row unpadded.
+    of ``rows`` at a time; each row of the block is then ranked on its own.
     """
     matrix, norms = _in_range(matrix)[:2]
     unit32 = _unit_rows32(matrix, norms)
     k = min(k, len(matrix) - 1)
-    slack = 2.0 * _screen_error(matrix.shape[1])
     indices = np.empty((len(rows), k), dtype=np.intp)
     cosines = np.empty((len(rows), k))
     step = max(_NEIGHBOR_BLOCK_ROWS, _NEIGHBOR_BLOCK_CELLS // len(matrix))
     for start in range(0, len(rows), step):
-        block = rows[start : start + step]
-        scores = unit32[block] @ unit32.T
-        scores[np.arange(len(block)), block] = -np.inf
-        # at least k other columns score kth or more, so their cells, and the
-        # float64 k-th cell, are at least kth - error; a cell that high scores
-        # at least kth - 2 * error. Compared in float64, so the cut is exact
-        cut = np.subtract(np.partition(scores, -k, axis=1)[:, -k, None], slack, dtype=np.float64)
-        at, cols = np.divmod(np.flatnonzero(scores >= cut), len(matrix))
-        cells = _cell_cosines(matrix, norms, block[at], cols)
-        # each row's candidates, in ascending columns, padded to one width
-        counts = np.bincount(at, minlength=len(block))
-        first = np.add.accumulate(counts) - counts
-        sims = np.full((len(block), counts.max()), -np.inf)
-        sims[at, np.arange(len(at)) - first[at]] = cells
-        picked = first[:, None] + top_k(sims, k)
-        indices[start : start + step] = cols[picked]
-        cosines[start : start + step] = cells[picked]
+        for i, scores in enumerate(unit32[rows[start : start + step]] @ unit32.T, start):
+            indices[i], cosines[i] = _rank(matrix, norms, rows[i], scores, k)
     return indices, cosines
 
 
@@ -599,9 +583,9 @@ def nearest_neighbors(store: EmbeddingStore, row: int, k: int) -> list[tuple[int
 
     Returns ``min(k, len(store) - 1)`` entries sorted by descending cosine;
     ties break toward the smaller row index; ``row`` and ``k`` are integers,
-    not bools. The neighbours and cosines of :func:`nearest_rows`, from its
-    screen bound and cells, but with one-row calls: a float32 matrix-vector
-    product of the unit rows the store keeps, and one sort of the candidates.
+    not bools. The neighbours and cosines of :func:`nearest_rows`, ranked by
+    the same :func:`_rank`; only the screen differs: a float32 matrix-vector
+    product of the unit rows the store keeps.
     """
     if isinstance(row, bool) or isinstance(k, bool):
         raise TypeError("row and k must be integers, not bools")
@@ -613,12 +597,5 @@ def nearest_neighbors(store: EmbeddingStore, row: int, k: int) -> list[tuple[int
     if len(store) == 1:
         return []
     matrix, norms, unit32 = store.geometry()
-    k = min(k, len(matrix) - 1)
-    scores = unit32 @ unit32[row]
-    scores[row] = -np.inf
-    cut = np.subtract(np.partition(scores, -k)[-k], 2.0 * _screen_error(matrix.shape[1]),
-                      dtype=np.float64)
-    cols = np.flatnonzero(scores >= cut)
-    cells = _cell_cosines(matrix, norms, row, cols)
-    picked = np.lexsort((cols, -cells))[:k]
-    return list(zip(cols[picked].tolist(), cells[picked].tolist()))
+    cols, cells = _rank(matrix, norms, row, unit32 @ unit32[row], min(k, len(matrix) - 1))
+    return list(zip(cols.tolist(), cells.tolist()))

@@ -78,18 +78,21 @@ class EvalReport:
 
 
 def _records(path: str):
-    """``(location, word1, word2, third field)`` of each ``word1<TAB>word2<TAB>field``
-    line of a dataset file; blank lines and ``#`` lines are skipped."""
+    """``(location, word1, word2, third field)``, each stripped, of each
+    ``word1<TAB>word2<TAB>field`` line of a dataset file; blank lines and
+    ``#`` lines are skipped, and an empty word field is an error."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            parts = line.split("\t")
+            parts = [part.strip() for part in line.split("\t")]
             where = f"{path}:{lineno}"
             if len(parts) != 3:
                 raise DatasetFormatError(f"{where}: expected 3 tab-separated fields")
-            yield where, parts[0].strip(), parts[1].strip(), parts[2]
+            if not parts[0] or not parts[1]:
+                raise DatasetFormatError(f"{where}: empty word field")
+            yield where, *parts
 
 
 def load_similarity_dataset(path: str, name: str | None = None) -> SimilarityDataset:
@@ -106,8 +109,7 @@ def load_similarity_dataset(path: str, name: str | None = None) -> SimilarityDat
 def load_relation_dataset(path: str, name: str | None = None) -> RelationDataset:
     """Read `word1<TAB>word2<TAB>label` lines with labels hyper|hypo|other."""
     entries = []
-    for where, w1, w2, field in _records(path):
-        label = field.strip()
+    for where, w1, w2, label in _records(path):
         if label not in RELATION_LABELS:
             raise DatasetFormatError(f"{where}: label {label!r} not in {RELATION_LABELS}")
         entries.append(RelationEntry(w1, w2, label))

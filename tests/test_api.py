@@ -17,6 +17,8 @@ DELETED = (
     "cosine_matrix",
     # one name per value: specialize with the retrofitting preset, SpecializeConfig.seed
     "retrofit", "DEFAULT_SEED",
+    # one neighbour ranking, row by row, for the blocked and the one-row screen
+    "top_k",
 )
 
 # one matrix per store: the load-time copy, and the parameters that chose it

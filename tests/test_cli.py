@@ -72,6 +72,11 @@ def specialize_args(ws, out, extra=(), training=TRAINING):
     ]
 
 
+def with_config(key, value):
+    """A manifest edit that sets one value of its ``config``."""
+    return lambda manifest: {**manifest, "config": {**manifest["config"], key: value}}
+
+
 class TestSpecializeCommand:
     def test_writes_outputs(self, workspace):
         tmp_path = workspace[0]
@@ -156,7 +161,12 @@ class TestSpecializeCommand:
          "inputs[0]: field 'order' is missing"),
         (lambda m: [m], "expected a JSON object, got list"),
         (lambda m: {k: v for k, v in m.items() if k != "method"}, "field 'method' is missing"),
-    ], ids=["no-embeddings", "no-order", "json-list", "no-method"])
+        (with_config("epochs", "3"), "field 'config.epochs' is not of type int"),
+        (with_config("epochs", 2.5), "field 'config.epochs' is not of type int"),
+        (with_config("epochs", None), "field 'config.epochs' is not of type int"),
+        (with_config("m_syn", "x"), "field 'config.m_syn' is not of type float"),
+    ], ids=["no-embeddings", "no-order", "json-list", "no-method",
+            "epochs-str", "epochs-float", "epochs-null", "m_syn-str"])
     def test_replay_refuses_a_malformed_manifest(self, workspace, capsys, edit, problem):
         tmp_path = workspace[0]
         assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
@@ -471,6 +481,16 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "spearman_rho" in out
         assert "coverage" in out
+
+    @pytest.mark.parametrize("backoff", [[], ["--backoff"]])
+    def test_empty_word_field_is_located(self, workspace, capsys, backoff):
+        tmp_path, emb, *_ = workspace
+        ds = tmp_path / "sim.tsv"
+        ds.write_text("a1\ta2\t9.0\na1\t\t2.0\na2\tb2\t1.0\n")
+        code = main(["eval", "--embeddings", str(emb), "--task", "sim",
+                     "--dataset", str(ds), *backoff])
+        assert code == 1
+        assert capsys.readouterr().err == f"lexfit: error: {ds}:2: empty word field\n"
 
     def test_wbless_deterministic(self, workspace, capsys):
         tmp_path, emb, *_ = workspace

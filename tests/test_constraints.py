@@ -130,6 +130,27 @@ class TestLoadPairs:
         assert cs.antonyms == {(0, 5)}
 
 
+class TestAddPair:
+    """``add_pair`` returns whether it added the pair; the counters say why not."""
+
+    def test_antonym_displacing_a_synonym_is_added(self):
+        cs = ConstraintSet()
+        assert cs.add_pair("syn", 2, 1) is True
+        assert cs.add_pair("ant", 1, 2) is True
+        assert (cs.synonyms, cs.antonyms, cs.dropped_conflict) == (set(), {(1, 2)}, 1)
+
+    def test_pairs_not_added(self):
+        cs = ConstraintSet()
+        assert cs.add_pair("syn", 3, 3) is False
+        assert cs.dropped_self == 1
+        assert cs.add_pair("hyper", 0, 4) is True
+        assert cs.add_pair("hyper", 0, 4) is False
+        assert cs.add_pair("ant", 0, 5) is True
+        assert cs.add_pair("syn", 5, 0) is False
+        assert (cs.dropped_self, cs.dropped_conflict) == (1, 1)
+        assert cs.synonyms == set()
+
+
 def walk_closure(direct):
     """Oracle: the pairs of distinct words joined by a walk of direct links,
     by composing the link set with itself."""

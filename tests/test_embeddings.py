@@ -20,7 +20,7 @@ from lexfit import (
     specialize,
 )
 from lexfit import embeddings
-from lexfit.embeddings import row_cosines, row_norms, top_k, unit_rows
+from lexfit.embeddings import row_cosines, row_norms, unit_rows
 from helpers import random_store
 
 
@@ -730,28 +730,36 @@ class TestWriting:
         assert len(builds) == 4 and loaded._unit32 is None
 
 
-class TestTopK:
-    def test_matches_stable_argsort_with_ties(self):
-        # few distinct integer values, so most rows tie across the k-th position
-        rng = np.random.default_rng(3)
-        for trial in range(60):
-            n_rows, n = int(rng.integers(1, 6)), int(rng.integers(2, 13))
-            sims = rng.integers(-2, 3, size=(n_rows, n)).astype(np.float64)
-            sims[rng.random(sims.shape) < 0.1] = -np.inf
-            sims[rng.random(sims.shape) < 0.1] = np.nan  # from overflowing norms
-            for k in range(1, n + 1):
-                expected = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-                np.testing.assert_array_equal(top_k(sims, k), expected, err_msg=f"{trial} {k}")
+class TestRankTies:
+    """Exact ties in the float64 ranking of small integer stores, through the
+    blocked screen and the one-row screen alike."""
 
-    def test_ties_straddling_the_kth_position_go_to_smaller_columns(self):
-        sims = np.array([
-            [3.0, 1.0, 3.0, 3.0, 0.0],
-            [0.0, 2.0, 2.0, 2.0, 2.0],
-            [1.0, 1.0, 1.0, 1.0, 5.0],
-        ])
-        np.testing.assert_array_equal(top_k(sims, 2), [[0, 2], [1, 2], [4, 0]])
-        np.testing.assert_array_equal(top_k(sims, 4), [[0, 2, 3, 1], [1, 2, 3, 4], [4, 0, 1, 2]])
+    @staticmethod
+    def ranked(vectors, k):
+        """The neighbours of row 0 and their cosines, equal through both functions."""
+        store = EmbeddingStore([f"w{i}" for i in range(len(vectors))], vectors)
+        near, cosines = embeddings.nearest_rows(store.current, np.array([0]), k)
+        hits = nearest_neighbors(store, 0, k)
+        assert [r for r, _ in hits] == near[0].tolist()
+        assert np.array([c for _, c in hits]).tobytes() == cosines[0].tobytes()
+        return near[0].tolist(), cosines[0]
 
-    def test_signed_zeros_tie(self):
-        sims = np.array([[-0.0, 0.0, -1.0, 0.0]])
-        np.testing.assert_array_equal(top_k(sims, 2), [[0, 1]])
+    @pytest.mark.parametrize("others, expected", [
+        # cosines 1, 0, 1, 1, -1: three rows tie at 1 across k = 2
+        ([[2, 0], [0, 1], [3, 0], [1, 0], [-1, 0]], {2: [1, 3], 4: [1, 3, 4, 2]}),
+        # cosines -1, then 1/sqrt(2) four times, exactly
+        ([[-1, 0], [1, 1], [2, 2], [4, 4], [1, 1]], {2: [2, 3], 4: [2, 3, 4, 5]}),
+        # cosines 0 four times, then 1
+        ([[0, 1], [0, 2], [0, 3], [0, 1], [5, 0]], {2: [5, 1], 4: [5, 1, 2, 3]}),
+    ])
+    def test_ties_straddling_the_kth_position_go_to_smaller_rows(self, others, expected):
+        for k, rows in expected.items():
+            assert self.ranked([[1.0, 0.0], *others], k)[0] == rows
+
+    @pytest.mark.parametrize("zeros", [[[-0.0, -1.0], [0.0, 1.0]], [[0.0, 1.0], [-0.0, -1.0]]])
+    def test_signed_zeros_tie(self, zeros):
+        # the query's products with one row are -0.0, with the other +0.0:
+        # both cosines are 0 and tie, whichever row comes first
+        near, cosines = self.ranked([[1.0, 0.0], *zeros, [-1.0, 0.0], [0.0, 2.0]], 2)
+        assert near == [1, 2]
+        assert cosines.tolist() == [0.0, 0.0]

@@ -115,6 +115,17 @@ class TestLoaders:
         with pytest.raises(DatasetFormatError):
             load_similarity_dataset(str(path))
 
+    @pytest.mark.parametrize("loader, field", [
+        (load_similarity_dataset, "1.0"), (load_relation_dataset, "hyper"),
+    ])
+    @pytest.mark.parametrize("words", ["a\t", "\tb", " \tb", "a\t "],
+                             ids=["empty-second", "empty-first", "blank-first", "blank-second"])
+    def test_empty_word_field(self, tmp_path, loader, field, words):
+        path = tmp_path / "d.tsv"
+        path.write_text(f"a\tb\t{field}\n{words}\t{field}\n")
+        with pytest.raises(DatasetFormatError, match=r"d\.tsv:2: empty word field$"):
+            loader(str(path))
+
     def test_too_small_dataset_rejected(self):
         with pytest.raises(ValueError):
             SimilarityDataset("x", [("a", "b", 1.0)])

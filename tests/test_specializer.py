@@ -335,24 +335,27 @@ class TestNeighborPrecompute:
 
     def test_blocks_hold_at_least_64_rows(self, monkeypatch):
         # 2^18 cells over 5000 words alone would give blocks of 52 rows
-        sizes = []
-        top_k = embeddings.top_k
+        blocks = []
+        rank = embeddings._rank
 
-        def recording(sims, k):
-            sizes.append(len(sims))
-            return top_k(sims, k)
+        def recording(matrix, norms, row, scores, k):
+            # each row's scores are a view of its block's screen
+            if not blocks or scores.base is not blocks[-1]:
+                blocks.append(scores.base)
+            return rank(matrix, norms, row, scores, k)
 
         store = random_store(12, 5000, 3)
         rows = np.arange(0, 5000, 37)
-        monkeypatch.setattr(embeddings, "top_k", recording)
+        monkeypatch.setattr(embeddings, "_rank", recording)
         near = specializer._original_neighbor_sets(store, rows, 4)
+        sizes = [len(block) for block in blocks]
         assert sizes == [64, 64, 8]
         dist = original_neighbors(store, rows, 4)[1]
         monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_CELLS", 5000)
         monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_ROWS", 1)
-        del sizes[:]
+        del blocks[:]
         one_row_near = specializer._original_neighbor_sets(store, rows, 4)
-        assert len(sizes) == len(rows)
+        assert len(blocks) == len(rows)
         one_row_dist = original_neighbors(store, rows, 4)[1]
         np.testing.assert_array_equal(near, one_row_near)
         np.testing.assert_allclose(dist, one_row_dist, rtol=0, atol=1e-12)
