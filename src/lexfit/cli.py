@@ -10,14 +10,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 import typing
 
 from . import __version__
 from .constraints import PAIR_SETS, RELATIONS, ConstraintSet, load_pairs
-from .embeddings import FORMATS, backoff_lookup, load_embeddings, nearest_neighbors, save_embeddings
+from .embeddings import (
+    FORMATS,
+    _sha256,
+    backoff_lookup,
+    load_embeddings,
+    nearest_neighbors,
+    save_embeddings,
+)
 from .evaluate import (
     bibless_classify,
     bless_directionality,
@@ -98,8 +104,15 @@ class RunManifest:
             hints = typing.get_type_hints(cls)
             _check_fields(fields, {name: typing.get_origin(t) or t for name, t in hints.items()})
             for name, kind in _RECORDED_TYPES.items():  # other config keys are ignored
-                if name in fields["config"] and not _is_a(fields["config"][name], kind):
+                if name not in fields["config"]:
+                    continue
+                value = fields["config"][name]
+                if not _is_a(value, kind):
                     raise ValueError(f"field 'config.{name}' is not of type {kind.__name__}")
+                try:
+                    kind(value)
+                except OverflowError:  # a JSON integer that no float holds
+                    raise ValueError(f"field 'config.{name}' is beyond float range") from None
             for i, entry in enumerate(fields["inputs"]):
                 _check_fields(entry, _INPUT_FIELDS, f"inputs[{i}]: ")
                 if entry["role"] not in ("embeddings", *RELATIONS):
@@ -133,14 +146,6 @@ def _is_a(value, kind: type) -> bool:
     """Whether a JSON ``value`` is of ``kind``; a bool never is, an int is also a float."""
     kinds = (kind, int) if kind is float else kind
     return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _read_config_file(path: str) -> dict:
@@ -289,13 +294,19 @@ def cmd_specialize(args) -> int:
         return _usage_error(str(exc))
 
     try:
-        for path, recorded in options.get("digests", {}).items():
-            if _sha256(path) != recorded:
+        recorded = dict(options.get("digests", {}))
+        # the load hashes the embeddings as it parses them, so their digest is
+        # checked after it: a changed file that does not parse reports that
+        embeddings_digest = recorded.pop(options["embeddings"], None)
+        for path, digest in recorded.items():
+            if _sha256(path) != digest:
                 raise ValueError(f"{path}: sha256 differs from the replayed manifest")
         store = load_embeddings(options["embeddings"], options["format"])
+        if embeddings_digest not in (None, store._source_sha256):
+            raise ValueError(f"{options['embeddings']}: sha256 differs from the replayed manifest")
         constraints = ConstraintSet()
         inputs = [{"role": "embeddings", "order": 0, "path": options["embeddings"],
-                   "sha256": _sha256(options["embeddings"])}]
+                   "sha256": store._source_sha256}]
         for relation in RELATIONS:
             for order, path in enumerate(options[relation]):
                 load_pairs(constraints, path, relation, store)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import functools
+import hashlib
+import io
 import itertools
 import logging
 import operator
+import os
 import re
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -83,6 +86,7 @@ class EmbeddingStore:
         self._unit32: np.ndarray | None = None  # built by the first query
         self.index: dict[str, int] = {tok: i for i, tok in enumerate(vocab)}
         self.n_duplicates_dropped: int = 0
+        self._source_sha256: str | None = None  # of the text a load read
 
     @property
     def current(self) -> np.ndarray:
@@ -167,12 +171,46 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
     norm overflows float64, and dimension mismatches are rejected with the
     line number of the first bad record.
 
-    The file is streamed once: the token is split off each line, and the
-    rest of every line goes to one bulk numeric parse.
+    A parse of a regular file is cached beside it (:func:`_write_cache`); a
+    later load of the same bytes in the same format reads the cache instead,
+    and returns the same store with the same warnings.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown embedding format {format!r}, expected one of {FORMATS}")
+    cache = os.fspath(path) + _CACHE_SUFFIX
+    regular = os.path.isfile(path)
+    parsed = None
+    if regular and os.path.isfile(cache):
+        digest = _sha256(path)
+        parsed = _read_cache(cache, _cache_key(format, digest))
+    if parsed is None:
+        parsed, digest = _parse(path, format)
+        if regular:
+            _write_cache(cache, _cache_key(format, digest), *parsed)
+    vocab, matrix, declared_count, n_duplicates = parsed
+    if declared_count is not None and declared_count != len(vocab) + n_duplicates:
+        log.warning(
+            "%s: header declares %d vectors but file contains %d",
+            path, declared_count, len(vocab) + n_duplicates,
+        )
+    if n_duplicates:
+        log.warning("%s: dropped %d duplicate tokens (first occurrence kept)", path, n_duplicates)
 
+    store = EmbeddingStore.__new__(EmbeddingStore)  # checked as the constructor does
+    store._own(vocab, matrix, *_in_range(matrix)[:2])
+    store.n_duplicates_dropped = n_duplicates
+    store._source_sha256 = digest
+    return store
+
+
+def _parse(path: str, format: str) -> tuple[tuple, str]:
+    """The vocabulary, the float64 matrix, the header's count (None without
+    one) and the number of duplicates dropped, of the file at ``path``; and
+    the sha256 of the bytes that parse read.
+
+    The file is streamed once: the token is split off each line, and the
+    rest of every line goes to one bulk numeric parse.
+    """
     tokens: list[str] = []
     dim: int | None = None
     declared_count: int | None = None
@@ -186,7 +224,8 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
             tokens.append(token)
             yield rest
 
-    with open(path, encoding="utf-8") as fh:
+    raw = _Sha256Reader(path)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
         lines = _content_lines(fh)
         if format == "word2vec-text":
             header = next(lines, None)
@@ -207,30 +246,17 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
         or (dim is not None and matrix.shape[1] != dim)
         or not np.isfinite(matrix).all()
         or not matrix.any(axis=1).all()
+        or np.isinf(_in_range(matrix)[2]).any()
     ):
-        _raise_first_fault(path, format, dim)
-    geometry = _in_range(matrix)
-    if np.isinf(geometry[2]).any():
         _raise_first_fault(path, format, dim)
 
     first_rows: dict[str, int] = {}
     for row, token in enumerate(tokens):
         first_rows.setdefault(token, row)
     n_duplicates = len(tokens) - len(first_rows)
-    if declared_count is not None and declared_count != len(tokens):
-        log.warning(
-            "%s: header declares %d vectors but file contains %d",
-            path, declared_count, len(tokens),
-        )
     if n_duplicates:
-        log.warning("%s: dropped %d duplicate tokens (first occurrence kept)", path, n_duplicates)
         matrix = matrix[list(first_rows.values())]
-        geometry = _in_range(matrix)
-
-    store = EmbeddingStore.__new__(EmbeddingStore)  # checked as the constructor does
-    store._own(list(first_rows), matrix, *geometry[:2])
-    store.n_duplicates_dropped = n_duplicates
-    return store
+    return (list(first_rows), matrix, declared_count, n_duplicates), raw.digest.hexdigest()
 
 
 def _raise_first_fault(path: str, format: str, dim: int | None) -> NoReturn:
@@ -270,6 +296,84 @@ def _raise_first_fault(path: str, format: str, dim: int | None) -> NoReturn:
     if lineno is None:
         raise EmbeddingFormatError(f"{path}: no embedding records found")
     raise EmbeddingFormatError(f"{path}: malformed vector data")
+
+
+# --- parse cache -----------------------------------------------------------
+# A parse of a regular file is kept beside it, in <path>.lexfit-cache: four
+# .npy records, the key, the counts as text ("<header count or None>
+# <duplicates dropped>"), the vocabulary as UTF-8 joined by LF (no token holds
+# one) and the matrix. The key is the layout version, the format and the
+# sha256 of the text; bump the version whenever parsing could change.
+_CACHE_SUFFIX = ".lexfit-cache"
+_CACHE_VERSION = 1
+
+
+def _cache_key(format: str, digest: str) -> bytes:
+    return f"lexfit-cache {_CACHE_VERSION} {format} {digest}".encode()
+
+
+class _Sha256Reader(io.FileIO):
+    """The file at ``path``, opened to read unbuffered, feeding each byte that
+    :meth:`readinto` returns to ``digest``. An ``io.BufferedReader`` on it
+    reads through ``readinto``, except in ``read()`` to the end of the file."""
+
+    def __init__(self, path: str):
+        super().__init__(path, "rb")
+        self.digest = hashlib.sha256()
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        self.digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def _sha256(path: str) -> str:
+    """The hex sha256 of the file at ``path``, read in 1 MiB chunks."""
+    buffer = bytearray(1 << 20)
+    with _Sha256Reader(path) as raw:
+        while raw.readinto(buffer):
+            pass
+    return raw.digest.hexdigest()
+
+
+def _read_cache(cache: str, key: bytes) -> tuple | None:
+    """What :func:`_parse` returned for the text of ``key``, from ``cache``;
+    None if the file holds anything else or cannot be read."""
+    read = functools.partial(np.lib.format.read_array, allow_pickle=False)
+    try:
+        with open(cache, "rb") as fh:
+            if read(fh).tobytes() != key:
+                return None
+            counts, vocab, matrix = read(fh), read(fh), read(fh)
+        declared_count, n_duplicates = counts.tobytes().decode().split()
+        counts = None if declared_count == "None" else int(declared_count), int(n_duplicates)
+        vocab = vocab.tobytes().decode().split("\n")
+    except (OSError, ValueError):
+        return None
+    if matrix.dtype != np.float64 or matrix.ndim != 2 or len(matrix) != len(vocab):
+        return None
+    return vocab, matrix, *counts
+
+
+def _write_cache(cache: str, key: bytes, vocab: list[str], matrix: np.ndarray,
+                 declared_count: int | None, n_duplicates: int) -> None:
+    """Write the parse to ``cache``, through a temporary file in its directory;
+    skipped, without a message, where that fails."""
+    records = (key, f"{declared_count} {n_duplicates}".encode(), "\n".join(vocab).encode())
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "xb")
+    except OSError:
+        return
+    try:
+        with fh:
+            for record in records:
+                np.lib.format.write_array(fh, np.frombuffer(record, np.uint8))
+            np.lib.format.write_array(fh, matrix)  # a file: tofile, without a copy
+        os.replace(tmp, cache)
+    except OSError:
+        with suppress(OSError):
+            os.remove(tmp)
 
 
 def save_embeddings(store: EmbeddingStore, path: str, format: str) -> None:

@@ -7,7 +7,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
 from .constraints import ConstraintSet
 
@@ -69,7 +68,7 @@ def plan_epoch(
         items = streams.get(rel)
         if not items:
             continue
-        rng = default_rng((seed, epoch, RELATION_CYCLE.index(rel)))
+        rng = np.random.default_rng((seed, epoch, RELATION_CYCLE.index(rel)))
         order = rng.permutation(len(items))
         shuffled = [items[i] for i in order]
         chunks[rel] = [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
@@ -133,7 +132,7 @@ def _splitmix64(seed: np.ndarray, i: np.ndarray) -> np.ndarray:
 def _draw_keys(batch: MiniBatch, anchor_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """A uniform key in [0, 1) for every (anchor row, candidate row) cell,
     keyed by (seed, epoch, batch index, anchor row, candidate row) alone."""
-    base = SeedSequence((batch.seed, batch.epoch, batch.batch_index, _DRAW_TAG))
+    base = np.random.SeedSequence((batch.seed, batch.epoch, batch.batch_index, _DRAW_TAG))
     streams = _splitmix64(base.generate_state(1, np.uint64), anchor_rows)
     keys = _splitmix64(streams[:, None], rows)
     return (keys >> np.uint64(11)) * 2.0 ** -53

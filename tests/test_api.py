@@ -1,6 +1,9 @@
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -94,3 +97,13 @@ def test_one_name_per_value():
     for function, names in REQUIRED_PARAMETERS:
         parameters = inspect.signature(function).parameters
         assert all(parameters[name].default is inspect.Parameter.empty for name in names)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use, and sampling looks it up at each draw
+    src = os.path.dirname(os.path.dirname(lexfit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, lexfit.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
 import json
+import os
 import re
 import warnings
 
@@ -165,8 +167,9 @@ class TestSpecializeCommand:
         (with_config("epochs", 2.5), "field 'config.epochs' is not of type int"),
         (with_config("epochs", None), "field 'config.epochs' is not of type int"),
         (with_config("m_syn", "x"), "field 'config.m_syn' is not of type float"),
+        (with_config("m_syn", 10 ** 400), "field 'config.m_syn' is beyond float range"),
     ], ids=["no-embeddings", "no-order", "json-list", "no-method",
-            "epochs-str", "epochs-float", "epochs-null", "m_syn-str"])
+            "epochs-str", "epochs-float", "epochs-null", "m_syn-str", "m_syn-beyond-float"])
     def test_replay_refuses_a_malformed_manifest(self, workspace, capsys, edit, problem):
         tmp_path = workspace[0]
         assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
@@ -369,6 +372,19 @@ class TestSpecializeCommand:
         assert code == 1
         assert f"{syn}: sha256 differs from the replayed manifest" in capsys.readouterr().err
 
+    def test_replay_checks_the_digest_of_the_embeddings_it_loads(self, workspace, capsys):
+        tmp_path, emb, _, _, _ = workspace
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        with open(emb, "a") as fh:
+            fh.write("e1 1 2 3 4 5 6\n")
+        code = main([
+            "specialize", "--replay", str(tmp_path / "out.vec.manifest"),
+            "--out", str(tmp_path / "replayed.vec"),
+        ])
+        assert code == 1
+        assert f"{emb}: sha256 differs from the replayed manifest" in capsys.readouterr().err
+        assert not (tmp_path / "replayed.vec").exists()
+
     def test_replay_does_not_check_inputs_given_as_flags(self, workspace):
         tmp_path, _, syn, _, _ = workspace
         assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
@@ -466,6 +482,29 @@ def test_cli_and_specialize_require_the_same_relations(workspace, capsys, preset
             if code == 2 and given:
                 named = set(re.findall(r"--(\w+)", cli_error))
                 assert named == {r for r, attr in PAIR_SETS.items() if attr in library_error}
+
+
+def test_outputs_do_not_depend_on_the_parse_cache(workspace, capsys):
+    tmp_path, emb, *_ = workspace
+    dataset = tmp_path / "sim.tsv"
+    dataset.write_text("a1\ta2\t9.0\na1\tb1\t1.0\nc1\tc2\t5.0\nb1\tb2\t7.5\n")
+    out = tmp_path / "out.vec"
+    runs = []
+    for run in range(2):  # the first parses every input, the second reads its cache
+        assert os.path.exists(f"{emb}.lexfit-cache") == (run == 1)
+        assert os.path.exists(f"{out}.lexfit-cache") == (run == 1)
+        assert main(specialize_args(workspace, out)) == 0
+        files = [out.read_bytes(), (tmp_path / "out.vec.manifest").read_bytes()]
+        assert main(["eval", "--embeddings", str(out), "--task", "sim",
+                     "--dataset", str(dataset), "--out", str(tmp_path / "r.tsv")]) == 0
+        files.append((tmp_path / "r.tsv").read_bytes())
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        runs.append((files, captured.out.splitlines()[1:]))  # without the run time
+    assert runs[0] == runs[1]
+    manifest = json.loads(runs[0][0][1])
+    embeddings_entry = next(e for e in manifest["inputs"] if e["role"] == "embeddings")
+    assert embeddings_entry["sha256"] == hashlib.sha256(emb.read_bytes()).hexdigest()
 
 
 class TestEvalCommand:

@@ -1,5 +1,9 @@
+import errno
+import hashlib
 import logging
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -21,7 +25,7 @@ from lexfit import (
 )
 from lexfit import embeddings
 from lexfit.embeddings import row_cosines, row_norms, unit_rows
-from helpers import random_store
+from helpers import random_store, toy_hierarchy_fixture
 
 
 def write(path, text):
@@ -169,6 +173,191 @@ class TestLoad:
         store = load_embeddings(path, "glove-text")
         for i, token in enumerate(store.vocab):
             assert store.index[token] == i
+
+
+# a duplicate token and a signed zero; the word2vec-text header counts 5 records
+CACHED = {
+    "glove-text": "a 1 2 -0.0\nb 0.1 1e-300 0.5\na 9 9 9\nc -1 0 2.5\n",
+    "word2vec-text": "5 3\na 1 2 -0.0\nb 0.1 1e-300 0.5\na 9 9 9\nc -1 0 2.5\n",
+}
+
+
+def unreachable(*args):
+    raise AssertionError("the text was parsed")
+
+
+class TestParseCache:
+    """A parse of a regular file is kept beside it, and a load of the same
+    bytes in the same format reads it instead of parsing."""
+
+    @pytest.fixture(params=sorted(CACHED))
+    def text(self, request, tmp_path):
+        return write(tmp_path / "v.txt", CACHED[request.param]), request.param
+
+    @staticmethod
+    def load(path, format, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lexfit.embeddings"):
+            store = load_embeddings(path, format)
+        return store, [record.getMessage() for record in caplog.records]
+
+    def test_a_hit_returns_what_the_parse_returned(self, text, caplog, capfd, monkeypatch):
+        path, format = text
+        parsed, warned = self.load(path, format, caplog)
+        assert os.path.isfile(path + ".lexfit-cache")
+        expected = [f"{path}: dropped 1 duplicate tokens (first occurrence kept)"]
+        if format == "word2vec-text":
+            expected.insert(0, f"{path}: header declares 5 vectors but file contains 4")
+        assert warned == expected
+        monkeypatch.setattr(embeddings, "_parse", unreachable)
+        hit, warned_again = self.load(path, format, caplog)
+        assert hit.vocab == parsed.vocab == ["a", "b", "c"]
+        assert hit.current.dtype == np.float64
+        assert hit.current.tobytes() == parsed.current.tobytes()
+        assert np.signbit(hit.current[0, 2])
+        assert hit.n_duplicates_dropped == parsed.n_duplicates_dropped == 1
+        assert warned_again == warned
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert hit._source_sha256 == parsed._source_sha256 == digest
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("spoil", ["changed-text", "truncated", "foreign", "directory"])
+    def test_a_cache_that_does_not_match_is_parsed_again(self, text, caplog, capfd,
+                                                         monkeypatch, spoil):
+        path, format = text
+        cache = path + ".lexfit-cache"
+        first, warned = self.load(path, format, caplog)
+        expected = first.current.copy()
+        if spoil == "changed-text":
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(CACHED[format].replace("2.5", "3.5"))  # one byte
+            expected[2, 2] = 3.5
+        elif spoil == "truncated":
+            with open(cache, "r+b") as fh:
+                fh.truncate(os.path.getsize(cache) - 8)
+        elif spoil == "foreign":
+            with open(cache, "wb") as fh:
+                fh.write(b"a 1 2 3\n")
+        else:
+            os.remove(cache)
+            os.mkdir(cache)
+        store, warned_again = self.load(path, format, caplog)
+        assert store.vocab == first.vocab
+        assert store.current.tobytes() == expected.tobytes()
+        assert warned_again == warned
+        assert capfd.readouterr().err == ""
+        if spoil == "directory":
+            assert os.path.isdir(cache)
+            return
+        monkeypatch.setattr(embeddings, "_parse", unreachable)  # the cache was replaced
+        assert self.load(path, format, caplog)[0].current.tobytes() == expected.tobytes()
+
+    def test_a_cache_of_the_other_format_is_parsed_again(self, tmp_path, monkeypatch):
+        # "2 1" is a header to word2vec-text and a record to glove-text
+        path = write(tmp_path / "v.txt", "2 1\na 5\nb 6\n")
+        assert load_embeddings(path, "word2vec-text").vocab == ["a", "b"]
+        assert load_embeddings(path, "glove-text").vocab == ["2", "a", "b"]
+        monkeypatch.setattr(embeddings, "_parse", unreachable)
+        assert load_embeddings(path, "glove-text").vocab == ["2", "a", "b"]
+
+    @pytest.mark.parametrize("failure", ["write", "replace"])
+    def test_a_failed_write_is_skipped(self, text, tmp_path, caplog, capfd, monkeypatch,
+                                       failure):
+        path, format = text
+        full = OSError(errno.ENOSPC, "No space left on device")
+        if failure == "write":
+            real = np.lib.format.write_array
+
+            def write_array(fh, array, *args, **kwargs):
+                if array.dtype == np.float64:  # the matrix, after the other records
+                    fh.write(b"\0" * 8)
+                    raise full
+                return real(fh, array, *args, **kwargs)
+
+            monkeypatch.setattr(np.lib.format, "write_array", write_array)
+        else:
+            def replace(src, dst):
+                raise full
+
+            monkeypatch.setattr(embeddings.os, "replace", replace)
+        store, _ = self.load(path, format, caplog)
+        assert store.vocab == ["a", "b", "c"]
+        assert os.listdir(tmp_path) == ["v.txt"]
+        assert capfd.readouterr().err == ""
+
+    def test_a_malformed_text_raises_its_error_and_writes_nothing(self, tmp_path):
+        path = write(tmp_path / "v.txt", "a 1 2 3\nb 1 2 4\n")
+        load_embeddings(path, "glove-text")
+        with open(path + ".lexfit-cache", "rb") as fh:
+            cached = fh.read()
+        os.remove(path + ".lexfit-cache")
+        for cache in (None, cached):  # a first load, and one beside a stale cache
+            if cache is not None:
+                with open(path + ".lexfit-cache", "wb") as fh:
+                    fh.write(cache)
+            write(tmp_path / "v.txt", "a 1 2 3\nb 1 2 x\n")
+            with pytest.raises(EmbeddingFormatError,
+                               match=f"^{re.escape(path)}:2: non-numeric vector component$"):
+                load_embeddings(path, "glove-text")
+            names = sorted(os.listdir(tmp_path))
+            assert names == ["v.txt"] if cache is None else ["v.txt", "v.txt.lexfit-cache"]
+        with open(path + ".lexfit-cache", "rb") as fh:
+            assert fh.read() == cached
+
+    def test_a_fifo_is_parsed_and_not_cached(self, tmp_path, caplog):
+        path = str(tmp_path / "v.fifo")
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(CACHED["glove-text"])
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        store, _ = self.load(path, "glove-text", caplog)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert store.vocab == ["a", "b", "c"]
+        assert store._source_sha256 == hashlib.sha256(CACHED["glove-text"].encode()).hexdigest()
+        assert os.listdir(tmp_path) == ["v.fifo"]
+
+    def test_a_store_from_a_hit_holds_one_matrix_and_writes(self, tmp_path, monkeypatch):
+        source = random_store(9, 20000, 50)
+        path = str(tmp_path / "big.txt")
+        save_embeddings(source, path, "glove-text")
+        parsed = load_embeddings(path, "glove-text")
+        with open(path, "rb") as fh:  # read in many chunks
+            assert parsed._source_sha256 == hashlib.sha256(fh.read()).hexdigest()
+        monkeypatch.setattr(embeddings, "_parse", unreachable)
+        tracemalloc.start()
+        try:
+            store = load_embeddings(path, "glove-text")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * store.current.nbytes
+        assert not store.current.flags.writeable
+        with store.writing() as matrix:
+            matrix[0] *= 2
+        assert not store.current.flags.writeable
+        np.testing.assert_array_equal(store.current[0], 2 * parsed.current[0])
+        np.testing.assert_array_equal(store.current[1:], parsed.current[1:])
+
+    @pytest.mark.parametrize("preset", ["counterfitting", "hierarchy_fitting_ad_indir"])
+    def test_specialize_saves_the_same_text_from_a_hit(self, tmp_path, monkeypatch, preset):
+        source, cs = toy_hierarchy_fixture()
+        path = str(tmp_path / "v.txt")
+        save_embeddings(source, path, "glove-text")
+        saved = []
+        for _ in range(2):  # a parse, then a hit
+            store = load_embeddings(path, "glove-text")
+            monkeypatch.setattr(embeddings, "_parse", unreachable)
+            specialize(store, cs, SpecializeConfig(preset=preset, epochs=2, seed=1))
+            out = tmp_path / f"out{len(saved)}.txt"
+            save_embeddings(store, str(out), "glove-text")
+            saved.append(out.read_bytes())
+        assert saved[0] == saved[1]
 
 
 class TestSave:

@@ -531,8 +531,8 @@ def test_mining_builds_one_generator_per_batch(monkeypatch):
             return real(*args, **kwargs)
         return build
 
-    for name in ("SeedSequence", "default_rng"):
-        monkeypatch.setattr(sampling, name, counted(getattr(sampling, name)))
+    for name in ("SeedSequence", "default_rng"):  # sampling looks them up at each call
+        monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
     specialize(store, cs, config)
     assert 0 < len(built) <= mined + relations
 
