@@ -37,9 +37,11 @@ print("\ndirect hypernym pairs (hyponym -> hypernym):")
 for lo, hi in sorted(constraints.direct_hypernyms):
     print(f"  {store.vocab[lo]} -> {store.vocab[hi]}")
 
+# the closure is an ascending (n, 2) integer array of (hyponym, hypernym) rows
 closure = hypernym_closure(constraints.direct_hypernyms)
-print("\nafter transitive closure:")
-for lo, hi in sorted(closure - constraints.direct_hypernyms):
-    print(f"  {store.vocab[lo]} -> {store.vocab[hi]}   (indirect)")
+print(f"\nafter transitive closure ({len(closure)} pairs, array of shape {closure.shape}):")
+for lo, hi in closure.tolist():
+    if (lo, hi) not in constraints.direct_hypernyms:
+        print(f"  {store.vocab[lo]} -> {store.vocab[hi]}   (indirect)")
 
 print("\nstats:", constraint_stats(constraints))

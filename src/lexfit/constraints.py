@@ -1,10 +1,13 @@
-"""Lexical relation pair ingestion, canonicalization, and hypernym closure."""
+"""Lexical relation pair ingestion, and the integer-array pair format a run reads."""
 
 from __future__ import annotations
 
+import itertools
 import logging
-from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .embeddings import EmbeddingStore
 
@@ -113,28 +116,58 @@ def load_pairs(
     return report
 
 
-def hypernym_closure(direct: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Transitive closure of ordered hypernym pairs.
+# --- pair arrays: (n, 2) intp, ascending and distinct by one key per pair,
+# src * width + dst (width is one past the largest row: int64 below 3e9 rows)
 
-    Cycles terminate via a visited set; self-pairs are never emitted. The
-    result always contains the direct pairs.
-    """
-    successors: dict[int, set[int]] = defaultdict(set)
-    for lo, hi in direct:
-        successors[lo].add(hi)
-    closure: set[tuple[int, int]] = set()
-    for src in successors:
-        reached: set[int] = set()
-        frontier = {src}
-        while frontier:
-            nxt: set[int] = set()
-            for node in frontier:
-                nxt |= successors.get(node, set())
-            nxt -= reached
-            reached |= nxt
-            frontier = nxt
-        closure.update((src, dst) for dst in reached if dst != src)
-    return closure
+def pair_keys(pairs: Iterable[tuple[int, int]] | np.ndarray) -> tuple[np.ndarray, int]:
+    """Distinct keys of row ``pairs``, a pair set or an (n, 2) array, ascending; and the width."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 2)
+    width = int(pairs.max()) + 1 if len(pairs) else 1
+    keys = np.sort(pairs[:, 0] * width + pairs[:, 1])
+    return keys[np.concatenate((np.ones_like(keys[:1], bool), keys[1:] != keys[:-1]))], width
+
+
+def pair_array(pairs: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """Row ``pairs`` as ``sorted(set(pairs))`` gives them, an ascending ``(n, 2)`` intp array."""
+    return np.stack(np.divmod(*pair_keys(pairs)), axis=1)
+
+
+def csr(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of :func:`pair_keys`: row r links to ``indices[indptr[r]:indptr[r + 1]]``, ascending."""
+    return np.searchsorted(keys, np.arange(width + 1) * width), keys % width
+
+
+def linked(table: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(i, dst)`` with ``dst`` linked to ``rows[i]`` in a :func:`csr` table,
+    as two arrays, by ``i`` and then in table order, without a loop over ``rows``."""
+    indptr, indices = table
+    n = len(indptr) - 1
+    start = indptr[np.minimum(rows, n)]
+    counts = indptr[np.minimum(rows + 1, n)] - start
+    # position within each row's run of partners
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(np.arange(len(rows)), counts), indices[np.repeat(start, counts) + offsets]
+
+
+def hypernym_closure(direct: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """Transitive closure of ordered hypernym pairs, as a :func:`pair_array`: a
+    frontier join over the :func:`csr` table of direct parents, whose rounds each
+    extend the last round's new pairs by one direct link, so cycles end.
+    Self-pairs are never emitted; every other direct pair is."""
+    keys, width = pair_keys(direct)
+    closure = frontier = keys[keys // width != keys % width]  # no self-pairs
+    parents = csr(closure, width)
+    while len(frontier):
+        owner, dst = linked(parents, frontier % width)
+        src = frontier[owner] // width
+        keys = np.sort((src * width + dst)[src != dst])
+        keys = keys[np.concatenate((np.ones_like(keys[:1], bool), keys[1:] != keys[:-1]))]
+        at = np.searchsorted(closure, keys)
+        new = closure[np.minimum(at, len(closure) - 1)] != keys
+        frontier = keys[new]
+        closure = np.insert(closure, at[new], frontier)
+    return np.stack(np.divmod(closure, width), axis=1)
 
 
 def constraint_stats(constraints: ConstraintSet) -> dict[str, int]:

@@ -50,30 +50,7 @@ class EmbeddingStore:
     """
 
     def __init__(self, vocab, vectors):
-        vocab = [str(t) for t in vocab]
-        matrix = np.array(vectors, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("vectors must form a 2-d matrix")
-        if matrix.shape[0] != len(vocab):
-            raise ValueError(
-                f"vocab size {len(vocab)} does not match matrix rows {matrix.shape[0]}"
-            )
-        if matrix.shape[0] == 0:
-            raise ValueError("empty embedding store")
-        if len(set(vocab)) != len(vocab):
-            raise ValueError("vocabulary contains duplicate tokens")
-        bad = [token for token in vocab if not token or _UNSAVABLE.search(token)]
-        if bad:
-            raise ValueError(f"token {bad[0]!r} cannot be saved: a token must be nonempty, "
-                             "without ASCII space, tab, CR or LF")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("vectors contain non-finite values")
-        if not matrix.any(axis=1).all():
-            raise ValueError("all-zero vectors are not allowed")
-        scaled, norms, true_norms = _in_range(matrix)
-        if np.isinf(true_norms).any():
-            raise ValueError("vector norm overflows float64")
-        self._own(vocab, matrix, scaled, norms)
+        self._own(*_checked([str(t) for t in vocab], np.array(vectors, dtype=np.float64)))
 
     def _own(self, vocab: list[str], matrix: np.ndarray, scaled, norms) -> None:
         """Take the checked, unshared ``matrix`` and its ``_in_range`` geometry as is."""
@@ -147,6 +124,31 @@ _TOKEN = re.compile(r"[ \t]*([^ \t\n]+)")
 _UNSAVABLE = re.compile(r"[ \t\r\n]")
 
 
+def _checked(vocab: list[str], matrix: np.ndarray) -> tuple:
+    """``vocab``, ``matrix`` and its ``_in_range`` geometry, once the two pass
+    every check of a store (ValueError if not): built or read from a cache."""
+    if matrix.ndim != 2 or matrix.dtype != np.float64:
+        raise ValueError("vectors must form a 2-d float64 matrix")
+    if matrix.shape[0] != len(vocab):
+        raise ValueError(f"vocab size {len(vocab)} does not match matrix rows {matrix.shape[0]}")
+    if matrix.shape[0] == 0:
+        raise ValueError("empty embedding store")
+    if len(set(vocab)) != len(vocab):
+        raise ValueError("vocabulary contains duplicate tokens")
+    bad = [token for token in vocab if not token or _UNSAVABLE.search(token)]
+    if bad:
+        raise ValueError(f"token {bad[0]!r} cannot be saved: a token must be nonempty, "
+                         "without ASCII space, tab, CR or LF")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("vectors contain non-finite values")
+    if not matrix.any(axis=1).all():
+        raise ValueError("all-zero vectors are not allowed")
+    scaled, norms, true_norms = _in_range(matrix)
+    if np.isinf(true_norms).any():
+        raise ValueError("vector norm overflows float64")
+    return vocab, matrix, scaled, norms
+
+
 def _content_lines(fh):
     """(line number, line) of every line of ``fh`` that is not blank."""
     for lineno, line in enumerate(fh, start=1):
@@ -171,9 +173,9 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
     norm overflows float64, and dimension mismatches are rejected with the
     line number of the first bad record.
 
-    A parse of a regular file is cached beside it (:func:`_write_cache`); a
-    later load of the same bytes in the same format reads the cache instead,
-    and returns the same store with the same warnings.
+    A parse of a regular file is cached beside it (:func:`_write_cache`); a later load of
+    the same bytes in the same format reads the cache instead, and returns the same store
+    with the same warnings, unless the cache fails a store's checks: then it parses again.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown embedding format {format!r}, expected one of {FORMATS}")
@@ -196,7 +198,7 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
     if n_duplicates:
         log.warning("%s: dropped %d duplicate tokens (first occurrence kept)", path, n_duplicates)
 
-    store = EmbeddingStore.__new__(EmbeddingStore)  # checked as the constructor does
+    store = EmbeddingStore.__new__(EmbeddingStore)  # checked by the parse or the cache read
     store._own(vocab, matrix, *_in_range(matrix)[:2])
     store.n_duplicates_dropped = n_duplicates
     store._source_sha256 = digest
@@ -337,8 +339,8 @@ def _sha256(path: str) -> str:
 
 
 def _read_cache(cache: str, key: bytes) -> tuple | None:
-    """What :func:`_parse` returned for the text of ``key``, from ``cache``;
-    None if the file holds anything else or cannot be read."""
+    """What :func:`_parse` returned for the text of ``key``, from ``cache``; None
+    if the file holds anything else, cannot be read, or fails :func:`_checked`."""
     read = functools.partial(np.lib.format.read_array, allow_pickle=False)
     try:
         with open(cache, "rb") as fh:
@@ -348,9 +350,8 @@ def _read_cache(cache: str, key: bytes) -> tuple | None:
         declared_count, n_duplicates = counts.tobytes().decode().split()
         counts = None if declared_count == "None" else int(declared_count), int(n_duplicates)
         vocab = vocab.tobytes().decode().split("\n")
+        _checked(vocab, matrix)
     except (OSError, ValueError):
-        return None
-    if matrix.dtype != np.float64 or matrix.ndim != 2 or len(matrix) != len(vocab):
         return None
     return vocab, matrix, *counts
 

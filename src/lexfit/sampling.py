@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet
+from .constraints import ConstraintSet, csr, linked, pair_array, pair_keys
 
 RELATION_CYCLE = ("syn", "ant", "hyper", "quad", "ad")
 
@@ -19,39 +17,34 @@ NEGATIVE_POLICIES = ("closest_plus_random", "closest_only")
 class MiniBatch:
     """One relation's chunk of constraint instances within an epoch plan.
 
-    Items are row pairs for ``syn``/``ant``/``hyper``/``ad`` batches and
-    (anchor, synonym, hypernym) triples for ``quad`` batches. ``seed`` is the
+    Items are an intp array: row pairs for ``syn``/``ant``/``hyper``/``ad`` batches
+    and (anchor, synonym, hypernym) rows for ``quad`` batches. ``seed`` is the
     base training seed, carried so that in-batch random draws are replayable.
     """
 
     relation: str
-    items: list[tuple[int, ...]]
+    items: np.ndarray
     epoch: int
     batch_index: int
     seed: int = 0
 
 
-def quad_join(constraints: ConstraintSet) -> list[tuple[int, int, int]]:
-    """(anchor, synonym, hypernym) seeds: each synonym pair joined with each
-    direct hypernym of either word (the hypernym-owning word becomes the anchor)."""
-    hypers: dict[int, list[int]] = defaultdict(list)
-    for lo, hi in sorted(constraints.direct_hypernyms):
-        hypers[lo].append(hi)
-    seeds: list[tuple[int, int, int]] = []
-    for a, s in sorted(constraints.synonyms):
-        for h in hypers.get(a, ()):
-            seeds.append((a, s, h))
-        for h in hypers.get(s, ()):
-            seeds.append((s, a, h))
-    return seeds
+def quad_join(constraints: ConstraintSet) -> np.ndarray:
+    """(anchor, synonym, hypernym) seeds, an ``(n, 3)`` intp array: each synonym
+    pair, ascending, joined with each direct hypernym, ascending, of its first
+    word and then of its second (the hypernym-owning word becomes the anchor)."""
+    syn = pair_array(constraints.synonyms)
+    # words 2k and 2k + 1 of the raveled pairs are pair k's; linked keeps that order
+    owner, hyper = linked(csr(*pair_keys(constraints.direct_hypernyms)), syn.ravel())
+    return np.stack((syn.ravel()[owner], syn[:, ::-1].ravel()[owner], hyper), axis=1)
 
 
 def plan_epoch(
-    streams: dict[str, list[tuple[int, ...]]], batch_size: int, seed: int, epoch: int = 0
+    streams: dict[str, np.ndarray], batch_size: int, seed: int, epoch: int = 0
 ) -> list[MiniBatch]:
     """Shuffle each stream's instances and interleave their batches round-robin.
 
-    ``streams`` maps relations of :data:`RELATION_CYCLE` to their instances,
+    ``streams`` maps relations of :data:`RELATION_CYCLE` to their instance arrays,
     as a run derives them once (:func:`lexfit.specializer.run_view`). The
     shuffle is keyed on (seed, epoch, relation), so a plan is a pure function
     of its arguments. Streams with no instances are skipped; if every stream
@@ -63,14 +56,13 @@ def plan_epoch(
         if rel not in RELATION_CYCLE:
             raise ValueError(f"unknown relation {rel!r}")
 
-    chunks: dict[str, list[list[tuple[int, ...]]]] = {}
+    chunks: dict[str, list[np.ndarray]] = {}
     for rel in RELATION_CYCLE:
-        items = streams.get(rel)
-        if not items:
+        items = streams.get(rel, ())
+        if not len(items):
             continue
         rng = np.random.default_rng((seed, epoch, RELATION_CYCLE.index(rel)))
-        order = rng.permutation(len(items))
-        shuffled = [items[i] for i in order]
+        shuffled = items[rng.permutation(len(items))]
         chunks[rel] = [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
     if not chunks:
         raise ValueError("all constraint relations are empty")
@@ -83,35 +75,11 @@ def plan_epoch(
     return plan
 
 
-def partner_table(pairs: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)`` of a pair set read in both directions: the
-    rows paired with row r are ``indices[indptr[r]:indptr[r + 1]]``, ascending."""
-    ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
-    src = np.concatenate((ends[:, 0], ends[:, 1]))
-    dst = np.concatenate((ends[:, 1], ends[:, 0]))
-    order = np.lexsort((dst, src))
-    n = int(src.max()) + 1 if len(src) else 0
-    return np.searchsorted(src[order], np.arange(n + 1)), dst[order]
-
-
-def linked(table: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ``(i, partner)`` with ``partner`` paired with ``rows[i]`` in a
-    :func:`partner_table`, as two arrays, found without a Python loop over ``rows``."""
-    indptr, indices = table
-    n = len(indptr) - 1
-    start = indptr[np.minimum(rows, n)]
-    counts = indptr[np.minimum(rows + 1, n)] - start
-    # position within each row's run of partners
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(np.arange(len(rows)), counts), indices[np.repeat(start, counts) + offsets]
-
-
 def batch_rows(batch: MiniBatch, extra=()) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a batch's items (plus ``extra``), ascending, and
     the items rewritten as local indices into them."""
-    items = np.asarray(batch.items, dtype=np.intp)
-    rows = np.unique(np.concatenate((items.ravel(), np.asarray(extra, dtype=np.intp))))
-    return rows, np.searchsorted(rows, items)
+    rows = np.unique(np.concatenate((batch.items.ravel(), np.asarray(extra, dtype=np.intp))))
+    return rows, np.searchsorted(rows, batch.items)
 
 
 # splitmix64 (Steele et al., OOPSLA 2014): ``_splitmix64(seed, i)`` is the
@@ -156,8 +124,8 @@ def mine_batch(
     :func:`~lexfit.embeddings.unit_rows`), so their Gram matrix holds the
     cosines, and ``anchors`` are local indices. An anchor's candidates are
     the rows of the batch's instances that do not contain it, minus the
-    anchor and its partners in ``partners``, the :func:`partner_table` of the
-    batch's relation. In ``negatives`` mode,
+    anchor and its partners in ``partners``, the table of the batch's relation
+    in :attr:`~lexfit.specializer.RunView.partners`. In ``negatives`` mode,
     ``closest_only`` takes the k closest candidates in the current space and
     ``closest_plus_random`` the single closest plus k - 1 uniform draws
     without replacement from the rest. The draws take the candidates with the

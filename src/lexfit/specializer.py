@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constraints import PAIR_SETS, ConstraintSet, hypernym_closure
+from .constraints import PAIR_SETS, ConstraintSet, csr, hypernym_closure, pair_array, pair_keys
 from .embeddings import EmbeddingStore, nearest_rows, row_cosines, unit_rows
 from .losses import BatchLoss, Margins
 from .sampling import (
@@ -28,7 +28,6 @@ from .sampling import (
     MiniBatch,
     batch_rows,
     mine_instances,
-    partner_table,
     plan_epoch,
     quad_join,
 )
@@ -175,33 +174,33 @@ def adagrad_step(
 @dataclass(frozen=True)
 class RunView:
     """What one run reads of its ``constraints``, derived once by :func:`run_view`:
-    the instances of each planned stream, in planning order, and the
-    :func:`~lexfit.sampling.partner_table` of each stream the run mines."""
+    each planned stream's instance array, in planning order, and each mined
+    stream's :func:`~lexfit.constraints.csr` table of the pairs it masks, both ways."""
 
     constraints: ConstraintSet
-    streams: dict[str, list[tuple[int, ...]]]
+    streams: dict[str, np.ndarray]
     partners: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 def run_view(constraints: ConstraintSet, preset: str) -> RunView:
     """The preset's view of ``constraints``, a function of the two alone.
 
-    Pair streams are sorted, and the quadruplet stream is :func:`quad_join`.
-    A preset that reads the hypernym closure (``closed_hyper`` or
-    ``closed_ad``) computes it here, and its mining then masks every closure
+    Pair streams are ascending pair arrays, and the quadruplet stream is
+    :func:`quad_join`. A preset that reads the hypernym closure (``closed_hyper``
+    or ``closed_ad``) computes it here, and its mining then masks every closure
     pair; any other preset masks the direct pairs.
     """
     spec = PRESET_TABLE[preset]
-    syn, ant, direct = constraints.synonyms, constraints.antonyms, constraints.direct_hypernyms
+    syn, ant, direct = (pair_array(getattr(constraints, name)) for name in PAIR_SETS.values())
     closed = hypernym_closure(direct) if spec.closed_hyper or spec.closed_ad else direct
     pairs = {"syn": syn, "ant": ant, "hyper": closed if spec.closed_hyper else direct,
              "ad": closed if spec.closed_ad else direct}
-    streams = {rel: quad_join(constraints) if rel == "quad" else sorted(pairs[rel])
-               for rel in spec.streams}
+    streams = {rel: quad_join(constraints) if rel == "quad" else pairs[rel] for rel in spec.streams}
     # the metric presets mine every stream but "ad"
-    masked = {"syn": syn, "ant": ant, "hyper": closed, "quad": syn | closed}
+    masked = {"syn": [syn], "ant": [ant], "hyper": [closed], "quad": [syn, closed]}
     mined = [rel for rel in spec.streams if rel in masked] if spec.train is _train_metric else []
-    return RunView(constraints, streams, {rel: partner_table(masked[rel]) for rel in mined})
+    return RunView(constraints, streams, {rel: csr(*pair_keys(np.concatenate(
+        masked[rel] + [e[:, ::-1] for e in masked[rel]]))) for rel in mined})
 
 
 def _check_required(preset: str, view: RunView) -> None:
@@ -210,7 +209,7 @@ def _check_required(preset: str, view: RunView) -> None:
     if missing:
         names = " or ".join(PAIR_SETS[rel] for rel in missing[0])
         raise ValueError(f"preset {preset!r} requires nonempty {names}")
-    if "quad" in view.streams and not view.streams["quad"]:
+    if "quad" in view.streams and not len(view.streams["quad"]):
         raise ValueError(
             f"preset {preset!r} requires at least one quadruplet join "
             "(a synonym pair whose word has a direct hypernym)"
@@ -245,7 +244,7 @@ def _train_retrofit(
     or ``retrofit_iterations`` rounds; rows without constraint edges are untouched."""
     alpha = config.retrofit_alpha
     constraints = view.constraints
-    pairs = np.array(sorted(constraints.synonyms | constraints.direct_hypernyms), dtype=np.intp)
+    pairs = pair_array(constraints.synonyms | constraints.direct_hypernyms)
     ws = WorkingSet(store, pairs)
     # neighbours in pair order, (a, b) linking a to b and then b to a; adding the
     # j-th to the rows that have one, j = 1, 2, ..., sums as ``mean(axis=0)`` does
@@ -291,7 +290,7 @@ def _train_counterfit(
 ) -> tuple[WorkingSet, TrainLog]:
     """Precompute the original-space neighbours of every constrained row, once,
     then train those rows and neighbours on the counter-fitting loss of each batch."""
-    constrained = np.unique(np.array(view.streams["syn"] + view.streams["ant"]))
+    constrained = np.unique(np.concatenate((view.streams["syn"], view.streams["ant"])))
     neighbors = _original_neighbor_sets(store, constrained, config.neighbor_k)
     ws = WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
     return ws, _train(
@@ -315,7 +314,7 @@ def _counterfit_batch_loss(
     Both distances of a preservation hinge are ``1 - row_cosines`` of unit
     rows, so the hinge of a pair whose rows have not moved is exactly 0.
     """
-    at = np.searchsorted(constrained, np.unique(np.asarray(batch.items)))
+    at = np.searchsorted(constrained, np.unique(batch.items))
     rows, local = batch_rows(batch, extra=neighbors[at].ravel())
     res = BatchLoss(ws, np.searchsorted(ws.ids, rows), ws.store.current[rows])
     if batch.relation == "syn":
@@ -410,8 +409,7 @@ def _train_metric(
     """Train the rows of the instances of the view's streams, the only rows
     its batches reach: in-batch mining draws from the batch's own rows."""
     preset = PRESET_TABLE[config.preset]
-    rows = [np.array(items, dtype=np.intp).ravel() for items in view.streams.values()]
-    ws = WorkingSet(store, np.concatenate(rows))
+    ws = WorkingSet(store, np.concatenate([items.ravel() for items in view.streams.values()]))
     return ws, _train(
         ws, view, config,
         lambda batch: _batch_loss(batch, view, ws, config, preset),

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from lexfit import ConstraintSet, EmbeddingStore, hypernym_closure
+from lexfit import ConstraintSet, EmbeddingStore
+from lexfit.constraints import csr, pair_array, pair_keys
+from reference_view import closure_bfs
 
 
 def random_store(seed: int, n: int, dim: int) -> EmbeddingStore:
@@ -82,9 +84,16 @@ def taxonomy_fixture(seed: int = 0) -> tuple[EmbeddingStore, ConstraintSet, list
 def mined_pairs(cs: ConstraintSet, relation: str, closed: bool = False) -> set[tuple[int, int]]:
     """Oracle: the pair set whose partners mining excludes for a relation; the
     hypernym pairs are the closure's when ``closed``, and ``quad`` adds synonyms."""
-    hyper = hypernym_closure(cs.direct_hypernyms) if closed else cs.direct_hypernyms
+    hyper = closure_bfs(cs.direct_hypernyms) if closed else cs.direct_hypernyms
     return {"syn": cs.synonyms, "ant": cs.antonyms, "hyper": hyper,
             "quad": cs.synonyms | hyper}[relation]
+
+
+def partner_table(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The mining table of a pair set, as ``run_view`` builds one: the CSR
+    table of its pairs read both ways."""
+    ends = pair_array(pairs)
+    return csr(*pair_keys(np.concatenate((ends, ends[:, ::-1]))))
 
 
 def pair_partners(pairs, row: int) -> set[int]:

@@ -48,7 +48,7 @@ class LossResult:
 def mine_one(anchor, batch, partners, store, mode="negatives",
              policy="closest_plus_random", k=2) -> list[int]:
     """The store rows the in-batch miner picks for one anchor, given the batch
-    relation's :func:`lexfit.sampling.partner_table`."""
+    relation's mining table (:func:`helpers.partner_table`)."""
     rows, local = batch_rows(batch, extra=(anchor,))
     at = np.searchsorted(rows, [anchor])
     unit = unit_rows(store.current[rows])[0]

@@ -253,6 +253,35 @@ class TestParseCache:
         monkeypatch.setattr(embeddings, "_parse", unreachable)  # the cache was replaced
         assert self.load(path, format, caplog)[0].current.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("vocab, rows", [
+        (["a", "b"], [[np.nan, 2.0], [0.0, 0.0]]),
+        (["a", "b"], [[np.nan, 2.0], [3.0, 4.0]]),
+        (["a", "b"], [[1.0, 2.0], [0.0, 0.0]]),
+        (["a", "a"], [[1.0, 2.0], [3.0, 4.0]]),
+        (["a", ""], [[1.0, 2.0], [3.0, 4.0]]),
+        (["a", "b c"], [[1.0, 2.0], [3.0, 4.0]]),
+        (["a", "b"], [[1.5e308, 1.5e308], [3.0, 4.0]]),
+        (["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0]]),
+    ], ids=["nan-and-zero", "nan", "zero-row", "duplicate", "empty-token", "spaced-token",
+            "norm-overflow", "rows-mismatch"])
+    def test_a_cache_the_store_refuses_is_parsed_again(self, tmp_path, monkeypatch, vocab, rows):
+        # the key matches the text, so only the store's own checks can refuse it
+        path = write(tmp_path / "v.txt", "a 1 2\nb 3 4\n")
+        fresh = load_embeddings(path, "glove-text")
+        with open(path, "rb") as fh:
+            key = embeddings._cache_key("glove-text", hashlib.sha256(fh.read()).hexdigest())
+        embeddings._write_cache(path + ".lexfit-cache", key, vocab, np.array(rows), None, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = load_embeddings(path, "glove-text")
+            assert nearest_neighbors(store, 0, 1) == nearest_neighbors(fresh, 0, 1)
+        assert store.vocab == fresh.vocab
+        assert store.current.tobytes() == fresh.current.tobytes()
+        save_embeddings(store, str(tmp_path / "out.txt"), "glove-text")
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "a 1 2\nb 3 4\n"
+        monkeypatch.setattr(embeddings, "_parse", unreachable)  # the parse rewrote the cache
+        assert load_embeddings(path, "glove-text").current.tobytes() == fresh.current.tobytes()
+
     def test_a_cache_of_the_other_format_is_parsed_again(self, tmp_path, monkeypatch):
         # "2 1" is a header to word2vec-text and a record to glove-text
         path = write(tmp_path / "v.txt", "2 1\na 5\nb 6\n")

@@ -1,0 +1,132 @@
+"""``run_view``'s integer-array constraint view against the set-and-dict
+reference of ``reference_view.py``, order included, and its memory."""
+
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lexfit import ConstraintSet, hypernym_closure, quad_join
+from lexfit.constraints import csr, linked, pair_array, pair_keys
+from lexfit.specializer import PRESETS, run_view
+from helpers import pair_partners
+from reference_view import closure_bfs, quad_join_dict, reference_view
+
+
+def random_world(seed: int, n: int = 60) -> ConstraintSet:
+    """Hypernym pairs with a chain 24 links deep, words with several parents
+    and, for odd seeds, a cycle through the chain; synonym and antonym pairs
+    drawn over the same words, so they share words with the hypernym pairs."""
+    rng = np.random.default_rng(seed)
+    cs = ConstraintSet()
+    chain = rng.permutation(n)[:25].tolist()
+    for lo, hi in zip(chain, chain[1:]):
+        cs.add_pair("hyper", lo, hi)
+    if seed % 2:
+        cs.add_pair("hyper", chain[-1], chain[int(rng.integers(0, 20))])
+    for relation, count in (("hyper", n // 2), ("syn", n // 2), ("ant", n // 4)):
+        for a, b in rng.integers(0, n, size=(count, 2)).tolist():
+            cs.add_pair(relation, a, b)
+    return cs
+
+
+def as_tuples(array: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(item) for item in array.tolist()]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_view_equals_the_reference_in_order(seed):
+    cs = random_world(seed)
+    assert len(closure_bfs(cs.direct_hypernyms)) > 300  # the chain's closure alone is 300
+    for preset in PRESETS:
+        view = run_view(cs, preset)
+        streams, masked = reference_view(cs, preset)
+        assert {rel: as_tuples(items) for rel, items in view.streams.items()} == streams, preset
+        assert all(items.dtype == np.intp for items in view.streams.values())
+        assert set(view.partners) == set(masked), preset
+        rows = np.arange(70)  # 60 to 69 are in no pair
+        for rel, table in view.partners.items():
+            owner, partner = linked(table, rows)
+            got = {(int(rows[i]), p) for i, p in zip(owner.tolist(), partner.tolist())}
+            want = {(r, p) for r in rows.tolist() for p in pair_partners(masked[rel], r)}
+            assert got == want, (preset, rel)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closure_and_join_equal_the_reference(seed):
+    cs = random_world(seed)
+    closure = hypernym_closure(cs.direct_hypernyms)
+    assert closure.dtype == np.intp and closure.shape[1] == 2
+    assert as_tuples(closure) == sorted(closure_bfs(cs.direct_hypernyms))
+    joined = quad_join(cs)
+    assert joined.dtype == np.intp and joined.shape[1] == 3
+    assert as_tuples(joined) == quad_join_dict(cs)
+
+
+def test_closure_of_a_deep_chain_and_a_long_cycle():
+    chain = {(i, i + 1) for i in range(30)}
+    assert as_tuples(hypernym_closure(chain)) == sorted(closure_bfs(chain))
+    assert len(hypernym_closure(chain)) == 30 * 31 // 2
+    cycle = chain | {(30, 0)}
+    assert as_tuples(hypernym_closure(cycle)) == sorted(closure_bfs(cycle))
+    assert len(hypernym_closure(cycle)) == 31 * 30
+
+
+def test_pair_format_on_large_rows():
+    # keys are src * width + dst, with width past the largest row
+    pairs = {(10**6, 7), (7, 10**6 + 1), (10**6, 3)}
+    assert as_tuples(pair_array(pairs)) == sorted(pairs)
+    assert as_tuples(hypernym_closure(pairs)) == sorted(closure_bfs(pairs))
+    owner, dst = linked(csr(*pair_keys(pairs)), np.array([10**6, 5, 7, 10**7]))
+    assert list(zip(owner.tolist(), dst.tolist())) == [(0, 3), (0, 7), (2, 10**6 + 1)]
+
+
+def test_repeated_pairs_count_once():
+    pairs = [(3, 1), (1, 2), (3, 1), (1, 2), (1, 2)]
+    assert as_tuples(pair_array(pairs)) == [(1, 2), (3, 1)]
+    assert as_tuples(pair_array(np.array(pairs))) == [(1, 2), (3, 1)]
+    assert as_tuples(hypernym_closure(pairs)) == sorted(closure_bfs(set(pairs)))
+    assert len(hypernym_closure(pairs)) == 3
+
+
+def test_empty_pairs():
+    assert pair_array(set()).shape == (0, 2)
+    assert hypernym_closure(set()).shape == (0, 2)
+    assert quad_join(ConstraintSet()).shape == (0, 3)
+    owner, dst = linked(csr(*pair_keys(set())), np.array([0, 4]))
+    assert len(owner) == len(dst) == 0
+
+
+def probe_tool():
+    """``tools/probe_deep_view.py``, loaded from its path."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "probe_deep_view.py"
+    spec = importlib.util.spec_from_file_location("probe_deep_view", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+def test_probe_reports_one_preset():
+    report = probe_tool().probe("lear", 400)
+    assert report["rows"] == 400 and report["batches"] >= 1
+    assert set(report["instances"]) == {"syn", "ant", "hyper", "ad"}
+    assert report["run_view_s"] >= 0 and report["peak_rss_mib"] > 0
+
+
+@pytest.mark.parametrize("preset", ["hierarchy_fitting_ad_indir", "lear"])
+def test_view_memory_follows_the_closure(preset):
+    # 20k rows, about 9 levels deep on average: the closure holds about 190k
+    # pairs. A view built of pair sets and lists of tuples peaked at 15.3-16.7
+    # times the closure array's bytes; the arrays peak at 5.5-6.9 times
+    cs = probe_tool().build_world(20000)  # the probe's world
+    closure_bytes = 16 * len(hypernym_closure(cs.direct_hypernyms))  # (n, 2) intp
+    tracemalloc.start()
+    try:
+        view = run_view(cs, preset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(view.streams["ad"]) * 16 == closure_bytes > 2_000_000
+    assert peak < 10 * closure_bytes
