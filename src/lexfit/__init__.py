@@ -15,6 +15,7 @@ from .constraints import (
     constraint_stats,
     hypernym_closure,
     load_pairs,
+    quad_join,
 )
 from .embeddings import (
     EmbeddingFormatError,
@@ -44,7 +45,7 @@ from .evaluate import (
     wbless_classify,
 )
 from .losses import Margins
-from .sampling import MiniBatch, plan_epoch, quad_join
+from .sampling import MiniBatch, plan_epoch
 from .specializer import (
     PRESETS,
     NonFiniteGradientError,

@@ -42,7 +42,7 @@ class ConstraintSet:
     smaller row first. Hypernym pairs are ordered ``(hyponym, hypernym)``.
     A pair claimed as both synonym and antonym is kept as an antonym only:
     repelling a genuinely contrasting pair is safer than attracting it.
-    Training only reads the set (:func:`lexfit.specializer.run_view`).
+    A run reads the set once, into its :func:`lexfit.specializer.run_view`.
     """
 
     def __init__(self) -> None:
@@ -119,13 +119,18 @@ def load_pairs(
 # --- pair arrays: (n, 2) intp, ascending and distinct by one key per pair,
 # src * width + dst (width is one past the largest row: int64 below 3e9 rows)
 
+def distinct(values) -> np.ndarray:
+    """``np.unique(values)``, flattened and ascending, by one sort and one neighbour compare."""
+    values = np.sort(np.ravel(values))
+    return values[np.concatenate((np.ones_like(values[:1], bool), values[1:] != values[:-1]))]
+
+
 def pair_keys(pairs: Iterable[tuple[int, int]] | np.ndarray) -> tuple[np.ndarray, int]:
     """Distinct keys of row ``pairs``, a pair set or an (n, 2) array, ascending; and the width."""
     if not isinstance(pairs, np.ndarray):
         pairs = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 2)
     width = int(pairs.max()) + 1 if len(pairs) else 1
-    keys = np.sort(pairs[:, 0] * width + pairs[:, 1])
-    return keys[np.concatenate((np.ones_like(keys[:1], bool), keys[1:] != keys[:-1]))], width
+    return distinct(pairs[:, 0] * width + pairs[:, 1]), width
 
 
 def pair_array(pairs: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
@@ -161,13 +166,21 @@ def hypernym_closure(direct: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarr
     while len(frontier):
         owner, dst = linked(parents, frontier % width)
         src = frontier[owner] // width
-        keys = np.sort((src * width + dst)[src != dst])
-        keys = keys[np.concatenate((np.ones_like(keys[:1], bool), keys[1:] != keys[:-1]))]
+        keys = distinct((src * width + dst)[src != dst])
         at = np.searchsorted(closure, keys)
         new = closure[np.minimum(at, len(closure) - 1)] != keys
         frontier = keys[new]
         closure = np.insert(closure, at[new], frontier)
     return np.stack(np.divmod(closure, width), axis=1)
+
+
+def quad_join(syn: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """(anchor, synonym, hypernym) seeds, an ``(n, 3)`` intp array: each ``syn`` pair, in order,
+    joined with each ``direct`` hypernym, ascending, of its first word and then of its second
+    (the hypernym-owning word becomes the anchor)."""
+    # words 2k and 2k + 1 of the raveled pairs are pair k's; linked keeps that order
+    owner, hyper = linked(csr(*pair_keys(direct)), syn.ravel())
+    return np.stack((syn.ravel()[owner], syn[:, ::-1].ravel()[owner], hyper), axis=1)
 
 
 def constraint_stats(constraints: ConstraintSet) -> dict[str, int]:

@@ -45,22 +45,24 @@ class EmbeddingStore:
     ``current`` is the one matrix, read-only: :meth:`writing` is the one way
     to change it. A specialization run anchors to the store it is given, so
     the vectors a run starts from are ``current`` until its write. For cosine
-    queries the store keeps the row norms it computed at construction, and
-    the float32 unit rows that the first query builds; a write drops both.
+    queries the store keeps the row norms and float32 unit rows that the first query
+    computes, or the norms a store built from vectors got from its checks; a write drops both.
     """
 
     def __init__(self, vocab, vectors):
-        self._own(*_checked([str(t) for t in vocab], np.array(vectors, dtype=np.float64)))
+        vocab, matrix, geometry = _checked([str(t) for t in vocab], np.array(vectors, np.float64))
+        self._own(vocab, matrix)
+        self._geometry = geometry  # computed by the checks, so kept for the first query
 
-    def _own(self, vocab: list[str], matrix: np.ndarray, scaled, norms) -> None:
-        """Take the checked, unshared ``matrix`` and its ``_in_range`` geometry as is."""
+    def _own(self, vocab: list[str], matrix: np.ndarray) -> None:
+        """Take the checked, unshared ``matrix`` as is."""
         self.vocab: list[str] = vocab
         self.dim: int = int(matrix.shape[1])
         self._matrix = matrix
         self._matrix.setflags(write=False)
-        norms.setflags(write=False)
-        self._geometry: tuple[np.ndarray, np.ndarray] | None = (scaled, norms)
-        self._unit32: np.ndarray | None = None  # built by the first query
+        # (matrix, norms) and the float32 unit rows, built by the first query
+        self._geometry: tuple[np.ndarray, np.ndarray] | None = None
+        self._unit32: np.ndarray | None = None
         self.index: dict[str, int] = {tok: i for i, tok in enumerate(vocab)}
         self.n_duplicates_dropped: int = 0
         self._source_sha256: str | None = None  # of the text a load read
@@ -90,12 +92,12 @@ class EmbeddingStore:
         """``(matrix, norms, unit32)`` of ``current`` for :func:`nearest_neighbors`:
         the rows with out-of-range norms rescaled (the matrix itself when
         there are none), the norms of those rows, and their float32 unit
-        rows. The matrix and norms are computed at construction, and again on
-        the first read after a write; the unit rows on the first read.
+        rows, computed on the first read and again on the first read after a write.
         """
         matrix, norms = self._geometry or _in_range(self._matrix)[:2]
         unit32 = _unit_rows32(matrix, norms) if self._unit32 is None else self._unit32
         if not self._matrix.flags.writeable:
+            norms.setflags(write=False)
             self._geometry, self._unit32 = (matrix, norms), unit32
         return matrix, norms, unit32
 
@@ -125,8 +127,8 @@ _UNSAVABLE = re.compile(r"[ \t\r\n]")
 
 
 def _checked(vocab: list[str], matrix: np.ndarray) -> tuple:
-    """``vocab``, ``matrix`` and its ``_in_range`` geometry, once the two pass
-    every check of a store (ValueError if not): built or read from a cache."""
+    """``vocab``, ``matrix`` and its ``_in_range`` rows and norms, once the two
+    pass every check of a store (ValueError if not): built or read from a cache."""
     if matrix.ndim != 2 or matrix.dtype != np.float64:
         raise ValueError("vectors must form a 2-d float64 matrix")
     if matrix.shape[0] != len(vocab):
@@ -146,7 +148,7 @@ def _checked(vocab: list[str], matrix: np.ndarray) -> tuple:
     scaled, norms, true_norms = _in_range(matrix)
     if np.isinf(true_norms).any():
         raise ValueError("vector norm overflows float64")
-    return vocab, matrix, scaled, norms
+    return vocab, matrix, (scaled, norms)
 
 
 def _content_lines(fh):
@@ -199,7 +201,7 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
         log.warning("%s: dropped %d duplicate tokens (first occurrence kept)", path, n_duplicates)
 
     store = EmbeddingStore.__new__(EmbeddingStore)  # checked by the parse or the cache read
-    store._own(vocab, matrix, *_in_range(matrix)[:2])
+    store._own(vocab, matrix)
     store.n_duplicates_dropped = n_duplicates
     store._source_sha256 = digest
     return store

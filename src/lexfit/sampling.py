@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, csr, linked, pair_array, pair_keys
+from . import constraints
+from .constraints import distinct, linked, pair_array
 
 RELATION_CYCLE = ("syn", "ant", "hyper", "quad", "ad")
 
@@ -29,14 +30,10 @@ class MiniBatch:
     seed: int = 0
 
 
-def quad_join(constraints: ConstraintSet) -> np.ndarray:
-    """(anchor, synonym, hypernym) seeds, an ``(n, 3)`` intp array: each synonym
-    pair, ascending, joined with each direct hypernym, ascending, of its first
-    word and then of its second (the hypernym-owning word becomes the anchor)."""
-    syn = pair_array(constraints.synonyms)
-    # words 2k and 2k + 1 of the raveled pairs are pair k's; linked keeps that order
-    owner, hyper = linked(csr(*pair_keys(constraints.direct_hypernyms)), syn.ravel())
-    return np.stack((syn.ravel()[owner], syn[:, ::-1].ravel()[owner], hyper), axis=1)
+def quad_join(pair_sets) -> np.ndarray:
+    """:func:`lexfit.constraints.quad_join` of a ``ConstraintSet``'s synonyms and
+    direct hypernyms; a run joins the pair arrays of its view instead."""
+    return constraints.quad_join(*map(pair_array, (pair_sets.synonyms, pair_sets.direct_hypernyms)))
 
 
 def plan_epoch(
@@ -78,7 +75,7 @@ def plan_epoch(
 def batch_rows(batch: MiniBatch, extra=()) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a batch's items (plus ``extra``), ascending, and
     the items rewritten as local indices into them."""
-    rows = np.unique(np.concatenate((batch.items.ravel(), np.asarray(extra, dtype=np.intp))))
+    rows = distinct(np.concatenate((batch.items.ravel(), np.asarray(extra, dtype=np.intp))))
     return rows, np.searchsorted(rows, batch.items)
 
 
@@ -195,7 +192,7 @@ def mine_instances(
     on the anchor, so each distinct anchor is mined once.
     """
     instances = np.stack((local, local[:, ::-1]), axis=1).reshape(-1, 2) if mirror else local
-    distinct, which = np.unique(instances[:, 0], return_inverse=True)
-    picks = mine_batch(batch, partners, rows, local, unit, distinct, mode, policy, k)[which]
+    anchors, which = np.unique(instances[:, 0], return_inverse=True)
+    picks = mine_batch(batch, partners, rows, local, unit, anchors, mode, policy, k)[which]
     which, column = np.nonzero(picks >= 0)
     return instances, which, picks[which, column]

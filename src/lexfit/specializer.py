@@ -6,8 +6,8 @@ so losses and AdaGrad state grow with those rows, not with the vocabulary.
 :meth:`~lexfit.embeddings.EmbeddingStore.writing` block, after the last
 epoch, so a run that raises leaves the store as it was; until then
 ``store.current`` holds the vectors the run anchors to. A run reads its
-constraints through one :class:`RunView`, derived at its start, and never
-writes them. Given identical inputs and seed, every preset produces a
+constraints once, into the :class:`RunView` it derives at its start, and
+never writes them. Given identical inputs and seed, every preset produces a
 bit-identical output matrix, whatever ran before on the same store or constraints.
 """
 
@@ -20,17 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constraints import PAIR_SETS, ConstraintSet, csr, hypernym_closure, pair_array, pair_keys
+from .constraints import (PAIR_SETS, ConstraintSet, csr, distinct, hypernym_closure, pair_array,
+                          pair_keys, quad_join)
 from .embeddings import EmbeddingStore, nearest_rows, row_cosines, unit_rows
 from .losses import BatchLoss, Margins
-from .sampling import (
-    NEGATIVE_POLICIES,
-    MiniBatch,
-    batch_rows,
-    mine_instances,
-    plan_epoch,
-    quad_join,
-)
+from .sampling import NEGATIVE_POLICIES, MiniBatch, batch_rows, mine_instances, plan_epoch
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,7 @@ class WorkingSet:
     the run writes the store only after training."""
 
     def __init__(self, store: EmbeddingStore, rows: np.ndarray) -> None:
-        self.ids = np.unique(rows)
+        self.ids = distinct(rows)
         self.current, self.store = store.current[self.ids], store
 
 
@@ -104,20 +98,13 @@ class SpecializeConfig:
             self.margins = replace(PRESET_TABLE[self.preset].margins)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("epochs", "batch_size", "neighbor_k", "retrofit_iterations", "sample_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.neighbor_k < 1:
-            raise ValueError("neighbor_k must be >= 1")
         if not 0 <= self.retrofit_alpha < math.inf:
             raise ValueError(f"retrofit_alpha must be finite and >= 0, got {self.retrofit_alpha}")
-        if self.retrofit_iterations < 1:
-            raise ValueError("retrofit_iterations must be >= 1")
-        if self.sample_k < 1:
-            raise ValueError("sample_k must be >= 1")
         if self.negative_policy not in NEGATIVE_POLICIES:
             raise ValueError(
                 f"unknown negative_policy {self.negative_policy!r}, "
@@ -151,33 +138,32 @@ def adagrad_step(
 ) -> None:
     """Apply one sparse AdaGrad update in place to the distinct ``rows``.
 
-    ``block[i]`` is the gradient of ``rows[i]``. Per touched coordinate:
+    ``block[i]`` is the gradient of ``rows[i]``. Per coordinate:
     acc += g^2 then x -= lr * g / (sqrt(acc) + eps). Coordinates with zero
     gradient are left bit-identical. A non-finite gradient anywhere in the
     block, or one whose square overflows, raises before anything is written.
     """
-    nz = block != 0.0
+    block = block + 0.0  # a -0.0 gradient to +0.0: x - (+0.0) is x, -0.0 included
     acc = accumulators[rows]
     with np.errstate(over="ignore"):
-        np.add(acc, block * block, out=acc, where=nz)
+        acc += block * block
     finite = np.isfinite(acc).all(axis=1)
     if not finite.all():
         raise NonFiniteGradientError(int(rows[np.flatnonzero(~finite)[0]]))
-    step = np.zeros_like(acc)
-    np.divide(learning_rate * block, np.sqrt(acc) + epsilon, out=step, where=nz)
     values = matrix[rows]
-    np.subtract(values, step, out=values, where=nz)
+    # the floor only acts at epsilon 0, on coordinates never updated: 0 / tiny is 0
+    values -= learning_rate * block / np.maximum(np.sqrt(acc) + epsilon, np.finfo(float).tiny)
     accumulators[rows] = acc
     matrix[rows] = values
 
 
 @dataclass(frozen=True)
 class RunView:
-    """What one run reads of its ``constraints``, derived once by :func:`run_view`:
-    each planned stream's instance array, in planning order, and each mined
-    stream's :func:`~lexfit.constraints.csr` table of the pairs it masks, both ways."""
+    """What one run reads of its constraints, derived once by :func:`run_view`: each
+    relation's ascending direct pair array, each planned stream's instances in planning order,
+    and each mined stream's :func:`~lexfit.constraints.csr` table of its masked pairs, both ways."""
 
-    constraints: ConstraintSet
+    pairs: dict[str, np.ndarray]
     streams: dict[str, np.ndarray]
     partners: dict[str, tuple[np.ndarray, np.ndarray]]
 
@@ -186,26 +172,27 @@ def run_view(constraints: ConstraintSet, preset: str) -> RunView:
     """The preset's view of ``constraints``, a function of the two alone.
 
     Pair streams are ascending pair arrays, and the quadruplet stream is
-    :func:`quad_join`. A preset that reads the hypernym closure (``closed_hyper``
-    or ``closed_ad``) computes it here, and its mining then masks every closure
-    pair; any other preset masks the direct pairs.
+    :func:`~lexfit.constraints.quad_join`. A preset that reads the hypernym closure
+    (``closed_hyper`` or ``closed_ad``) computes it here, and its mining then masks
+    every closure pair; any other preset masks the direct pairs.
     """
     spec = PRESET_TABLE[preset]
-    syn, ant, direct = (pair_array(getattr(constraints, name)) for name in PAIR_SETS.values())
+    pairs = {rel: pair_array(getattr(constraints, name)) for rel, name in PAIR_SETS.items()}
+    syn, ant, direct = pairs.values()
     closed = hypernym_closure(direct) if spec.closed_hyper or spec.closed_ad else direct
-    pairs = {"syn": syn, "ant": ant, "hyper": closed if spec.closed_hyper else direct,
-             "ad": closed if spec.closed_ad else direct}
-    streams = {rel: quad_join(constraints) if rel == "quad" else pairs[rel] for rel in spec.streams}
+    stream = {"syn": syn, "ant": ant, "hyper": closed if spec.closed_hyper else direct,
+              "ad": closed if spec.closed_ad else direct}
+    streams = {rel: quad_join(syn, direct) if rel == "quad" else stream[rel]
+               for rel in spec.streams}
     # the metric presets mine every stream but "ad"
     masked = {"syn": [syn], "ant": [ant], "hyper": [closed], "quad": [syn, closed]}
     mined = [rel for rel in spec.streams if rel in masked] if spec.train is _train_metric else []
-    return RunView(constraints, streams, {rel: csr(*pair_keys(np.concatenate(
+    return RunView(pairs, streams, {rel: csr(*pair_keys(np.concatenate(
         masked[rel] + [e[:, ::-1] for e in masked[rel]]))) for rel in mined})
 
 
 def _check_required(preset: str, view: RunView) -> None:
-    present = {rel for rel, name in PAIR_SETS.items() if getattr(view.constraints, name)}
-    missing = missing_relations(preset, present)
+    missing = missing_relations(preset, [rel for rel, pairs in view.pairs.items() if len(pairs)])
     if missing:
         names = " or ".join(PAIR_SETS[rel] for rel in missing[0])
         raise ValueError(f"preset {preset!r} requires nonempty {names}")
@@ -243,8 +230,7 @@ def _train_retrofit(
     graph, one vectorized step each, until a max per-component change below 1e-6
     or ``retrofit_iterations`` rounds; rows without constraint edges are untouched."""
     alpha = config.retrofit_alpha
-    constraints = view.constraints
-    pairs = pair_array(constraints.synonyms | constraints.direct_hypernyms)
+    pairs = pair_array(np.concatenate((view.pairs["syn"], view.pairs["hyper"])))
     ws = WorkingSet(store, pairs)
     # neighbours in pair order, (a, b) linking a to b and then b to a; adding the
     # j-th to the rows that have one, j = 1, 2, ..., sums as ``mean(axis=0)`` does
@@ -290,7 +276,7 @@ def _train_counterfit(
 ) -> tuple[WorkingSet, TrainLog]:
     """Precompute the original-space neighbours of every constrained row, once,
     then train those rows and neighbours on the counter-fitting loss of each batch."""
-    constrained = np.unique(np.concatenate((view.streams["syn"], view.streams["ant"])))
+    constrained = distinct(np.concatenate((view.streams["syn"], view.streams["ant"])))
     neighbors = _original_neighbor_sets(store, constrained, config.neighbor_k)
     ws = WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
     return ws, _train(
@@ -314,7 +300,7 @@ def _counterfit_batch_loss(
     Both distances of a preservation hinge are ``1 - row_cosines`` of unit
     rows, so the hinge of a pair whose rows have not moved is exactly 0.
     """
-    at = np.searchsorted(constrained, np.unique(batch.items))
+    at = np.searchsorted(constrained, distinct(batch.items))
     rows, local = batch_rows(batch, extra=neighbors[at].ravel())
     res = BatchLoss(ws, np.searchsorted(ws.ids, rows), ws.store.current[rows])
     if batch.relation == "syn":
@@ -435,7 +421,7 @@ def _batch_loss(
             batch, view.partners[relation], rows, local, res.unit,
             "negatives", config.negative_policy, config.sample_k,
         )
-        a, s, h = items[np.unique(inst)].T
+        a, s, h = items[distinct(inst)].T
         res.hinge(m.m_hie_syn, (1.0, a, s), (-1.0, a, h))
         res.hinge(m.m_hie_syn, (1.0, a, s), (-1.0, s, h))
         # D is symmetric in (anchor, synonym), so each negative hinge counts twice

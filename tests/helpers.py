@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lexfit import ConstraintSet, EmbeddingStore
+from lexfit import ConstraintSet, EmbeddingStore, quad_join
 from lexfit.constraints import csr, pair_array, pair_keys
 from reference_view import closure_bfs
 
@@ -87,6 +87,11 @@ def mined_pairs(cs: ConstraintSet, relation: str, closed: bool = False) -> set[t
     hyper = closure_bfs(cs.direct_hypernyms) if closed else cs.direct_hypernyms
     return {"syn": cs.synonyms, "ant": cs.antonyms, "hyper": hyper,
             "quad": cs.synonyms | hyper}[relation]
+
+
+def joined(cs: ConstraintSet) -> np.ndarray:
+    """The quadruplet join of the synonym and direct hypernym arrays of ``cs``."""
+    return quad_join(pair_array(cs.synonyms), pair_array(cs.direct_hypernyms))
 
 
 def partner_table(pairs) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,6 @@ from lexfit import (
     EmbeddingStore,
     SpecializeConfig,
     distance,
-    quad_join,
     spearman,
     specialize,
     wbless_classify,
@@ -26,7 +25,7 @@ from lexfit import (
 from lexfit.cli import main as cli_main
 from lexfit.evaluate import RelationDataset, RelationEntry
 from gradcheck import GENERATORS, check_kernel
-from helpers import random_store, taxonomy_fixture, toy_hierarchy_fixture
+from helpers import joined, random_store, taxonomy_fixture, toy_hierarchy_fixture
 
 
 def criterion(num, name):
@@ -94,7 +93,7 @@ def test_criterion_2_retrofit_closed_form():
 def test_criterion_3_toy_hierarchy_fitting():
     start = time.perf_counter()
     store, constraints = toy_hierarchy_fixture(seed=0)
-    joins = quad_join(constraints)
+    joins = joined(constraints)
     config = SpecializeConfig(
         preset="hierarchy_fitting", epochs=20, batch_size=8, seed=7
     )

@@ -888,7 +888,7 @@ class TestWriting:
             for _ in range(3):
                 assert nearest_neighbors(store, row, 5) == first
 
-    def test_queries_reuse_the_norms_of_construction(self, monkeypatch):
+    def test_norms_are_computed_once_per_state(self, monkeypatch, tmp_path):
         calls = []
 
         def counting(matrix):
@@ -896,16 +896,21 @@ class TestWriting:
             return in_range(matrix)
 
         in_range = embeddings._in_range
-        store = random_store(4, 30, 6)
+        path = str(tmp_path / "v.txt")
+        save_embeddings(random_store(4, 30, 6), path, "glove-text")
         monkeypatch.setattr(embeddings, "_in_range", counting)
+        load_embeddings(path, "glove-text")  # a parse, checked once
+        store = load_embeddings(path, "glove-text")  # a cache hit, checked once
+        assert calls == [30, 30]
+        del calls[:]
         for row in range(30):
             nearest_neighbors(store, row, 5)
-        assert calls == []
+        assert calls == [30]  # once, on the first query
         with store.writing() as matrix:
             matrix[3] *= 2.0
         for row in range(30):
             nearest_neighbors(store, row, 5)
-        assert calls == [30]  # once, on the first query after the write
+        assert calls == [30, 30]  # once more, on the first query after the write
 
     def test_float32_rows_are_built_once_per_state(self, monkeypatch, tmp_path):
         builds, calls = [], []

@@ -1,6 +1,7 @@
 """``run_view``'s integer-array constraint view against the set-and-dict
 reference of ``reference_view.py``, order included, and its memory."""
 
+import dataclasses
 import importlib.util
 import tracemalloc
 from pathlib import Path
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from lexfit import ConstraintSet, hypernym_closure, quad_join
-from lexfit.constraints import csr, linked, pair_array, pair_keys
-from lexfit.specializer import PRESETS, run_view
+from lexfit.constraints import csr, distinct, linked, pair_array, pair_keys
+from lexfit.specializer import PRESETS, RunView, run_view
 from helpers import pair_partners
 from reference_view import closure_bfs, quad_join_dict, reference_view
 
@@ -43,6 +44,9 @@ def test_view_equals_the_reference_in_order(seed):
     for preset in PRESETS:
         view = run_view(cs, preset)
         streams, masked = reference_view(cs, preset)
+        assert {rel: as_tuples(pairs) for rel, pairs in view.pairs.items()} == {
+            "syn": sorted(cs.synonyms), "ant": sorted(cs.antonyms),
+            "hyper": sorted(cs.direct_hypernyms)}
         assert {rel: as_tuples(items) for rel, items in view.streams.items()} == streams, preset
         assert all(items.dtype == np.intp for items in view.streams.values())
         assert set(view.partners) == set(masked), preset
@@ -60,7 +64,7 @@ def test_closure_and_join_equal_the_reference(seed):
     closure = hypernym_closure(cs.direct_hypernyms)
     assert closure.dtype == np.intp and closure.shape[1] == 2
     assert as_tuples(closure) == sorted(closure_bfs(cs.direct_hypernyms))
-    joined = quad_join(cs)
+    joined = quad_join(pair_array(cs.synonyms), pair_array(cs.direct_hypernyms))
     assert joined.dtype == np.intp and joined.shape[1] == 3
     assert as_tuples(joined) == quad_join_dict(cs)
 
@@ -91,10 +95,26 @@ def test_repeated_pairs_count_once():
     assert len(hypernym_closure(pairs)) == 3
 
 
+def test_the_view_holds_arrays_only():
+    # a run reads its constraint set once, into these fields
+    assert [field.name for field in dataclasses.fields(RunView)] == ["pairs", "streams", "partners"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_equals_unique(seed):
+    rng = np.random.default_rng(seed)
+    inputs = [rng.integers(-50, 50, size=200), rng.integers(0, 10**12, size=(40, 3)),
+              np.array([], dtype=np.intp), np.array([7], dtype=np.intp),
+              rng.integers(0, 6, size=(9, 2)).astype(np.intp)]
+    for values in inputs:
+        got, want = distinct(values), np.unique(values)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def test_empty_pairs():
     assert pair_array(set()).shape == (0, 2)
     assert hypernym_closure(set()).shape == (0, 2)
-    assert quad_join(ConstraintSet()).shape == (0, 3)
+    assert quad_join(pair_array(set()), pair_array(set())).shape == (0, 3)
     owner, dst = linked(csr(*pair_keys(set())), np.array([0, 4]))
     assert len(owner) == len(dst) == 0
 
@@ -113,6 +133,7 @@ def test_probe_reports_one_preset():
     assert report["rows"] == 400 and report["batches"] >= 1
     assert set(report["instances"]) == {"syn", "ant", "hyper", "ad"}
     assert report["run_view_s"] >= 0 and report["peak_rss_mib"] > 0
+    assert report["working_rows_s"] >= 0
 
 
 @pytest.mark.parametrize("preset", ["hierarchy_fitting_ad_indir", "lear"])

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from lexfit import ConstraintSet, EmbeddingStore, distance, plan_epoch, quad_join
+from lexfit import ConstraintSet, EmbeddingStore, distance, plan_epoch, sampling
 from lexfit.constraints import linked
 from lexfit.embeddings import unit_rows
 from lexfit.sampling import MiniBatch, batch_rows, mine_batch, mine_instances
 from lexfit.specializer import run_view
 from helpers import (
+    joined,
     mined_pairs,
     pair_partners,
     partner_table,
@@ -90,11 +91,13 @@ class TestQuadJoin:
         cs.add_pair("syn", 0, 1)
         cs.add_pair("hyper", 0, 5)
         cs.add_pair("hyper", 1, 6)
-        assert set(map(tuple, quad_join(cs).tolist())) == {(0, 1, 5), (1, 0, 6)}
+        assert set(map(tuple, joined(cs).tolist())) == {(0, 1, 5), (1, 0, 6)}
+        # the set form joins the same arrays
+        assert sampling.quad_join(cs).tolist() == joined(cs).tolist()
 
     def test_no_hypernyms_no_joins(self):
         cs = syn_constraints([(0, 1)])
-        assert quad_join(cs).tolist() == []
+        assert joined(cs).tolist() == []
 
 
 class TestSelectNegatives:

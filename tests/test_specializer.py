@@ -17,11 +17,10 @@ from lexfit import (
     distance,
     hypernym_closure,
     plan_epoch,
-    quad_join,
     specialize,
 )
 from lexfit import embeddings, sampling, specializer
-from helpers import random_store, taxonomy_fixture, toy_hierarchy_fixture
+from helpers import joined, random_store, taxonomy_fixture, toy_hierarchy_fixture
 from reference_losses import (
     LossResult,
     asymmetric_norm_loss,
@@ -44,6 +43,15 @@ class TestAdagradStep:
         adagrad_step(matrix, acc, np.array([1]), np.zeros((1, 4)), 0.5, 1e-8)
         np.testing.assert_array_equal(matrix, before)
         np.testing.assert_array_equal(acc, np.zeros_like(matrix))
+        # signed zeros under signed zero gradients keep their sign, also at
+        # epsilon 0 on coordinates never updated
+        matrix = np.array([[-0.0, 0.0, -0.0, 0.0, 2.0]])
+        acc, before = np.zeros_like(matrix), matrix.copy()
+        block = np.array([[-0.0, -0.0, 0.0, 0.0, -0.0]])
+        for epsilon in (1e-8, 0.0):
+            adagrad_step(matrix, acc, np.array([0]), block, 0.5, epsilon)
+        assert matrix.tobytes() == before.tobytes()
+        assert not acc.any()
 
     def test_recurrence_single_coordinate(self):
         matrix = np.zeros((1, 1))
@@ -863,7 +871,7 @@ class TestSpecializePresets:
         cs.add_pair("syn", 0, 1)
         cs.add_pair("ant", 2, 3)
         cs.add_pair("hyper", 4, 5)  # hypernym of a word with no synonym
-        assert quad_join(cs).tolist() == []
+        assert joined(cs).tolist() == []
         config = SpecializeConfig(preset="hierarchy_fitting", epochs=1)
         with pytest.raises(ValueError, match="quadruplet"):
             specialize(store, cs, config)

@@ -9,11 +9,12 @@ antonym pairs between uniform rows (self pairs, repeats and conflicts are
 dropped as ``ConstraintSet.add_pair`` drops them).
 
 For each preset a fresh process builds the world with seed 1, derives
-``specializer.run_view`` and plans one epoch with ``specializer.plan_epoch``
-(seed 1, ``SpecializeConfig``'s default batch size),
-then prints one JSON line: both times, the number of batches, the size of
-each stream and the process's own peak RSS (``ru_maxrss``, the world
-included). Needs only numpy and the package itself:
+``specializer.run_view``, plans one epoch with ``specializer.plan_epoch``
+(seed 1, ``SpecializeConfig``'s default batch size) and finds the distinct
+rows of the streams' instances with ``constraints.distinct``, as a
+``WorkingSet`` does. It then prints one JSON line: the three times, the
+number of batches, the size of each stream and the process's own peak RSS
+(``ru_maxrss``, the world included). Needs only numpy and the package itself:
 
     PYTHONPATH=src python tools/probe_deep_view.py --rows 200000
     PYTHONPATH=src python tools/probe_deep_view.py --preset lear --rows 20000
@@ -48,23 +49,28 @@ def build_world(rows: int):
 
 
 def probe(preset: str, rows: int) -> dict:
+    from lexfit.constraints import distinct
     from lexfit.specializer import SpecializeConfig, plan_epoch, run_view
 
     cs = build_world(rows)
     start = time.perf_counter()
     view = run_view(cs, preset)
     view_s = time.perf_counter() - start
-    plan_s = batches = None
+    plan_s = batches = rows_s = None
     if view.streams:  # retrofitting plans no epochs
         start = time.perf_counter()
         batches = len(plan_epoch(view.streams, SpecializeConfig(preset).batch_size, SEED))
         plan_s = time.perf_counter() - start
+        start = time.perf_counter()
+        distinct(np.concatenate([items.ravel() for items in view.streams.values()]))
+        rows_s = time.perf_counter() - start
     return {
         "preset": preset,
         "rows": rows,
         "instances": {rel: len(items) for rel, items in view.streams.items()},
         "run_view_s": round(view_s, 3),
         "plan_epoch_s": None if plan_s is None else round(plan_s, 3),
+        "working_rows_s": None if rows_s is None else round(rows_s, 3),
         "batches": batches,
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
