@@ -130,7 +130,9 @@ def pair_keys(pairs: Iterable[tuple[int, int]] | np.ndarray) -> tuple[np.ndarray
     if not isinstance(pairs, np.ndarray):
         pairs = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 2)
     width = int(pairs.max()) + 1 if len(pairs) else 1
-    return distinct(pairs[:, 0] * width + pairs[:, 1]), width
+    keys = pairs[:, 0] * width + pairs[:, 1]
+    del pairs  # a converted pair set is freed before the sort
+    return distinct(keys), width
 
 
 def pair_array(pairs: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:

@@ -137,19 +137,37 @@ class BatchLoss:
                   (w * (nv / total), -w * (nu / total)))
 
     def gradient(self) -> np.ndarray:
-        """The ``(len(rows), dim)`` gradient of everything added so far."""
-        n, dim = self.unit.shape
+        """The ``(len(rows), dim)`` gradient of everything added so far.
+
+        The coefficients of each (dst, src) pair are merged first. Then every
+        row adds its j-th source, j = 0, 1, ..., in ascending source order, so
+        each cell sums as a ``bincount`` over its terms would; the rows are
+        summed busiest first, so the rows with a j-th source are a prefix of
+        the sums, and no ``(pairs, dim)`` array is formed.
+        """
+        n = len(self.rows)
+        block = np.zeros_like(self.unit)
         if self._dst:
             m = len(self._sources)
             key = np.concatenate(self._dst) * m + np.concatenate(self._src)
             pairs, which = np.unique(key, return_inverse=True)
             coef = np.bincount(which, weights=np.concatenate(self._coef))
-            dst, src = np.divmod(pairs, m)
-            terms = coef[:, None] * self._sources[src]
-            cells = (dst[:, None] * dim + np.arange(dim)).ravel()
-            block = np.bincount(cells, weights=terms.ravel(), minlength=n * dim).reshape(n, dim)
-        else:
-            block = np.zeros_like(self.unit)
+            dst, src = np.divmod(pairs, m)  # dst ascending, then src
+            rank = np.arange(len(dst)) - np.searchsorted(dst, dst)  # of src among dst's
+            # slot[row]: the row's place among the rows by descending source count
+            slot = np.empty(n, np.intp)
+            slot[np.argsort(-np.bincount(dst, minlength=n), kind="stable")] = np.arange(n)
+            order = np.argsort(rank * n + slot[dst])
+            src, coef = src[order], coef[order]
+            terms = np.empty_like(block)
+            start = 0
+            for end in np.cumsum(np.bincount(rank)).tolist():
+                part = terms[: end - start]
+                np.take(self._sources, src[start:end], axis=0, out=part, mode="clip")
+                part *= coef[start:end, None]
+                block[: end - start] += part
+                start = end
+            block = block[slot]
         # a row whose norm overflows float64 has no usable gradient
         block[np.isinf(self.norms)] = np.nan
         return block

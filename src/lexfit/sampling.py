@@ -105,7 +105,7 @@ def _draw_keys(batch: MiniBatch, anchor_rows: np.ndarray, rows: np.ndarray) -> n
 
 def mine_batch(
     batch: MiniBatch,
-    partners: tuple[np.ndarray, np.ndarray],
+    partners: tuple[tuple[np.ndarray, np.ndarray], ...],
     rows: np.ndarray,
     local: np.ndarray,
     unit: np.ndarray,
@@ -121,11 +121,11 @@ def mine_batch(
     :func:`~lexfit.embeddings.unit_rows`), so their Gram matrix holds the
     cosines, and ``anchors`` are local indices. An anchor's candidates are
     the rows of the batch's instances that do not contain it, minus the
-    anchor and its partners in ``partners``, the table of the batch's relation
-    in :attr:`~lexfit.specializer.RunView.partners`. In ``negatives`` mode,
-    ``closest_only`` takes the k closest candidates in the current space and
-    ``closest_plus_random`` the single closest plus k - 1 uniform draws
-    without replacement from the rest. The draws take the candidates with the
+    anchor and its partners in each table of ``partners``, the tables of the
+    batch's relation in :attr:`~lexfit.specializer.RunView.partners`. In
+    ``negatives`` mode, ``closest_only`` takes the k closest candidates in
+    the current space and ``closest_plus_random`` the single closest plus
+    k - 1 uniform draws without replacement from the rest. The draws take the candidates with the
     smallest hashed keys, and a key depends only on (seed, epoch, batch,
     anchor row, candidate row), so an anchor's picks do not depend on which
     other anchors are mined with it. ``positives`` mode takes
@@ -143,10 +143,11 @@ def mine_batch(
     outside = member.sum(axis=1) - member[anchors] @ member.T
     mask = outside > 0.5
     mask[np.arange(n_anchors), anchors] = False
-    owner, partner_rows = linked(partners, rows[anchors])
-    pos = np.minimum(np.searchsorted(rows, partner_rows), n_rows - 1)
-    hit = rows[pos] == partner_rows
-    mask[owner[hit], pos[hit]] = False
+    for table in partners:
+        owner, partner_rows = linked(table, rows[anchors])
+        pos = np.minimum(np.searchsorted(rows, partner_rows), n_rows - 1)
+        hit = rows[pos] == partner_rows
+        mask[owner[hit], pos[hit]] = False
 
     dist = 1.0 - np.clip(unit[anchors] @ unit.T, -1.0, 1.0)
     counts = mask.sum(axis=1)
@@ -174,7 +175,7 @@ def mine_batch(
 
 def mine_instances(
     batch: MiniBatch,
-    partners: tuple[np.ndarray, np.ndarray],
+    partners: tuple[tuple[np.ndarray, np.ndarray], ...],
     rows: np.ndarray,
     local: np.ndarray,
     unit: np.ndarray,

@@ -1,7 +1,8 @@
 """Training presets that drive AdaGrad over planned constraint batches.
 
 Each preset trains a :class:`WorkingSet`, a copy of the rows it can change,
-so losses and AdaGrad state grow with those rows, not with the vocabulary.
+so losses grow with those rows, not with the vocabulary, and each relation's
+AdaGrad state with the rows of them that its batches reach.
 ``specialize`` writes it back in the one
 :meth:`~lexfit.embeddings.EmbeddingStore.writing` block, after the last
 epoch, so a run that raises leaves the store as it was; until then
@@ -135,16 +136,22 @@ def adagrad_step(
     block: np.ndarray,
     learning_rate: float,
     epsilon: float,
+    acc_rows: np.ndarray,
 ) -> None:
     """Apply one sparse AdaGrad update in place to the distinct ``rows``.
 
-    ``block[i]`` is the gradient of ``rows[i]``. Per coordinate:
+    ``block[i]`` is the gradient of ``rows[i]``. ``accumulators[j]`` is the
+    state of ``matrix`` row ``acc_rows[j]``: ``acc_rows`` are ascending and hold
+    every row of ``rows``. Per coordinate:
     acc += g^2 then x -= lr * g / (sqrt(acc) + eps). Coordinates with zero
     gradient are left bit-identical. A non-finite gradient anywhere in the
     block, or one whose square overflows, raises before anything is written.
     """
+    at = np.searchsorted(acc_rows, rows)
+    if np.any(at == len(acc_rows)) or np.any(acc_rows[at] != rows):
+        raise ValueError("acc_rows must hold every row of rows")
     block = block + 0.0  # a -0.0 gradient to +0.0: x - (+0.0) is x, -0.0 included
-    acc = accumulators[rows]
+    acc = accumulators[at]
     with np.errstate(over="ignore"):
         acc += block * block
     finite = np.isfinite(acc).all(axis=1)
@@ -153,7 +160,7 @@ def adagrad_step(
     values = matrix[rows]
     # the floor only acts at epsilon 0, on coordinates never updated: 0 / tiny is 0
     values -= learning_rate * block / np.maximum(np.sqrt(acc) + epsilon, np.finfo(float).tiny)
-    accumulators[rows] = acc
+    accumulators[at] = acc
     matrix[rows] = values
 
 
@@ -161,11 +168,12 @@ def adagrad_step(
 class RunView:
     """What one run reads of its constraints, derived once by :func:`run_view`: each
     relation's ascending direct pair array, each planned stream's instances in planning order,
-    and each mined stream's :func:`~lexfit.constraints.csr` table of its masked pairs, both ways."""
+    and each mined stream's :func:`~lexfit.constraints.csr` tables of its masked pairs, both
+    ways, one table per pair set."""
 
     pairs: dict[str, np.ndarray]
     streams: dict[str, np.ndarray]
-    partners: dict[str, tuple[np.ndarray, np.ndarray]]
+    partners: dict[str, tuple[tuple[np.ndarray, np.ndarray], ...]]
 
 
 def run_view(constraints: ConstraintSet, preset: str) -> RunView:
@@ -174,7 +182,8 @@ def run_view(constraints: ConstraintSet, preset: str) -> RunView:
     Pair streams are ascending pair arrays, and the quadruplet stream is
     :func:`~lexfit.constraints.quad_join`. A preset that reads the hypernym closure
     (``closed_hyper`` or ``closed_ad``) computes it here, and its mining then masks
-    every closure pair; any other preset masks the direct pairs.
+    every closure pair; any other preset masks the direct pairs. The quadruplet
+    stream masks the synonym and the hypernym table, each built once.
     """
     spec = PRESET_TABLE[preset]
     pairs = {rel: pair_array(getattr(constraints, name)) for rel, name in PAIR_SETS.items()}
@@ -184,11 +193,14 @@ def run_view(constraints: ConstraintSet, preset: str) -> RunView:
               "ad": closed if spec.closed_ad else direct}
     streams = {rel: quad_join(syn, direct) if rel == "quad" else stream[rel]
                for rel in spec.streams}
-    # the metric presets mine every stream but "ad"
-    masked = {"syn": [syn], "ant": [ant], "hyper": [closed], "quad": [syn, closed]}
+    # the metric presets mine every stream but "ad", against the tables of its pair sets
+    masked = {"syn": ("syn",), "ant": ("ant",), "hyper": ("hyper",), "quad": ("syn", "hyper")}
     mined = [rel for rel in spec.streams if rel in masked] if spec.train is _train_metric else []
-    return RunView(pairs, streams, {rel: csr(*pair_keys(np.concatenate(
-        masked[rel] + [e[:, ::-1] for e in masked[rel]]))) for rel in mined})
+    sets = {"syn": syn, "ant": ant, "hyper": closed}
+    tables = {name: csr(*pair_keys(np.concatenate((sets[name], sets[name][:, ::-1]))))
+              for name in {name for rel in mined for name in masked[rel]}}
+    return RunView(pairs, streams, {rel: tuple(tables[name] for name in masked[rel])
+                                    for rel in mined})
 
 
 def _check_required(preset: str, view: RunView) -> None:
@@ -275,13 +287,19 @@ def _train_counterfit(
     store: EmbeddingStore, view: RunView, config: SpecializeConfig
 ) -> tuple[WorkingSet, TrainLog]:
     """Precompute the original-space neighbours of every constrained row, once,
-    then train those rows and neighbours on the counter-fitting loss of each batch."""
-    constrained = distinct(np.concatenate((view.streams["syn"], view.streams["ant"])))
+    then train those rows and neighbours on the counter-fitting loss of each batch.
+    A stream's batches reach its rows and their neighbours."""
+    reach = stream_rows(view)
+    constrained = distinct(np.concatenate(list(reach.values())))
     neighbors = _original_neighbor_sets(store, constrained, config.neighbor_k)
     ws = WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
+    for rel, rows in reach.items():
+        reach[rel] = distinct(np.concatenate((rows, neighbors[np.searchsorted(constrained, rows)]
+                                              .ravel())))
     return ws, _train(
         ws, view, config,
         lambda batch: _counterfit_batch_loss(batch, ws, constrained, neighbors, config.margins),
+        reach,
     )
 
 
@@ -338,9 +356,14 @@ class _EpochStats:
         }
 
 
+def stream_rows(view: RunView) -> dict[str, np.ndarray]:
+    """The distinct rows of each stream's instances, ascending: every row its batches gather."""
+    return {rel: distinct(items) for rel, items in view.streams.items()}
+
+
 def _apply(
     ws: WorkingSet,
-    accumulators: dict[str, np.ndarray],
+    state: dict[str, tuple[np.ndarray, np.ndarray]],
     res: BatchLoss,
     config: SpecializeConfig,
     batch: MiniBatch,
@@ -354,13 +377,10 @@ def _apply(
     block = res.gradient()
     if not block.any():
         return
-    acc = accumulators.get(batch.relation)
-    if acc is None:
-        acc = accumulators.setdefault(batch.relation, np.zeros_like(ws.current))
+    acc_rows, acc = state[batch.relation]
     try:
-        adagrad_step(
-            ws.current, acc, res.rows, block, config.learning_rate, config.adagrad_epsilon
-        )
+        adagrad_step(ws.current, acc, res.rows, block, config.learning_rate,
+                     config.adagrad_epsilon, acc_rows)
     except NonFiniteGradientError as exc:
         raise NonFiniteGradientError(int(ws.ids[exc.row]), f" (relation {batch.relation}, "
                                      f"epoch {batch.epoch}, batch {batch.batch_index})") from exc
@@ -371,16 +391,24 @@ def _train(
     view: RunView,
     config: SpecializeConfig,
     batch_loss: Callable[[MiniBatch], BatchLoss],
+    reach: dict[str, np.ndarray],
 ) -> TrainLog:
-    """Plan each epoch from the view's streams and apply ``batch_loss`` of every batch."""
-    accumulators: dict[str, np.ndarray] = {}
+    """Plan each epoch from the view's streams and apply ``batch_loss`` of every batch.
+
+    Each relation's AdaGrad state covers only the store rows in ``reach``,
+    ascending, that its batches can touch.
+    """
+    state = {}
+    for rel, rows in reach.items():
+        at = np.searchsorted(ws.ids, rows)
+        state[rel] = at, np.zeros((len(at), ws.current.shape[1]))
     log = TrainLog()
     for epoch in range(config.epochs):
         plan = plan_epoch(view.streams, config.batch_size, config.seed, epoch)
         stats = _EpochStats()
         for batch in plan:
             res = batch_loss(batch)
-            _apply(ws, accumulators, res, config, batch)
+            _apply(ws, state, res, config, batch)
             stats.record(batch.relation, res)
         log.epochs.append(stats.summary())
         log.batches_processed += len(plan)
@@ -393,12 +421,14 @@ def _train_metric(
     store: EmbeddingStore, view: RunView, config: SpecializeConfig
 ) -> tuple[WorkingSet, TrainLog]:
     """Train the rows of the instances of the view's streams, the only rows
-    its batches reach: in-batch mining draws from the batch's own rows."""
+    its batches reach: in-batch mining and preservation read the batch's own rows."""
     preset = PRESET_TABLE[config.preset]
-    ws = WorkingSet(store, np.concatenate([items.ravel() for items in view.streams.values()]))
+    reach = stream_rows(view)
+    ws = WorkingSet(store, np.concatenate(list(reach.values())))
     return ws, _train(
         ws, view, config,
         lambda batch: _batch_loss(batch, view, ws, config, preset),
+        reach,
     )
 
 

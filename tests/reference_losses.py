@@ -6,6 +6,9 @@ whose gradients are keyed by row. ``n_hinges`` counts hinge terms evaluated
 and ``n_active`` those that were strictly positive; plain distance pulls
 count toward neither. All hinges use subgradient 0 exactly at their boundary.
 Mining goes through :func:`lexfit.sampling.mine_batch` with one anchor, on unit rows.
+:func:`bincount_gradient` keeps ``BatchLoss.gradient``'s earlier scatter, one
+``bincount`` over every (pair, coordinate) cell, as the reference its
+rank-by-rank sum must match bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from lexfit import EmbeddingStore
 from lexfit.embeddings import unit_rows
+from lexfit.losses import BatchLoss
 from lexfit.sampling import batch_rows, mine_batch
 
 
@@ -48,7 +52,7 @@ class LossResult:
 def mine_one(anchor, batch, partners, store, mode="negatives",
              policy="closest_plus_random", k=2) -> list[int]:
     """The store rows the in-batch miner picks for one anchor, given the batch
-    relation's mining table (:func:`helpers.partner_table`)."""
+    relation's mining tables (each a :func:`helpers.partner_table`)."""
     rows, local = batch_rows(batch, extra=(anchor,))
     at = np.searchsorted(rows, [anchor])
     unit = unit_rows(store.current[rows])[0]
@@ -237,3 +241,23 @@ def asymmetric_norm_loss(
         res.add_grad(hyponym, ad_weight * (2.0 * nv / denom) * (u / nu))
         res.add_grad(hypernym, ad_weight * (-2.0 * nu / denom) * (v / nv))
     return res
+
+
+def bincount_gradient(res: BatchLoss) -> np.ndarray:
+    """``res.gradient()`` as one ``bincount`` over ``(pairs, dim)`` cells: each
+    merged (dst, src) coefficient times its source row, summed per cell in
+    ascending (dst, src) order."""
+    n, dim = res.unit.shape
+    if res._dst:
+        m = len(res._sources)
+        key = np.concatenate(res._dst) * m + np.concatenate(res._src)
+        pairs, which = np.unique(key, return_inverse=True)
+        coef = np.bincount(which, weights=np.concatenate(res._coef))
+        dst, src = np.divmod(pairs, m)
+        terms = coef[:, None] * res._sources[src]
+        cells = (dst[:, None] * dim + np.arange(dim)).ravel()
+        block = np.bincount(cells, weights=terms.ravel(), minlength=n * dim).reshape(n, dim)
+    else:
+        block = np.zeros_like(res.unit)
+    block[np.isinf(res.norms)] = np.nan
+    return block

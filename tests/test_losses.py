@@ -9,6 +9,7 @@ from lexfit.embeddings import unit_rows
 from lexfit.losses import BatchLoss
 from gradcheck import BATCH_SIZES, GENERATORS, check_kernel, draw_instance
 from helpers import random_store
+from reference_losses import bincount_gradient
 
 
 def unit(angle_deg, dim=2):
@@ -362,3 +363,58 @@ class TestGradientAssembly:
         block = res.gradient()
         assert np.isnan(block[5]).all()
         assert np.isfinite(block[:5]).all()
+
+
+def assert_bit_identical(res):
+    got, want = res.gradient(), bincount_gradient(res)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    return got
+
+
+class TestGradientScatter:
+    """The rank-by-rank scatter of ``BatchLoss.gradient`` sums every cell as
+    the one-``bincount`` scatter of ``reference_losses`` does, bit for bit."""
+
+    @pytest.mark.parametrize("kernel", sorted(GENERATORS))
+    def test_gradcheck_batches(self, kernel):
+        rng = np.random.default_rng(55)
+        for batch in BATCH_SIZES:
+            for _ in range(25):
+                assert_bit_identical(draw_instance(kernel, rng, batch).batch_loss())
+
+    def test_hub_batch(self):
+        # row 0 is pulled toward 240 rows and pushed from 60 more, as a hypernym
+        # shared by a whole batch is; the other rows meet a few terms each
+        rng = np.random.default_rng(57)
+        store = random_store(58, 400, 300)
+        original = store.current + 0.1 * rng.standard_normal(store.current.shape)
+        res = BatchLoss(store, np.arange(400), original)
+        hub, near, far = np.zeros(240, np.intp), np.arange(1, 241), np.arange(241, 301).repeat(4)
+        res.hinge(1.0, (1.0, hub, near), (-1.0, hub, far))
+        left, right = rng.integers(1, 400, size=(2, 300))
+        res.hinge(0.5, (1.0, left, right), (-1.0, right, rng.integers(1, 400, size=300)))
+        res.preserve(np.arange(400), 0.01)
+        res.norm_asymmetry(left[:50], right[:50], 1.0)
+        m = len(res._sources)
+        keys = np.unique(np.concatenate(res._dst) * m + np.concatenate(res._src))
+        assert np.count_nonzero(keys // m == 0) >= 200
+        assert assert_bit_identical(res)[0].any()
+
+    def test_batch_without_terms(self):
+        store = random_store(59, 5, 4)
+        res = batch_loss(store)
+        assert not assert_bit_identical(res).any()
+        # every hinge inactive: terms are added to no row
+        res.hinge(-10.0, (1.0, idx(0, 1), idx(2, 3)))
+        assert res.n_hinges == 2 and not res._dst
+        assert not assert_bit_identical(res).any()
+
+    def test_repeated_pairs_and_an_overflowing_norm(self):
+        store = random_store(60, 6, 2)
+        original = store.current.copy()
+        with store.writing() as matrix:
+            matrix[5] = [1.5e308, 1.5e308]
+        block = assert_bit_identical(
+            TestGradientAssembly().loss_with_repeats(store, np.arange(6), original))
+        assert np.isnan(block[5]).all() and np.isfinite(block[:5]).all()

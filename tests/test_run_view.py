@@ -51,9 +51,11 @@ def test_view_equals_the_reference_in_order(seed):
         assert all(items.dtype == np.intp for items in view.streams.values())
         assert set(view.partners) == set(masked), preset
         rows = np.arange(70)  # 60 to 69 are in no pair
-        for rel, table in view.partners.items():
-            owner, partner = linked(table, rows)
-            got = {(int(rows[i]), p) for i, p in zip(owner.tolist(), partner.tolist())}
+        for rel, tables in view.partners.items():
+            got = set()
+            for table in tables:
+                owner, partner = linked(table, rows)
+                got |= {(int(rows[i]), p) for i, p in zip(owner.tolist(), partner.tolist())}
             want = {(r, p) for r in rows.tolist() for p in pair_partners(masked[rel], r)}
             assert got == want, (preset, rel)
 
@@ -134,6 +136,10 @@ def test_probe_reports_one_preset():
     assert set(report["instances"]) == {"syn", "ant", "hyper", "ad"}
     assert report["run_view_s"] >= 0 and report["peak_rss_mib"] > 0
     assert report["working_rows_s"] >= 0
+    # the synonym and antonym streams reach only part of the working set
+    state = report["state_mib"]
+    assert 0 < state["reached"] < state["relations_x_working_set"]
+    assert probe_tool().probe("retrofitting", 400)["state_mib"] is None
 
 
 @pytest.mark.parametrize("preset", ["hierarchy_fitting_ad_indir", "lear"])

@@ -111,20 +111,20 @@ class TestSelectNegatives:
         )
         cs = syn_constraints([(0, 1), (2, 3), (4, 5)])
         batch = self.batch([(0, 1), (2, 3), (4, 5)])
-        picks = mine_one(0, batch, partner_table(cs.synonyms), store, policy="closest_only", k=1)
+        picks = mine_one(0, batch, (partner_table(cs.synonyms),), store, policy="closest_only", k=1)
         assert picks == [2]  # row 2 is parallel to the anchor, distance 0
 
     def test_pool_of_only_constrained_words_is_empty(self):
         store = random_store(0, 4, 5)
         cs = syn_constraints([(0, 1), (0, 2), (0, 3), (2, 3)])
         batch = self.batch([(0, 1), (2, 3)])
-        assert mine_one(0, batch, partner_table(cs.synonyms), store) == []
+        assert mine_one(0, batch, (partner_table(cs.synonyms),), store) == []
 
     def test_single_instance_batch_empty(self):
         store = random_store(0, 2, 4)
         cs = syn_constraints([(0, 1)])
         batch = self.batch([(0, 1)])
-        assert mine_one(0, batch, partner_table(cs.synonyms), store) == []
+        assert mine_one(0, batch, (partner_table(cs.synonyms),), store) == []
 
     def test_closest_matches_bruteforce(self):
         # oracle: exhaustive distance scan over the eligible pool
@@ -147,7 +147,7 @@ class TestSelectNegatives:
             expected = min(
                 pool, key=lambda r: (distance(store.current[anchor], store.current[r]), r)
             )
-            got = mine_one(anchor, batch, partner_table(cs.synonyms), store,
+            got = mine_one(anchor, batch, (partner_table(cs.synonyms),), store,
                            policy="closest_plus_random", k=2)
             assert got[0] == expected
             assert len(got) == 2
@@ -158,8 +158,8 @@ class TestSelectNegatives:
         pairs = [(2 * i, 2 * i + 1) for i in range(8)]
         cs = syn_constraints(pairs)
         batch = self.batch(pairs, seed=11)
-        a = mine_one(0, batch, partner_table(cs.synonyms), store, k=2)
-        b = mine_one(0, batch, partner_table(cs.synonyms), store, k=2)
+        a = mine_one(0, batch, (partner_table(cs.synonyms),), store, k=2)
+        b = mine_one(0, batch, (partner_table(cs.synonyms),), store, k=2)
         assert a == b
 
     def test_never_violates_exclusion(self):
@@ -185,7 +185,7 @@ class TestSelectNegatives:
         # should spread evenly over the 17 other candidates of anchor 0
         store = random_store(5, 20, 6)
         pairs = [(2 * i, 2 * i + 1) for i in range(10)]
-        table = partner_table(syn_constraints(pairs).synonyms)
+        table = (partner_table(syn_constraints(pairs).synonyms),)
         n_draws = 3400
         counts = {}
         closest = set()
@@ -249,7 +249,7 @@ class TestSelectPositives:
         cs.add_pair("ant", 0, 1)
         cs.add_pair("ant", 2, 3)
         batch = MiniBatch("ant", np.array([(0, 1), (2, 3)]), 0, 0, 0)
-        picks = mine_one(0, batch, partner_table(cs.antonyms), store, "positives", k=1)
+        picks = mine_one(0, batch, (partner_table(cs.antonyms),), store, "positives", k=1)
         assert picks == [2]  # -anchor has distance 2, the maximum
 
     def test_farthest_matches_bruteforce(self):
@@ -268,7 +268,7 @@ class TestSelectPositives:
             expected = max(
                 pool, key=lambda r: (distance(store.current[anchor], store.current[r]), -r)
             )
-            table = partner_table(cs.antonyms)
+            table = (partner_table(cs.antonyms),)
             assert mine_one(anchor, batch, table, store, "positives", k=1) == [expected]
 
 
@@ -281,7 +281,7 @@ class TestMineInstances:
         rows, local = batch_rows(batch)
         unit = unit_rows(store.current[rows])[0]
         items, which, _ = mine_instances(
-            batch, partner_table(cs.synonyms), rows, local, unit,
+            batch, (partner_table(cs.synonyms),), rows, local, unit,
             "negatives", "closest_plus_random", 2, mirror=True,
         )
         anchors = {tuple(rows[items[i]]) for i in which}

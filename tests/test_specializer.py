@@ -40,7 +40,7 @@ class TestAdagradStep:
         matrix = np.arange(12.0).reshape(3, 4) + 1.0
         acc = np.zeros_like(matrix)
         before = matrix.copy()
-        adagrad_step(matrix, acc, np.array([1]), np.zeros((1, 4)), 0.5, 1e-8)
+        adagrad_step(matrix, acc, np.array([1]), np.zeros((1, 4)), 0.5, 1e-8, np.arange(3))
         np.testing.assert_array_equal(matrix, before)
         np.testing.assert_array_equal(acc, np.zeros_like(matrix))
         # signed zeros under signed zero gradients keep their sign, also at
@@ -49,16 +49,16 @@ class TestAdagradStep:
         acc, before = np.zeros_like(matrix), matrix.copy()
         block = np.array([[-0.0, -0.0, 0.0, 0.0, -0.0]])
         for epsilon in (1e-8, 0.0):
-            adagrad_step(matrix, acc, np.array([0]), block, 0.5, epsilon)
+            adagrad_step(matrix, acc, np.array([0]), block, 0.5, epsilon, np.arange(1))
         assert matrix.tobytes() == before.tobytes()
         assert not acc.any()
 
     def test_recurrence_single_coordinate(self):
         matrix = np.zeros((1, 1))
         acc = np.zeros((1, 1))
-        adagrad_step(matrix, acc, np.array([0]), np.array([[1.0]]), 1.0, 0.0)
+        adagrad_step(matrix, acc, np.array([0]), np.array([[1.0]]), 1.0, 0.0, np.arange(1))
         assert matrix[0, 0] == -1.0
-        adagrad_step(matrix, acc, np.array([0]), np.array([[1.0]]), 1.0, 0.0)
+        adagrad_step(matrix, acc, np.array([0]), np.array([[1.0]]), 1.0, 0.0, np.arange(1))
         assert abs(matrix[0, 0] - (-1.0 - 1.0 / np.sqrt(2.0))) < 1e-15
 
     def test_matches_dense_oracle(self):
@@ -73,7 +73,7 @@ class TestAdagradStep:
             rows = rng.choice(6, size=rng.integers(1, 4), replace=False)
             block = rng.standard_normal((len(rows), 4))
             block[rng.random(block.shape) < 0.25] = 0.0
-            adagrad_step(sparse_m, sparse_acc, rows, block, lr, eps)
+            adagrad_step(sparse_m, sparse_acc, rows, block, lr, eps, np.arange(6))
             g_full = np.zeros_like(dense_m)
             g_full[rows] = block
             dense_acc += g_full**2
@@ -84,9 +84,8 @@ class TestAdagradStep:
     def test_non_finite_gradient_aborts(self):
         matrix = np.ones((2, 2))
         with pytest.raises(NonFiniteGradientError, match="row 1"):
-            adagrad_step(
-                matrix, np.zeros_like(matrix), np.array([1]), np.array([[1.0, np.nan]]), 0.1, 1e-8
-            )
+            adagrad_step(matrix, np.zeros_like(matrix), np.array([1]),
+                         np.array([[1.0, np.nan]]), 0.1, 1e-8, np.arange(2))
 
     def test_non_finite_later_row_writes_nothing(self):
         matrix = np.arange(12.0).reshape(4, 3) + 1.0
@@ -95,7 +94,7 @@ class TestAdagradStep:
         block = np.ones((3, 3))
         block[2, 1] = np.nan
         with pytest.raises(NonFiniteGradientError, match="row 3"):
-            adagrad_step(matrix, acc, np.array([0, 1, 3]), block, 0.1, 1e-8)
+            adagrad_step(matrix, acc, np.array([0, 1, 3]), block, 0.1, 1e-8, np.arange(4))
         np.testing.assert_array_equal(matrix, before_matrix)
         np.testing.assert_array_equal(acc, before_acc)
 
@@ -108,9 +107,35 @@ class TestAdagradStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteGradientError, match="row 2"):
-                adagrad_step(matrix, acc, np.array([0, 2]), block, 0.1, 1e-8)
+                adagrad_step(matrix, acc, np.array([0, 2]), block, 0.1, 1e-8, np.arange(3))
         np.testing.assert_array_equal(matrix, before_matrix)
         np.testing.assert_array_equal(acc, before_acc)
+
+
+    def test_state_of_some_rows_matches_full_state(self):
+        # state over rows 1, 3 and 4 only: the rows and state it holds move as
+        # full state moves them, and the other rows are never touched
+        rng = np.random.default_rng(9)
+        matrix = rng.standard_normal((6, 4))
+        full_m, full_acc = matrix.copy(), np.zeros_like(matrix)
+        acc_rows, acc = np.array([1, 3, 4]), np.zeros((3, 4))
+        for _ in range(20):
+            rows = rng.choice(acc_rows, size=rng.integers(1, 4), replace=False)
+            block = rng.standard_normal((len(rows), 4))
+            adagrad_step(matrix, acc, rows, block, 0.1, 1e-8, acc_rows)
+            adagrad_step(full_m, full_acc, rows, block, 0.1, 1e-8, np.arange(6))
+        assert matrix.tobytes() == full_m.tobytes()
+        assert acc.tobytes() == full_acc[acc_rows].tobytes()
+        assert not np.delete(full_acc, acc_rows, axis=0).any()
+
+    @pytest.mark.parametrize("rows", [[1, 2], [5], [0, 3]])
+    def test_row_without_state_writes_nothing(self, rows):
+        matrix = np.ones((6, 2))
+        acc = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="acc_rows"):
+            adagrad_step(matrix, acc, np.array(rows), np.ones((len(rows), 2)), 0.1, 1e-8,
+                         np.array([1, 3]))
+        assert (matrix == 1.0).all() and (acc == 0.5).all()
 
 
 class TestRetrofit:
@@ -653,6 +678,30 @@ def test_training_memory_follows_the_working_set():
     assert peak < store.current.nbytes
 
 
+@pytest.mark.parametrize("preset, relations", [("attract_repel", 2), ("lear", 3)])
+def test_training_state_follows_each_relations_rows(preset, relations):
+    # synonyms, antonyms and hypernyms over three disjoint blocks of 1000 rows:
+    # each relation's AdaGrad state covers its own block (lear's hypernym and
+    # norm streams share one), about 1.3 working sets for lear where one
+    # accumulator of the whole working set per relation would be 4
+    store = random_store(7, 3000, 300)
+    cs = ConstraintSet()
+    for a in range(0, 1000, 2):
+        for block, relation in enumerate(("syn", "ant", "hyper")):
+            cs.add_pair(relation, 1000 * block + a, 1000 * block + a + 1)
+    config = SpecializeConfig(preset, epochs=1, batch_size=32, seed=1)
+    tracemalloc.start()
+    try:
+        specialize(store, cs, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    working_set_bytes = relations * 1000 * 300 * 8
+    # the working set's copy, its state and a batch's transients; state of
+    # relations x working set took 3.3 (attract_repel) and 5.4 (lear) times these bytes
+    assert peak < 3 * working_set_bytes
+
+
 @pytest.mark.parametrize("preset", [
     name for name, spec in specializer.PRESET_TABLE.items()
     if spec.train is specializer._train_metric
@@ -679,8 +728,9 @@ class TestRunView:
         cs.add_pair("hyper", 3, 4)
 
         def partners(preset, relation, row):
-            table = specializer.run_view(cs, preset).partners[relation]
-            return set(sampling.linked(table, np.array([row]))[1].tolist())
+            tables = specializer.run_view(cs, preset).partners[relation]
+            return {p for table in tables
+                    for p in sampling.linked(table, np.array([row]))[1].tolist()}
 
         # hierarchy_fitting reads no closure, so it masks the direct pairs only
         assert partners("hierarchy_fitting", "syn", 0) == {1}
@@ -693,6 +743,12 @@ class TestRunView:
         assert partners("hierarchy_fitting_ad_indir", "quad", 0) == {1, 3, 4}
         assert partners("lear", "hyper", 4) == {0, 3}
         assert set(specializer.run_view(cs, "lear").partners) == {"syn", "ant", "hyper"}
+        # one table per pair set: the quadruplet stream reuses the synonym and hypernym ones
+        for preset in ("hierarchy_fitting", "hierarchy_fitting_ad_indir"):
+            tables = specializer.run_view(cs, preset).partners
+            assert [len(tables[rel]) for rel in ("syn", "ant", "hyper", "quad")] == [1, 1, 1, 2]
+            assert tables["quad"][0] is tables["syn"][0]
+            assert tables["quad"][1] is tables["hyper"][0]
         assert specializer.run_view(cs, "counterfitting").partners == {}
         view = specializer.run_view(cs, "retrofitting")
         assert view.streams == {} and view.partners == {}

@@ -10,11 +10,17 @@ dropped as ``ConstraintSet.add_pair`` drops them).
 
 For each preset a fresh process builds the world with seed 1, derives
 ``specializer.run_view``, plans one epoch with ``specializer.plan_epoch``
-(seed 1, ``SpecializeConfig``'s default batch size) and finds the distinct
-rows of the streams' instances with ``constraints.distinct``, as a
-``WorkingSet`` does. It then prints one JSON line: the three times, the
-number of batches, the size of each stream and the process's own peak RSS
-(``ru_maxrss``, the world included). Needs only numpy and the package itself:
+(seed 1, ``SpecializeConfig``'s default batch size) and finds the rows each
+stream reaches (``specializer.stream_rows``), which size its AdaGrad state,
+and the distinct rows of them all, its ``WorkingSet``, as training does. It
+then prints one JSON line: the three times, the number of batches, the size
+of each stream, the AdaGrad state that 300-d vectors would take
+(``state_mib``: the rows each relation reaches, summed, next to one
+accumulator of the whole working set per relation) and the process's own
+peak RSS (``ru_maxrss``, the world included).
+Counter-fitting's state also covers the neighbours of its rows, which need
+vectors; its figure counts the stream rows alone. Needs only numpy and the
+package itself:
 
     PYTHONPATH=src python tools/probe_deep_view.py --rows 200000
     PYTHONPATH=src python tools/probe_deep_view.py --preset lear --rows 20000
@@ -31,6 +37,7 @@ import numpy as np
 
 
 SEED = 1
+DIM = 300  # the published vectors' width, which state_mib assumes
 
 
 def build_world(rows: int):
@@ -50,20 +57,24 @@ def build_world(rows: int):
 
 def probe(preset: str, rows: int) -> dict:
     from lexfit.constraints import distinct
-    from lexfit.specializer import SpecializeConfig, plan_epoch, run_view
+    from lexfit.specializer import SpecializeConfig, plan_epoch, run_view, stream_rows
 
     cs = build_world(rows)
     start = time.perf_counter()
     view = run_view(cs, preset)
     view_s = time.perf_counter() - start
-    plan_s = batches = rows_s = None
-    if view.streams:  # retrofitting plans no epochs
+    plan_s = batches = rows_s = state = None
+    if view.streams:  # retrofitting plans no epochs and keeps no AdaGrad state
         start = time.perf_counter()
         batches = len(plan_epoch(view.streams, SpecializeConfig(preset).batch_size, SEED))
         plan_s = time.perf_counter() - start
         start = time.perf_counter()
-        distinct(np.concatenate([items.ravel() for items in view.streams.values()]))
+        reach = stream_rows(view)
+        working = distinct(np.concatenate(list(reach.values())))
         rows_s = time.perf_counter() - start
+        mib = DIM * 8 / 2**20
+        state = {"reached": round(sum(map(len, reach.values())) * mib, 1),
+                 "relations_x_working_set": round(len(reach) * len(working) * mib, 1)}
     return {
         "preset": preset,
         "rows": rows,
@@ -72,6 +83,7 @@ def probe(preset: str, rows: int) -> dict:
         "plan_epoch_s": None if plan_s is None else round(plan_s, 3),
         "working_rows_s": None if rows_s is None else round(rows_s, 3),
         "batches": batches,
+        "state_mib": state,
         "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 
