@@ -29,19 +29,26 @@ with tempfile.TemporaryDirectory() as tmp:
     print("loading antonyms ('unknownword' is out of vocabulary):")
     print(" ", load_pairs(constraints, str(ant), "ant", store))
     print("  -> antonymy wins the conflicting claim, and this report counts the dropped"
-          " synonym; synonyms now:", sorted(constraints.synonyms))
+          " synonym; synonyms now:", constraints.pairs["syn"].tolist())
     print("loading direct hypernyms:")
     print(" ", load_pairs(constraints, str(hyper), "hyper", store))
 
+# pairs of rows go in through add, under the same rules as file lines
+glad, happy, cat = (store.index[w] for w in ("glad", "happy", "cat"))
+added = constraints.add("syn", [(glad, happy), (cat, cat)])
+print(f"\nadding (glad, happy) again and (cat, cat): {added} new pairs,"
+      f" {constraints.dropped_self} self pair dropped")
+
 print("\ndirect hypernym pairs (hyponym -> hypernym):")
-for lo, hi in sorted(constraints.direct_hypernyms):
+direct = constraints.pairs["hyper"]  # ascending, read-only (n, 2) rows
+for lo, hi in direct.tolist():
     print(f"  {store.vocab[lo]} -> {store.vocab[hi]}")
 
 # the closure is an ascending (n, 2) integer array of (hyponym, hypernym) rows
-closure = hypernym_closure(constraints.direct_hypernyms)
+closure = hypernym_closure(direct)
 print(f"\nafter transitive closure ({len(closure)} pairs, array of shape {closure.shape}):")
 for lo, hi in closure.tolist():
-    if (lo, hi) not in constraints.direct_hypernyms:
+    if [lo, hi] not in direct.tolist():
         print(f"  {store.vocab[lo]} -> {store.vocab[hi]}   (indirect)")
 
 print("\nstats:", constraint_stats(constraints))

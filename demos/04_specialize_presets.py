@@ -12,27 +12,26 @@ from lexfit import ConstraintSet, EmbeddingStore, SpecializeConfig, distance, sp
 def build_world(seed=0):
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((40, 10))
-    cs = ConstraintSet()
+    syn, hyper = [], []
     for g in range(6):
         base = rng.standard_normal(10)
         a, b, c, h = 3 * g, 3 * g + 1, 3 * g + 2, 30 + g
         for w in (a, b, c, h):
             vectors[w] = base + 0.4 * rng.standard_normal(10)
-        for pair in ((a, b), (a, c), (b, c)):
-            cs.add_pair("syn", *pair)
-        cs.add_pair("hyper", a, h)
-        cs.add_pair("hyper", b, h)
-    for g in range(0, 6, 2):  # oppose neighboring clusters
-        for k in range(3):
-            cs.add_pair("ant", 3 * g + k, 3 * (g + 1) + k)
+        syn += [(a, b), (a, c), (b, c)]
+        hyper += [(a, h), (b, h)]
+    cs = ConstraintSet()
+    cs.add("syn", syn)
+    cs.add("hyper", hyper)
+    # oppose neighboring clusters
+    cs.add("ant", [(3 * g + k, 3 * (g + 1) + k) for g in range(0, 6, 2) for k in range(3)])
     store = EmbeddingStore([f"w{i:02d}" for i in range(40)], vectors)
     return store, cs
 
 def audit(store, cs, start):
     cur = store.current
-    syn = np.mean([distance(cur[a], cur[b]) for a, b in cs.synonyms])
-    ant = np.mean([distance(cur[a], cur[b]) for a, b in cs.antonyms])
-    hyp = np.mean([distance(cur[a], cur[b]) for a, b in cs.direct_hypernyms])
+    syn, ant, hyp = (np.mean([distance(cur[a], cur[b]) for a, b in cs.pairs[rel].tolist()])
+                     for rel in ("syn", "ant", "hyper"))
     moved = np.mean(np.linalg.norm(cur - start, axis=1))
     return syn, ant, hyp, moved
 

@@ -42,12 +42,11 @@ for m in range(6):
 store = EmbeddingStore(names, [seed_vecs[w] for w in names])
 cs = ConstraintSet()
 direct = [(child, parent) for child, parent in parents.items()]
-for child, parent in direct:
-    cs.add_pair("hyper", store.index[child], store.index[parent])
-for m in range(6):
-    cs.add_pair("syn", store.index[f"leaf{m}_0"], store.index[f"leaf{m}_1"])
-for m in range(3):
-    cs.add_pair("ant", store.index[f"leaf{m}_0"], store.index[f"leaf{m + 3}_0"])
+row = store.index
+cs.add("hyper", [(row[child], row[parent]) for child, parent in direct])
+cs.add("syn", [(row[f"leaf{m}_0"], row[f"leaf{m}_1"]) for m in range(6)])
+cs.add("ant", [(row[f"leaf{m}_0"], row[f"leaf{m + 3}_0"]) for m in range(3)])
+print("constraint pairs:", {rel: len(pairs) for rel, pairs in cs.pairs.items()})
 
 config = SpecializeConfig(preset="hierarchy_fitting_ad_dir", epochs=100, batch_size=8, seed=4)
 specialize(store, cs, config)

@@ -332,11 +332,8 @@ def cmd_specialize(args) -> int:
         print(f"lexfit: error: {exc}", file=sys.stderr)
         return 1
 
-    print(
-        f"specialized {len(store)} vectors with {method} "
-        f"(syn={len(constraints.synonyms)}, ant={len(constraints.antonyms)}, "
-        f"hyper={len(constraints.direct_hypernyms)}) in {log.wall_time:.2f}s"
-    )
+    held = ", ".join(f"{rel}={len(pairs)}" for rel, pairs in constraints.pairs.items())
+    print(f"specialized {len(store)} vectors with {method} ({held}) in {log.wall_time:.2f}s")
     print(f"wrote {options['out']}, {options['out']}.log, {options['out']}.manifest")
     return 0
 

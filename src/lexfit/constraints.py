@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 import logging
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +11,7 @@ from .embeddings import EmbeddingStore
 
 log = logging.getLogger(__name__)
 
-# the ConstraintSet attribute that holds each pair-file relation
+# the name that messages and constraint_stats give each relation's pairs
 PAIR_SETS = {"syn": "synonyms", "ant": "antonyms", "hyper": "direct_hypernyms"}
 RELATIONS = tuple(PAIR_SETS)
 
@@ -38,42 +36,44 @@ class PairLoadReport:
 class ConstraintSet:
     """Deduplicated word-index pairs per lexical relation.
 
-    Symmetric relations (synonyms, antonyms) store each pair once with the
-    smaller row first. Hypernym pairs are ordered ``(hyponym, hypernym)``.
-    A pair claimed as both synonym and antonym is kept as an antonym only:
-    repelling a genuinely contrasting pair is safer than attracting it.
-    A run reads the set once, into its :func:`lexfit.specializer.run_view`.
+    ``pairs`` maps each relation to its pairs as a :func:`pair_array`, the
+    ascending, distinct, read-only arrays a run reads. Symmetric relations
+    (synonyms, antonyms) store each pair once with the smaller row first.
+    Hypernym pairs are ordered ``(hyponym, hypernym)``. A pair claimed as both
+    synonym and antonym is kept as an antonym only: repelling a genuinely
+    contrasting pair is safer than attracting it.
     """
 
     def __init__(self) -> None:
-        self.synonyms: set[tuple[int, int]] = set()
-        self.antonyms: set[tuple[int, int]] = set()
-        self.direct_hypernyms: set[tuple[int, int]] = set()
-        self.dropped_oov: int = 0
-        self.dropped_self: int = 0
-        self.dropped_conflict: int = 0
+        self.pairs = {rel: pair_array(np.empty((0, 2), np.intp)) for rel in RELATIONS}
+        self.dropped_oov = self.dropped_self = self.dropped_conflict = 0
 
-    def add_pair(self, relation: str, row_a: int, row_b: int) -> bool:
-        """Insert one pair; returns whether it was added. The drop counters say why not."""
+    def add(self, relation: str, rows) -> int:
+        """Insert ``(n, 2)`` row pairs as the lines of one pair file, in order; returns
+        how many distinct pairs are new. The counters say why the others are not: a
+        self pair and a synonym held as an antonym count per line, and each held
+        synonym an antonym displaces counts once."""
         if relation not in RELATIONS:
             raise ValueError(f"unknown relation {relation!r}, expected one of {RELATIONS}")
-        if row_a == row_b:
-            self.dropped_self += 1
-            return False
-        pairs = getattr(self, PAIR_SETS[relation])
-        # hypernym pairs keep their (hyponym, hypernym) order
-        pair = (row_a, row_b) if relation == "hyper" or row_a < row_b else (row_b, row_a)
-        if relation == "syn" and pair in self.antonyms:
-            self.dropped_conflict += 1
-            return False
-        # antonymy wins over a previously ingested synonym claim
-        if relation == "ant" and pair in self.synonyms:
-            self.synonyms.remove(pair)
-            self.dropped_conflict += 1
-        if pair in pairs:
-            return False
-        pairs.add(pair)
-        return True
+        lines = np.asarray(rows, dtype=np.intp)
+        if lines.size and (lines.ndim != 2 or lines.shape[1] != 2 or lines.min() < 0):
+            raise ValueError(f"rows must be (n, 2) non-negative row pairs, got shape {lines.shape}")
+        lines = lines.reshape(-1, 2)
+        rows = lines[lines[:, 0] != lines[:, 1]]
+        self.dropped_self += len(lines) - len(rows)
+        if relation != "hyper":  # hypernym pairs keep their (hyponym, hypernym) order
+            rows = np.sort(rows, axis=1)
+        if relation == "syn":
+            held = _member(rows, self.pairs["ant"])
+            self.dropped_conflict += int(held.sum())
+            rows = rows[~held]
+        if relation == "ant":  # antonymy wins over a previously ingested synonym claim
+            displaced = _member(self.pairs["syn"], rows)
+            self.dropped_conflict += int(displaced.sum())
+            self.pairs["syn"] = pair_array(self.pairs["syn"][~displaced])
+        before = len(self.pairs[relation])
+        self.pairs[relation] = pair_array(np.concatenate((self.pairs[relation], rows)))
+        return len(self.pairs[relation]) - before
 
 
 def load_pairs(
@@ -83,13 +83,12 @@ def load_pairs(
 
     One pair per line, two whitespace-separated tokens; ``#``-prefixed lines
     are comments. Constraint tokens are matched exactly (no back-off); pairs
-    with either word out of vocabulary are dropped and counted.
+    with either word out of vocabulary are dropped and counted. One
+    :meth:`ConstraintSet.add` after the last line: a file that fails adds nothing.
     """
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {RELATIONS}")
-    report = PairLoadReport(relation=relation)
-    drops = ("dropped_oov", "dropped_self", "dropped_conflict")
-    before = [getattr(constraints, name) for name in drops]
+    rows, dropped_oov = [], 0  # rows: the in-vocabulary lines' row pairs, flattened
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -98,15 +97,17 @@ def load_pairs(
             parts = line.split()
             if len(parts) != 2:
                 raise PairFileError(f"{path}:{lineno}: expected 2 tokens, got {len(parts)}")
-            row_a = store.index.get(parts[0])
-            row_b = store.index.get(parts[1])
+            row_a, row_b = map(store.index.get, parts)
             if row_a is None or row_b is None:
-                constraints.dropped_oov += 1
+                dropped_oov += 1
                 continue
-            report.added += constraints.add_pair(relation, row_a, row_b)
+            rows += row_a, row_b
     # the set keeps the one ledger; the report is this file's share of it
-    for name, count in zip(drops, before):
-        setattr(report, name, getattr(constraints, name) - count)
+    before = constraints.dropped_self, constraints.dropped_conflict
+    added = constraints.add(relation, np.array(rows, np.intp).reshape(-1, 2))
+    constraints.dropped_oov += dropped_oov
+    report = PairLoadReport(relation, added, dropped_oov, constraints.dropped_self - before[0],
+                            constraints.dropped_conflict - before[1])
     if report.dropped_oov or report.dropped_self or report.dropped_conflict:
         log.info(
             "%s: kept %d %s pairs (dropped: %d oov, %d self, %d conflict)",
@@ -125,19 +126,23 @@ def distinct(values) -> np.ndarray:
     return values[np.concatenate((np.ones_like(values[:1], bool), values[1:] != values[:-1]))]
 
 
-def pair_keys(pairs: Iterable[tuple[int, int]] | np.ndarray) -> tuple[np.ndarray, int]:
-    """Distinct keys of row ``pairs``, a pair set or an (n, 2) array, ascending; and the width."""
-    if not isinstance(pairs, np.ndarray):
-        pairs = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 2)
+def pair_keys(pairs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Distinct keys of an ``(n, 2)`` row-pair array, ascending; and the width."""
     width = int(pairs.max()) + 1 if len(pairs) else 1
-    keys = pairs[:, 0] * width + pairs[:, 1]
-    del pairs  # a converted pair set is freed before the sort
-    return distinct(keys), width
+    return distinct(pairs[:, 0] * width + pairs[:, 1]), width
 
 
-def pair_array(pairs: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
-    """Row ``pairs`` as ``sorted(set(pairs))`` gives them, an ascending ``(n, 2)`` intp array."""
-    return np.stack(np.divmod(*pair_keys(pairs)), axis=1)
+def pair_array(pairs: np.ndarray) -> np.ndarray:
+    """The distinct pairs of an ``(n, 2)`` row-pair array: ascending, ``(n, 2)`` intp, read-only."""
+    array = np.stack(np.divmod(*pair_keys(pairs)), axis=1)
+    array.flags.writeable = False
+    return array
+
+
+def _member(pairs: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Whether each row pair of ``pairs`` is one of ``held``'s, by one key per pair."""
+    width = int(max(pairs.max(initial=0), held.max(initial=0))) + 1
+    return np.isin(pairs[:, 0] * width + pairs[:, 1], held[:, 0] * width + held[:, 1])
 
 
 def csr(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,10 +162,10 @@ def linked(table: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> tuple[np.n
     return np.repeat(np.arange(len(rows)), counts), indices[np.repeat(start, counts) + offsets]
 
 
-def hypernym_closure(direct: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
-    """Transitive closure of ordered hypernym pairs, as a :func:`pair_array`: a
-    frontier join over the :func:`csr` table of direct parents, whose rounds each
-    extend the last round's new pairs by one direct link, so cycles end.
+def hypernym_closure(direct: np.ndarray) -> np.ndarray:
+    """Transitive closure of an ``(n, 2)`` array of ordered hypernym pairs, as a
+    :func:`pair_array`: a frontier join over the :func:`csr` table of direct parents,
+    whose rounds each extend the last round's new pairs by one direct link, so cycles end.
     Self-pairs are never emitted; every other direct pair is."""
     keys, width = pair_keys(direct)
     closure = frontier = keys[keys // width != keys % width]  # no self-pairs
@@ -189,10 +194,8 @@ def constraint_stats(constraints: ConstraintSet) -> dict[str, int]:
     """Exact cardinalities per relation plus cumulative drop counts;
     ``indirect_hypernyms`` counts the transitive closure of the direct pairs."""
     return {
-        "synonyms": len(constraints.synonyms),
-        "antonyms": len(constraints.antonyms),
-        "direct_hypernyms": len(constraints.direct_hypernyms),
-        "indirect_hypernyms": len(hypernym_closure(constraints.direct_hypernyms)),
+        **{name: len(constraints.pairs[rel]) for rel, name in PAIR_SETS.items()},
+        "indirect_hypernyms": len(hypernym_closure(constraints.pairs["hyper"])),
         "dropped_oov": constraints.dropped_oov,
         "dropped_self": constraints.dropped_self,
         "dropped_conflict": constraints.dropped_conflict,

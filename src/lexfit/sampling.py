@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constraints
-from .constraints import distinct, linked, pair_array
+from .constraints import distinct, linked
 
 RELATION_CYCLE = ("syn", "ant", "hyper", "quad", "ad")
 
@@ -30,10 +30,9 @@ class MiniBatch:
     seed: int = 0
 
 
-def quad_join(pair_sets) -> np.ndarray:
-    """:func:`lexfit.constraints.quad_join` of a ``ConstraintSet``'s synonyms and
-    direct hypernyms; a run joins the pair arrays of its view instead."""
-    return constraints.quad_join(*map(pair_array, (pair_sets.synonyms, pair_sets.direct_hypernyms)))
+def quad_join(cs) -> np.ndarray:
+    """:func:`lexfit.constraints.quad_join` of ``cs.pairs``; a run joins its view's arrays instead."""
+    return constraints.quad_join(cs.pairs["syn"], cs.pairs["hyper"])
 
 
 def plan_epoch(

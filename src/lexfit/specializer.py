@@ -186,8 +186,8 @@ def run_view(constraints: ConstraintSet, preset: str) -> RunView:
     stream masks the synonym and the hypernym table, each built once.
     """
     spec = PRESET_TABLE[preset]
-    pairs = {rel: pair_array(getattr(constraints, name)) for rel, name in PAIR_SETS.items()}
-    syn, ant, direct = pairs.values()
+    pairs = dict(constraints.pairs)  # read-only arrays: the run cannot write them
+    syn, ant, direct = pairs["syn"], pairs["ant"], pairs["hyper"]
     closed = hypernym_closure(direct) if spec.closed_hyper or spec.closed_ad else direct
     stream = {"syn": syn, "ant": ant, "hyper": closed if spec.closed_hyper else direct,
               "ad": closed if spec.closed_ad else direct}

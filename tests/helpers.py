@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from lexfit import ConstraintSet, EmbeddingStore, quad_join
-from lexfit.constraints import csr, pair_array, pair_keys
-from reference_view import closure_bfs
+from lexfit.constraints import csr, pair_keys
+from reference_view import closure_bfs, pair_sets
 
 
 def random_store(seed: int, n: int, dim: int) -> EmbeddingStore:
@@ -41,20 +41,14 @@ def toy_hierarchy_fixture(seed: int = 0, noise: float = 0.4) -> tuple[EmbeddingS
     cs = ConstraintSet()
     for t in range(6):
         a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
-        for pair in ((a, b), (a, c), (b, c)):
-            cs.add_pair("syn", *pair)
-        cs.add_pair("hyper", a, 40 + t)
-        cs.add_pair("hyper", b, 40 + t)
-    cs.add_pair("syn", 18, 19)
-    cs.add_pair("syn", 20, 21)
-    cs.add_pair("hyper", 18, 46)
-    cs.add_pair("hyper", 20, 47)
-    cs.add_pair("hyper", 22, 48)
-    for a, b in ((0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11),
-                 (12, 15), (13, 16), (14, 17), (18, 20)):
-        cs.add_pair("ant", a, b)
-    assert len(cs.synonyms) == 20 and len(cs.antonyms) == 10
-    assert len(cs.direct_hypernyms) == 15
+        cs.add("syn", [(a, b), (a, c), (b, c)])
+        cs.add("hyper", [(a, 40 + t), (b, 40 + t)])
+    cs.add("syn", [(18, 19), (20, 21)])
+    cs.add("hyper", [(18, 46), (20, 47), (22, 48)])
+    cs.add("ant", [(0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11),
+                   (12, 15), (13, 16), (14, 17), (18, 20)])
+    assert len(cs.pairs["syn"]) == 20 and len(cs.pairs["ant"]) == 10
+    assert len(cs.pairs["hyper"]) == 15
     return store, cs
 
 
@@ -72,33 +66,39 @@ def taxonomy_fixture(seed: int = 0) -> tuple[EmbeddingStore, ConstraintSet, list
     for m in range(6):  # leaves 9..26 under mids 3..8
         for leaf in range(3):
             direct.append((9 + 3 * m + leaf, 3 + m))
-    for lo, hi in direct:
-        cs.add_pair("hyper", lo, hi)
-    for m in range(6):
-        cs.add_pair("syn", 9 + 3 * m, 9 + 3 * m + 1)
-    for a, b in ((9, 15), (10, 16), (11, 17), (15, 21), (16, 22), (17, 23)):
-        cs.add_pair("ant", a, b)
+    cs.add("hyper", direct)
+    cs.add("syn", [(9 + 3 * m, 9 + 3 * m + 1) for m in range(6)])
+    cs.add("ant", [(9, 15), (10, 16), (11, 17), (15, 21), (16, 22), (17, 23)])
     return store, cs, direct
 
 
 def mined_pairs(cs: ConstraintSet, relation: str, closed: bool = False) -> set[tuple[int, int]]:
     """Oracle: the pair set whose partners mining excludes for a relation; the
     hypernym pairs are the closure's when ``closed``, and ``quad`` adds synonyms."""
-    hyper = closure_bfs(cs.direct_hypernyms) if closed else cs.direct_hypernyms
-    return {"syn": cs.synonyms, "ant": cs.antonyms, "hyper": hyper,
-            "quad": cs.synonyms | hyper}[relation]
+    syn, ant, direct = pair_sets(cs)
+    hyper = closure_bfs(direct) if closed else direct
+    return {"syn": syn, "ant": ant, "hyper": hyper, "quad": syn | hyper}[relation]
 
 
 def joined(cs: ConstraintSet) -> np.ndarray:
     """The quadruplet join of the synonym and direct hypernym arrays of ``cs``."""
-    return quad_join(pair_array(cs.synonyms), pair_array(cs.direct_hypernyms))
+    return quad_join(cs.pairs["syn"], cs.pairs["hyper"])
 
 
-def partner_table(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The mining table of a pair set, as ``run_view`` builds one: the CSR
-    table of its pairs read both ways."""
-    ends = pair_array(pairs)
-    return csr(*pair_keys(np.concatenate((ends, ends[:, ::-1]))))
+def partner_table(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mining table of an ``(n, 2)`` pair array, as ``run_view`` builds one:
+    the CSR table of its pairs read both ways."""
+    return csr(*pair_keys(np.concatenate((pairs, pairs[:, ::-1]))))
+
+
+def as_array(pairs) -> np.ndarray:
+    """An ``(n, 2)`` intp array of a collection of row pairs, in sorted order."""
+    return np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
+
+
+def held(cs: ConstraintSet, relation: str) -> list[tuple[int, int]]:
+    """The pairs ``cs`` holds for a relation, as ascending tuples."""
+    return [tuple(pair) for pair in cs.pairs[relation].tolist()]
 
 
 def pair_partners(pairs, row: int) -> set[int]:

@@ -31,13 +31,20 @@ def closure_bfs(direct) -> set[tuple[int, int]]:
     return closure
 
 
+def pair_sets(constraints: ConstraintSet) -> tuple[set, set, set]:
+    """The synonym, antonym and direct hypernym pairs of ``constraints``, as sets of tuples."""
+    return tuple({tuple(pair) for pair in constraints.pairs[rel].tolist()}
+                 for rel in ("syn", "ant", "hyper"))
+
+
 def quad_join_dict(constraints: ConstraintSet) -> list[tuple[int, int, int]]:
     """(anchor, synonym, hypernym) seeds, joined through a dict of hypernym lists."""
+    syn, _, direct = pair_sets(constraints)
     hypers: dict[int, list[int]] = defaultdict(list)
-    for lo, hi in sorted(constraints.direct_hypernyms):
+    for lo, hi in sorted(direct):
         hypers[lo].append(hi)
     seeds = []
-    for a, s in sorted(constraints.synonyms):
+    for a, s in sorted(syn):
         seeds.extend((a, s, h) for h in hypers.get(a, ()))
         seeds.extend((s, a, h) for h in hypers.get(s, ()))
     return seeds
@@ -47,7 +54,7 @@ def reference_view(constraints: ConstraintSet, preset: str):
     """The streams, as lists of tuples in planning order, and the pair set
     each mined stream masks, of the preset's run."""
     spec = PRESET_TABLE[preset]
-    syn, ant, direct = constraints.synonyms, constraints.antonyms, constraints.direct_hypernyms
+    syn, ant, direct = pair_sets(constraints)
     closed = closure_bfs(direct) if spec.closed_hyper or spec.closed_ad else direct
     pairs = {"syn": syn, "ant": ant, "hyper": closed if spec.closed_hyper else direct,
              "ad": closed if spec.closed_ad else direct}

@@ -25,7 +25,7 @@ from lexfit import (
 from lexfit.cli import main as cli_main
 from lexfit.evaluate import RelationDataset, RelationEntry
 from gradcheck import GENERATORS, check_kernel
-from helpers import joined, random_store, taxonomy_fixture, toy_hierarchy_fixture
+from helpers import held, joined, random_store, taxonomy_fixture, toy_hierarchy_fixture
 
 
 def criterion(num, name):
@@ -57,7 +57,7 @@ def test_criterion_2_retrofit_closed_form():
     store = random_store(1, 2, 6)
     o_a, o_b = store.current[0].copy(), store.current[1].copy()
     cs = ConstraintSet()
-    cs.add_pair("syn", 0, 1)
+    cs.add("syn", [(0, 1)])
     specialize(
         store, cs, SpecializeConfig("retrofitting", retrofit_alpha=1.0, retrofit_iterations=200)
     )
@@ -74,13 +74,13 @@ def test_criterion_2_retrofit_closed_form():
             if a != b:
                 edges.add((min(a, b), max(a, b)))
         for a, b in edges:
-            cs.add_pair("syn", a, b)
+            cs.add("syn", [(a, b)])
         original = store.current.copy()  # the run anchors to the vectors it is given
         specialize(
             store, cs, SpecializeConfig("retrofitting", retrofit_alpha=1.0, retrofit_iterations=500)
         )
         adjacency = {}
-        for a, b in cs.synonyms:
+        for a, b in held(cs, "syn"):
             adjacency.setdefault(a, []).append(b)
             adjacency.setdefault(b, []).append(a)
         for word, neighbors in adjacency.items():
@@ -107,10 +107,10 @@ def test_criterion_3_toy_hierarchy_fitting():
     assert satisfied / len(joins) >= 0.95, f"(a) {satisfied}/{len(joins)} joins ordered"
 
     syn_partners, ant_partners = {}, {}
-    for a, b in constraints.synonyms:
+    for a, b in held(constraints, "syn"):
         syn_partners.setdefault(a, []).append(b)
         syn_partners.setdefault(b, []).append(a)
-    for a, b in constraints.antonyms:
+    for a, b in held(constraints, "ant"):
         ant_partners.setdefault(a, []).append(b)
         ant_partners.setdefault(b, []).append(a)
     for word in sorted(set(syn_partners) & set(ant_partners)):

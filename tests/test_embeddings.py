@@ -947,8 +947,8 @@ class TestWriting:
         assert loaded._unit32 is None and len(builds) == 3
         # counter-fitting's precompute builds its own float32 rows and leaves none on the store
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
-        cs.add_pair("ant", 0, 2)
+        cs.add("syn", [(0, 1)])
+        cs.add("ant", [(0, 2)])
         specialize(loaded, cs, SpecializeConfig("counterfitting", epochs=1, neighbor_k=3))
         assert len(builds) == 4 and loaded._unit32 is None
 

@@ -2,18 +2,20 @@
 reference of ``reference_view.py``, order included, and its memory."""
 
 import dataclasses
+import gc
 import importlib.util
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lexfit import ConstraintSet, hypernym_closure, quad_join
+from lexfit import ConstraintSet, EmbeddingStore, hypernym_closure, load_pairs, quad_join
 from lexfit.constraints import csr, distinct, linked, pair_array, pair_keys
 from lexfit.specializer import PRESETS, RunView, run_view
-from helpers import pair_partners
-from reference_view import closure_bfs, quad_join_dict, reference_view
+from helpers import as_array, held, pair_partners
+from reference_view import closure_bfs, pair_sets, quad_join_dict, reference_view
 
 
 def random_world(seed: int, n: int = 60) -> ConstraintSet:
@@ -23,13 +25,11 @@ def random_world(seed: int, n: int = 60) -> ConstraintSet:
     rng = np.random.default_rng(seed)
     cs = ConstraintSet()
     chain = rng.permutation(n)[:25].tolist()
-    for lo, hi in zip(chain, chain[1:]):
-        cs.add_pair("hyper", lo, hi)
+    cs.add("hyper", list(zip(chain, chain[1:])))
     if seed % 2:
-        cs.add_pair("hyper", chain[-1], chain[int(rng.integers(0, 20))])
+        cs.add("hyper", [(chain[-1], chain[int(rng.integers(0, 20))])])
     for relation, count in (("hyper", n // 2), ("syn", n // 2), ("ant", n // 4)):
-        for a, b in rng.integers(0, n, size=(count, 2)).tolist():
-            cs.add_pair(relation, a, b)
+        cs.add(relation, rng.integers(0, n, size=(count, 2)))
     return cs
 
 
@@ -40,13 +40,12 @@ def as_tuples(array: np.ndarray) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize("seed", range(8))
 def test_view_equals_the_reference_in_order(seed):
     cs = random_world(seed)
-    assert len(closure_bfs(cs.direct_hypernyms)) > 300  # the chain's closure alone is 300
+    assert len(closure_bfs(held(cs, "hyper"))) > 300  # the chain's closure alone is 300
     for preset in PRESETS:
         view = run_view(cs, preset)
         streams, masked = reference_view(cs, preset)
-        assert {rel: as_tuples(pairs) for rel, pairs in view.pairs.items()} == {
-            "syn": sorted(cs.synonyms), "ant": sorted(cs.antonyms),
-            "hyper": sorted(cs.direct_hypernyms)}
+        assert {rel: as_tuples(pairs) for rel, pairs in view.pairs.items()} == dict(
+            zip(("syn", "ant", "hyper"), map(sorted, pair_sets(cs))))
         assert {rel: as_tuples(items) for rel, items in view.streams.items()} == streams, preset
         assert all(items.dtype == np.intp for items in view.streams.values())
         assert set(view.partners) == set(masked), preset
@@ -63,38 +62,38 @@ def test_view_equals_the_reference_in_order(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_closure_and_join_equal_the_reference(seed):
     cs = random_world(seed)
-    closure = hypernym_closure(cs.direct_hypernyms)
+    closure = hypernym_closure(cs.pairs["hyper"])
     assert closure.dtype == np.intp and closure.shape[1] == 2
-    assert as_tuples(closure) == sorted(closure_bfs(cs.direct_hypernyms))
-    joined = quad_join(pair_array(cs.synonyms), pair_array(cs.direct_hypernyms))
+    assert as_tuples(closure) == sorted(closure_bfs(held(cs, "hyper")))
+    joined = quad_join(cs.pairs["syn"], cs.pairs["hyper"])
     assert joined.dtype == np.intp and joined.shape[1] == 3
     assert as_tuples(joined) == quad_join_dict(cs)
 
 
 def test_closure_of_a_deep_chain_and_a_long_cycle():
     chain = {(i, i + 1) for i in range(30)}
-    assert as_tuples(hypernym_closure(chain)) == sorted(closure_bfs(chain))
-    assert len(hypernym_closure(chain)) == 30 * 31 // 2
+    assert as_tuples(hypernym_closure(as_array(chain))) == sorted(closure_bfs(chain))
+    assert len(hypernym_closure(as_array(chain))) == 30 * 31 // 2
     cycle = chain | {(30, 0)}
-    assert as_tuples(hypernym_closure(cycle)) == sorted(closure_bfs(cycle))
-    assert len(hypernym_closure(cycle)) == 31 * 30
+    assert as_tuples(hypernym_closure(as_array(cycle))) == sorted(closure_bfs(cycle))
+    assert len(hypernym_closure(as_array(cycle))) == 31 * 30
 
 
 def test_pair_format_on_large_rows():
     # keys are src * width + dst, with width past the largest row
     pairs = {(10**6, 7), (7, 10**6 + 1), (10**6, 3)}
-    assert as_tuples(pair_array(pairs)) == sorted(pairs)
-    assert as_tuples(hypernym_closure(pairs)) == sorted(closure_bfs(pairs))
-    owner, dst = linked(csr(*pair_keys(pairs)), np.array([10**6, 5, 7, 10**7]))
+    unsorted = np.array(list(pairs))
+    assert as_tuples(pair_array(unsorted)) == sorted(pairs)
+    assert as_tuples(hypernym_closure(unsorted)) == sorted(closure_bfs(pairs))
+    owner, dst = linked(csr(*pair_keys(unsorted)), np.array([10**6, 5, 7, 10**7]))
     assert list(zip(owner.tolist(), dst.tolist())) == [(0, 3), (0, 7), (2, 10**6 + 1)]
 
 
 def test_repeated_pairs_count_once():
     pairs = [(3, 1), (1, 2), (3, 1), (1, 2), (1, 2)]
-    assert as_tuples(pair_array(pairs)) == [(1, 2), (3, 1)]
     assert as_tuples(pair_array(np.array(pairs))) == [(1, 2), (3, 1)]
-    assert as_tuples(hypernym_closure(pairs)) == sorted(closure_bfs(set(pairs)))
-    assert len(hypernym_closure(pairs)) == 3
+    assert as_tuples(hypernym_closure(np.array(pairs))) == sorted(closure_bfs(set(pairs)))
+    assert len(hypernym_closure(np.array(pairs))) == 3
 
 
 def test_the_view_holds_arrays_only():
@@ -114,10 +113,11 @@ def test_distinct_equals_unique(seed):
 
 
 def test_empty_pairs():
-    assert pair_array(set()).shape == (0, 2)
-    assert hypernym_closure(set()).shape == (0, 2)
-    assert quad_join(pair_array(set()), pair_array(set())).shape == (0, 3)
-    owner, dst = linked(csr(*pair_keys(set())), np.array([0, 4]))
+    empty = ConstraintSet().pairs["hyper"]
+    assert pair_array(empty).shape == (0, 2)
+    assert hypernym_closure(empty).shape == (0, 2)
+    assert quad_join(empty, empty).shape == (0, 3)
+    owner, dst = linked(csr(*pair_keys(empty)), np.array([0, 4]))
     assert len(owner) == len(dst) == 0
 
 
@@ -148,7 +148,7 @@ def test_view_memory_follows_the_closure(preset):
     # pairs. A view built of pair sets and lists of tuples peaked at 15.3-16.7
     # times the closure array's bytes; the arrays peak at 5.5-6.9 times
     cs = probe_tool().build_world(20000)  # the probe's world
-    closure_bytes = 16 * len(hypernym_closure(cs.direct_hypernyms))  # (n, 2) intp
+    closure_bytes = 16 * len(hypernym_closure(cs.pairs["hyper"]))  # (n, 2) intp
     tracemalloc.start()
     try:
         view = run_view(cs, preset)
@@ -157,3 +157,35 @@ def test_view_memory_follows_the_closure(preset):
         tracemalloc.stop()
     assert len(view.streams["ad"]) * 16 == closure_bytes > 2_000_000
     assert peak < 10 * closure_bytes
+
+
+def test_held_pairs_take_their_array_bytes():
+    # about 30k distinct pairs loaded from files: a set of tuples retained
+    # about 125 bytes per pair, an (n, 2) intp array takes 16
+    rows = 20000
+    store = EmbeddingStore([f"w{i}" for i in range(rows)], np.ones((rows, 1)))
+    rng = np.random.default_rng(4)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for relation, count in (("syn", 15000), ("ant", 6000), ("hyper", 9000)):
+            paths[relation] = Path(tmp) / f"{relation}.txt"
+            pairs = rng.integers(0, rows, size=(count, 2)).tolist()
+            paths[relation].write_text("".join(f"w{a} w{b}\n" for a, b in pairs))
+
+        def load() -> ConstraintSet:
+            cs = ConstraintSet()
+            for relation, path in paths.items():
+                load_pairs(cs, str(path), relation, store)
+            return cs
+
+        load()  # numpy imports some modules at first use; those are not the set's
+        tracemalloc.start()
+        try:
+            cs = load()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    held_pairs = sum(map(len, cs.pairs.values()))
+    assert held_pairs > 29000
+    assert retained <= 32 * held_pairs + 4096

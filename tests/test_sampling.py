@@ -7,6 +7,8 @@ from lexfit.embeddings import unit_rows
 from lexfit.sampling import MiniBatch, batch_rows, mine_batch, mine_instances
 from lexfit.specializer import run_view
 from helpers import (
+    as_array,
+    held,
     joined,
     mined_pairs,
     pair_partners,
@@ -20,7 +22,7 @@ from reference_losses import mine_one
 def syn_constraints(pairs):
     cs = ConstraintSet()
     for a, b in pairs:
-        cs.add_pair("syn", a, b)
+        cs.add("syn", [(a, b)])
     return cs
 
 
@@ -39,7 +41,7 @@ class TestPlanEpoch:
     def test_single_relation_degenerates(self):
         cs = ConstraintSet()
         for i in range(5):
-            cs.add_pair("ant", i, i + 5)
+            cs.add("ant", [(i, i + 5)])
         plan = plan_epoch(streams(cs), batch_size=2, seed=0)
         assert [b.relation for b in plan] == ["ant", "ant", "ant"]
 
@@ -77,8 +79,8 @@ class TestPlanEpoch:
 
     def test_ad_stream_uses_closure_when_asked(self):
         cs = ConstraintSet()
-        cs.add_pair("hyper", 0, 1)
-        cs.add_pair("hyper", 1, 2)
+        cs.add("hyper", [(0, 1)])
+        cs.add("hyper", [(1, 2)])
         for preset, want in (("hierarchy_fitting_ad_dir", {(0, 1), (1, 2)}),
                              ("hierarchy_fitting_ad_indir", {(0, 1), (1, 2), (0, 2)})):
             plan = plan_epoch({"ad": streams(cs, preset)["ad"]}, 8, seed=0)
@@ -88,11 +90,11 @@ class TestPlanEpoch:
 class TestQuadJoin:
     def test_join_rule(self):
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
-        cs.add_pair("hyper", 0, 5)
-        cs.add_pair("hyper", 1, 6)
+        cs.add("syn", [(0, 1)])
+        cs.add("hyper", [(0, 5)])
+        cs.add("hyper", [(1, 6)])
         assert set(map(tuple, joined(cs).tolist())) == {(0, 1, 5), (1, 0, 6)}
-        # the set form joins the same arrays
+        # the ConstraintSet form joins the same arrays
         assert sampling.quad_join(cs).tolist() == joined(cs).tolist()
 
     def test_no_hypernyms_no_joins(self):
@@ -111,20 +113,20 @@ class TestSelectNegatives:
         )
         cs = syn_constraints([(0, 1), (2, 3), (4, 5)])
         batch = self.batch([(0, 1), (2, 3), (4, 5)])
-        picks = mine_one(0, batch, (partner_table(cs.synonyms),), store, policy="closest_only", k=1)
+        picks = mine_one(0, batch, (partner_table(cs.pairs["syn"]),), store, policy="closest_only", k=1)
         assert picks == [2]  # row 2 is parallel to the anchor, distance 0
 
     def test_pool_of_only_constrained_words_is_empty(self):
         store = random_store(0, 4, 5)
         cs = syn_constraints([(0, 1), (0, 2), (0, 3), (2, 3)])
         batch = self.batch([(0, 1), (2, 3)])
-        assert mine_one(0, batch, (partner_table(cs.synonyms),), store) == []
+        assert mine_one(0, batch, (partner_table(cs.pairs["syn"]),), store) == []
 
     def test_single_instance_batch_empty(self):
         store = random_store(0, 2, 4)
         cs = syn_constraints([(0, 1)])
         batch = self.batch([(0, 1)])
-        assert mine_one(0, batch, (partner_table(cs.synonyms),), store) == []
+        assert mine_one(0, batch, (partner_table(cs.pairs["syn"]),), store) == []
 
     def test_closest_matches_bruteforce(self):
         # oracle: exhaustive distance scan over the eligible pool
@@ -133,7 +135,7 @@ class TestSelectNegatives:
         cs = syn_constraints(pairs)
         batch = self.batch(pairs)
         for anchor in (0, 1, 6, 31):
-            partners = pair_partners(cs.synonyms, anchor)
+            partners = pair_partners(held(cs, "syn"), anchor)
             pool = sorted(
                 {
                     r
@@ -147,7 +149,7 @@ class TestSelectNegatives:
             expected = min(
                 pool, key=lambda r: (distance(store.current[anchor], store.current[r]), r)
             )
-            got = mine_one(anchor, batch, (partner_table(cs.synonyms),), store,
+            got = mine_one(anchor, batch, (partner_table(cs.pairs["syn"]),), store,
                            policy="closest_plus_random", k=2)
             assert got[0] == expected
             assert len(got) == 2
@@ -158,8 +160,8 @@ class TestSelectNegatives:
         pairs = [(2 * i, 2 * i + 1) for i in range(8)]
         cs = syn_constraints(pairs)
         batch = self.batch(pairs, seed=11)
-        a = mine_one(0, batch, (partner_table(cs.synonyms),), store, k=2)
-        b = mine_one(0, batch, (partner_table(cs.synonyms),), store, k=2)
+        a = mine_one(0, batch, (partner_table(cs.pairs["syn"]),), store, k=2)
+        b = mine_one(0, batch, (partner_table(cs.pairs["syn"]),), store, k=2)
         assert a == b
 
     def test_never_violates_exclusion(self):
@@ -185,7 +187,7 @@ class TestSelectNegatives:
         # should spread evenly over the 17 other candidates of anchor 0
         store = random_store(5, 20, 6)
         pairs = [(2 * i, 2 * i + 1) for i in range(10)]
-        table = (partner_table(syn_constraints(pairs).synonyms),)
+        table = (partner_table(syn_constraints(pairs).pairs["syn"]),)
         n_draws = 3400
         counts = {}
         closest = set()
@@ -246,10 +248,10 @@ class TestSelectPositives:
             [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 1.0]],
         )
         cs = ConstraintSet()
-        cs.add_pair("ant", 0, 1)
-        cs.add_pair("ant", 2, 3)
+        cs.add("ant", [(0, 1)])
+        cs.add("ant", [(2, 3)])
         batch = MiniBatch("ant", np.array([(0, 1), (2, 3)]), 0, 0, 0)
-        picks = mine_one(0, batch, (partner_table(cs.antonyms),), store, "positives", k=1)
+        picks = mine_one(0, batch, (partner_table(cs.pairs["ant"]),), store, "positives", k=1)
         assert picks == [2]  # -anchor has distance 2, the maximum
 
     def test_farthest_matches_bruteforce(self):
@@ -257,18 +259,18 @@ class TestSelectPositives:
         pairs = [(2 * i, 2 * i + 1) for i in range(10)]
         cs = ConstraintSet()
         for a, b in pairs:
-            cs.add_pair("ant", a, b)
+            cs.add("ant", [(a, b)])
         batch = MiniBatch("ant", np.array(pairs), 0, 0, 4)
         for anchor in (0, 5, 19):
             pool = sorted(
                 {r for item in pairs if anchor not in item for r in item}
-                - pair_partners(cs.antonyms, anchor)
+                - pair_partners(held(cs, "ant"), anchor)
                 - {anchor}
             )
             expected = max(
                 pool, key=lambda r: (distance(store.current[anchor], store.current[r]), -r)
             )
-            table = (partner_table(cs.antonyms),)
+            table = (partner_table(cs.pairs["ant"]),)
             assert mine_one(anchor, batch, table, store, "positives", k=1) == [expected]
 
 
@@ -281,7 +283,7 @@ class TestMineInstances:
         rows, local = batch_rows(batch)
         unit = unit_rows(store.current[rows])[0]
         items, which, _ = mine_instances(
-            batch, (partner_table(cs.synonyms),), rows, local, unit,
+            batch, (partner_table(cs.pairs["syn"]),), rows, local, unit,
             "negatives", "closest_plus_random", 2, mirror=True,
         )
         anchors = {tuple(rows[items[i]]) for i in which}
@@ -295,16 +297,16 @@ class TestPartnerTable:
         cs = ConstraintSet()
         for rel in ("syn", "ant", "hyper"):
             for a, b in rng.integers(0, 30, size=(40, 2)).tolist():
-                cs.add_pair(rel, a, b)
+                cs.add(rel, [(a, b)])
         rows = np.array([0, 5, 5, 29, 35, 3, 17])  # 35 is in no pair
         for rel in ("syn", "ant", "hyper", "quad"):
             for closed in (False, True):
                 pairs = mined_pairs(cs, rel, closed)
-                owner, partner = linked(partner_table(pairs), rows)
+                owner, partner = linked(partner_table(as_array(pairs)), rows)
                 got = list(zip(owner.tolist(), partner.tolist()))
                 want = {(i, p) for i, r in enumerate(rows.tolist()) for p in pair_partners(pairs, r)}
                 assert set(got) == want
 
     def test_empty_table_links_nothing(self):
-        owner, partner = linked(partner_table(set()), np.array([0, 3]))
+        owner, partner = linked(partner_table(as_array(set())), np.array([0, 3]))
         assert len(owner) == len(partner) == 0

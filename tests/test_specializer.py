@@ -20,7 +20,7 @@ from lexfit import (
     specialize,
 )
 from lexfit import embeddings, sampling, specializer
-from helpers import joined, random_store, taxonomy_fixture, toy_hierarchy_fixture
+from helpers import held, joined, random_store, taxonomy_fixture, toy_hierarchy_fixture
 from reference_losses import (
     LossResult,
     asymmetric_norm_loss,
@@ -142,7 +142,7 @@ class TestRetrofit:
     def test_isolated_word_unchanged(self):
         store = random_store(0, 3, 4)
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
+        cs.add("syn", [(0, 1)])
         before_row2 = store.current[2].copy()
         specialize(
             store, cs, SpecializeConfig("retrofitting", retrofit_alpha=1.0, retrofit_iterations=50)
@@ -154,7 +154,7 @@ class TestRetrofit:
         store = random_store(1, 2, 6)
         o_a, o_b = store.current[0].copy(), store.current[1].copy()
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
+        cs.add("syn", [(0, 1)])
         specialize(
             store, cs, SpecializeConfig("retrofitting", retrofit_alpha=1.0, retrofit_iterations=200)
         )
@@ -172,13 +172,13 @@ class TestRetrofit:
             if a != b:
                 edges.add((min(a, b), max(a, b)))
         for a, b in edges:
-            cs.add_pair("syn", int(a), int(b))
+            cs.add("syn", [(int(a), int(b))])
         original = store.current.copy()
         specialize(
             store, cs, SpecializeConfig("retrofitting", retrofit_alpha=1.0, retrofit_iterations=300)
         )
         adjacency = {}
-        for a, b in cs.synonyms:
+        for a, b in held(cs, "syn"):
             adjacency.setdefault(a, []).append(b)
             adjacency.setdefault(b, []).append(a)
         for word, neighbors in adjacency.items():
@@ -189,7 +189,7 @@ class TestRetrofit:
     def test_rejects_bad_alpha(self, alpha):
         store = random_store(3, 4, 4)
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
+        cs.add("syn", [(0, 1)])
         before = store.current.copy()
         with pytest.raises(ValueError, match="retrofit_alpha"):
             specialize(store, cs, SpecializeConfig("retrofitting", retrofit_alpha=alpha))
@@ -198,7 +198,7 @@ class TestRetrofit:
     def test_hypernym_edges_count(self):
         store = random_store(3, 4, 4)
         cs = ConstraintSet()
-        cs.add_pair("hyper", 0, 1)
+        cs.add("hyper", [(0, 1)])
         before = store.current[0].copy()
         specialize(store, cs, SpecializeConfig("retrofitting", retrofit_iterations=5))
         assert not np.array_equal(store.current[0], before)
@@ -206,7 +206,7 @@ class TestRetrofit:
     def test_rejects_constraints_without_links(self):
         # the retrofitting preset refuses a set without links, and leaves the store as it was
         cs = ConstraintSet()
-        cs.add_pair("ant", 0, 1)
+        cs.add("ant", [(0, 1)])
         message = "requires nonempty synonyms or direct_hypernyms"
         with pytest.raises(ValueError, match=message):
             specialize(random_store(3, 4, 4), cs, SpecializeConfig("retrofitting"))
@@ -219,7 +219,7 @@ class TestRetrofit:
     def test_matches_the_per_row_mean(self):
         # oracle: each linked row's neighbour mean taken on its own, in pair order
         store, cs = toy_hierarchy_fixture(seed=2)
-        pairs = sorted(cs.synonyms | cs.direct_hypernyms)
+        pairs = sorted(set(held(cs, "syn")) | set(held(cs, "hyper")))
         adjacency = {}
         for a, b in pairs:
             adjacency.setdefault(a, []).append(b)
@@ -240,25 +240,25 @@ class TestCounterfit:
         store = random_store(seed, 30, 8)
         cs = ConstraintSet()
         for i in range(8):
-            cs.add_pair("syn", 2 * i, 2 * i + 1)
+            cs.add("syn", [(2 * i, 2 * i + 1)])
         for i in range(6):
-            cs.add_pair("ant", 16 + i, 22 + i)
+            cs.add("ant", [(16 + i, 22 + i)])
         return store, cs
 
     def test_distances_move_as_intended(self):
         store, cs = self.make_toy()
         def mean_d(pairs):
             return float(np.mean([distance(store.current[a], store.current[b]) for a, b in pairs]))
-        syn_before = mean_d(cs.synonyms)
-        ant_before = mean_d(cs.antonyms)
+        syn_before = mean_d(held(cs, "syn"))
+        ant_before = mean_d(held(cs, "ant"))
         # margins chosen so both hinges start active on random vectors
         config = SpecializeConfig(
             preset="counterfitting", epochs=15, batch_size=8, seed=1,
             margins=Margins(m_syn=0.2, m_ant=1.5),
         )
         specialize(store, cs, config)
-        assert mean_d(cs.synonyms) < syn_before
-        assert mean_d(cs.antonyms) > ant_before
+        assert mean_d(held(cs, "syn")) < syn_before
+        assert mean_d(held(cs, "ant")) > ant_before
 
     def test_satisfied_constraints_leave_vectors_alone(self):
         # synonym pair at distance 0 and antonym pair at distance 2: no hinge fires
@@ -267,8 +267,8 @@ class TestCounterfit:
             [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
         )
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
-        cs.add_pair("ant", 2, 3)
+        cs.add("syn", [(0, 1)])
+        cs.add("ant", [(2, 3)])
         before = store.current.copy()
         config = SpecializeConfig(preset="counterfitting", epochs=3, batch_size=4, seed=0)
         specialize(store, cs, config)
@@ -278,18 +278,18 @@ class TestCounterfit:
         store, cs = self.make_toy()
         def mean_d(pairs):
             return float(np.mean([distance(store.current[a], store.current[b]) for a, b in pairs]))
-        syn_before = mean_d(cs.synonyms)
+        syn_before = mean_d(held(cs, "syn"))
         config = SpecializeConfig(preset="counterfitting", epochs=15, batch_size=8, seed=1)
         assert config.margins == specializer.PRESET_TABLE["counterfitting"].margins
         specialize(store, cs, config)
-        assert mean_d(cs.synonyms) < syn_before
+        assert mean_d(held(cs, "syn")) < syn_before
 
     def test_unmoved_rows_with_inactive_constraints_give_zero(self):
         # D <= 2 < m_syn and D >= 0 = m_ant: only the preservation hinges
         # remain, and every row sits exactly at its original distances
         store, cs = self.make_toy()
         m = Margins(m_syn=2.0, m_ant=0.0)
-        constrained = np.array(sorted({r for p in cs.synonyms | cs.antonyms for r in p}))
+        constrained = np.array(sorted({r for p in held(cs, "syn") + held(cs, "ant") for r in p}))
         neighbors = specializer._original_neighbor_sets(store, constrained, 10)
         ws = specializer.WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
         plan = plan_epoch(specializer.run_view(cs, "counterfitting").streams, 4, 1)
@@ -519,7 +519,7 @@ class TestBatchLossMatchesReference:
         assert {b.relation for b in plan} == set(spec.streams)
         # every row a metric preset can train; the fixture leaves others out
         ws = moved_working_set(
-            start, store, np.array(list(cs.synonyms | cs.antonyms | cs.direct_hypernyms))
+            start, store, np.concatenate(list(cs.pairs.values()))
         )
         assert len(ws.ids) < len(store)
         for batch in plan:
@@ -532,7 +532,7 @@ class TestBatchLossMatchesReference:
         # an unmoved pair sits exactly on its neighbour-preservation kink
         start, store, cs = moved_toy_store(seed=7, step=1)
         m = Margins(m_syn=0.2, m_ant=1.5)
-        constrained = np.array(sorted({r for p in cs.synonyms | cs.antonyms for r in p}))
+        constrained = np.array(sorted({r for p in held(cs, "syn") + held(cs, "ant") for r in p}))
         neighbors = specializer._original_neighbor_sets(start, constrained, 5)
         ws = moved_working_set(start, store, np.concatenate((constrained, neighbors.ravel())))
         assert len(ws.ids) < len(store)
@@ -580,7 +580,7 @@ def extreme_row_world(scale, pad=0):
     for relation, pairs in (("syn", ((0, 1), (2, 3))), ("ant", ((0, 4), (1, 5))),
                             ("hyper", ((0, 6), (1, 6), (2, 7), (6, 7)))):
         for a, b in pairs:
-            cs.add_pair(relation, pad + a, pad + b)
+            cs.add(relation, [(pad + a, pad + b)])
     return store, cs
 
 
@@ -632,8 +632,8 @@ class TestFailedRunLeavesStore:
         store = EmbeddingStore([f"w{i}" for i in range(8)], vectors)
         cs = ConstraintSet()
         for a, b in ((0, 1), (2, 3), (4, 5)):
-            cs.add_pair("syn", a, b)
-        cs.add_pair("ant", 6, 7)
+            cs.add("syn", [(a, b)])
+        cs.add("ant", [(6, 7)])
         applied = []
         step = specializer.adagrad_step
 
@@ -662,10 +662,10 @@ def test_training_memory_follows_the_working_set():
     rows = np.arange(0, 20000, 200)
     for i in range(0, 100, 4):
         a, b, c, d = (int(r) for r in rows[i:i + 4])
-        cs.add_pair("syn", a, b)
-        cs.add_pair("hyper", a, c)
-        cs.add_pair("hyper", c, d)
-        cs.add_pair("ant", b, d)
+        cs.add("syn", [(a, b)])
+        cs.add("hyper", [(a, c)])
+        cs.add("hyper", [(c, d)])
+        cs.add("ant", [(b, d)])
     config = SpecializeConfig("hierarchy_fitting_ad_indir", epochs=1, batch_size=16, seed=1)
     before = store.current.copy()
     tracemalloc.start()
@@ -688,7 +688,7 @@ def test_training_state_follows_each_relations_rows(preset, relations):
     cs = ConstraintSet()
     for a in range(0, 1000, 2):
         for block, relation in enumerate(("syn", "ant", "hyper")):
-            cs.add_pair(relation, 1000 * block + a, 1000 * block + a + 1)
+            cs.add(relation, [(1000 * block + a, 1000 * block + a + 1)])
     config = SpecializeConfig(preset, epochs=1, batch_size=32, seed=1)
     tracemalloc.start()
     try:
@@ -712,7 +712,7 @@ def test_metric_working_set_is_the_rows_of_the_streams(preset):
     cs = ConstraintSet()
     for relation, a, b in [("syn", 0, 1), ("syn", 3, 6), ("ant", 0, 2),
                            ("hyper", 3, 4), ("hyper", 4, 5), ("hyper", 7, 8)]:
-        cs.add_pair(relation, a, b)
+        cs.add(relation, [(a, b)])
     view = specializer.run_view(cs, preset)
     ws, _ = specializer.PRESET_TABLE[preset].train(store, view, SpecializeConfig(preset, epochs=1))
     expected = [0, 1, 2, 3, 6] if preset == "attract_repel" else list(range(9))
@@ -722,10 +722,10 @@ def test_metric_working_set_is_the_rows_of_the_streams(preset):
 class TestRunView:
     def test_partner_sets(self):
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
-        cs.add_pair("ant", 0, 2)
-        cs.add_pair("hyper", 0, 3)
-        cs.add_pair("hyper", 3, 4)
+        cs.add("syn", [(0, 1)])
+        cs.add("ant", [(0, 2)])
+        cs.add("hyper", [(0, 3)])
+        cs.add("hyper", [(3, 4)])
 
         def partners(preset, relation, row):
             tables = specializer.run_view(cs, preset).partners[relation]
@@ -768,9 +768,13 @@ class TestRunView:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_specialize_only_reads_the_constraints(self, preset):
         store, cs, _ = taxonomy_fixture(seed=6)
-        before = copy.deepcopy(vars(cs))
+        def state():  # the pair arrays as lists, so the dicts compare by value
+            return {**vars(cs), "pairs": {rel: pairs.tolist() for rel, pairs in cs.pairs.items()}}
+
+        before = copy.deepcopy(state())
         specialize(store, cs, SpecializeConfig(preset, epochs=1, batch_size=8, seed=2))
-        assert vars(cs) == before
+        assert state() == before
+        assert not any(pairs.flags.writeable for pairs in cs.pairs.values())
 
 
 class TestEpochStats:
@@ -798,7 +802,7 @@ class TestSpecializePresets:
     def test_empty_required_relation_names_it(self):
         store = random_store(0, 10, 4)
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
+        cs.add("syn", [(0, 1)])
         config = SpecializeConfig(preset="attract_repel", epochs=1)
         with pytest.raises(ValueError, match="antonyms"):
             specialize(store, cs, config)
@@ -806,8 +810,8 @@ class TestSpecializePresets:
     def test_hierarchy_missing_hypernyms(self):
         store = random_store(0, 10, 4)
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
-        cs.add_pair("ant", 2, 3)
+        cs.add("syn", [(0, 1)])
+        cs.add("ant", [(2, 3)])
         config = SpecializeConfig(preset="hierarchy_fitting", epochs=1)
         with pytest.raises(ValueError, match="direct_hypernyms"):
             specialize(store, cs, config)
@@ -866,9 +870,9 @@ class TestSpecializePresets:
             [[1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [-1.0, 0.5], [0.0, 1.0]],
         )
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
-        cs.add_pair("hyper", 0, 2)
-        cs.add_pair("ant", 0, 3)
+        cs.add("syn", [(0, 1)])
+        cs.add("hyper", [(0, 2)])
+        cs.add("ant", [(0, 3)])
         before = store.current.copy()
         config = SpecializeConfig(
             preset="hierarchy_fitting",
@@ -905,11 +909,11 @@ class TestSpecializePresets:
         config = SpecializeConfig(
             preset="hierarchy_fitting_ad_indir", epochs=2, batch_size=8, seed=0
         )
-        closure = hypernym_closure(cs.direct_hypernyms)
-        assert len(closure) > len(cs.direct_hypernyms)
+        closure = hypernym_closure(cs.pairs["hyper"])
+        assert len(closure) > len(cs.pairs["hyper"])
         view = specializer.run_view(cs, config.preset)
         assert view.streams["ad"].tolist() == closure.tolist()
-        assert view.streams["hyper"].tolist() == [list(p) for p in sorted(cs.direct_hypernyms)]
+        assert view.streams["hyper"].tolist() == [list(p) for p in held(cs, "hyper")]
         trained = set()
 
         def recorded(*args):
@@ -924,9 +928,9 @@ class TestSpecializePresets:
     def test_quad_join_required_for_hierarchy(self):
         store = random_store(0, 10, 4)
         cs = ConstraintSet()
-        cs.add_pair("syn", 0, 1)
-        cs.add_pair("ant", 2, 3)
-        cs.add_pair("hyper", 4, 5)  # hypernym of a word with no synonym
+        cs.add("syn", [(0, 1)])
+        cs.add("ant", [(2, 3)])
+        cs.add("hyper", [(4, 5)])  # hypernym of a word with no synonym
         assert joined(cs).tolist() == []
         config = SpecializeConfig(preset="hierarchy_fitting", epochs=1)
         with pytest.raises(ValueError, match="quadruplet"):

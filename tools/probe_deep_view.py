@@ -6,7 +6,7 @@ has one direct hypernym, drawn uniformly from the rows before it, so the
 mean depth grows as ln n (about 11 at 200k rows, the deepest chains near 25,
 close to WordNet's noun hierarchy). On top of that come n/2 synonym and n/4
 antonym pairs between uniform rows (self pairs, repeats and conflicts are
-dropped as ``ConstraintSet.add_pair`` drops them).
+dropped as ``ConstraintSet.add`` drops them, one call per relation).
 
 For each preset a fresh process builds the world with seed 1, derives
 ``specializer.run_view``, plans one epoch with ``specializer.plan_epoch``
@@ -47,11 +47,9 @@ def build_world(rows: int):
     cs = ConstraintSet()
     # floor(u * i) is uniform over the i rows before row i
     parents = (rng.random(rows - 1) * np.arange(1, rows)).astype(np.int64)
-    for child, parent in enumerate(parents.tolist(), start=1):
-        cs.add_pair("hyper", child, parent)
+    cs.add("hyper", np.stack((np.arange(1, rows), parents), axis=1))
     for relation, count in (("syn", rows // 2), ("ant", rows // 4)):
-        for a, b in rng.integers(0, rows, size=(count, 2)).tolist():
-            cs.add_pair(relation, a, b)
+        cs.add(relation, rng.integers(0, rows, size=(count, 2)))
     return cs
 
 
