@@ -9,8 +9,10 @@ replaying the manifest reproduces the output byte-exactly.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
+import os
 import sys
 import typing
 
@@ -262,6 +264,35 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+# glibc's mallopt parameters (malloc.h), and the one value specialize gives both
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_THRESHOLD = 32 << 20
+
+
+def _keep_heap() -> None:
+    """Have glibc keep freed heap memory for the rest of the process.
+
+    A batch's scratch arrays are freed at its end. Left to itself, glibc hands
+    the heap's free top back to the kernel, and serves blocks above a threshold
+    it adapts with mappings of their own, so the next batch faults the same
+    pages in again. Fixed thresholds keep blocks under 32 MiB in the heap, and
+    its free top until that passes 32 MiB; at 60k words a 16 MiB mmap threshold
+    still mapped the counter-fitting precompute's blocks afresh each time. The
+    trim threshold is set only after the mmap threshold took: set alone, it
+    pins the mmap threshold at glibc's 128 KiB start. Elsewhere than glibc,
+    nothing is set.
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        if mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD):
+            mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD)
+    except (AttributeError, OSError, TypeError, ValueError):
+        pass  # no confstr name, no C library handle, or no mallopt: the default policy stays
+
+
 def cmd_specialize(args) -> int:
     try:
         options = _resolve_specialize_options(args)
@@ -293,6 +324,7 @@ def cmd_specialize(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
 
+    _keep_heap()
     try:
         recorded = dict(options.get("digests", {}))
         # the load hashes the embeddings as it parses them, so their digest is

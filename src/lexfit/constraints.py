@@ -140,9 +140,14 @@ def pair_array(pairs: np.ndarray) -> np.ndarray:
 
 
 def _member(pairs: np.ndarray, held: np.ndarray) -> np.ndarray:
-    """Whether each row pair of ``pairs`` is one of ``held``'s, by one key per pair."""
+    """Whether each row pair of ``pairs`` is one of ``held``'s, by one key per pair: a
+    binary search of the sorted held keys (``np.isin`` would import ``numpy.ma``)."""
     width = int(max(pairs.max(initial=0), held.max(initial=0))) + 1
-    return np.isin(pairs[:, 0] * width + pairs[:, 1], held[:, 0] * width + held[:, 1])
+    keys = pairs[:, 0] * width + pairs[:, 1]
+    if not len(held):
+        return np.zeros(len(keys), bool)
+    table = np.sort(held[:, 0] * width + held[:, 1])
+    return table[np.minimum(np.searchsorted(table, keys), len(table) - 1)] == keys
 
 
 def csr(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:

@@ -146,20 +146,28 @@ def adagrad_step(
     acc += g^2 then x -= lr * g / (sqrt(acc) + eps). Coordinates with zero
     gradient are left bit-identical. A non-finite gradient anywhere in the
     block, or one whose square overflows, raises before anything is written.
+    The arithmetic runs in place on four ``block``-sized arrays, in the order
+    the formula gives, so each value is the one the formula evaluates to.
     """
     at = np.searchsorted(acc_rows, rows)
     if np.any(at == len(acc_rows)) or np.any(acc_rows[at] != rows):
         raise ValueError("acc_rows must hold every row of rows")
-    block = block + 0.0  # a -0.0 gradient to +0.0: x - (+0.0) is x, -0.0 included
+    step = block + 0.0  # a -0.0 gradient to +0.0: x - (+0.0) is x, -0.0 included
     acc = accumulators[at]
     with np.errstate(over="ignore"):
-        acc += block * block
+        scratch = step * step
+        acc += scratch
     finite = np.isfinite(acc).all(axis=1)
     if not finite.all():
         raise NonFiniteGradientError(int(rows[np.flatnonzero(~finite)[0]]))
-    values = matrix[rows]
+    denominator = np.sqrt(acc, out=scratch)
+    denominator += epsilon
     # the floor only acts at epsilon 0, on coordinates never updated: 0 / tiny is 0
-    values -= learning_rate * block / np.maximum(np.sqrt(acc) + epsilon, np.finfo(float).tiny)
+    np.maximum(denominator, np.finfo(float).tiny, out=denominator)
+    step *= learning_rate
+    step /= denominator
+    values = matrix[rows]
+    values -= step
     accumulators[at] = acc
     matrix[rows] = values
 

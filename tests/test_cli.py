@@ -1,9 +1,13 @@
+import ctypes
 import dataclasses
 import hashlib
 import itertools
 import json
 import os
 import re
+import subprocess
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -27,6 +31,7 @@ from lexfit import (
     specialize,
     wbless_classify,
 )
+import lexfit.cli
 from lexfit.cli import main
 from lexfit.constraints import PAIR_SETS
 from lexfit.sampling import NEGATIVE_POLICIES
@@ -505,6 +510,121 @@ def test_outputs_do_not_depend_on_the_parse_cache(workspace, capsys):
     manifest = json.loads(runs[0][0][1])
     embeddings_entry = next(e for e in manifest["inputs"] if e["role"] == "embeddings")
     assert embeddings_entry["sha256"] == hashlib.sha256(emb.read_bytes()).hexdigest()
+
+
+def run_child(code: str) -> str:
+    """Standard output of ``python -c code`` with this tree's package importable."""
+    src = os.path.dirname(os.path.dirname(lexfit.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_specialize_never_imports_numpy_ma(tmp_path):
+    # np.isin imports numpy.ma (about 10 ms a process) once its held keys are too many and
+    # too spread for a loop or a lookup table, as here; pair ingestion searches sorted keys
+    rng = np.random.default_rng(3)
+    words = [f"w{i}" for i in range(300)]
+    emb = tmp_path / "v.vec"
+    save_embeddings(EmbeddingStore(words, rng.standard_normal((300, 8))), str(emb), "glove-text")
+    files = []
+    for relation, count in (("syn", 200), ("ant", 200), ("hyper", 100)):
+        path = tmp_path / f"{relation}.tsv"
+        path.write_text("".join(f"w{a} w{b}\n" for a, b in rng.integers(0, 300, (count, 2))))
+        files += [f"--{relation}", str(path)]
+    runs = [["specialize", "--embeddings", str(emb), "--format", "glove-text", *files,
+             "--method", method.replace("_", "-"), "--out", str(tmp_path / f"{method}.vec"),
+             "--epochs", "1", "--batch-size", "64"] for method in lexfit.cli.PRESETS]
+    out = run_child("import sys, lexfit.cli\n"
+                    f"codes = [lexfit.cli.main(argv) for argv in {runs!r}]\n"
+                    "print(codes, 'numpy.ma' in sys.modules)")
+    assert out.splitlines()[-1] == f"{[0] * len(runs)} False"
+
+
+def raising(error):
+    def raises(*args, **kwargs):
+        raise error
+    return raises
+
+
+class TestHeapPolicy:
+    """``specialize`` fixes glibc's trim and mmap thresholds once; nothing else sets them."""
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """A stand-in glibc: ``calls`` records each ``mallopt`` call, and ``mallopt``
+        refuses the parameters in ``refused``."""
+        libc = types.SimpleNamespace(calls=[], refused=())
+
+        def mallopt(param, value):
+            libc.calls.append((param, value))
+            return int(param not in libc.refused)
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        return libc
+
+    def test_specialize_sets_both_thresholds_once(self, workspace, libc, tmp_path):
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+        assert libc.calls == [(-3, 32 << 20), (-1, 32 << 20)]
+
+    def test_a_refused_mmap_threshold_leaves_the_trim_threshold(self, workspace, libc,
+                                                                 tmp_path):
+        # the trim threshold alone would pin the mmap threshold at 128 KiB
+        libc.refused = (-3,)
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        assert libc.calls == [(-3, 32 << 20)]
+
+    def test_usage_error_sets_nothing(self, workspace, libc, tmp_path):
+        assert main(specialize_args(workspace, tmp_path / "out.vec", ("--epochs", "0"))) == 2
+        assert libc.calls == []
+
+    def test_eval_and_nearest_set_nothing(self, workspace, libc):
+        tmp_path, emb, *_ = workspace
+        ds = tmp_path / "sim.tsv"
+        ds.write_text("a1\ta2\t9.0\na1\tb1\t2.0\na2\tb2\t1.0\n")
+        assert main(["eval", "--embeddings", str(emb), "--task", "sim", "--dataset", str(ds)]) == 0
+        assert main(["nearest", "--embeddings", str(emb), "--word", "a1", "--k", "2"]) == 0
+        assert libc.calls == []
+
+    def test_import_opens_no_c_library(self):
+        out = run_child("import ctypes, numpy\n"
+                        "calls = []\n"
+                        "ctypes.CDLL = lambda *args, **kwargs: calls.append(args)\n"
+                        "import lexfit, lexfit.cli\n"
+                        "print(calls)")
+        assert out == "[]\n"
+
+    @pytest.mark.parametrize("confstr, cdll", [
+        (raising(ValueError("unrecognized configuration name")), None),  # not glibc
+        (raising(OSError(22, "Invalid argument")), None),
+        (lambda name: None, None),  # the name is known but has no value
+        (None, raising(OSError("no C library handle"))),
+        (None, raising(TypeError("expected a path"))),  # CDLL(None) where no handle is global
+        (None, lambda name: object()),  # a C library without mallopt
+    ])
+    def test_a_missing_mallopt_changes_nothing(self, workspace, tmp_path, monkeypatch,
+                                               confstr, cdll):
+        assert main(specialize_args(workspace, tmp_path / "ref.vec")) == 0
+        monkeypatch.setattr(os, "confstr", confstr or (lambda name: "glibc 2.36"))
+        monkeypatch.setattr(ctypes, "CDLL", cdll or raising(AssertionError("CDLL called")))
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        assert (tmp_path / "out.vec").read_bytes() == (tmp_path / "ref.vec").read_bytes()
+
+
+def test_fault_probe_runs_each_tree_in_turn():
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "probe_faults.py")
+    src = os.path.dirname(os.path.dirname(lexfit.cli.__file__))
+    out = subprocess.run([sys.executable, tool, "--src", src, "--src", src, "--rounds", "1",
+                          "--vocab", "300", "--taxonomy-words", "120"],
+                         capture_output=True, text=True, check=True).stdout
+    *records, medians = map(json.loads, out.splitlines())
+    assert [r["round"] for r in records] == [0, 0] and {r["code"] for r in records} == {0}
+    assert records[0]["sha256"] == records[1]["sha256"]
+    assert all(r["minflt"] > 0 and r["maxrss_mb"] > 0 and r["wall_s"] > 0 for r in records)
+    assert set(medians["medians"][os.path.realpath(src)]) == {
+        "wall_s", "user_s", "sys_s", "minflt", "maxrss_mb"}
 
 
 class TestEvalCommand:

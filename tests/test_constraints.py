@@ -9,6 +9,7 @@ from lexfit import (
     hypernym_closure,
     load_pairs,
 )
+from lexfit.constraints import _member
 from helpers import as_array, held
 from reference_pairs import ReferenceSet, reference_load
 
@@ -182,6 +183,37 @@ class TestAdd:
         with pytest.raises(ValueError, match=r"\(n, 2\) non-negative row pairs"):
             cs.add("syn", rows)
         assert held(cs, "syn") == [] and cs.dropped_self == 0
+
+
+def isin_member(pairs, held_pairs):
+    """The oracle: ``np.isin`` over one key per pair."""
+    width = max(pairs.max(initial=0), held_pairs.max(initial=0)) + 1
+    return np.isin(pairs[:, 0] * width + pairs[:, 1], held_pairs[:, 0] * width + held_pairs[:, 1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("pairs_top, held_top", [(30, 8), (8, 30), (15, 15)])
+def test_member_agrees_with_isin(seed, pairs_top, held_top):
+    # either side's largest row may set the key width; held is unsorted, with repeats,
+    # as the antonym path passes a file's rows
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, pairs_top, size=(int(rng.integers(1, 60)), 2))
+    held_pairs = rng.integers(0, held_top, size=(int(rng.integers(1, 60)), 2))
+    held_pairs = np.concatenate((held_pairs, held_pairs[::-2], pairs[::3]))
+    found = _member(pairs, held_pairs)
+    assert found.dtype == bool and found.any()
+    np.testing.assert_array_equal(found, isin_member(pairs, held_pairs))
+
+
+@pytest.mark.parametrize("pairs, held_pairs", [
+    (np.array([(0, 1), (2, 3)]), np.empty((0, 2), np.intp)),
+    (np.empty((0, 2), np.intp), np.array([(0, 1), (2, 3)])),
+    (np.empty((0, 2), np.intp), np.empty((0, 2), np.intp)),
+])
+def test_member_of_an_empty_side(pairs, held_pairs):
+    found = _member(pairs, held_pairs)
+    assert found.dtype == bool and found.shape == (len(pairs),) and not found.any()
+    np.testing.assert_array_equal(found, isin_member(pairs, held_pairs))
 
 
 def random_pair_file(rng, words) -> str:
