@@ -164,7 +164,13 @@ def _read_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _CONFIG_CASTERS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            values[key] = _CONFIG_CASTERS[key](value.strip())
+            cast, value = _CONFIG_CASTERS[key], value.strip()
+            try:
+                values[key] = cast(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} expects {cast.__name__}, got {value!r}"
+                ) from None
     return values
 
 
@@ -305,6 +311,8 @@ def cmd_specialize(args) -> int:
     method = options["method"].replace("-", "_")
     if method not in PRESETS:
         return _usage_error(f"unknown method {options['method']!r}")
+    if options["format"] not in FORMATS:
+        return _usage_error(f"unknown format {options['format']!r}")
     given = [relation for relation in RELATIONS if options[relation]]
     if not given:
         return _usage_error("at least one of --syn/--ant/--hyper is required")
@@ -402,6 +410,8 @@ def cmd_eval(args) -> int:
 def cmd_nearest(args) -> int:
     if args.k < 1:
         return _usage_error("--k must be >= 1")
+    if not args.word:
+        return _usage_error("--word must not be empty")
     try:
         store = load_embeddings(args.embeddings, args.format)
     except (ValueError, OSError) as exc:

@@ -15,6 +15,7 @@ bit-identical output matrix, whatever ran before on the same store or constraint
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, replace
@@ -40,9 +41,9 @@ class Preset:
     # preservation: "triplet" pulls each mined triplet's rows with m_reg,
     # "batch" each batch's rows with gamma_reg
     reg: str | None = None
-    hyper_margin: str = "m_hyp"  # the Margins field of the hypernym stream's margin
-    mirror_hyper: bool = False  # train hypernym pairs from both ends
-    closed_hyper: bool = False  # hypernym stream from the transitive closure
+    # LEAR's hypernym stream: the transitive closure, attracted as synonyms are,
+    # from both ends at m_syn; otherwise the direct pairs, one way at m_hyp
+    attract_hyper: bool = False
     closed_ad: bool = False  # norm-asymmetry stream from the transitive closure
     margins: Margins = field(default_factory=Margins)  # its margin defaults
 
@@ -99,7 +100,16 @@ class SpecializeConfig:
             self.margins = replace(PRESET_TABLE[self.preset].margins)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name in ("epochs", "batch_size", "neighbor_k", "retrofit_iterations", "sample_k"):
+        counts = ("epochs", "batch_size", "neighbor_k", "retrofit_iterations", "sample_k")
+        for name in ("seed", *counts):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, (bool, np.bool_)):
+                    raise TypeError
+                setattr(self, name, operator.index(value))  # a numpy integer becomes an int
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
@@ -120,6 +130,23 @@ class TrainLog:
     epochs: list[dict[str, tuple[float, float]]] = field(default_factory=list)
     wall_time: float = 0.0
     batches_processed: int = 0
+    # the last epoch's (loss, batches, hinges, active hinges) per relation
+    _totals: dict[str, tuple[float, int, int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def record(self, batch: MiniBatch, res: BatchLoss) -> None:
+        """Add ``res`` to the totals of ``batch``'s relation and epoch, and set that
+        epoch's entry from them; a batch of a later epoch opens its entry."""
+        if batch.epoch >= len(self.epochs):
+            self.epochs.append({})
+            self._totals = {}
+        loss, batches, hinges, active = self._totals.get(batch.relation, (0.0, 0, 0, 0))
+        loss, batches = loss + res.loss, batches + 1
+        hinges, active = hinges + res.n_hinges, active + res.n_active
+        self._totals[batch.relation] = loss, batches, hinges, active
+        self.epochs[-1][batch.relation] = loss / batches, active / hinges if hinges else 0.0
+        self.batches_processed += 1
 
     def to_tsv(self) -> str:
         lines = []
@@ -189,15 +216,15 @@ def run_view(constraints: ConstraintSet, preset: str) -> RunView:
 
     Pair streams are ascending pair arrays, and the quadruplet stream is
     :func:`~lexfit.constraints.quad_join`. A preset that reads the hypernym closure
-    (``closed_hyper`` or ``closed_ad``) computes it here, and its mining then masks
+    (``attract_hyper`` or ``closed_ad``) computes it here, and its mining then masks
     every closure pair; any other preset masks the direct pairs. The quadruplet
     stream masks the synonym and the hypernym table, each built once.
     """
     spec = PRESET_TABLE[preset]
     pairs = dict(constraints.pairs)  # read-only arrays: the run cannot write them
     syn, ant, direct = pairs["syn"], pairs["ant"], pairs["hyper"]
-    closed = hypernym_closure(direct) if spec.closed_hyper or spec.closed_ad else direct
-    stream = {"syn": syn, "ant": ant, "hyper": closed if spec.closed_hyper else direct,
+    closed = hypernym_closure(direct) if spec.attract_hyper or spec.closed_ad else direct
+    stream = {"syn": syn, "ant": ant, "hyper": closed if spec.attract_hyper else direct,
               "ad": closed if spec.closed_ad else direct}
     streams = {rel: quad_join(syn, direct) if rel == "quad" else stream[rel]
                for rel in spec.streams}
@@ -300,14 +327,13 @@ def _train_counterfit(
     reach = stream_rows(view)
     constrained = distinct(np.concatenate(list(reach.values())))
     neighbors = _original_neighbor_sets(store, constrained, config.neighbor_k)
-    ws = WorkingSet(store, np.concatenate((constrained, neighbors.ravel())))
-    for rel, rows in reach.items():
-        reach[rel] = distinct(np.concatenate((rows, neighbors[np.searchsorted(constrained, rows)]
-                                              .ravel())))
-    return ws, _train(
-        ws, view, config,
-        lambda batch: _counterfit_batch_loss(batch, ws, constrained, neighbors, config.margins),
-        reach,
+    reach = {rel: distinct(np.concatenate(
+                 (rows, neighbors[np.searchsorted(constrained, rows)].ravel())))
+             for rel, rows in reach.items()}
+    return _train(
+        store, view, config, reach,
+        lambda ws, batch: _counterfit_batch_loss(batch, ws, constrained, neighbors,
+                                                 config.margins),
     )
 
 
@@ -343,84 +369,43 @@ def _counterfit_batch_loss(
 
 # --- the training loop ------------------------------------------------------
 
-class _EpochStats:
-    """Running (loss, batches, hinges, active hinges) totals per relation, in
-    the order the relations first appear."""
-
-    def __init__(self) -> None:
-        self.totals: dict[str, tuple[float, int, int, int]] = {}
-
-    def record(self, relation: str, res: BatchLoss) -> None:
-        loss, batches, hinges, active = self.totals.get(relation, (0.0, 0, 0, 0))
-        self.totals[relation] = (
-            loss + res.loss, batches + 1, hinges + res.n_hinges, active + res.n_active
-        )
-
-    def summary(self) -> dict[str, tuple[float, float]]:
-        """Mean loss per batch and active-hinge fraction of each relation."""
-        return {
-            rel: (loss / batches, active / hinges if hinges else 0.0)
-            for rel, (loss, batches, hinges, active) in self.totals.items()
-        }
-
-
 def stream_rows(view: RunView) -> dict[str, np.ndarray]:
     """The distinct rows of each stream's instances, ascending: every row its batches gather."""
     return {rel: distinct(items) for rel, items in view.streams.items()}
 
 
-def _apply(
-    ws: WorkingSet,
-    state: dict[str, tuple[np.ndarray, np.ndarray]],
-    res: BatchLoss,
-    config: SpecializeConfig,
-    batch: MiniBatch,
-) -> None:
-    """Apply one batch update to ``ws`` with the relation's own AdaGrad state.
-
-    Each constraint category optimizes its own loss with its own
-    accumulators; sharing one accumulator would let the high-traffic cosine
-    relations starve the norm-asymmetry updates.
-    """
-    block = res.gradient()
-    if not block.any():
-        return
-    acc_rows, acc = state[batch.relation]
-    try:
-        adagrad_step(ws.current, acc, res.rows, block, config.learning_rate,
-                     config.adagrad_epsilon, acc_rows)
-    except NonFiniteGradientError as exc:
-        raise NonFiniteGradientError(int(ws.ids[exc.row]), f" (relation {batch.relation}, "
-                                     f"epoch {batch.epoch}, batch {batch.batch_index})") from exc
-
-
 def _train(
-    ws: WorkingSet,
+    store: EmbeddingStore,
     view: RunView,
     config: SpecializeConfig,
-    batch_loss: Callable[[MiniBatch], BatchLoss],
     reach: dict[str, np.ndarray],
-) -> TrainLog:
-    """Plan each epoch from the view's streams and apply ``batch_loss`` of every batch.
-
-    Each relation's AdaGrad state covers only the store rows in ``reach``,
-    ascending, that its batches can touch.
-    """
-    state = {}
-    for rel, rows in reach.items():
-        at = np.searchsorted(ws.ids, rows)
-        state[rel] = at, np.zeros((len(at), ws.current.shape[1]))
+    batch_loss: Callable[[WorkingSet, MiniBatch], BatchLoss],
+) -> tuple[WorkingSet, TrainLog]:
+    """Train the working set of the rows in ``reach``, each relation's entry the
+    ascending store rows its batches can touch: plan each epoch from the view's
+    streams and take an AdaGrad step on ``batch_loss`` of every batch."""
+    ws = WorkingSet(store, np.concatenate(list(reach.values())))
+    # Each relation optimizes its own loss with its own accumulators, over the rows
+    # it reaches; sharing one would let the high-traffic cosine relations starve
+    # the norm-asymmetry updates.
+    state = {rel: (np.searchsorted(ws.ids, rows), np.zeros((len(rows), ws.current.shape[1])))
+             for rel, rows in reach.items()}
     log = TrainLog()
     for epoch in range(config.epochs):
-        plan = plan_epoch(view.streams, config.batch_size, config.seed, epoch)
-        stats = _EpochStats()
-        for batch in plan:
-            res = batch_loss(batch)
-            _apply(ws, state, res, config, batch)
-            stats.record(batch.relation, res)
-        log.epochs.append(stats.summary())
-        log.batches_processed += len(plan)
-    return log
+        for batch in plan_epoch(view.streams, config.batch_size, config.seed, epoch):
+            res = batch_loss(ws, batch)
+            block = res.gradient()
+            if block.any():
+                acc_rows, acc = state[batch.relation]
+                try:
+                    adagrad_step(ws.current, acc, res.rows, block, config.learning_rate,
+                                 config.adagrad_epsilon, acc_rows)
+                except NonFiniteGradientError as exc:
+                    raise NonFiniteGradientError(
+                        int(ws.ids[exc.row]), f" (relation {batch.relation}, "
+                        f"epoch {batch.epoch}, batch {batch.batch_index})") from exc
+            log.record(batch, res)
+    return ws, log
 
 
 # --- triplet / quadruplet metric presets -------------------------------------
@@ -431,13 +416,8 @@ def _train_metric(
     """Train the rows of the instances of the view's streams, the only rows
     its batches reach: in-batch mining and preservation read the batch's own rows."""
     preset = PRESET_TABLE[config.preset]
-    reach = stream_rows(view)
-    ws = WorkingSet(store, np.concatenate(list(reach.values())))
-    return ws, _train(
-        ws, view, config,
-        lambda batch: _batch_loss(batch, view, ws, config, preset),
-        reach,
-    )
+    return _train(store, view, config, stream_rows(view),
+                  lambda ws, batch: _batch_loss(batch, view, ws, config, preset))
 
 
 def _batch_loss(
@@ -466,18 +446,18 @@ def _batch_loss(
         a, s, h = items[inst].T
         res.hinge(m.m_hie_hyp, (1.0, a, s), (-1.0, h, neg), count=2)
     else:
+        # synonyms, and LEAR's hypernyms, attract from both ends at m_syn
+        mirror = relation != "hyper" or preset.attract_hyper
         items, inst, aux = mine_instances(
             batch, view.partners[relation], rows, local, res.unit,
             "positives" if relation == "ant" else "negatives",
-            config.negative_policy, config.sample_k,
-            mirror=relation != "hyper" or preset.mirror_hyper,
+            config.negative_policy, config.sample_k, mirror=mirror,
         )
         anchor, partner = items[inst].T
         if relation == "ant":
             res.hinge(m.m_ant, (1.0, anchor, aux), (-1.0, anchor, partner))
         else:
-            margin = m.m_syn if relation == "syn" else getattr(m, preset.hyper_margin)
-            res.hinge(margin, (1.0, anchor, partner), (-1.0, anchor, aux))
+            res.hinge(m.m_syn if mirror else m.m_hyp, (1.0, anchor, partner), (-1.0, anchor, aux))
         if preset.reg == "triplet":
             res.preserve(np.concatenate((anchor, partner, aux)), m.m_reg)
 
@@ -501,7 +481,7 @@ PRESET_TABLE = {
     "attract_repel": Preset(_SYN_ANT, _train_metric, ("syn", "ant"), reg="triplet"),
     "lear": Preset(
         _SYN_ANT_HYPER, _train_metric, ("syn", "ant", "hyper", "ad"), reg="triplet",
-        hyper_margin="m_syn", mirror_hyper=True, closed_hyper=True, closed_ad=True,
+        attract_hyper=True, closed_ad=True,
     ),
     "hierarchy_fitting": Preset(_SYN_ANT_HYPER, _train_metric, _HIERARCHY, reg="batch"),
     "hierarchy_fitting_ad_dir": Preset(

@@ -55,8 +55,8 @@ def reference_view(constraints: ConstraintSet, preset: str):
     each mined stream masks, of the preset's run."""
     spec = PRESET_TABLE[preset]
     syn, ant, direct = pair_sets(constraints)
-    closed = closure_bfs(direct) if spec.closed_hyper or spec.closed_ad else direct
-    pairs = {"syn": syn, "ant": ant, "hyper": closed if spec.closed_hyper else direct,
+    closed = closure_bfs(direct) if spec.attract_hyper or spec.closed_ad else direct
+    pairs = {"syn": syn, "ant": ant, "hyper": closed if spec.attract_hyper else direct,
              "ad": closed if spec.closed_ad else direct}
     streams = {rel: quad_join_dict(constraints) if rel == "quad" else sorted(pairs[rel])
                for rel in spec.streams}

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -259,6 +260,39 @@ class TestSpecializeCommand:
         cfg.write_text("turbo=yes\n")
         args = specialize_args(workspace, tmp_path / "x.vec", extra=["--config", str(cfg)])
         assert main(args) == 2
+
+    @pytest.mark.parametrize("line, problem", [
+        ("epochs=1.5", "epochs expects int, got '1.5'"),
+        ("m_syn=wide", "m_syn expects float, got 'wide'"),
+    ])
+    def test_config_value_that_fails_its_cast_is_located(self, workspace, capsys, line,
+                                                         problem):
+        tmp_path = workspace[0]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# options\n{line}\n")
+        args = specialize_args(workspace, tmp_path / "x.vec", extra=["--config", str(cfg)])
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"lexfit: error: {cfg}:2: {problem}\n"
+
+    @pytest.mark.parametrize("source", ["config", "replay"])
+    def test_unknown_format_is_usage_error(self, workspace, capsys, source):
+        tmp_path = workspace[0]
+        out = tmp_path / "x.vec"
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("format=word2vec-binary\n")
+            args = [arg for arg in specialize_args(workspace, out) if arg != "--format"
+                    and arg != "glove-text"] + ["--config", str(cfg)]
+        else:
+            assert main(specialize_args(workspace, tmp_path / "ref.vec")) == 0
+            manifest = json.loads((tmp_path / "ref.vec.manifest").read_text())
+            manifest_path = tmp_path / "edited.manifest"
+            manifest_path.write_text(json.dumps({**manifest, "format": "word2vec-binary"}))
+            args = ["specialize", "--replay", str(manifest_path), "--out", str(out)]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == "lexfit: error: unknown format 'word2vec-binary'\n"
+        assert not list(tmp_path.glob("x.vec*"))
 
     def test_retrofitting_accepts_hyper_only(self, workspace):
         tmp_path, emb, _, _, hyper = workspace
@@ -627,6 +661,35 @@ def test_fault_probe_runs_each_tree_in_turn():
         "wall_s", "user_s", "sys_s", "minflt", "maxrss_mb"}
 
 
+def test_digest_probe_compares_trees(tmp_path):
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "probe_digests.py")
+    src = os.path.dirname(os.path.dirname(lexfit.cli.__file__))
+    changed = tmp_path / "changed"
+    shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    source = changed / "lexfit" / "specializer.py"
+    text = source.read_text()
+    assert "learning_rate: float = 0.03" in text
+    source.write_text(text.replace("learning_rate: float = 0.03", "learning_rate: float = 0.05"))
+    child = subprocess.run([sys.executable, tool, "--world", "smoke", "--preset", "lear",
+                            "--preset", "counterfitting", "--src", src, "--src", src,
+                            "--src", str(changed)], capture_output=True, text=True)
+    assert child.returncode == 1, child.stderr
+    records = [json.loads(line) for line in child.stdout.splitlines()]
+    assert [(r["preset"], r["src"]) for r in records] == [
+        (preset, tree) for preset in ("lear", "counterfitting")
+        for tree in (src, src, str(changed))]
+    assert {r["world"] for r in records} == {"smoke"} and {r["code"] for r in records} == {0}
+    for same, _, other in zip(*[iter(records)] * 3):
+        assert {**same, "src": None} == {**_, "src": None}
+        assert same["summary"].startswith("specialized 300 vectors with ")
+        assert " in <t>s\n" in same["summary"]
+        assert other["sha256"] != same["sha256"]
+        assert other["summary"] == same["summary"]
+    child = subprocess.run([sys.executable, tool, "--world", "smoke", "--preset", "lear",
+                            "--src", src, "--src", src], capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+
+
 class TestEvalCommand:
     def test_similarity_task(self, workspace, capsys):
         tmp_path, emb, *_ = workspace
@@ -846,6 +909,13 @@ class TestNearestCommand:
         emb = tmp_path / "v.vec"
         save_embeddings(store, str(emb), "glove-text")
         assert main(["nearest", "--embeddings", str(emb), "--word", "a", "--k", "0"]) == 2
+
+    def test_empty_word_is_usage_error(self, tmp_path, capsys):
+        store = EmbeddingStore(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        emb = tmp_path / "v.vec"
+        save_embeddings(store, str(emb), "glove-text")
+        assert main(["nearest", "--embeddings", str(emb), "--word", ""]) == 2
+        assert capsys.readouterr().err == "lexfit: error: --word must not be empty\n"
 
     def test_uncovered_word_is_runtime_error(self, tmp_path, capsys):
         store = EmbeddingStore(["aa", "bb"], [[1.0, 0.0], [0.0, 1.0]])

@@ -416,8 +416,8 @@ def reference_batch_loss(batch, view, store, original, config, preset):
     rel = batch.relation
     table = view.partners.get(rel)
     if rel in ("syn", "hyper", "ant"):
-        mirror = rel != "hyper" or preset.mirror_hyper
-        margin = m.m_syn if rel == "syn" else getattr(m, preset.hyper_margin)
+        mirror = rel != "hyper" or preset.attract_hyper
+        margin = m.m_hyp if rel == "hyper" and not preset.attract_hyper else m.m_syn
         for a, b in batch.items:
             for anchor, partner in ((a, b), (b, a)) if mirror else ((a, b),):
                 if rel == "ant":
@@ -787,12 +787,12 @@ class TestEpochStats:
             [("ant", 2.5, 0, 0), ("syn", 0.7, 3, 0)],
         ]
         log = specializer.TrainLog()
-        for epoch in batches:
-            stats = specializer._EpochStats()
-            for relation, loss, hinges, active in epoch:
+        for epoch, epoch_batches in enumerate(batches):
+            for relation, loss, hinges, active in epoch_batches:
+                batch = SimpleNamespace(relation=relation, epoch=epoch)
                 res = SimpleNamespace(loss=loss, n_hinges=hinges, n_active=active)
-                stats.record(relation, res)
-            log.epochs.append(stats.summary())
+                log.record(batch, res)
+        assert log.batches_processed == 7
         assert log.to_tsv() == (
             "1\tsyn\t0.211111\t0.6\n1\tant\t5e-08\t0.5\n2\tant\t2.5\t0\n2\tsyn\t0.7\t0\n"
         )
@@ -943,6 +943,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SpecializeConfig(preset=preset, seed=-1)
         assert SpecializeConfig(preset=preset, seed=0).seed == 0
+
+    @pytest.mark.parametrize("name", ["epochs", "batch_size", "seed", "neighbor_k",
+                                      "retrofit_iterations", "sample_k"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, np.True_, np.float64(3.0), "3", None])
+    def test_count_must_be_an_integer(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            SpecializeConfig(preset="lear", **{name: value})
+
+    @pytest.mark.parametrize("name", ["epochs", "batch_size", "seed", "neighbor_k",
+                                      "retrofit_iterations", "sample_k"])
+    def test_count_takes_a_numpy_integer_as_an_int(self, name):
+        value = getattr(SpecializeConfig(preset="lear", **{name: np.int64(3)}), name)
+        assert value == 3 and type(value) is int
 
     def test_bad_learning_rate(self):
         for rate in [0.0, -0.1, float("nan"), float("inf")]:

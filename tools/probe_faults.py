@@ -10,10 +10,11 @@ arguments (one epoch, batch 128, the world's seed) and one BLAS thread; the
 first tree goes first in even rounds and last in odd ones, so an order effect
 cancels. For each child it prints one JSON line: wall time, user and system
 CPU time, minor and major page faults and peak RSS, all from ``os.wait4``
-but the wall time, and the sha256 of ``out.vec``. Peak RSS is ``ru_maxrss``;
-Linux carries the forking process's high-water mark across ``exec``, so the
-world is built in a child of its own and this process stays small. The last
-line gives each tree's medians. Needs only numpy and the trees' own sources:
+but the wall time, and the sha256 of ``out.vec`` and ``out.vec.log``. Peak
+RSS is ``ru_maxrss``; Linux carries the forking process's high-water mark
+across ``exec``, so the world is built in a child of its own and this process
+stays small. The last line gives each tree's medians. ``tools/probe_digests.py``
+builds its worlds and runs its children with this tool's functions. Needs only numpy and the trees' own sources:
 
     python tools/probe_faults.py --src src --src ../parent/src --rounds 10
     python tools/probe_faults.py --src src --workload counterfit_nn
@@ -36,47 +37,75 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def build_world(work: Path, workload: str, vocab=None, taxonomy_words=None, seed: int = 1) -> dict:
+    """Write ``workload``'s world (at another ``vocab``/``taxonomy_words`` if given) into
+    ``work`` and return its file paths."""
+    sys.path.insert(0, str(PERFBENCH))
+    import gen
+    import run
+
+    size = run.WORKLOADS[workload].size
+    size = dataclasses.replace(size, vocab=vocab or size.vocab,
+                               taxonomy_words=taxonomy_words or size.taxonomy_words)
+    return gen.generate(str(work), size, seed).paths
+
+
+def specialize_args(paths: dict, method: str, relations, out: Path, epochs: int,
+                    seed: int) -> list[str]:
+    """The ``lexfit specialize`` arguments that run ``method`` on a world's files."""
+    args = ["specialize", "--embeddings", paths["vectors"], "--format", "glove-text",
+            "--method", method, "--out", str(out),
+            "--epochs", str(epochs), "--batch-size", "128", "--seed", str(seed)]
+    for relation in relations:
+        args += [f"--{relation}", paths[relation]]
+    return args
+
+
 def generate(work: Path, workload: str, vocab, taxonomy_words, method, seed: int) -> None:
     """Write the world into ``work`` and print the specialize arguments for it, as JSON.
     Runs in a child of its own, so the world's arrays never count in this process's
     peak RSS, which each specialize child inherits."""
     sys.path.insert(0, str(PERFBENCH))
-    import gen
     import run  # pins one BLAS thread, for its import and every child's
 
     spec = run.WORKLOADS[workload]
-    size = dataclasses.replace(spec.size, vocab=vocab or spec.size.vocab,
-                               taxonomy_words=taxonomy_words or spec.size.taxonomy_words)
-    paths = gen.generate(str(work), size, seed).paths
-    args = ["specialize", "--embeddings", paths["vectors"], "--format", "glove-text",
-            "--method", method or spec.method, "--out", str(work / "out.vec"),
-            "--epochs", "1", "--batch-size", "128", "--seed", str(seed)]
-    for relation in spec.relations:
-        args += [f"--{relation}", paths[relation]]
-    print(json.dumps(args))
+    paths = build_world(work, workload, vocab, taxonomy_words, seed)
+    print(json.dumps(specialize_args(paths, method or spec.method, spec.relations,
+                                     work / "out.vec", 1, seed)))
 
 
-def run_child(src: Path, args: list[str], out: Path) -> dict:
+def digest(path: Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+def run_child(src: Path, args: list[str], out: Path) -> tuple[dict, str]:
+    """Run one ``lexfit specialize`` child of the tree at ``src`` with one BLAS thread.
+    Returns its exit code, costs and the sha256 of ``out`` and ``out.log``, and its stdout."""
+    for stale in (out, Path(f"{out}.log")):
+        stale.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src),
                **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                        "MKL_NUM_THREADS")})
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "lexfit.cli", *args], env=env,
-                            stdout=subprocess.DEVNULL)
+                            stdout=subprocess.PIPE, text=True)
+    stdout = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
-    code = os.waitstatus_to_exitcode(status)
+    proc.stdout.close()
+    proc.returncode = os.waitstatus_to_exitcode(status)
     return {
         "src": str(src),
-        "code": code,
+        "code": proc.returncode,
         "wall_s": round(wall, 4),
         "user_s": round(usage.ru_utime, 4),
         "sys_s": round(usage.ru_stime, 4),
         "minflt": usage.ru_minflt,
         "majflt": usage.ru_majflt,
         "maxrss_mb": round(usage.ru_maxrss / 1024, 1),
-        "sha256": hashlib.sha256(out.read_bytes()).hexdigest() if code == 0 else None,
-    }
+        "sha256": digest(out),
+        "log_sha256": digest(Path(f"{out}.log")),
+    }, stdout
 
 
 def main() -> None:
@@ -114,7 +143,7 @@ def main() -> None:
         out = Path(work) / "out.vec"
         for i in range(args.rounds):
             for src in srcs if i % 2 == 0 else srcs[::-1]:
-                record = run_child(src, argv, out)
+                record, _ = run_child(src, argv, out)
                 print(json.dumps({"round": i, **record}), flush=True)
                 samples[str(src)].append(record)
     print(json.dumps({"medians": {
