@@ -9,6 +9,7 @@ replaying the manifest reproduces the output byte-exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import dataclasses
 import json
@@ -119,8 +120,10 @@ class RunManifest:
                 _check_fields(entry, _INPUT_FIELDS, f"inputs[{i}]: ")
                 if entry["role"] not in ("embeddings", *RELATIONS):
                     raise ValueError(f"inputs[{i}] has unknown role {entry['role']!r}")
-            if not any(entry["role"] == "embeddings" for entry in fields["inputs"]):
-                raise ValueError("inputs has no 'embeddings' entry")
+            count = sum(entry["role"] == "embeddings" for entry in fields["inputs"])
+            if count != 1:  # a run loads one vector file
+                raise ValueError("inputs has no 'embeddings' entry" if not count
+                                 else f"inputs has {count} 'embeddings' entries")
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from exc
         return cls(**fields)
@@ -231,9 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_specialize_options(args) -> dict:
     """Layer replayed manifest, config file, and flags, in that order.
 
-    An option none of them sets is left out and keeps its dataclass default.
+    An option none of them sets is left out and keeps its dataclass default. ``inputs``
+    holds the manifest entries in load order; a role named by a flag holds its files, undigested.
     """
-    options: dict = {}
+    options, replayed = {}, []
     if args.replay:
         with open(args.replay, encoding="utf-8") as fh:
             manifest = RunManifest.from_json(fh.read(), args.replay)
@@ -241,27 +245,21 @@ def _resolve_specialize_options(args) -> dict:
         options["method"] = manifest.method
         options["format"] = manifest.format
         options.setdefault("out", manifest.output)
-        entries = sorted(manifest.inputs, key=lambda entry: entry["order"])
-        for relation in RELATIONS:
-            options[relation] = [entry["path"] for entry in entries if entry["role"] == relation]
-        options["embeddings"] = next(
-            entry["path"] for entry in entries if entry["role"] == "embeddings"
-        )
-        # inputs still read from the manifest must be the files it recorded
-        options["digests"] = {
-            entry["path"]: entry["sha256"] for entry in entries if not getattr(args, entry["role"])
-        }
+        replayed = sorted(manifest.inputs, key=lambda entry: entry["order"])
     if args.config:
         options.update(_read_config_file(args.config))
-    for key in ("embeddings", "format", "method", "out", *_OPTION_DEFAULTS):
+    for key in ("format", "method", "out", *_OPTION_DEFAULTS):
         value = getattr(args, key, None)
         if value is not None:
             options[key] = value
-    for relation in RELATIONS:
-        if getattr(args, relation):
-            options[relation] = list(getattr(args, relation))
-        else:
-            options.setdefault(relation, [])
+    flagged = {"embeddings": [] if args.embeddings is None else [args.embeddings],
+               **{relation: getattr(args, relation) for relation in RELATIONS}}
+    options["inputs"] = []
+    for role, paths in flagged.items():
+        files = ([(path, None) for path in paths] if paths else
+                 [(entry["path"], entry["sha256"]) for entry in replayed if entry["role"] == role])
+        options["inputs"] += [{"role": role, "order": order, "path": path, "sha256": digest}
+                              for order, (path, digest) in enumerate(files)]
     return options
 
 
@@ -305,15 +303,17 @@ def cmd_specialize(args) -> int:
     except (ValueError, OSError) as exc:
         return _usage_error(str(exc))
 
+    inputs = options["inputs"]
+    paths = {entry["role"]: entry["path"] for entry in inputs}  # a path per role given
     for key in ("embeddings", "format", "method", "out"):
-        if not options.get(key):
+        if not (paths if key == "embeddings" else options).get(key):
             return _usage_error(f"--{key} is required")
     method = options["method"].replace("-", "_")
     if method not in PRESETS:
         return _usage_error(f"unknown method {options['method']!r}")
     if options["format"] not in FORMATS:
         return _usage_error(f"unknown format {options['format']!r}")
-    given = [relation for relation in RELATIONS if options[relation]]
+    given = [relation for relation in RELATIONS if relation in paths]
     if not given:
         return _usage_error("at least one of --syn/--ant/--hyper is required")
     missing = missing_relations(method, given)
@@ -333,30 +333,24 @@ def cmd_specialize(args) -> int:
         return _usage_error(str(exc))
 
     _keep_heap()
+    out = options["out"]
+    published = [f"{out}.log", out, f"{out}.manifest"]
+    staged = [f"{path}.{os.getpid()}.tmp" for path in published]
     try:
-        recorded = dict(options.get("digests", {}))
-        # the load hashes the embeddings as it parses them, so their digest is
-        # checked after it: a changed file that does not parse reports that
-        embeddings_digest = recorded.pop(options["embeddings"], None)
-        for path, digest in recorded.items():
-            if _sha256(path) != digest:
-                raise ValueError(f"{path}: sha256 differs from the replayed manifest")
-        store = load_embeddings(options["embeddings"], options["format"])
-        if embeddings_digest not in (None, store._source_sha256):
-            raise ValueError(f"{options['embeddings']}: sha256 differs from the replayed manifest")
         constraints = ConstraintSet()
-        inputs = [{"role": "embeddings", "order": 0, "path": options["embeddings"],
-                   "sha256": store._source_sha256}]
-        for relation in RELATIONS:
-            for order, path in enumerate(options[relation]):
-                load_pairs(constraints, path, relation, store)
-                inputs.append(
-                    {"role": relation, "order": order, "path": path, "sha256": _sha256(path)}
-                )
+        for entry in inputs:  # the embeddings first, so each pair file reads the store
+            path, recorded = entry["path"], entry["sha256"]
+            if entry["role"] == "embeddings":
+                # hashed as it parses, so a changed file that does not parse reports that
+                store = load_embeddings(path, options["format"])
+                entry["sha256"] = store._source_sha256
+            else:
+                if recorded is not None and _sha256(path) != recorded:  # before its parse
+                    raise ValueError(f"{path}: sha256 differs from the replayed manifest")
+                entry["sha256"] = load_pairs(constraints, path, entry["role"], store).sha256
+            if recorded not in (None, entry["sha256"]):
+                raise ValueError(f"{path}: sha256 differs from the replayed manifest")
         _, log = specialize(store, constraints, config)
-        save_embeddings(store, options["out"], options["format"])
-        with open(options["out"] + ".log", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(log.to_tsv())
         manifest = RunManifest(
             tool_version=__version__,
             seed=config.seed,
@@ -364,17 +358,27 @@ def cmd_specialize(args) -> int:
             format=options["format"],
             config=_config_as_dict(config),
             inputs=inputs,
-            output=options["out"],
+            output=out,
         )
-        with open(options["out"] + ".manifest", "w", encoding="utf-8", newline="\n") as fh:
+        # written beside their final paths, then published .log, vectors, .manifest
+        with open(staged[0], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(log.to_tsv())
+        save_embeddings(store, staged[1], options["format"])
+        with open(staged[2], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(manifest.to_json())
+        for path, tmp in zip(published, staged):
+            os.replace(tmp, path)
     except (ValueError, OSError, NonFiniteGradientError) as exc:
         print(f"lexfit: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for tmp in staged:  # none is left once published
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
     held = ", ".join(f"{rel}={len(pairs)}" for rel, pairs in constraints.pairs.items())
     print(f"specialized {len(store)} vectors with {method} ({held}) in {log.wall_time:.2f}s")
-    print(f"wrote {options['out']}, {options['out']}.log, {options['out']}.manifest")
+    print(f"wrote {out}, {out}.log, {out}.manifest")
     return 0
 
 

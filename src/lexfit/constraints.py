@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, _Sha256Reader
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +32,7 @@ class PairLoadReport:
     dropped_oov: int = 0
     dropped_self: int = 0
     dropped_conflict: int = 0
+    sha256: str | None = field(default=None, compare=False)  # of the bytes the load parsed
 
 
 class ConstraintSet:
@@ -59,10 +61,11 @@ class ConstraintSet:
         if lines.size and (lines.ndim != 2 or lines.shape[1] != 2 or lines.min() < 0):
             raise ValueError(f"rows must be (n, 2) non-negative row pairs, got shape {lines.shape}")
         lines = lines.reshape(-1, 2)
-        rows = lines[lines[:, 0] != lines[:, 1]]
+        rows = lines[lines[:, 0] != lines[:, 1]]  # a copy: each temporary below is freed in turn
         self.dropped_self += len(lines) - len(rows)
+        del lines
         if relation != "hyper":  # hypernym pairs keep their (hyponym, hypernym) order
-            rows = np.sort(rows, axis=1)
+            rows.sort(axis=1)
         if relation == "syn":
             held = _member(rows, self.pairs["ant"])
             self.dropped_conflict += int(held.sum())
@@ -72,7 +75,8 @@ class ConstraintSet:
             self.dropped_conflict += int(displaced.sum())
             self.pairs["syn"] = pair_array(self.pairs["syn"][~displaced])
         before = len(self.pairs[relation])
-        self.pairs[relation] = pair_array(np.concatenate((self.pairs[relation], rows)))
+        rows = np.concatenate((self.pairs[relation], rows))
+        self.pairs[relation] = pair_array(rows)
         return len(self.pairs[relation]) - before
 
 
@@ -89,7 +93,8 @@ def load_pairs(
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {RELATIONS}")
     rows, dropped_oov = [], 0  # rows: the in-vocabulary lines' row pairs, flattened
-    with open(path, encoding="utf-8") as fh:
+    reader = _Sha256Reader(path)
+    with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -104,10 +109,11 @@ def load_pairs(
             rows += row_a, row_b
     # the set keeps the one ledger; the report is this file's share of it
     before = constraints.dropped_self, constraints.dropped_conflict
-    added = constraints.add(relation, np.array(rows, np.intp).reshape(-1, 2))
+    rows = np.array(rows, np.intp).reshape(-1, 2)  # the list is freed before the add
+    added = constraints.add(relation, rows)
     constraints.dropped_oov += dropped_oov
     report = PairLoadReport(relation, added, dropped_oov, constraints.dropped_self - before[0],
-                            constraints.dropped_conflict - before[1])
+                            constraints.dropped_conflict - before[1], reader.digest.hexdigest())
     if report.dropped_oov or report.dropped_self or report.dropped_conflict:
         log.info(
             "%s: kept %d %s pairs (dropped: %d oov, %d self, %d conflict)",
@@ -134,7 +140,9 @@ def pair_keys(pairs: np.ndarray) -> tuple[np.ndarray, int]:
 
 def pair_array(pairs: np.ndarray) -> np.ndarray:
     """The distinct pairs of an ``(n, 2)`` row-pair array: ascending, ``(n, 2)`` intp, read-only."""
-    array = np.stack(np.divmod(*pair_keys(pairs)), axis=1)
+    keys, width = pair_keys(pairs)
+    array = np.empty((len(keys), 2), np.intp)
+    np.divmod(keys, width, out=(array[:, 0], array[:, 1]))
     array.flags.writeable = False
     return array
 

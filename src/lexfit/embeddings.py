@@ -46,13 +46,11 @@ class EmbeddingStore:
     to change it. A specialization run anchors to the store it is given, so
     the vectors a run starts from are ``current`` until its write. For cosine
     queries the store keeps the row norms and float32 unit rows that the first query
-    computes, or the norms a store built from vectors got from its checks; a write drops both.
+    computes; a write drops them.
     """
 
     def __init__(self, vocab, vectors):
-        vocab, matrix, geometry = _checked([str(t) for t in vocab], np.array(vectors, np.float64))
-        self._own(vocab, matrix)
-        self._geometry = geometry  # computed by the checks, so kept for the first query
+        self._own(*_checked([str(t) for t in vocab], np.array(vectors, np.float64)))
 
     def _own(self, vocab: list[str], matrix: np.ndarray) -> None:
         """Take the checked, unshared ``matrix`` as is."""
@@ -60,9 +58,8 @@ class EmbeddingStore:
         self.dim: int = int(matrix.shape[1])
         self._matrix = matrix
         self._matrix.setflags(write=False)
-        # (matrix, norms) and the float32 unit rows, built by the first query
-        self._geometry: tuple[np.ndarray, np.ndarray] | None = None
-        self._unit32: np.ndarray | None = None
+        # (matrix, norms, unit32), built by the first query
+        self._geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.index: dict[str, int] = {tok: i for i, tok in enumerate(vocab)}
         self.n_duplicates_dropped: int = 0
         self._source_sha256: str | None = None  # of the text a load read
@@ -80,13 +77,13 @@ class EmbeddingStore:
         the block raises; queries inside the block recompute it each time.
         Blocks do not nest: the inner exit makes ``current`` read-only.
         """
-        self._geometry = self._unit32 = None
+        self._geometry = None
         self._matrix.setflags(write=True)
         try:
             yield self._matrix
         finally:
             self._matrix.setflags(write=False)
-            self._geometry = self._unit32 = None
+            self._geometry = None
 
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(matrix, norms, unit32)`` of ``current`` for :func:`nearest_neighbors`:
@@ -94,12 +91,14 @@ class EmbeddingStore:
         there are none), the norms of those rows, and their float32 unit
         rows, computed on the first read and again on the first read after a write.
         """
-        matrix, norms = self._geometry or _in_range(self._matrix)[:2]
-        unit32 = _unit_rows32(matrix, norms) if self._unit32 is None else self._unit32
-        if not self._matrix.flags.writeable:
+        if self._geometry is not None:
+            return self._geometry
+        matrix, norms = _in_range(self._matrix)[:2]
+        geometry = matrix, norms, _unit_rows32(matrix, norms)
+        if not self._matrix.flags.writeable:  # kept while no write can change it
             norms.setflags(write=False)
-            self._geometry, self._unit32 = (matrix, norms), unit32
-        return matrix, norms, unit32
+            self._geometry = geometry
+        return geometry
 
     def __len__(self) -> int:
         return len(self.vocab)
@@ -126,9 +125,9 @@ _TOKEN = re.compile(r"[ \t]*([^ \t\n]+)")
 _UNSAVABLE = re.compile(r"[ \t\r\n]")
 
 
-def _checked(vocab: list[str], matrix: np.ndarray) -> tuple:
-    """``vocab``, ``matrix`` and its ``_in_range`` rows and norms, once the two
-    pass every check of a store (ValueError if not): built or read from a cache."""
+def _checked(vocab: list[str], matrix: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``vocab`` and ``matrix``, once the two pass every check of a store
+    (ValueError if not): built or read from a cache."""
     if matrix.ndim != 2 or matrix.dtype != np.float64:
         raise ValueError("vectors must form a 2-d float64 matrix")
     if matrix.shape[0] != len(vocab):
@@ -145,10 +144,9 @@ def _checked(vocab: list[str], matrix: np.ndarray) -> tuple:
         raise ValueError("vectors contain non-finite values")
     if not matrix.any(axis=1).all():
         raise ValueError("all-zero vectors are not allowed")
-    scaled, norms, true_norms = _in_range(matrix)
-    if np.isinf(true_norms).any():
+    if np.isinf(_in_range(matrix)[2]).any():
         raise ValueError("vector norm overflows float64")
-    return vocab, matrix, (scaled, norms)
+    return vocab, matrix
 
 
 def _content_lines(fh):
@@ -388,8 +386,6 @@ def save_embeddings(store: EmbeddingStore, path: str, format: str) -> None:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown embedding format {format!r}, expected one of {FORMATS}")
-    if len(store) == 0:
-        raise ValueError("refusing to save an empty store")
     step = max(1, _SAVE_BLOCK_CELLS // store.dim)
     slots = np.empty((min(step, len(store)), store.dim, 3), dtype=_WORD)
     with open(path, "wb") as fh:

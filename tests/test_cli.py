@@ -33,6 +33,7 @@ from lexfit import (
     wbless_classify,
 )
 import lexfit.cli
+from lexfit import embeddings
 from lexfit.cli import main
 from lexfit.constraints import PAIR_SETS
 from lexfit.sampling import NEGATIVE_POLICIES
@@ -174,8 +175,15 @@ class TestSpecializeCommand:
         (with_config("epochs", None), "field 'config.epochs' is not of type int"),
         (with_config("m_syn", "x"), "field 'config.m_syn' is not of type float"),
         (with_config("m_syn", 10 ** 400), "field 'config.m_syn' is beyond float range"),
+        (lambda m: {**m, "inputs": [*m["inputs"], {**m["inputs"][0], "order": 1}]},
+         "inputs has 2 'embeddings' entries"),
+        (lambda m: {**m, "inputs": [m["inputs"][0], {**m["inputs"][1], "role": "meronym"}]},
+         "inputs[1] has unknown role 'meronym'"),
+        (lambda m: {**m, "inputs": [{**m["inputs"][0], "size": 3}]},
+         "inputs[0]: field 'size' is unknown"),
     ], ids=["no-embeddings", "no-order", "json-list", "no-method",
-            "epochs-str", "epochs-float", "epochs-null", "m_syn-str", "m_syn-beyond-float"])
+            "epochs-str", "epochs-float", "epochs-null", "m_syn-str", "m_syn-beyond-float",
+            "two-embeddings", "unknown-role", "unknown-field"])
     def test_replay_refuses_a_malformed_manifest(self, workspace, capsys, edit, problem):
         tmp_path = workspace[0]
         assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
@@ -264,6 +272,7 @@ class TestSpecializeCommand:
     @pytest.mark.parametrize("line, problem", [
         ("epochs=1.5", "epochs expects int, got '1.5'"),
         ("m_syn=wide", "m_syn expects float, got 'wide'"),
+        ("epochs 3", "expected key=value"),
     ])
     def test_config_value_that_fails_its_cast_is_located(self, workspace, capsys, line,
                                                          problem):
@@ -273,6 +282,24 @@ class TestSpecializeCommand:
         args = specialize_args(workspace, tmp_path / "x.vec", extra=["--config", str(cfg)])
         assert main(args) == 2
         assert capsys.readouterr().err == f"lexfit: error: {cfg}:2: {problem}\n"
+
+    @pytest.mark.parametrize("flag", ["--format", "--method", "--out"])
+    def test_missing_option_is_usage_error(self, workspace, capsys, flag):
+        tmp_path = workspace[0]
+        argv = specialize_args(workspace, tmp_path / "x.vec")
+        at = argv.index(flag)
+        assert main(argv[:at] + argv[at + 2:]) == 2
+        assert capsys.readouterr().err == f"lexfit: error: {flag} is required\n"
+        assert not list(tmp_path.glob("x.vec*"))
+
+    def test_unknown_method_in_config_is_usage_error(self, workspace, capsys):
+        tmp_path = workspace[0]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method=retrofit-plus\n")
+        argv = specialize_args(workspace, tmp_path / "x.vec")
+        at = argv.index("--method")
+        assert main(argv[:at] + argv[at + 2:] + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "lexfit: error: unknown method 'retrofit-plus'\n"
 
     @pytest.mark.parametrize("source", ["config", "replay"])
     def test_unknown_format_is_usage_error(self, workspace, capsys, source):
@@ -434,6 +461,87 @@ class TestSpecializeCommand:
             "--syn", str(syn), "--out", str(tmp_path / "replayed.vec"),
         ])
         assert code == 0
+
+    def test_replay_refuses_a_file_changed_after_its_check(self, workspace, monkeypatch,
+                                                           capsys):
+        # the recorded digest is compared with the one of the bytes the load parsed
+        tmp_path, _, syn, _, _ = workspace
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        check = lexfit.cli._sha256
+
+        def check_then_edit(path):
+            digest = check(path)
+            with open(path, "a") as fh:
+                fh.write("c1 c2\n")
+            return digest
+
+        monkeypatch.setattr(lexfit.cli, "_sha256", check_then_edit)
+        code = main(["specialize", "--replay", str(tmp_path / "out.vec.manifest"),
+                     "--out", str(tmp_path / "replayed.vec")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"lexfit: error: {syn}: sha256 differs from the replayed manifest\n")
+        assert not (tmp_path / "replayed.vec").exists()
+
+    def test_manifest_records_the_bytes_each_load_parsed(self, workspace, monkeypatch):
+        tmp_path, _, *pair_files = workspace
+        parsed = [hashlib.sha256(path.read_bytes()).hexdigest() for path in pair_files]
+        load = lexfit.cli.load_pairs
+
+        def load_then_edit(constraints, path, relation, store):
+            report = load(constraints, path, relation, store)
+            with open(path, "a") as fh:  # a change after the load is not what it read
+                fh.write("c1 c2\n")
+            return report
+
+        monkeypatch.setattr(lexfit.cli, "load_pairs", load_then_edit)
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        manifest = json.loads((tmp_path / "out.vec.manifest").read_text())
+        assert [e["sha256"] for e in manifest["inputs"] if e["role"] != "embeddings"] == parsed
+
+    def test_a_run_reads_each_pair_file_once_and_a_replay_twice(self, workspace, monkeypatch):
+        tmp_path, _, *pair_files = workspace
+        opened = []
+        real_open, real_init = open, embeddings._Sha256Reader.__init__
+
+        def opening(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        def hashing(self, path):
+            opened.append(os.fspath(path))
+            real_init(self, path)
+
+        monkeypatch.setattr("builtins.open", opening)
+        monkeypatch.setattr(embeddings._Sha256Reader, "__init__", hashing)
+        assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
+        assert [opened.count(str(path)) for path in pair_files] == [1, 1, 1]
+        del opened[:]
+        assert main(["specialize", "--replay", str(tmp_path / "out.vec.manifest"),
+                     "--out", str(tmp_path / "replayed.vec")]) == 0
+        assert [opened.count(str(path)) for path in pair_files] == [2, 2, 2]
+
+    def test_a_failed_publish_keeps_the_last_run(self, workspace, capsys):
+        # outputs are staged beside --out, then published .log, vectors, .manifest
+        tmp_path = workspace[0]
+        out = tmp_path / "out.vec"
+        argv = specialize_args(workspace, out)
+        method = argv.index("--method") + 1
+        assert main([*argv[:method], "attract-repel", *argv[method + 1:]]) == 0
+        kept = out.read_bytes(), (tmp_path / "out.vec.manifest").read_bytes()
+        (tmp_path / "out.vec.log").unlink()
+        (tmp_path / "out.vec.log").mkdir()
+        capsys.readouterr()
+        counterfitting = [*argv[:method], "counterfitting", *argv[method + 1:]]
+        assert main(counterfitting) == 1
+        assert "out.vec.log" in capsys.readouterr().err
+        assert (out.read_bytes(), (tmp_path / "out.vec.manifest").read_bytes()) == kept
+        assert not list(tmp_path.glob("*.tmp"))
+        (tmp_path / "out.vec.log").rmdir()
+        assert main(counterfitting) == 0
+        assert out.read_bytes() != kept[0] and not list(tmp_path.glob("*.tmp"))
+        manifest = json.loads((tmp_path / "out.vec.manifest").read_text())
+        assert manifest["method"] == "counterfitting"
 
 
 def _option_values():
@@ -656,6 +764,7 @@ def test_fault_probe_runs_each_tree_in_turn():
     *records, medians = map(json.loads, out.splitlines())
     assert [r["round"] for r in records] == [0, 0] and {r["code"] for r in records} == {0}
     assert records[0]["sha256"] == records[1]["sha256"]
+    assert records[0]["manifest_sha256"] == records[1]["manifest_sha256"] is not None
     assert all(r["minflt"] > 0 and r["maxrss_mb"] > 0 and r["wall_s"] > 0 for r in records)
     assert set(medians["medians"][os.path.realpath(src)]) == {
         "wall_s", "user_s", "sys_s", "minflt", "maxrss_mb"}
@@ -685,6 +794,9 @@ def test_digest_probe_compares_trees(tmp_path):
         assert " in <t>s\n" in same["summary"]
         assert other["sha256"] != same["sha256"]
         assert other["summary"] == same["summary"]
+        assert same["manifest_sha256"] is not None
+        # the changed default is recorded in the manifest
+        assert other["manifest_sha256"] != same["manifest_sha256"]
     child = subprocess.run([sys.executable, tool, "--world", "smoke", "--preset", "lear",
                             "--src", src, "--src", src], capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
@@ -872,6 +984,15 @@ class TestEvalCommand:
 
 
 class TestNearestCommand:
+    @pytest.mark.parametrize("text", [None, "w1 1 0\nw2 x 1\n"], ids=["missing", "malformed"])
+    def test_unreadable_embeddings_is_runtime_error(self, tmp_path, capsys, text):
+        emb = tmp_path / "v.vec"
+        if text is not None:
+            emb.write_text(text)
+        assert main(["nearest", "--embeddings", str(emb), "--word", "w1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lexfit: error: ") and str(emb) in err
+
     def test_prints_neighbors(self, tmp_path, capsys):
         store = EmbeddingStore(["w1", "w2", "w3"], [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         emb = tmp_path / "v.vec"

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -284,6 +287,34 @@ def test_a_line_is_split_only_at_line_ends(tmp_path, store):
     cs = ConstraintSet()
     report = load_pairs(cs, write_pairs(tmp_path, "good\x1cnice\n"), "syn", store)
     assert report.added == 1 and held(cs, "syn") == [(0, 1)]
+
+
+def test_report_hashes_the_bytes_it_parsed(tmp_path, store):
+    data = b"# comment\r\ngood nice\r\n\ncat\tdog\nbad oov\n" * 5000  # past one read block
+    path = tmp_path / "pairs.txt"
+    path.write_bytes(data)
+    report = load_pairs(ConstraintSet(), str(path), "syn", store)
+    assert report.sha256 == hashlib.sha256(data).hexdigest()
+    assert report == reference_load(ReferenceSet(), str(path), "syn", store)  # sha256 not compared
+
+
+def test_load_peaks_at_a_few_times_what_it_keeps(tmp_path):
+    # the line list is freed before the add, and the add frees each temporary in turn
+    words = [f"w{i}" for i in range(20000)]
+    big = EmbeddingStore(words, np.ones((len(words), 1)))
+    rng = np.random.default_rng(0)
+    lines = rng.integers(0, len(words), (100000, 2))
+    path = write_pairs(tmp_path, "".join(f"w{a} w{b}\n" for a, b in lines))
+    cs = ConstraintSet()
+    tracemalloc.start()
+    try:
+        load_pairs(cs, path, "syn", big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = cs.pairs["syn"].nbytes
+    assert len(cs.pairs["syn"]) > 99000
+    assert peak < 4.5 * kept, (peak, kept)
 
 
 def closure_set(direct):

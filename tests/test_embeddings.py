@@ -79,6 +79,14 @@ class TestLoad:
         ("a\nb 1 2\n", "glove-text", ":1: record has no vector values"),
         ("2 3\na 1 2\nb 1 2\n", "word2vec-text", ":2: expected 3 values, got 2"),
         ("2 2\na 1 2\nb 1 2 3\n", "word2vec-text", ":3: expected 2 values, got 3"),
+        ("2\na 1 2\n", "word2vec-text",
+         ":1: word2vec-text header must be 'vocab_count dim', got '2'"),
+        ("2 2 2\na 1 2\n", "word2vec-text",
+         ":1: word2vec-text header must be 'vocab_count dim', got '2 2 2'"),
+        ("two 2\na 1 2\n", "word2vec-text", ":1: malformed header 'two 2'"),
+        ("2 2.0\na 1 2\n", "word2vec-text", ":1: malformed header '2 2.0'"),
+        ("2 0\na 1 2\n", "word2vec-text", ":1: non-positive dimension 0"),
+        ("2 -2\na 1 2\n", "word2vec-text", ":1: non-positive dimension -2"),
         # Python's float() reads "1_0", the file format does not
         ("a 1_0 2\n", "glove-text", ":1: non-numeric vector component"),
         # every component is finite, the norm is not
@@ -759,6 +767,29 @@ class TestNearestRows:
         np.testing.assert_array_equal(near, [[r for r, _ in hits] for hits in queries])
         np.testing.assert_array_equal(cosines, [[c for _, c in hits] for hits in queries])
 
+    def test_rows_wider_than_one_einsum_pass(self, monkeypatch):
+        # past _EINSUM_COLUMNS a cell is summed pass by pass; the sums, and so the
+        # ranking, do not depend on how many rows each gather of cells holds
+        dim = embeddings._EINSUM_COLUMNS + 1000
+        rng = np.random.default_rng(14)
+        vectors = rng.standard_normal((40, dim))
+        vectors[20:] = vectors[:20] + 0.5 * rng.standard_normal((20, dim))
+        store = EmbeddingStore([f"w{i}" for i in range(40)], vectors)
+        rows = np.arange(40)
+        runs = []
+        for cells in (1 << 18, dim, 3 * dim):  # gathers of 28, 1 and 3 rows
+            monkeypatch.setattr(embeddings, "_NEIGHBOR_BLOCK_CELLS", cells)
+            runs.append(embeddings.nearest_rows(store.current, rows, 20))
+            queries = [nearest_neighbors(store, row, 20) for row in rows]
+            np.testing.assert_array_equal(runs[-1][0], [[r for r, _ in q] for q in queries])
+            np.testing.assert_array_equal(runs[-1][1], [[c for _, c in q] for q in queries])
+        for near, cosines in runs[1:]:
+            np.testing.assert_array_equal(near, runs[0][0])
+            np.testing.assert_array_equal(cosines, runs[0][1])
+        expected_near, expected_cosines = exhaustive_neighbors(vectors, 20)
+        np.testing.assert_array_equal(runs[0][0], expected_near)
+        np.testing.assert_allclose(runs[0][1], expected_cosines, rtol=0, atol=1e-13)
+
     @staticmethod
     def count_cells(monkeypatch):
         """The number of float64 cells of each later :func:`_cell_cosines` call."""
@@ -933,24 +964,24 @@ class TestWriting:
         np.testing.assert_array_equal(unit32, expected)
         with store.writing() as matrix:
             matrix[3] *= 2.0
-        assert store._unit32 is None
+        assert store._geometry is None
         for row in range(30):
             nearest_neighbors(store, row, 5)
         assert builds == [30, 30] and calls == [30, 30]
         fresh = random_store(5, 30, 6)
         del calls[:]
         nearest_neighbors(fresh, 0, 5)
-        assert builds == [30, 30, 30] and calls == []  # built from the norms of construction
+        assert builds == [30, 30, 30] and calls == [30]  # on its first query, like any store
         path = str(tmp_path / "v.txt")
         save_embeddings(store, path, "glove-text")
         loaded = load_embeddings(path, "glove-text")
-        assert loaded._unit32 is None and len(builds) == 3
+        assert loaded._geometry is None and len(builds) == 3
         # counter-fitting's precompute builds its own float32 rows and leaves none on the store
         cs = ConstraintSet()
         cs.add("syn", [(0, 1)])
         cs.add("ant", [(0, 2)])
         specialize(loaded, cs, SpecializeConfig("counterfitting", epochs=1, neighbor_k=3))
-        assert len(builds) == 4 and loaded._unit32 is None
+        assert len(builds) == 4 and loaded._geometry is None
 
 
 class TestRankTies:

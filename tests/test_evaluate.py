@@ -130,6 +130,19 @@ class TestLoaders:
         with pytest.raises(ValueError):
             SimilarityDataset("x", [("a", "b", 1.0)])
 
+    def test_non_numeric_score_is_located(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("a\tb\t1.0\nc\td\thigh\n")
+        with pytest.raises(DatasetFormatError, match=r"d\.tsv:2: non-numeric score$"):
+            load_similarity_dataset(str(path))
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "d.tsv"
+        path.write_text(f"a\tb\t1.0\nc\td\t{score}\n")
+        with pytest.raises(ValueError, match="human scores must be finite"):
+            load_similarity_dataset(str(path))
+
 
 class TestEvalSimilarity:
     def test_perfect_ordering(self):
@@ -270,6 +283,17 @@ class TestBless:
         report = bless_directionality(store, ds, use_backoff=False)
         assert report.n_excluded == 1
         assert report.value == 1.0
+
+    def test_no_hyper_pairs_errors(self):
+        store = norm_store([1.0, 2.0], ["a", "b"])
+        with pytest.raises(ValueError, match="toy: no hyper-labeled pairs"):
+            bless_directionality(store, relation_ds([("a", "b", "hypo"), ("b", "a", "other")]))
+
+    def test_no_covered_pairs_errors(self):
+        store = norm_store([1.0, 2.0], ["a", "b"])
+        ds = relation_ds([("a", "zzz", "hyper"), ("a", "b", "hypo")])
+        with pytest.raises(ValueError, match="toy: no covered pairs"):
+            bless_directionality(store, ds, use_backoff=False)
 
 
 def separable_wbless(n_pairs=50):

@@ -38,6 +38,12 @@ class TestPlanEpoch:
         assert [len(b.items) for b in plan] == [4, 4, 2]
         assert all(b.relation == "syn" for b in plan)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_errors(self, batch_size):
+        cs = syn_constraints([(0, 1)])
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            plan_epoch(streams(cs), batch_size=batch_size, seed=0)
+
     def test_single_relation_degenerates(self):
         cs = ConstraintSet()
         for i in range(5):

@@ -345,7 +345,7 @@ class TestNeighborPrecompute:
         # are not held on the store through training
         store = random_store(6, 40, 5)
         specializer._original_neighbor_sets(store, np.arange(0, 40, 3), 4)
-        assert store._unit32 is None
+        assert store._geometry is None
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 40])
     def test_tied_ranks_match_stable_argsort_across_blocks(self, monkeypatch, block_rows):

@@ -8,7 +8,8 @@ once per ``--src`` tree, as a ``lexfit specialize`` child given the world's
 ``--syn``, ``--ant`` and ``--hyper`` files, 2 epochs, batch 128, seed 1 and one
 BLAS thread (``tools/probe_faults.py``'s world builder and child runner). Each
 run prints one JSON line: the world, preset and tree, the exit code, the sha256
-of ``out.vec`` and of ``out.vec.log``, and the CLI summary with its time masked.
+of ``out.vec``, ``out.vec.log`` and ``out.vec.manifest``, and the CLI summary with
+its time masked.
 The exit code is 1 when a run fails or, for some world and preset, a tree's line
 differs from the first tree's; 0 otherwise. Needs only numpy and the trees' own
 sources:
@@ -59,7 +60,8 @@ def main() -> int:
                 first = None
                 for src in args.src:
                     record, stdout = probe_faults.run_child(src.resolve(), argv, out)
-                    outputs = {key: record[key] for key in ("code", "sha256", "log_sha256")}
+                    outputs = {key: record[key] for key in ("code", "sha256", "log_sha256",
+                                                            "manifest_sha256")}
                     outputs["summary"] = re.sub(r" in \d+\.\d+s$", " in <t>s", stdout,
                                                 flags=re.M)
                     print(json.dumps({"world": world, "preset": preset, "src": str(src),

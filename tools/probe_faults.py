@@ -10,10 +10,10 @@ arguments (one epoch, batch 128, the world's seed) and one BLAS thread; the
 first tree goes first in even rounds and last in odd ones, so an order effect
 cancels. For each child it prints one JSON line: wall time, user and system
 CPU time, minor and major page faults and peak RSS, all from ``os.wait4``
-but the wall time, and the sha256 of ``out.vec`` and ``out.vec.log``. Peak
-RSS is ``ru_maxrss``; Linux carries the forking process's high-water mark
-across ``exec``, so the world is built in a child of its own and this process
-stays small. The last line gives each tree's medians. ``tools/probe_digests.py``
+but the wall time, and the sha256 of ``out.vec``, ``out.vec.log`` and
+``out.vec.manifest``. Peak RSS is ``ru_maxrss``; Linux carries the forking
+process's high-water mark across ``exec``, so the world is built in a child
+of its own and this process stays small. The last line gives each tree's medians. ``tools/probe_digests.py``
 builds its worlds and runs its children with this tool's functions. Needs only numpy and the trees' own sources:
 
     python tools/probe_faults.py --src src --src ../parent/src --rounds 10
@@ -80,8 +80,9 @@ def digest(path: Path) -> str | None:
 
 def run_child(src: Path, args: list[str], out: Path) -> tuple[dict, str]:
     """Run one ``lexfit specialize`` child of the tree at ``src`` with one BLAS thread.
-    Returns its exit code, costs and the sha256 of ``out`` and ``out.log``, and its stdout."""
-    for stale in (out, Path(f"{out}.log")):
+    Returns its exit code, costs and the sha256 of ``out``, ``out.log`` and ``out.manifest``
+    (None for a file the child did not write), and its stdout."""
+    for stale in (out, Path(f"{out}.log"), Path(f"{out}.manifest")):
         stale.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src),
                **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -105,6 +106,7 @@ def run_child(src: Path, args: list[str], out: Path) -> tuple[dict, str]:
         "maxrss_mb": round(usage.ru_maxrss / 1024, 1),
         "sha256": digest(out),
         "log_sha256": digest(Path(f"{out}.log")),
+        "manifest_sha256": digest(Path(f"{out}.manifest")),
     }, stdout
 
 
