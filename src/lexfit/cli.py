@@ -9,11 +9,11 @@ replaying the manifest reproduces the output byte-exactly.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
 import dataclasses
 import json
 import os
+import pathlib
 import sys
 import typing
 
@@ -25,6 +25,7 @@ from .embeddings import (
     backoff_lookup,
     load_embeddings,
     nearest_neighbors,
+    publish,
     save_embeddings,
 )
 from .evaluate import (
@@ -68,6 +69,8 @@ _RECORDED = [
 _RECORDED_TYPES = {f.name: type(f.default) for f in _RECORDED}
 # every training option: each is a flag and a config-file key
 _OPTION_DEFAULTS = {f.name: f.default for f in _RECORDED if f.init}
+# every recorded field that is not an option, at the one value a run takes
+_FIXED = {f.name: f.default for f in _RECORDED if not f.init}
 _MARGIN_FIELDS = [f.name for f in dataclasses.fields(Margins)]
 
 # config-file keys and how to coerce their values
@@ -116,6 +119,13 @@ class RunManifest:
                     kind(value)
                 except OverflowError:  # a JSON integer that no float holds
                     raise ValueError(f"field 'config.{name}' is beyond float range") from None
+                if name in _FIXED and value != _FIXED[name]:  # a value no run can take
+                    raise ValueError(f"field 'config.{name}' is {value!r}, "
+                                     f"but this version trains only at {_FIXED[name]!r}")
+            # a config without a seed ran at the recorded one
+            if fields["config"].setdefault("seed", fields["seed"]) != fields["seed"]:
+                raise ValueError(f"field 'seed' is {fields['seed']}, "
+                                 f"but field 'config.seed' is {fields['config']['seed']}")
             for i, entry in enumerate(fields["inputs"]):
                 _check_fields(entry, _INPUT_FIELDS, f"inputs[{i}]: ")
                 if entry["role"] not in ("embeddings", *RELATIONS):
@@ -263,9 +273,9 @@ def _resolve_specialize_options(args) -> dict:
     return options
 
 
-def _usage_error(message: str) -> int:
-    print(f"lexfit: error: {message}", file=sys.stderr)
-    return 2
+class UsageError(ValueError):
+    """A fault in a command's arguments or options, found before any input is
+    loaded; :func:`main` exits 2 for it."""
 
 
 # glibc's mallopt parameters (malloc.h), and the one value specialize gives both
@@ -298,88 +308,73 @@ def _keep_heap() -> None:
 
 
 def cmd_specialize(args) -> int:
-    try:
+    try:  # a fault found before any input is loaded is a usage error
         options = _resolve_specialize_options(args)
-    except (ValueError, OSError) as exc:
-        return _usage_error(str(exc))
-
-    inputs = options["inputs"]
-    paths = {entry["role"]: entry["path"] for entry in inputs}  # a path per role given
-    for key in ("embeddings", "format", "method", "out"):
-        if not (paths if key == "embeddings" else options).get(key):
-            return _usage_error(f"--{key} is required")
-    method = options["method"].replace("-", "_")
-    if method not in PRESETS:
-        return _usage_error(f"unknown method {options['method']!r}")
-    if options["format"] not in FORMATS:
-        return _usage_error(f"unknown format {options['format']!r}")
-    given = [relation for relation in RELATIONS if relation in paths]
-    if not given:
-        return _usage_error("at least one of --syn/--ant/--hyper is required")
-    missing = missing_relations(method, given)
-    if missing:
-        names = " or ".join(f"--{rel}" for rel in missing[0])
-        relation = PAIR_SETS[missing[0][0]].replace("_", " ")
-        return _usage_error(f"method {options['method']} requires {relation} ({names})")
-
-    values = {key: options[key] for key in _OPTION_DEFAULTS if key in options}
-    try:
+        inputs = options["inputs"]
+        paths = {entry["role"]: entry["path"] for entry in inputs}  # a path per role given
+        for key in ("embeddings", "format", "method", "out"):
+            if not (paths if key == "embeddings" else options).get(key):
+                raise ValueError(f"--{key} is required")
+        method = options["method"].replace("-", "_")
+        if method not in PRESETS:
+            raise ValueError(f"unknown method {options['method']!r}")
+        if options["format"] not in FORMATS:
+            raise ValueError(f"unknown format {options['format']!r}")
+        given = [relation for relation in RELATIONS if relation in paths]
+        if not given:
+            raise ValueError("at least one of --syn/--ant/--hyper is required")
+        missing = missing_relations(method, given)
+        if missing:
+            names = " or ".join(f"--{rel}" for rel in missing[0])
+            relation = PAIR_SETS[missing[0][0]].replace("_", " ")
+            raise ValueError(f"method {options['method']} requires {relation} ({names})")
+        values = {key: options[key] for key in _OPTION_DEFAULTS if key in options}
         margins = dataclasses.replace(
             PRESET_TABLE[method].margins,
             **{key: values.pop(key) for key in _MARGIN_FIELDS if key in values},
         )
         config = SpecializeConfig(method, margins, **values)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    except (ValueError, OSError) as exc:
+        raise UsageError(str(exc)) from exc
 
     _keep_heap()
-    out = options["out"]
-    published = [f"{out}.log", out, f"{out}.manifest"]
-    staged = [f"{path}.{os.getpid()}.tmp" for path in published]
-    try:
-        constraints = ConstraintSet()
-        for entry in inputs:  # the embeddings first, so each pair file reads the store
-            path, recorded = entry["path"], entry["sha256"]
-            if entry["role"] == "embeddings":
-                # hashed as it parses, so a changed file that does not parse reports that
-                store = load_embeddings(path, options["format"])
-                entry["sha256"] = store._source_sha256
-            else:
-                if recorded is not None and _sha256(path) != recorded:  # before its parse
-                    raise ValueError(f"{path}: sha256 differs from the replayed manifest")
-                entry["sha256"] = load_pairs(constraints, path, entry["role"], store).sha256
-            if recorded not in (None, entry["sha256"]):
+    constraints = ConstraintSet()
+    for entry in inputs:  # the embeddings first, so each pair file reads the store
+        path, recorded = entry["path"], entry["sha256"]
+        if entry["role"] == "embeddings":
+            # hashed as it parses, so a changed file that does not parse reports that
+            store = load_embeddings(path, options["format"])
+            entry["sha256"] = store._source_sha256
+        else:
+            if recorded is not None and _sha256(path) != recorded:  # before its parse
                 raise ValueError(f"{path}: sha256 differs from the replayed manifest")
-        _, log = specialize(store, constraints, config)
-        manifest = RunManifest(
-            tool_version=__version__,
-            seed=config.seed,
-            method=method,
-            format=options["format"],
-            config=_config_as_dict(config),
-            inputs=inputs,
-            output=out,
-        )
-        # written beside their final paths, then published .log, vectors, .manifest
-        with open(staged[0], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(log.to_tsv())
-        save_embeddings(store, staged[1], options["format"])
-        with open(staged[2], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(manifest.to_json())
-        for path, tmp in zip(published, staged):
-            os.replace(tmp, path)
-    except (ValueError, OSError, NonFiniteGradientError) as exc:
-        print(f"lexfit: error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        for tmp in staged:  # none is left once published
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
+            entry["sha256"] = load_pairs(constraints, path, entry["role"], store).sha256
+        if recorded not in (None, entry["sha256"]):
+            raise ValueError(f"{path}: sha256 differs from the replayed manifest")
+    _, log = specialize(store, constraints, config)
+    out = options["out"]
+    manifest = RunManifest(
+        tool_version=__version__,
+        seed=config.seed,
+        method=method,
+        format=options["format"],
+        config=_config_as_dict(config),
+        inputs=inputs,
+        output=out,
+    )
+    publish((f"{out}.log", _text_writer(log.to_tsv())),
+            (out, lambda tmp: save_embeddings(store, tmp, options["format"])),
+            (f"{out}.manifest", _text_writer(manifest.to_json())))
 
     held = ", ".join(f"{rel}={len(pairs)}" for rel, pairs in constraints.pairs.items())
     print(f"specialized {len(store)} vectors with {method} ({held}) in {log.wall_time:.2f}s")
     print(f"wrote {out}, {out}.log, {out}.manifest")
     return 0
+
+
+def _text_writer(text: str):
+    """A :func:`publish` writer of ``text`` as UTF-8 with LF line ends."""
+    return lambda path: pathlib.Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _config_as_dict(config: SpecializeConfig) -> dict:
@@ -392,40 +387,29 @@ def _config_as_dict(config: SpecializeConfig) -> dict:
 
 def cmd_eval(args) -> int:
     if args.seed < 0:
-        return _usage_error("--seed must be >= 0")
-    try:
-        store = load_embeddings(args.embeddings, args.format)
-        loader, protocol, seeded = _EVAL_TASKS[args.task]
-        dataset = globals()[loader](args.dataset)
-        options = {"seed": args.seed} if seeded else {}
-        report = globals()[protocol](store, dataset, use_backoff=args.backoff, **options)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"lexfit: error: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError("--seed must be >= 0")
+    store = load_embeddings(args.embeddings, args.format)
+    loader, protocol, seeded = _EVAL_TASKS[args.task]
+    dataset = globals()[loader](args.dataset)
+    options = {"seed": args.seed} if seeded else {}
+    report = globals()[protocol](store, dataset, use_backoff=args.backoff, **options)
+    if args.out:  # in place before anything is printed
+        publish((args.out, _text_writer(report.to_tsv())))
     print(report.format_table())
     print()
     print(report.to_tsv(), end="")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_tsv())
     return 0
 
 
 def cmd_nearest(args) -> int:
     if args.k < 1:
-        return _usage_error("--k must be >= 1")
+        raise UsageError("--k must be >= 1")
     if not args.word:
-        return _usage_error("--word must not be empty")
-    try:
-        store = load_embeddings(args.embeddings, args.format)
-    except (ValueError, OSError) as exc:
-        print(f"lexfit: error: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError("--word must not be empty")
+    store = load_embeddings(args.embeddings, args.format)
     hit = backoff_lookup(store, args.word)
     if hit.row is None:
-        print(f"lexfit: error: {args.word!r} is not covered, even after back-off",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.word!r} is not covered, even after back-off")
     if hit.truncation_depth > 0:
         print(f"# backed off to {hit.matched_token!r} (depth {hit.truncation_depth})")
     for row, sim in nearest_neighbors(store, hit.row, args.k):
@@ -434,9 +418,14 @@ def cmd_nearest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; print any failure as one ``lexfit: error:`` line and
+    return 2 for a :class:`UsageError`, 1 for any other."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, KeyError, NonFiniteGradientError) as exc:
+        print(f"lexfit: error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import logging
 import operator
 import os
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import NoReturn
@@ -107,16 +107,20 @@ class EmbeddingStore:
         return token in self.index
 
 
-def _parse_header(line: str, path: str) -> tuple[int, int]:
+def _parse_header(line: str, where: str) -> tuple[int, int]:
+    """The count and dimension of a word2vec-text header; ``where`` is its ``path:line``."""
     parts = line.split()
     if len(parts) != 2:
         raise EmbeddingFormatError(
-            f"{path}:1: word2vec-text header must be 'vocab_count dim', got {line!r}"
+            f"{where}: word2vec-text header must be 'vocab_count dim', got {line!r}"
         )
     try:
-        return int(parts[0]), int(parts[1])
+        count, dim = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise EmbeddingFormatError(f"{path}:1: malformed header {line!r}") from exc
+        raise EmbeddingFormatError(f"{where}: malformed header {line!r}") from exc
+    if dim <= 0:
+        raise EmbeddingFormatError(f"{where}: non-positive dimension {dim}")
+    return count, dim
 
 
 # A token runs to the first ASCII space or tab; other Unicode whitespace,
@@ -186,7 +190,7 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
         digest = _sha256(path)
         parsed = _read_cache(cache, _cache_key(format, digest))
     if parsed is None:
-        parsed, digest = _parse(path, format)
+        parsed, digest = _parse(path, format, regular)
         if regular:
             _write_cache(cache, _cache_key(format, digest), *parsed)
     vocab, matrix, declared_count, n_duplicates = parsed
@@ -205,13 +209,14 @@ def load_embeddings(path: str, format: str) -> EmbeddingStore:
     return store
 
 
-def _parse(path: str, format: str) -> tuple[tuple, str]:
+def _parse(path: str, format: str, regular: bool) -> tuple[tuple, str]:
     """The vocabulary, the float64 matrix, the header's count (None without
     one) and the number of duplicates dropped, of the file at ``path``; and
     the sha256 of the bytes that parse read.
 
     The file is streamed once: the token is split off each line, and the
-    rest of every line goes to one bulk numeric parse.
+    rest of every line goes to one bulk numeric parse. Only a ``regular``
+    file is read again, to locate a fault by its line.
     """
     tokens: list[str] = []
     dim: int | None = None
@@ -232,13 +237,14 @@ def _parse(path: str, format: str) -> tuple[tuple, str]:
         if format == "word2vec-text":
             header = next(lines, None)
             if header is not None:
-                declared_count, dim = _parse_header(header[1].rstrip("\r\n"), path)
-                if dim <= 0:
-                    raise EmbeddingFormatError(f"{path}:1: non-positive dimension {dim}")
+                lineno, line = header
+                declared_count, dim = _parse_header(line.rstrip("\r\n"), f"{path}:{lineno}")
         records = values(lines)
+        empty = False  # whether the records read in full are none
         try:
             first = next(records, None)  # np.loadtxt warns on an input without rows
-            matrix = None if first is None else np.loadtxt(
+            empty = first is None
+            matrix = None if empty else np.loadtxt(
                 itertools.chain([first], records), dtype=np.float64, ndmin=2, comments=None
             )
         except ValueError:
@@ -250,7 +256,11 @@ def _parse(path: str, format: str) -> tuple[tuple, str]:
         or not matrix.any(axis=1).all()
         or np.isinf(_in_range(matrix)[2]).any()
     ):
-        _raise_first_fault(path, format, dim)
+        if regular:
+            _raise_first_fault(path, format, dim)
+        # a FIFO or device cannot be read again to locate the fault
+        raise EmbeddingFormatError(f"{path}: no embedding records found" if empty
+                                   else f"{path}: malformed vector data")
 
     first_rows: dict[str, int] = {}
     for row, token in enumerate(tokens):
@@ -358,23 +368,37 @@ def _read_cache(cache: str, key: bytes) -> tuple | None:
 
 def _write_cache(cache: str, key: bytes, vocab: list[str], matrix: np.ndarray,
                  declared_count: int | None, n_duplicates: int) -> None:
-    """Write the parse to ``cache``, through a temporary file in its directory;
-    skipped, without a message, where that fails."""
+    """Publish the parse to ``cache``; skipped, without a message, where that fails."""
     records = (key, f"{declared_count} {n_duplicates}".encode(), "\n".join(vocab).encode())
-    tmp = f"{cache}.{os.getpid()}.tmp"
-    try:
-        fh = open(tmp, "xb")
-    except OSError:
-        return
-    try:
-        with fh:
+
+    def write(tmp: str) -> None:
+        with open(tmp, "xb") as fh:
             for record in records:
                 np.lib.format.write_array(fh, np.frombuffer(record, np.uint8))
             np.lib.format.write_array(fh, matrix)  # a file: tofile, without a copy
-        os.replace(tmp, cache)
-    except OSError:
-        with suppress(OSError):
-            os.remove(tmp)
+
+    with suppress(OSError):
+        publish((cache, write))
+
+
+def publish(*files: tuple[str, Callable[[str], object]]) -> None:
+    """Put each ``(path, write)`` file in place whole.
+
+    Each ``write(tmp)`` writes ``<path>.<pid>.tmp`` beside its path, in the order
+    given; once all are written, each replaces its path, in the same order. Where
+    a write or a replace raises, the temporary files left are removed and the error
+    propagates: a path replaced before a failed replace keeps its new file.
+    """
+    staged = [(f"{path}.{os.getpid()}.tmp", path) for path, _ in files]
+    try:
+        for (tmp, _), (_, write) in zip(staged, files):
+            write(tmp)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:  # none is left once all are in place
+            with suppress(OSError):
+                os.remove(tmp)
 
 
 def save_embeddings(store: EmbeddingStore, path: str, format: str) -> None:

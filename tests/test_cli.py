@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
@@ -181,9 +182,13 @@ class TestSpecializeCommand:
          "inputs[1] has unknown role 'meronym'"),
         (lambda m: {**m, "inputs": [{**m["inputs"][0], "size": 3}]},
          "inputs[0]: field 'size' is unknown"),
+        # values a replay cannot honour
+        (with_config("seed", 3), "field 'seed' is 7, but field 'config.seed' is 3"),
+        (with_config("adagrad_epsilon", 0.5),
+         "field 'config.adagrad_epsilon' is 0.5, but this version trains only at 1e-08"),
     ], ids=["no-embeddings", "no-order", "json-list", "no-method",
             "epochs-str", "epochs-float", "epochs-null", "m_syn-str", "m_syn-beyond-float",
-            "two-embeddings", "unknown-role", "unknown-field"])
+            "two-embeddings", "unknown-role", "unknown-field", "seed-differs", "adagrad-epsilon"])
     def test_replay_refuses_a_malformed_manifest(self, workspace, capsys, edit, problem):
         tmp_path = workspace[0]
         assert main(specialize_args(workspace, tmp_path / "out.vec")) == 0
@@ -210,6 +215,22 @@ class TestSpecializeCommand:
         code = main(["specialize", "--replay", str(manifest_path), "--out", str(replay_out)])
         assert code == 0
         assert replay_out.read_bytes() == out.read_bytes()
+
+    def test_replay_takes_the_top_level_seed_when_config_has_none(self, workspace):
+        tmp_path = workspace[0]
+        out = tmp_path / "out.vec"
+        assert main(specialize_args(workspace, out, training=TRAINING[:-1] + ("3",))) == 0
+        assert main(specialize_args(workspace, tmp_path / "seed7.vec")) == 0
+        assert out.read_bytes() != (tmp_path / "seed7.vec").read_bytes()
+        manifest_path = tmp_path / "out.vec.manifest"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["config"]["seed"]
+        manifest_path.write_text(json.dumps(manifest))
+        replay_out = tmp_path / "replayed.vec"
+        assert main(["specialize", "--replay", str(manifest_path), "--out", str(replay_out)]) == 0
+        assert replay_out.read_bytes() == out.read_bytes()
+        replayed = json.loads((tmp_path / "replayed.vec.manifest").read_text())
+        assert replayed["seed"] == replayed["config"]["seed"] == 3
 
     def test_m_contrastive_is_not_an_option(self, workspace, capsys):
         tmp_path = workspace[0]
@@ -797,6 +818,11 @@ def test_digest_probe_compares_trees(tmp_path):
         assert same["manifest_sha256"] is not None
         # the changed default is recorded in the manifest
         assert other["manifest_sha256"] != same["manifest_sha256"]
+        # each eval task reports on the tree's own out.vec, staged like the run's outputs
+        assert set(same["eval_sha256"]) == {"sim", "hyperlex", "bless", "wbless", "bibless"}
+        assert None not in same["eval_sha256"].values()
+        assert other["eval_sha256"]["sim"] != same["eval_sha256"]["sim"]
+        assert not any(r["tmp_left"] for r in (same, _, other))
     child = subprocess.run([sys.executable, tool, "--world", "smoke", "--preset", "lear",
                             "--src", src, "--src", src], capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
@@ -923,6 +949,40 @@ class TestEvalCommand:
         assert code == 2
         assert capsys.readouterr().err == "lexfit: error: --seed must be >= 0\n"
 
+    def test_report_into_a_missing_directory_is_runtime_error(self, workspace, capsys):
+        tmp_path, emb, *_ = workspace
+        ds = tmp_path / "sim.tsv"
+        ds.write_text("a1\ta2\t9.0\na1\tb1\t2.0\na2\tb2\t1.0\n")
+        report = tmp_path / "missing" / "r.tsv"
+        code = main(["eval", "--embeddings", str(emb), "--task", "sim", "--dataset", str(ds),
+                     "--out", str(report)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"lexfit: error: \[Errno 2\] No such file or directory: '.*'\n",
+                            captured.err)
+        assert not (tmp_path / "missing").exists()
+
+    def test_a_failed_publish_keeps_the_old_report(self, workspace, capsys, monkeypatch):
+        tmp_path, emb, *_ = workspace
+        ds = tmp_path / "sim.tsv"
+        ds.write_text("a1\ta2\t9.0\na1\tb1\t2.0\na2\tb2\t1.0\n")
+        report = tmp_path / "r.tsv"
+        report.write_text("an earlier report\n")
+
+        def replace(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(embeddings.os, "replace", replace)
+        code = main(["eval", "--embeddings", str(emb), "--task", "sim", "--dataset", str(ds),
+                     "--out", str(report)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "lexfit: error: [Errno 18] Invalid cross-device link\n")
+        assert report.read_bytes() == b"an earlier report\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
     @pytest.mark.parametrize("task", ["sim", "hyperlex", "bless", "wbless", "bibless"])
     def test_report_file_is_the_api_report(self, workspace, task):
         tmp_path, emb, *_ = workspace
@@ -1044,6 +1104,32 @@ class TestNearestCommand:
         save_embeddings(store, str(emb), "glove-text")
         assert main(["nearest", "--embeddings", str(emb), "--word", "zz"]) == 1
         assert "not covered" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, problem", [
+        ("a 1 2\nb 1 x\n", "malformed vector data"),
+        ("", "no embedding records found"),
+        ("a 1 2\nb 0 0\n", "malformed vector data"),
+    ], ids=["non-numeric", "empty", "all-zero"])
+    def test_a_faulty_fifo_is_reported_once(self, tmp_path, text, problem):
+        # a FIFO whose writer has finished cannot be opened again to locate the fault
+        fifo = tmp_path / "bad.fifo"
+        os.mkfifo(fifo)
+        writer = subprocess.Popen([sys.executable, "-c",
+                                   "import sys; open(sys.argv[1], 'w').write(sys.argv[2])",
+                                   str(fifo), text])
+        src = os.path.dirname(os.path.dirname(lexfit.cli.__file__))
+        try:
+            child = subprocess.run([sys.executable, "-m", "lexfit.cli", "nearest",
+                                    "--embeddings", str(fifo), "--word", "a"],
+                                   capture_output=True, text=True, timeout=60,
+                                   env={**os.environ, "PYTHONPATH": src})
+        finally:
+            writer.kill()
+            writer.wait()
+        assert child.returncode == 1
+        assert child.stderr == f"lexfit: error: {fifo}: {problem}\n"
+        assert child.stdout == ""
+        assert not list(tmp_path.glob("*.lexfit-cache*"))
 
     @pytest.mark.parametrize("exponent", ["e200", "e-200"])
     def test_extreme_rows_rank_by_true_cosine(self, tmp_path, capsys, exponent):

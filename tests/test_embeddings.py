@@ -6,6 +6,7 @@ import re
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,11 @@ class TestLoad:
         ("2 2.0\na 1 2\n", "word2vec-text", ":1: malformed header '2 2.0'"),
         ("2 0\na 1 2\n", "word2vec-text", ":1: non-positive dimension 0"),
         ("2 -2\na 1 2\n", "word2vec-text", ":1: non-positive dimension -2"),
+        # a header after blank lines names its own line
+        ("\n\n2 3 4\na 1 2\n", "word2vec-text",
+         ":3: word2vec-text header must be 'vocab_count dim', got '2 3 4'"),
+        ("\n \t\ntwo 2\na 1 2\n", "word2vec-text", ":3: malformed header 'two 2'"),
+        ("\r\n2 0\na 1 2\n", "word2vec-text", ":2: non-positive dimension 0"),
         # Python's float() reads "1_0", the file format does not
         ("a 1_0 2\n", "glove-text", ":1: non-numeric vector component"),
         # every component is finite, the norm is not
@@ -395,6 +401,63 @@ class TestParseCache:
             save_embeddings(store, str(out), "glove-text")
             saved.append(out.read_bytes())
         assert saved[0] == saved[1]
+
+
+class TestPublish:
+    @staticmethod
+    def writer(text, fail=False):
+        def write(tmp):
+            Path(tmp).write_text(text)
+            if fail:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return write
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        paths = [str(tmp_path / name) for name in ("a.log", "a.vec", "a.manifest")]
+        for path in paths[1:]:  # the first path does not exist yet
+            write(tmp_path / os.path.basename(path), f"old {path}")
+        return paths
+
+    def state(self, paths):
+        return [Path(path).read_text() if os.path.exists(path) else None for path in paths]
+
+    def test_puts_every_file_in_place(self, paths, tmp_path):
+        embeddings.publish(*[(path, self.writer(f"new {path}")) for path in paths])
+        assert self.state(paths) == [f"new {path}" for path in paths]
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_a_failed_write_leaves_every_path(self, paths, tmp_path):
+        before = self.state(paths)
+        written = []
+
+        def later(tmp):
+            written.append(tmp)
+            self.writer("new")(tmp)
+
+        with pytest.raises(OSError, match="No space left"):
+            embeddings.publish((paths[0], self.writer("new")),
+                               (paths[1], self.writer("new", fail=True)),
+                               (paths[2], later))
+        assert self.state(paths) == before and written == []
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_a_failed_replace_keeps_what_was_replaced(self, paths, tmp_path, monkeypatch):
+        before, real = self.state(paths), os.replace
+        replaced = []
+
+        def replace(src, dst):
+            if len(replaced) == 1:
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            replaced.append(dst)
+            real(src, dst)
+
+        monkeypatch.setattr(embeddings.os, "replace", replace)
+        with pytest.raises(OSError, match="cross-device"):
+            embeddings.publish(*[(path, self.writer(f"new {path}")) for path in paths])
+        assert replaced == paths[:1]
+        assert self.state(paths) == [f"new {paths[0]}", *before[1:]]
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSave:

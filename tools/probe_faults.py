@@ -78,17 +78,21 @@ def digest(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
+def child_env(src: Path) -> dict:
+    """The environment of a ``lexfit`` child of the tree at ``src``: one BLAS thread."""
+    return dict(os.environ, PYTHONPATH=str(src),
+                **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")})
+
+
 def run_child(src: Path, args: list[str], out: Path) -> tuple[dict, str]:
     """Run one ``lexfit specialize`` child of the tree at ``src`` with one BLAS thread.
     Returns its exit code, costs and the sha256 of ``out``, ``out.log`` and ``out.manifest``
     (None for a file the child did not write), and its stdout."""
     for stale in (out, Path(f"{out}.log"), Path(f"{out}.manifest")):
         stale.unlink(missing_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(src),
-               **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                       "MKL_NUM_THREADS")})
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "lexfit.cli", *args], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "lexfit.cli", *args], env=child_env(src),
                             stdout=subprocess.PIPE, text=True)
     stdout = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
