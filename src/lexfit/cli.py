@@ -9,8 +9,11 @@ replaying the manifest reproduces the output byte-exactly.
 from __future__ import annotations
 
 import argparse
+import atexit
 import ctypes
 import dataclasses
+import functools
+import gc
 import json
 import os
 import pathlib
@@ -417,9 +420,24 @@ def cmd_nearest(args) -> int:
     return 0
 
 
+@functools.cache  # one hook per process, however often main runs
+def _skip_exit_collection() -> None:
+    """Have the interpreter's exit skip collecting what the command left.
+
+    CPython's exit collects every object still tracked, some 22k, most of them
+    numpy's: about 30 ms of a 0.2-0.3 s ``eval`` child. :func:`gc.freeze` at exit
+    puts them where no collection looks; the OS takes the memory back. Every file
+    is closed by its ``with`` block, and the standard streams and logging are
+    flushed at exit without the collector, so no output changes. A caller that
+    runs :func:`main` in process keeps its collector until its own exit.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
     """Run one command; print any failure as one ``lexfit: error:`` line and
     return 2 for a :class:`UsageError`, 1 for any other."""
+    _skip_exit_collection()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

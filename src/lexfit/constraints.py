@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import io
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, _Sha256Reader
+from .embeddings import EmbeddingStore, _Sha256Reader, check_decoded, text_reader
 
 log = logging.getLogger(__name__)
 
@@ -94,8 +93,9 @@ def load_pairs(
         raise ValueError(f"unknown relation {relation!r}, expected one of {RELATIONS}")
     rows, dropped_oov = [], 0  # rows: the in-vocabulary lines' row pairs, flattened
     reader = _Sha256Reader(path)
-    with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
+    with text_reader(reader) as fh:
         for lineno, raw in enumerate(fh, start=1):
+            check_decoded(raw, path, lineno, PairFileError)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -153,6 +153,28 @@ def _checked(vocab: list[str], matrix: np.ndarray) -> tuple[list[str], np.ndarra
     return vocab, matrix
 
 
+# Text is decoded with errors="surrogateescape": a byte that is not UTF-8 reads
+# as one of these code points, which no UTF-8 decodes to, so a reader finds it
+# on its own line as it reads, and a line count stays the file's.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def text_reader(raw: io.RawIOBase) -> io.TextIOWrapper:
+    """The UTF-8 text of the unbuffered binary file ``raw``, each byte that is not UTF-8
+    escaped; closing it closes ``raw``."""
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape")
+
+
+def check_decoded(line: str, path: str, lineno: int, error: type[ValueError]) -> None:
+    """Raise ``error`` at ``path:lineno`` for the first escaped byte of a
+    :func:`text_reader` ``line``."""
+    if not line.isascii():
+        escaped = _UNDECODABLE.search(line)
+        if escaped:
+            byte = ord(escaped.group()) - 0xDC00
+            raise error(f"{path}:{lineno}: byte 0x{byte:02x} is not valid UTF-8")
+
+
 def _content_lines(fh):
     """(line number, line) of every line of ``fh`` that is not blank."""
     for lineno, line in enumerate(fh, start=1):
@@ -223,7 +245,8 @@ def _parse(path: str, format: str, regular: bool) -> tuple[tuple, str]:
     declared_count: int | None = None
 
     def values(lines):
-        for _, line in lines:
+        for lineno, line in lines:
+            check_decoded(line, path, lineno, EmbeddingFormatError)
             token, rest = _split_record(line)
             if not rest or rest.isspace():
                 # the bulk parse would skip this record as a blank line
@@ -232,23 +255,24 @@ def _parse(path: str, format: str, regular: bool) -> tuple[tuple, str]:
             yield rest
 
     raw = _Sha256Reader(path)
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
+    with text_reader(raw) as fh:
         lines = _content_lines(fh)
         if format == "word2vec-text":
             header = next(lines, None)
             if header is not None:
                 lineno, line = header
+                check_decoded(line, path, lineno, EmbeddingFormatError)
                 declared_count, dim = _parse_header(line.rstrip("\r\n"), f"{path}:{lineno}")
         records = values(lines)
-        empty = False  # whether the records read in full are none
+        empty, fault = False, None  # whether the records read in full are none; why not
         try:
             first = next(records, None)  # np.loadtxt warns on an input without rows
             empty = first is None
             matrix = None if empty else np.loadtxt(
                 itertools.chain([first], records), dtype=np.float64, ndmin=2, comments=None
             )
-        except ValueError:
-            matrix = None
+        except ValueError as exc:
+            matrix, fault = None, exc
     if (
         matrix is None
         or (dim is not None and matrix.shape[1] != dim)
@@ -258,7 +282,11 @@ def _parse(path: str, format: str, regular: bool) -> tuple[tuple, str]:
     ):
         if regular:
             _raise_first_fault(path, format, dim)
-        # a FIFO or device cannot be read again to locate the fault
+        # a FIFO or device cannot be read again to locate the fault by its line
+        if isinstance(fault, EmbeddingFormatError):  # a byte that is not UTF-8, on its line
+            raise fault
+        if matrix is not None:
+            _raise_first_bad_row(path, tokens, matrix, dim)
         raise EmbeddingFormatError(f"{path}: no embedding records found" if empty
                                    else f"{path}: malformed vector data")
 
@@ -277,12 +305,13 @@ def _raise_first_fault(path: str, format: str, dim: int | None) -> NoReturn:
     Runs only after the bulk parse of :func:`load_embeddings` failed or found
     a bad row. It parses one record at a time with the same number parser.
     """
-    with open(path, encoding="utf-8") as fh:
+    with text_reader(io.FileIO(path)) as fh:
         lines = _content_lines(fh)
         if format == "word2vec-text":
             next(lines, None)
         lineno = None
         for lineno, line in lines:
+            check_decoded(line, path, lineno, EmbeddingFormatError)
             token, rest = _split_record(line)
             n_values = len(rest.split())
             if dim is None:
@@ -299,15 +328,38 @@ def _raise_first_fault(path: str, format: str, dim: int | None) -> NoReturn:
                 raise EmbeddingFormatError(
                     f"{path}:{lineno}: non-numeric vector component"
                 ) from exc
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingFormatError(f"{path}:{lineno}: non-finite vector component")
-            if not np.any(vec):
-                raise EmbeddingFormatError(f"{path}:{lineno}: all-zero vector for {token!r}")
-            if np.isinf(row_norms(vec.reshape(1, -1)))[0]:
-                raise EmbeddingFormatError(f"{path}:{lineno}: vector norm overflows float64")
+            fault = _row_fault(vec, token)
+            if fault:
+                raise EmbeddingFormatError(f"{path}:{lineno}: {fault}")
     if lineno is None:
         raise EmbeddingFormatError(f"{path}: no embedding records found")
     raise EmbeddingFormatError(f"{path}: malformed vector data")
+
+
+def _raise_first_bad_row(path: str, tokens: list[str], matrix: np.ndarray,
+                         dim: int | None) -> NoReturn:
+    """Raise the error for the first row of a parsed stream, by record number and token,
+    that a store cannot hold. A stream cannot be read again to locate it by its line."""
+    if dim is not None and matrix.shape[1] != dim:
+        row, fault = 0, f"expected {dim} values, got {matrix.shape[1]}"
+    else:
+        finite = np.isfinite(matrix).all(axis=1)
+        bad = ~finite | ~matrix.any(axis=1)
+        bad[finite] |= np.isinf(row_norms(matrix[finite]))
+        row = int(bad.argmax())
+        fault = _row_fault(matrix[row], tokens[row])
+    raise EmbeddingFormatError(f"{path}: record {row + 1} ({tokens[row]!r}): {fault}")
+
+
+def _row_fault(vec: np.ndarray, token: str) -> str | None:
+    """Why a store cannot hold the record of ``token`` with the values ``vec``; None if it can."""
+    if not np.all(np.isfinite(vec)):
+        return "non-finite vector component"
+    if not np.any(vec):
+        return f"all-zero vector for {token!r}"
+    if np.isinf(row_norms(vec.reshape(1, -1)))[0]:
+        return "vector norm overflows float64"
+    return None
 
 
 # --- parse cache -----------------------------------------------------------
@@ -387,14 +439,19 @@ def publish(*files: tuple[str, Callable[[str], object]]) -> None:
     Each ``write(tmp)`` writes ``<path>.<pid>.tmp`` beside its path, in the order
     given; once all are written, each replaces its path, in the same order. Where
     a write or a replace raises, the temporary files left are removed and the error
-    propagates: a path replaced before a failed replace keeps its new file.
+    propagates: a path replaced before a failed replace keeps its new file. An
+    ``OSError`` about the temporary file names its path instead.
     """
     staged = [(f"{path}.{os.getpid()}.tmp", path) for path, _ in files]
     try:
-        for (tmp, _), (_, write) in zip(staged, files):
+        for (tmp, path), (_, write) in zip(staged, files):
             write(tmp)
         for tmp, path in staged:
             os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:  # the temporary file of the loop that raised, if any
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
     finally:
         for tmp, _ in staged:  # none is left once all are in place
             with suppress(OSError):

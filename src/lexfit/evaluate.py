@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, backoff_lookup, row_cosines, shared_scale, unit_rows
+from .embeddings import (
+    EmbeddingStore,
+    backoff_lookup,
+    check_decoded,
+    row_cosines,
+    shared_scale,
+    text_reader,
+    unit_rows,
+)
 
 RELATION_LABELS = ("hyper", "hypo", "other")
 
@@ -81,8 +90,9 @@ def _records(path: str):
     """``(location, word1, word2, third field)``, each stripped, of each
     ``word1<TAB>word2<TAB>field`` line of a dataset file; blank lines and
     ``#`` lines are skipped, and an empty word field is an error."""
-    with open(path, encoding="utf-8") as fh:
+    with text_reader(io.FileIO(path)) as fh:
         for lineno, raw in enumerate(fh, start=1):
+            check_decoded(raw, path, lineno, DatasetFormatError)
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue

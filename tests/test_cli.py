@@ -1,6 +1,9 @@
+import atexit
+import contextlib
 import ctypes
 import dataclasses
 import errno
+import gc
 import hashlib
 import itertools
 import json
@@ -780,15 +783,25 @@ def test_fault_probe_runs_each_tree_in_turn():
     tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "probe_faults.py")
     src = os.path.dirname(os.path.dirname(lexfit.cli.__file__))
     out = subprocess.run([sys.executable, tool, "--src", src, "--src", src, "--rounds", "1",
-                          "--vocab", "300", "--taxonomy-words", "120"],
+                          "--vocab", "300", "--taxonomy-words", "120", "--eval"],
                          capture_output=True, text=True, check=True).stdout
     *records, medians = map(json.loads, out.splitlines())
-    assert [r["round"] for r in records] == [0, 0] and {r["code"] for r in records} == {0}
-    assert records[0]["sha256"] == records[1]["sha256"]
-    assert records[0]["manifest_sha256"] == records[1]["manifest_sha256"] is not None
+    commands = ["specialize", "eval sim", "eval hyperlex", "eval bless", "eval wbless",
+                "eval bibless"]
+    assert [r["command"] for r in records] == commands * 2
+    assert {r["round"] for r in records} == {0} and {r["code"] for r in records} == {0}
+    for first, second in zip(records, records[len(commands):]):
+        assert first["sha256"] == second["sha256"] is not None
+    assert records[0]["manifest_sha256"] == records[6]["manifest_sha256"] is not None
     assert all(r["minflt"] > 0 and r["maxrss_mb"] > 0 and r["wall_s"] > 0 for r in records)
-    assert set(medians["medians"][os.path.realpath(src)]) == {
-        "wall_s", "user_s", "sys_s", "minflt", "maxrss_mb"}
+    phases = ("start_ms", "import_ms", "command_ms", "exit_ms")
+    for r in records:  # the phases tile the wall time
+        assert all(r[phase] > 0 for phase in phases)
+        assert sum(r[phase] for phase in phases) == pytest.approx(1000 * r["wall_s"], abs=0.1)
+    tree = medians["medians"][os.path.realpath(src)]
+    assert list(tree) == commands
+    assert all(set(m) == {"wall_s", "user_s", "sys_s", "minflt", "maxrss_mb", *phases}
+               for m in tree.values())
 
 
 def test_digest_probe_compares_trees(tmp_path):
@@ -959,8 +972,8 @@ class TestEvalCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(r"lexfit: error: \[Errno 2\] No such file or directory: '.*'\n",
-                            captured.err)
+        # the path asked for, not the temporary file the write opened
+        assert captured.err == f"lexfit: error: [Errno 2] No such file or directory: '{report}'\n"
         assert not (tmp_path / "missing").exists()
 
     def test_a_failed_publish_keeps_the_old_report(self, workspace, capsys, monkeypatch):
@@ -1106,16 +1119,21 @@ class TestNearestCommand:
         assert "not covered" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, problem", [
-        ("a 1 2\nb 1 x\n", "malformed vector data"),
-        ("", "no embedding records found"),
-        ("a 1 2\nb 0 0\n", "malformed vector data"),
-    ], ids=["non-numeric", "empty", "all-zero"])
+        ("a 1 2\nb 1 x\n", ": malformed vector data"),
+        ("", ": no embedding records found"),
+        # a row check names the record by number and token
+        ("a 1 2\nb 0 0\n", ": record 2 ('b'): all-zero vector for 'b'"),
+        ("a 1 2\nb 1 2\nc 1 inf\nd 0 0\n", ": record 3 ('c'): non-finite vector component"),
+        ("a 1 2\n\nb 1.5e308 1.5e308\n", ": record 2 ('b'): vector norm overflows float64"),
+        # an escaped byte (surrogateescape) is written as the byte itself
+        ("a 1 2\nb\udce9 1 2\n", ":2: byte 0xe9 is not valid UTF-8"),
+    ], ids=["non-numeric", "empty", "all-zero", "non-finite", "overflow", "latin-1"])
     def test_a_faulty_fifo_is_reported_once(self, tmp_path, text, problem):
         # a FIFO whose writer has finished cannot be opened again to locate the fault
         fifo = tmp_path / "bad.fifo"
         os.mkfifo(fifo)
-        writer = subprocess.Popen([sys.executable, "-c",
-                                   "import sys; open(sys.argv[1], 'w').write(sys.argv[2])",
+        writer = subprocess.Popen([sys.executable, "-c", "import os, sys; "
+                                   "open(sys.argv[1], 'wb').write(os.fsencode(sys.argv[2]))",
                                    str(fifo), text])
         src = os.path.dirname(os.path.dirname(lexfit.cli.__file__))
         try:
@@ -1127,7 +1145,7 @@ class TestNearestCommand:
             writer.kill()
             writer.wait()
         assert child.returncode == 1
-        assert child.stderr == f"lexfit: error: {fifo}: {problem}\n"
+        assert child.stderr == f"lexfit: error: {fifo}{problem}\n"
         assert child.stdout == ""
         assert not list(tmp_path.glob("*.lexfit-cache*"))
 
@@ -1146,3 +1164,56 @@ def write_extreme_vectors(tmp_path, exponent):
     emb = tmp_path / "extreme.vec"
     emb.write_text(f"a 1{exponent} 1{exponent}\nb 3{exponent} 1{exponent}\nc 1 2\nd 5 1\n")
     return emb
+
+
+class TestExitCollection:
+    """A command's process skips the interpreter's exit-time collection; a caller
+    that runs main in process keeps its collector."""
+
+    def test_main_registers_one_hook_and_freezes_nothing(self, workspace, monkeypatch, capsys):
+        _, emb, *_ = workspace
+        hooks = []
+        monkeypatch.setattr(atexit, "register", hooks.append)
+        lexfit.cli._skip_exit_collection.cache_clear()
+        enabled = gc.isenabled()
+        try:
+            for _ in range(3):
+                assert main(["nearest", "--embeddings", str(emb), "--word", "a1"]) == 0
+                assert main(["nearest", "--embeddings", str(emb), "--word", "a1", "--k", "0"]) == 2
+            assert hooks == [gc.freeze]
+            assert gc.get_freeze_count() == 0 and gc.isenabled() == enabled
+        finally:
+            lexfit.cli._skip_exit_collection.cache_clear()
+
+    @pytest.mark.parametrize("args, code", [
+        (["eval", "--task", "sim"], 0),
+        (["eval", "--task", "sim", "--seed", "-1"], 2),
+        (["eval", "--task", "bless"], 1),  # the similarity file has no relation labels
+        (["eval", "--task", "sim", "--nonsense"], 2),
+    ], ids=["success", "usage", "runtime", "argparse"])
+    def test_a_module_child_freezes_at_exit_and_prints_as_main_does(self, workspace, capsys,
+                                                                     args, code):
+        tmp_path, emb, *_ = workspace
+        ds = tmp_path / "sim.tsv"
+        ds.write_text("a1\ta2\t9.0\na1\tb1\t2.0\na2\tb2\t1.0\n")
+        argv = [*args, "--embeddings", str(emb), "--dataset", str(ds)]
+        with pytest.raises(SystemExit) if "--nonsense" in args else contextlib.nullcontext():
+            assert main(argv) == code
+        expected = capsys.readouterr()
+        # a hook registered before main runs after main's own, at exit
+        read, write = os.pipe()
+        probe = ("import atexit, gc, os, runpy, sys\n"
+                 f"atexit.register(lambda: os.write({write}, b'%d' % gc.get_freeze_count()))\n"
+                 "sys.argv = ['lexfit', *sys.argv[1:]]\n"
+                 "runpy.run_module('lexfit.cli', run_name='__main__', alter_sys=True)\n")
+        src = os.path.dirname(os.path.dirname(lexfit.cli.__file__))
+        try:
+            child = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                                   text=True, env={**os.environ, "PYTHONPATH": src},
+                                   pass_fds=(write,))
+        finally:
+            os.close(write)
+        with os.fdopen(read, "rb") as hook:
+            frozen = int(hook.read() or b"0")
+        assert (child.returncode, child.stdout, child.stderr) == (code, expected.out, expected.err)
+        assert frozen > 1000  # every object the run left, numpy's among them

@@ -60,6 +60,23 @@ class TestLoadPairs:
         with pytest.raises(PairFileError, match=":1"):
             load_pairs(cs, path, "syn", store)
 
+    @pytest.mark.parametrize("line", [b"cat do\xe9", b"# caf\xe9", b"\xe9"],
+                             ids=["token", "comment", "alone"])
+    def test_a_byte_that_is_not_utf8_is_located(self, tmp_path, store, line):
+        path = tmp_path / "pairs.txt"
+        # past the first block a text reader decodes ahead of the line it yields
+        path.write_bytes(b"good nice\n" + line + b"\n" + b"cat dog\n" * 4000)
+        cs = ConstraintSet()
+        with pytest.raises(PairFileError, match=r"pairs\.txt:2: byte 0xe9 is not valid UTF-8$"):
+            load_pairs(cs, str(path), "syn", store)
+        assert all(len(pairs) == 0 for pairs in cs.pairs.values())
+
+    def test_an_earlier_fault_comes_first(self, tmp_path, store):
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(b"good nice bad\ncat do\xe9\n")
+        with pytest.raises(PairFileError, match=r"pairs\.txt:1: expected 2 tokens, got 3$"):
+            load_pairs(ConstraintSet(), str(path), "syn", store)
+
     def test_comments_and_blanks_ignored(self, tmp_path, store):
         cs = ConstraintSet()
         report = load_pairs(

@@ -105,6 +105,27 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError, match=f"^{re.escape(path + message)}$"):
             load_embeddings(path, format)
 
+    @pytest.mark.parametrize("data, format, message", [
+        (b"a 1 2\nb\xe9 1 2\n", "glove-text", ":2: byte 0xe9 is not valid UTF-8"),
+        (b"a 1 2\nb 1 \xe92\n", "glove-text", ":2: byte 0xe9 is not valid UTF-8"),
+        (b"2 2\na 1 2\nb\xe9 1 2\n", "word2vec-text", ":3: byte 0xe9 is not valid UTF-8"),
+        (b"\n2 2\xe9\na 1 2\n", "word2vec-text", ":2: byte 0xe9 is not valid UTF-8"),
+        # a bad record before the byte comes first, though the byte is decoded first
+        (b"a 1 2\nb 0 0\nc\xe9 1 2\n", "glove-text", ":2: all-zero vector for 'b'"),
+        (b"a 1 2\nb 1\nc\xe9 1 2\n", "glove-text", ":2: expected 2 values, got 1"),
+        # past the first block a text reader decodes ahead of the line it yields
+        (b"a 1 2\n" * 3000 + b"\xe9 1 2\n", "glove-text",
+         ":3001: byte 0xe9 is not valid UTF-8"),
+        # a lone CR ends a line, as it does for every other fault
+        (b"a 1 2\rb 1 2\r\xe9 1 2\r", "glove-text", ":3: byte 0xe9 is not valid UTF-8"),
+    ], ids=["token", "value", "word2vec", "header", "zero-row-first", "short-row-first",
+            "past-first-block", "lone-cr"])
+    def test_a_byte_that_is_not_utf8_is_located(self, tmp_path, data, format, message):
+        path = tmp_path / "v.txt"
+        path.write_bytes(data)
+        with pytest.raises(EmbeddingFormatError, match=f"^{re.escape(str(path) + message)}$"):
+            load_embeddings(str(path), format)
+
     def test_token_ends_at_ascii_space_or_tab(self, tmp_path):
         path = write(tmp_path / "v.txt", "caf\u00a0e 1 2 3\nb\t4 5 6\n")
         store = load_embeddings(path, "glove-text")
@@ -365,6 +386,26 @@ class TestParseCache:
         assert store._source_sha256 == hashlib.sha256(CACHED["glove-text"].encode()).hexdigest()
         assert os.listdir(tmp_path) == ["v.fifo"]
 
+    @pytest.mark.parametrize("data, message", [
+        (b"2 3\na 1 2\nb 1 2\n", ": record 1 ('a'): expected 3 values, got 2"),
+        (b"3 2\na 1 2\n\nb nan 2\nc 0 0\n", ": record 2 ('b'): non-finite vector component"),
+        (b"2 2\na 1 2\nb\xe9 1 2\n", ":3: byte 0xe9 is not valid UTF-8"),
+    ], ids=["dimension", "non-finite", "latin-1"])
+    def test_a_fifo_names_its_first_bad_record(self, tmp_path, data, message):
+        path = str(tmp_path / "v.fifo")
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        with pytest.raises(EmbeddingFormatError, match=f"^{re.escape(path + message)}$"):
+            load_embeddings(path, "word2vec-text")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
     def test_a_store_from_a_hit_holds_one_matrix_and_writes(self, tmp_path, monkeypatch):
         source = random_store(9, 20000, 50)
         path = str(tmp_path / "big.txt")
@@ -459,6 +500,29 @@ class TestPublish:
         assert self.state(paths) == [f"new {paths[0]}", *before[1:]]
         assert not list(tmp_path.glob("*.tmp"))
 
+
+    def test_an_error_names_the_path_asked_for(self, paths, tmp_path):
+        missing = str(tmp_path / "missing" / "a.tsv")
+        with pytest.raises(FileNotFoundError) as raised:
+            embeddings.publish((paths[0], self.writer("new")), (missing, self.writer("new")))
+        assert (raised.value.filename, raised.value.filename2) == (missing, None)
+        assert str(raised.value) == f"[Errno {errno.ENOENT}] No such file or directory: '{missing}'"
+        # a replace onto a directory that holds a file
+        os.mkdir(paths[0])
+        write(tmp_path / "a.log" / "kept", "kept")
+        with pytest.raises(OSError) as raised:
+            embeddings.publish((paths[1], self.writer("new")), (paths[0], self.writer("new")))
+        assert (raised.value.filename, raised.value.filename2) == (paths[0], None)
+        assert ".tmp" not in str(raised.value)
+        assert self.state(paths[1:2]) == ["new"]  # replaced before the failed replace
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_an_error_about_another_file_is_kept(self, tmp_path):
+        def write_elsewhere(tmp):
+            raise FileNotFoundError(errno.ENOENT, "No such file or directory", "elsewhere")
+
+        with pytest.raises(FileNotFoundError, match="'elsewhere'$"):
+            embeddings.publish((str(tmp_path / "a.tsv"), write_elsewhere))
 
 class TestSave:
     def test_round_trip_components(self, tmp_path):

@@ -136,6 +136,22 @@ class TestLoaders:
         with pytest.raises(DatasetFormatError, match=r"d\.tsv:2: non-numeric score$"):
             load_similarity_dataset(str(path))
 
+    @pytest.mark.parametrize("loader, field", [
+        (load_similarity_dataset, b"1.0"), (load_relation_dataset, b"hyper"),
+    ])
+    @pytest.mark.parametrize("line", [b"caf\xe9\tb", b"# caf\xe9", b"a\tb\xff\xfe"],
+                             ids=["word", "comment", "two-bytes"])
+    def test_a_byte_that_is_not_utf8_is_located(self, tmp_path, loader, field, line):
+        path = tmp_path / "d.tsv"
+        # past the first block a text reader decodes ahead of the line it yields
+        rows = b"a\tb\t" + field + b"\n"
+        path.write_bytes(rows + (line + b"\t" + field if b"#" not in line else line)
+                         + b"\n" + rows * 4000)
+        byte = "ff" if b"\xff" in line else "e9"
+        with pytest.raises(DatasetFormatError,
+                           match=rf"d\.tsv:2: byte 0x{byte} is not valid UTF-8$"):
+            loader(str(path))
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_score_rejected(self, tmp_path, score):
         path = tmp_path / "d.tsv"
